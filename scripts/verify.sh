@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + full test suite (plus an explicit
 # `ctest -L e2e_process` pass over the forked-executor suites), the
-# static-analysis stage (vlora_lint, Clang thread-safety build,
+# servebench self-test (bench-smoke), the static-analysis stage (vlora_lint, Clang thread-safety build,
 # clang-tidy), then the concurrency-labelled tests (cluster, fault
 # injection, thread pool, ATMM dispatch) and the kernels-labelled tests
 # (differential micro-kernel harness, quantization) under both
@@ -56,6 +56,13 @@ record "disagg tests" "pass"
 echo "=== trace-overhead guard (fails above 5%) ==="
 ./build/bench/bench_trace_overhead
 record "trace-overhead guard" "pass"
+
+echo "=== bench-smoke: servebench self-test ==="
+# servebench/ builds its own copy of src/ (into .bench_build/) and compiles
+# against the public cluster API, so a src/ change that breaks the benchmark
+# fails here. Every workload runs for one second, untraced and traced.
+python3 servebench/selftest.py
+record "bench-smoke" "pass"
 
 if [[ "${SKIP_STATIC:-0}" != "1" ]]; then
   echo "=== static-analysis: vlora_lint ==="

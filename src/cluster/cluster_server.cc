@@ -38,25 +38,16 @@ ClusterServer::ClusterServer(const ModelConfig& config, const ClusterOptions& op
     return options_.disagg.enabled && !is_prefill(i) ? decode_server : options_.server;
   };
   replicas_.reserve(static_cast<size_t>(options_.num_replicas));
-  if (options_.backend == ReplicaBackend::kProcess) {
-    // The cluster-level knobs win over whatever the caller left in the
-    // process sub-options; only transport/window/timing tuning comes from
-    // options_.process.
-    ProcessReplicaOptions process_options = options_.process;
-    process_options.queue_capacity = options_.replica_queue_capacity;
-    process_options.admission = options_.admission;
-    process_options.fault = options_.fault;
-    for (int i = 0; i < options_.num_replicas; ++i) {
-      process_options.server = server_for(i);
-      replicas_.push_back(std::make_unique<ProcessReplica>(i, config, process_options));
-    }
-  } else {
-    ReplicaOptions replica_options;
-    replica_options.queue_capacity = options_.replica_queue_capacity;
-    replica_options.admission = options_.admission;
-    replica_options.fault = options_.fault;
-    for (int i = 0; i < options_.num_replicas; ++i) {
-      replica_options.server = server_for(i);
+  ReplicaOptions replica_options;
+  replica_options.queue_capacity = options_.replica_queue_capacity;
+  replica_options.admission = options_.admission;
+  replica_options.fault = options_.fault;
+  for (int i = 0; i < options_.num_replicas; ++i) {
+    replica_options.server = server_for(i);
+    if (options_.backend == ReplicaBackend::kProcess) {
+      replicas_.push_back(
+          std::make_unique<ProcessReplica>(i, config, replica_options, options_.process));
+    } else {
       replicas_.push_back(std::make_unique<ThreadReplica>(i, config, replica_options));
     }
   }
@@ -710,7 +701,7 @@ void ClusterServer::Shutdown() {
   if (pool_ != nullptr) {
     pool_->WaitIdle();
   }
-  // The workers cancelled their queues on the way out (reported through
+  // RequestStop cancelled each replica's queue (reported through
   // OnReplicaFailure); anything left in the table was waiting out a retry
   // backoff the supervisor will never serve. Cancel it too.
   {

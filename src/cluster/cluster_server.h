@@ -89,9 +89,9 @@ struct ClusterOptions {
   // recovery machinery (quarantine, retries, rebalance) is identical either
   // way — with kProcess an executor death is a real process death.
   ReplicaBackend backend = ReplicaBackend::kThread;
-  // kProcess tuning (transport, inflight window, heartbeat/stop timing).
-  // The server/queue_capacity/admission/fault members inside are ignored:
-  // the cluster-level equivalents above are applied to every backend.
+  // kProcess wire tuning (executor path, transport, inflight window,
+  // heartbeat period); the admission, queue bound, server options and fault
+  // injector here apply to both backends.
   ProcessReplicaOptions process;
   int64_t replica_queue_capacity = 64;
   // Home-replica depth at which affinity routing spills to least-loaded;

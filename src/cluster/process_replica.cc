@@ -5,8 +5,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
+#include <map>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -19,6 +20,9 @@ namespace {
 // destroyed replica's path may not be unlinked yet when its successor binds).
 // `counter` protocol (tools/atomics.toml): only uniqueness matters.
 std::atomic<int64_t> g_socket_sequence{0};
+
+constexpr double kConnectTimeoutMs = 15000.0;  // executor dial-back after fork
+constexpr double kStopGraceMs = 2000.0;        // wait for Goodbye before SIGKILL
 
 std::string ExeDirectory() {
   char buf[PATH_MAX];
@@ -63,29 +67,23 @@ std::string ProcessReplica::DefaultExecutorPath() {
 }
 
 ProcessReplica::ProcessReplica(int index, const ModelConfig& config,
-                               const ProcessReplicaOptions& options)
-    : Replica(index),
-      queue_capacity_(options.queue_capacity),
-      admission_(options.admission),
-      max_inflight_(options.max_inflight),
-      stop_grace_ms_(options.stop_grace_ms),
-      heartbeat_period_ms_(options.heartbeat_period_ms),
-      fault_(options.fault),
-      options_(options) {
-  VLORA_CHECK(queue_capacity_ >= 1);
+                               const ReplicaOptions& options,
+                               const ProcessReplicaOptions& process)
+    : Replica(index, ReplicaBackend::kProcess, options), max_inflight_(process.max_inflight) {
   VLORA_CHECK(max_inflight_ >= 1);
-  SpawnAndHandshake(config);
+  SpawnAndHandshake(config, options.server, process);
 }
 
-void ProcessReplica::SpawnAndHandshake(const ModelConfig& config) {
-  std::string executor = options_.executor_path;
+void ProcessReplica::SpawnAndHandshake(const ModelConfig& config, const ServerOptions& server,
+                                       const ProcessReplicaOptions& process) {
+  std::string executor = process.executor_path;
   if (executor.empty()) {
     executor = DefaultExecutorPath();
   }
   VLORA_CHECK(!executor.empty());  // see ExecutorAvailable()
 
   net::SocketAddress address;
-  if (options_.transport == net::Transport::kUnix) {
+  if (process.transport == net::Transport::kUnix) {
     socket_path_ = "/tmp/vlora-exec-" + std::to_string(::getpid()) + "-" +
                    std::to_string(index_) + "-" +
                    std::to_string(g_socket_sequence.fetch_add(
@@ -97,7 +95,7 @@ void ProcessReplica::SpawnAndHandshake(const ModelConfig& config) {
   }
   Result<net::Fd> listener = net::Listen(address);
   VLORA_CHECK(listener.ok());
-  if (options_.transport == net::Transport::kTcp) {
+  if (process.transport == net::Transport::kTcp) {
     Result<int> port = net::BoundTcpPort(listener.value());
     VLORA_CHECK(port.ok());
     address.port = port.value();
@@ -118,7 +116,7 @@ void ProcessReplica::SpawnAndHandshake(const ModelConfig& config) {
   }
   pid_ = pid;
 
-  Result<net::Fd> accepted = net::AcceptWithTimeout(listener.value(), options_.connect_timeout_ms);
+  Result<net::Fd> accepted = net::AcceptWithTimeout(listener.value(), kConnectTimeoutMs);
   VLORA_CHECK(accepted.ok());
   channel_ = std::make_unique<net::Channel>(std::move(accepted.value()));
 
@@ -130,7 +128,7 @@ void ProcessReplica::SpawnAndHandshake(const ModelConfig& config) {
   // The executor's own queue only ever holds the inflight window; the big
   // master-side queue is what StealIngress can still reclaim.
   const net::ConfigMessage cfg = net::ConfigMessage::FromOptions(
-      config, options_.server, max_inflight_, heartbeat_period_ms_);
+      config, server, max_inflight_, process.heartbeat_period_ms);
   VLORA_CHECK(channel_->SendMsg(cfg).ok());
   Result<net::AckMessage> ack = channel_->RecvMsg<net::AckMessage>();
   VLORA_CHECK(ack.ok());
@@ -141,7 +139,8 @@ ProcessReplica::~ProcessReplica() {
   RequestStop();
   if (reader_started_) {
     // The reader owns the connection teardown; its exit is bounded by the
-    // stop grace (SO_RCVTIMEO armed in RequestStop) plus SIGKILL escalation.
+    // stop grace (SO_RCVTIMEO armed in OnStopRequested) plus SIGKILL
+    // escalation.
     VLORA_BLOCKING_REGION(nullptr, "ProcessReplica::~ProcessReplica");
     while (!reader_done_.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -155,10 +154,7 @@ ProcessReplica::~ProcessReplica() {
 }
 
 int ProcessReplica::AddAdapter(const LoraAdapter& adapter) {
-  {
-    MutexLock lock(&mutex_);
-    VLORA_CHECK(!running_);
-  }
+  CheckSetupPhase();
   net::WireWriter writer;
   net::AppendAdapter(writer, adapter);
   VLORA_CHECK(channel_->Send(net::MessageType::kLoadAdapter, writer.Take()).ok());
@@ -169,10 +165,7 @@ int ProcessReplica::AddAdapter(const LoraAdapter& adapter) {
 }
 
 void ProcessReplica::Prewarm(const std::vector<int>& adapter_ids) {
-  {
-    MutexLock lock(&mutex_);
-    VLORA_CHECK(!running_);
-  }
+  CheckSetupPhase();
   net::PrewarmMessage message;
   message.adapter_ids.assign(adapter_ids.begin(), adapter_ids.end());
   VLORA_CHECK(channel_->SendMsg(message).ok());
@@ -181,91 +174,23 @@ void ProcessReplica::Prewarm(const std::vector<int>& adapter_ids) {
   VLORA_CHECK(ack.value().code == StatusCode::kOk);
 }
 
-void ProcessReplica::SetHandlers(CompletionHandler on_complete, FailureHandler on_failure) {
-  {
-    MutexLock lock(&mutex_);
-    VLORA_CHECK(!running_);
-  }
-  on_complete_ = std::move(on_complete);
-  on_failure_ = std::move(on_failure);
-}
-
-void ProcessReplica::SetHandoffHandler(HandoffHandler on_handoff) {
-  {
-    MutexLock lock(&mutex_);
-    VLORA_CHECK(!running_);
-  }
-  on_handoff_ = std::move(on_handoff);
-}
-
 void ProcessReplica::Start(ThreadPool* pool) {
   VLORA_CHECK(pool != nullptr);
-  {
-    MutexLock lock(&mutex_);
-    VLORA_CHECK(!running_);
-    running_ = true;
-  }
+  BeginServing();
   VLORA_CHECK(channel_->SendMsg(net::StartMessage{}).ok());
-  heartbeat_ms_.store(clock_.ElapsedMillis(), std::memory_order_relaxed);
+  Beat();
   reader_started_ = true;
   pool->Post([this] { ReaderLoop(); });
 }
 
-EnqueueResult ProcessReplica::Enqueue(EngineRequest request, bool never_block) {
-  if (admission_ == AdmissionPolicy::kBlock && !never_block) {
-    VLORA_BLOCKING_REGION(nullptr, "ProcessReplica::Enqueue(kBlock)");
-  }
-  const int64_t request_id = request.id;
-  const int adapter_id = request.adapter_id;
-  const bool decode_stage = request.resume_handle != nullptr;
-  {
-    MutexLock lock(&mutex_);
-    if (stop_requested_ || lost_ || dead_.load(std::memory_order_acquire)) {
-      return EnqueueResult::kRefused;
-    }
-    if (admission_ == AdmissionPolicy::kReject || never_block) {
-      if (DepthLocked() >= queue_capacity_) {
-        if (admission_ == AdmissionPolicy::kReject) {
-          ++rejected_;
-        }
-        return EnqueueResult::kFull;
-      }
-    } else {
-      while (!stop_requested_ && !lost_ && !dead_.load(std::memory_order_acquire) &&
-             DepthLocked() >= queue_capacity_) {
-        space_cv_.Wait(mutex_);
-      }
-      if (stop_requested_ || lost_ || dead_.load(std::memory_order_acquire)) {
-        return EnqueueResult::kRefused;
-      }
-    }
-    ingress_.push_back(Ingress{std::move(request), clock_.ElapsedMillis()});
-    ++submitted_;
-    const int64_t new_depth = DepthLocked();
-    peak_depth_ = std::max(peak_depth_, new_depth);
-    depth_.store(new_depth, std::memory_order_relaxed);
-  }
-  trace::EmitEnqueued(request_id, adapter_id, index_);
-  if (decode_stage) {
-    trace::EmitDecodeEnqueued(request_id, adapter_id, index_);
-  }
-  Pump();
-  return EnqueueResult::kAccepted;
-}
-
-void ProcessReplica::Pump() {
+void ProcessReplica::PumpIngress() {
   std::vector<EngineRequest> to_send;
   {
     MutexLock lock(&mutex_);
-    if (lost_ || convicted_ || !running_) {
+    if (lost_ || !running_) {
       return;
     }
-    while (!ingress_.empty() && static_cast<int64_t>(inflight_.size()) < max_inflight_) {
-      Ingress item = std::move(ingress_.front());
-      ingress_.pop_front();
-      inflight_.emplace(item.request.id, item.enqueue_ms);
-      to_send.push_back(std::move(item.request));
-    }
+    TakeIngressLocked(max_inflight_, &to_send);
   }
   for (EngineRequest& request : to_send) {
     if (request.resume_handle != nullptr) {
@@ -278,7 +203,7 @@ void ProcessReplica::Pump() {
     message.request = std::move(request);
     // A send failure is deliberately ignored: the reader sees the same
     // broken connection and owns the recovery path; the request stays in
-    // the inflight table and is failed over at conviction.
+    // service and is failed over at conviction.
     (void)channel_->SendMsg(message);
   }
 }
@@ -296,15 +221,7 @@ void ProcessReplica::ReaderLoop() {
   for (;;) {
     Result<net::Envelope> envelope = channel_->Recv();
     if (!envelope.ok()) {
-      bool stopping = false;
-      {
-        MutexLock lock(&mutex_);
-        stopping = stop_requested_;
-      }
-      if (envelope.status().code() == StatusCode::kDeadlineExceeded && stopping) {
-        // Stop grace elapsed without a Goodbye: escalate.
-        KillExecutor();
-      }
+      // EOF, a broken socket, or the stop grace elapsing without a Goodbye.
       HandleConnectionLost();
       reader_done_.store(true, std::memory_order_release);
       return;
@@ -318,7 +235,7 @@ void ProcessReplica::ReaderLoop() {
         // Republish the *local receive time*: the staleness clock must never
         // compare timestamps across processes. A wedged executor stops
         // sending, so the stamp freezes exactly like a stalled worker's.
-        heartbeat_ms_.store(clock_.ElapsedMillis(), std::memory_order_relaxed);
+        Beat();
         continue;
       }
       case net::MessageType::kKvHandleMeta: {
@@ -364,8 +281,19 @@ void ProcessReplica::ReaderLoop() {
           }
           result.handle = std::move(it->second.handle);
           assembling.erase(it);
+          // The executor's engine emitted kPrefillDone in the child process;
+          // republish it here so the master's tracer sees the whole lifecycle.
+          trace::EmitPrefillDone(result.request_id, /*adapter=*/-1, result.prefill_tokens,
+                                 result.reused_tokens);
         }
-        OnResult(std::move(result));
+        const int64_t served = Complete(std::span<EngineResult>(&result, 1));
+        if (fault_ != nullptr && fault_->ShouldKillProcess(index_, served)) {
+          // A real SIGKILL, not a simulated death: the executor vanishes and
+          // the master must recover through the same quarantine path a
+          // genuine crash would take.
+          KillExecutor();
+        }
+        PumpIngress();
         continue;
       }
       case net::MessageType::kFailure: {
@@ -373,19 +301,8 @@ void ProcessReplica::ReaderLoop() {
         if (!msg.ok()) {
           break;
         }
-        const int64_t id = msg.value().request_id;
-        {
-          MutexLock lock(&mutex_);
-          inflight_.erase(id);
-          ++failed_;
-          depth_.store(DepthLocked(), std::memory_order_relaxed);
-          if (ingress_.empty() && inflight_.empty()) {
-            drained_cv_.NotifyAll();
-          }
-        }
-        space_cv_.NotifyAll();
-        FailRequest(id, msg.value().ToStatus());
-        Pump();
+        FailInService(msg.value().request_id, msg.value().ToStatus());
+        PumpIngress();
         continue;
       }
       case net::MessageType::kGoodbye:
@@ -400,125 +317,23 @@ void ProcessReplica::ReaderLoop() {
   }
 }
 
-void ProcessReplica::OnResult(EngineResult result) {
-  static Counter* const completions = MetricsRegistry::Global().counter("replica.completions");
-  const int64_t id = result.request_id;
-  const double now_ms = clock_.ElapsedMillis();
-  // Without a handoff handler wired, handle-carrying results take the
-  // ordinary completion path (the Replica contract; the executor itself
-  // relies on this when it hosts a prefill-only ThreadReplica).
-  const bool handoff = result.handle != nullptr && on_handoff_ != nullptr;
-  int64_t completed_now = 0;
-  {
-    MutexLock lock(&mutex_);
-    auto it = inflight_.find(id);
-    if (it == inflight_.end()) {
-      return;  // late duplicate after a fail-over; the retry owns it now
-    }
-    latency_.Record(now_ms - it->second);
-    inflight_.erase(it);
-    if (handoff) {
-      ++handoffs_;
-    } else {
-      ++completed_;
-      results_.push_back(std::move(result));
-    }
-    // Fault keying counts both outcomes so kill-after-N schedules hit
-    // prefill replicas (whose requests only ever hand off) too.
-    completed_now = completed_ + handoffs_;
-    depth_.store(DepthLocked(), std::memory_order_relaxed);
-    if (ingress_.empty() && inflight_.empty()) {
-      drained_cv_.NotifyAll();
-    }
-  }
-  completions->Add(1);
-  space_cv_.NotifyAll();
-  if (handoff) {
-    // The executor's engine emitted kPrefillDone in the child process;
-    // republish it here so the master's tracer sees the whole lifecycle.
-    trace::EmitPrefillDone(id, /*adapter=*/-1, result.prefill_tokens, result.reused_tokens);
-    on_handoff_(index_, std::move(result));
-  } else {
-    trace::EmitCompleted(id, /*adapter=*/-1, index_, StatusCode::kOk);
-    if (on_complete_) {
-      on_complete_(index_, id);
-    }
-  }
-  if (fault_ != nullptr && fault_->ShouldKillProcess(index_, completed_now)) {
-    // A real SIGKILL, not a simulated death: the executor vanishes and the
-    // master must recover through the same quarantine path a genuine crash
-    // would take.
-    KillExecutor();
-  }
-  Pump();
-}
-
 void ProcessReplica::HandleConnectionLost() {
+  // Whatever broke the connection, the executor is no use to us any more.
+  KillExecutor();
+  ReapChild(/*block=*/false);
   bool defer = false;
   {
     MutexLock lock(&mutex_);
     lost_ = true;
-    // Suspicion before conviction: with work outstanding, freeze the
-    // heartbeat and let the supervisor's stall-quarantine observe the loss;
-    // its StealIngress convicts. With nothing outstanding there is nothing
-    // to recover, so convict on the spot.
-    defer = !stop_requested_ && !convicted_ && DepthLocked() > 0;
+    // Suspicion before conviction: with work outstanding, let the
+    // supervisor's stall-quarantine observe the loss; its StealIngress
+    // convicts. With nothing outstanding there is nothing to recover, so
+    // convict on the spot.
+    defer = !stop_requested_ && DepthLocked() > 0;
   }
-  space_cv_.NotifyAll();
+  space_cv_.NotifyAll();  // blocked submitters re-check and refuse
   if (!defer) {
-    MarkDeadAndFailOver();
-  }
-}
-
-void ProcessReplica::MarkDeadAndFailOver() {
-  std::vector<int64_t> ids;
-  bool stopping = false;
-  {
-    MutexLock lock(&mutex_);
-    if (convicted_) {
-      return;
-    }
-    convicted_ = true;
-    lost_ = true;
-    running_ = false;
-    stopping = stop_requested_;
-    if (!stopping) {
-      // A clean shutdown is not a death: dead() stays false so post-run
-      // snapshots match the thread backend's.
-      dead_.store(true, std::memory_order_release);
-    }
-    for (Ingress& item : ingress_) {
-      ids.push_back(item.request.id);
-    }
-    ingress_.clear();
-    for (const auto& [id, enqueue_ms] : inflight_) {
-      (void)enqueue_ms;
-      ids.push_back(id);
-    }
-    inflight_.clear();
-    if (stopping) {
-      cancelled_ += static_cast<int64_t>(ids.size());
-    } else {
-      failed_ += static_cast<int64_t>(ids.size());
-    }
-    depth_.store(0, std::memory_order_relaxed);
-  }
-  space_cv_.NotifyAll();
-  drained_cv_.NotifyAll();
-  std::sort(ids.begin(), ids.end());
-  const Status status =
-      stopping ? Status::Cancelled("replica stopping")
-               : Status::Unavailable("replica " + std::to_string(index_) + " executor killed");
-  for (int64_t id : ids) {
-    FailRequest(id, status);
-  }
-  KillExecutor();
-  ReapChild(/*block=*/false);
-}
-
-void ProcessReplica::FailRequest(int64_t request_id, const Status& status) {
-  if (on_failure_) {
-    on_failure_(index_, request_id, status);
+    FailOver("lost");
   }
 }
 
@@ -545,98 +360,18 @@ void ProcessReplica::ReapChild(bool block) {
   }
 }
 
-std::vector<EngineRequest> ProcessReplica::StealIngress() {
-  std::vector<EngineRequest> stolen;
-  bool convict = false;
-  bool drained = false;
+void ProcessReplica::OnStopRequested() {
+  bool connected = false;
   {
     MutexLock lock(&mutex_);
-    for (Ingress& item : ingress_) {
-      stolen.push_back(std::move(item.request));
-    }
-    ingress_.clear();
-    stolen_ += static_cast<int64_t>(stolen.size());
-    depth_.store(static_cast<int64_t>(inflight_.size()), std::memory_order_relaxed);
-    drained = inflight_.empty();
-    // The quarantine spill doubles as the conviction point for a lost
-    // connection: the master queue is now reclaimed, so fail over the
-    // inflight window and let the retry machinery take it from here.
-    convict = lost_ && !convicted_;
+    connected = !lost_;  // conviction always follows a lost connection
   }
-  space_cv_.NotifyAll();
-  if (drained) {
-    drained_cv_.NotifyAll();
-  }
-  if (convict) {
-    MarkDeadAndFailOver();
-  }
-  return stolen;
-}
-
-void ProcessReplica::WaitDrained() {
-  VLORA_BLOCKING_REGION(nullptr, "ProcessReplica::WaitDrained");
-  MutexLock lock(&mutex_);
-  while (!ingress_.empty() || !inflight_.empty()) {
-    drained_cv_.Wait(mutex_);
-  }
-}
-
-void ProcessReplica::RequestStop() {
-  std::vector<int64_t> cancel_ids;
-  bool send_stop = false;
-  {
-    MutexLock lock(&mutex_);
-    if (stop_requested_) {
-      return;  // idempotent: the destructor calls it again after Shutdown
-    }
-    stop_requested_ = true;
-    for (Ingress& item : ingress_) {
-      cancel_ids.push_back(item.request.id);
-    }
-    ingress_.clear();
-    cancelled_ += static_cast<int64_t>(cancel_ids.size());
-    depth_.store(static_cast<int64_t>(inflight_.size()), std::memory_order_relaxed);
-    send_stop = !lost_ && !convicted_;
-  }
-  space_cv_.NotifyAll();
-  drained_cv_.NotifyAll();
-  std::sort(cancel_ids.begin(), cancel_ids.end());
-  for (int64_t id : cancel_ids) {
-    FailRequest(id, Status::Cancelled("replica stopping"));
-  }
-  if (send_stop && channel_ != nullptr) {
+  if (connected) {
     (void)channel_->SendMsg(net::StopMessage{});
     // Bound the reader's wait for the Goodbye; on expiry it escalates to
     // SIGKILL (see ReaderLoop).
-    (void)channel_->SetRecvTimeoutMs(stop_grace_ms_);
+    (void)channel_->SetRecvTimeoutMs(kStopGraceMs);
   }
-}
-
-std::vector<EngineResult> ProcessReplica::TakeResults() {
-  MutexLock lock(&mutex_);
-  std::vector<EngineResult> out;
-  out.swap(results_);
-  return out;
-}
-
-ReplicaSnapshot ProcessReplica::Snapshot() {
-  ReplicaSnapshot snapshot;
-  snapshot.index = index_;
-  snapshot.backend = ReplicaBackendName(ReplicaBackend::kProcess);
-  MutexLock lock(&mutex_);
-  snapshot.dead = dead_.load(std::memory_order_acquire);
-  snapshot.submitted = submitted_;
-  snapshot.completed = completed_;
-  snapshot.rejected = rejected_;
-  snapshot.cancelled = cancelled_;
-  snapshot.failed = failed_;
-  snapshot.stolen = stolen_;
-  snapshot.handoffs = handoffs_;
-  snapshot.peak_depth = peak_depth_;
-  snapshot.latency = latency_;
-  // snapshot.server stays default: the engine's logical-clock stats live in
-  // the executor process.
-  return snapshot;
 }
 
 }  // namespace vlora

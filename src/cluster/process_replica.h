@@ -1,37 +1,34 @@
-// ProcessReplica: the Replica contract over a forked executor process.
+// ProcessReplica: the replica front end (replica.h) over a forked executor.
+//
+// The front end — admission, the ingress queue, the in-service table, the
+// counters, StealIngress, the completion and fail-over paths — is the
+// Replica base class; this backend only decides how a dequeued request
+// runs: on the wire, to a `vlora_executor` process that hosts a
+// ThreadReplica of its own.
 //
 // The constructor binds a listening socket (Unix-domain by default, TCP
-// loopback on request), forks `executor_path` with --connect/--replica
-// flags, accepts its connection, and runs the lock-step handshake
+// loopback on request), forks the executor with --connect/--replica flags,
+// accepts its connection, and runs the lock-step handshake
 // (Hello <- / Config -> Ack <-). Setup calls (AddAdapter / Prewarm) are
 // synchronous request/Ack exchanges on the calling thread; after Start the
-// connection switches to pipelined mode: requests flow out as the master
-// pumps its ingress queue into an inflight window, and a dedicated reader
-// loop (posted to the cluster ThreadPool, like ThreadReplica's worker)
-// consumes Result / Failure / Heartbeat / Goodbye frames.
-//
-// Threading model (all in the master process):
-//   * router threads call Enqueue; admission and the ingress queue mirror
-//     ThreadReplica exactly (same kBlock/kReject semantics, same
-//     EmitEnqueued trace point).
-//   * one reader thread owns channel_.Recv(); it updates the inflight table,
-//     records latency, re-pumps the window, and invokes the completion /
-//     failure handlers with no lock held.
-//   * the supervisor thread reads Depth/dead/HeartbeatMs and calls
-//     StealIngress on quarantine — identical surface to ThreadReplica, so
-//     the ClusterServer's health checker needs no backend branches.
+// connection switches to pipelined mode: PumpIngress moves queued requests
+// into an inflight window of `max_inflight` and ships them (the executor's
+// own queue therefore never holds more than the window), and a reader loop
+// posted to the cluster ThreadPool consumes Result / Failure / Heartbeat /
+// Goodbye frames, assembles KvHandles, and feeds the front end's completion
+// and failure paths.
 //
 // Failure semantics — suspicion before conviction. When the reader hits
 // connection loss (a real SIGKILL of the executor) while requests are
-// outstanding, the replica does NOT immediately mark itself dead: it freezes
-// the heartbeat and sets a "lost" flag, so the supervisor sees exactly the
-// stalled-replica signature (depth > 0, stale heartbeat) and runs the normal
-// quarantine path. Its StealIngress first drains the master-side queue, then
-// convicts: marks the replica dead and fails over the inflight window
-// through the failure handler, feeding the existing retry machinery. The
-// next health tick observes `dead` and rebalances placement. Connection loss
-// with nothing outstanding (clean Goodbye or idle crash) convicts
-// immediately — there is no work to recover, so no quarantine detour.
+// outstanding, the replica does NOT immediately fail over: it marks itself
+// lost (Enqueue refuses) and its heartbeat freezes, so the supervisor sees
+// exactly the stalled-replica signature (depth > 0, stale heartbeat) and
+// runs the normal quarantine path. StealIngress drains the master-side queue
+// and then convicts: FailOver marks the replica dead and fails over the
+// inflight window through the failure handler, feeding the existing retry
+// machinery. Connection loss with nothing outstanding (clean Goodbye or idle
+// crash) convicts immediately — there is no work to recover, so no
+// quarantine detour.
 //
 // Heartbeats ride the wire: the executor periodically reports its worker
 // loop's liveness stamp, and the master republishes the *local receive time*
@@ -44,61 +41,42 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/cluster/replica.h"
-#include "src/common/fault.h"
 #include "src/common/status.h"
-#include "src/common/stopwatch.h"
 #include "src/common/sync.h"
 #include "src/net/channel.h"
 #include "src/net/fd.h"
 
 namespace vlora {
 
+// Wire tuning; admission, queue bound, server options and the fault
+// injector come from the shared ReplicaOptions.
 struct ProcessReplicaOptions {
-  ServerOptions server;
   std::string executor_path;  // empty -> DefaultExecutorPath()
   net::Transport transport = net::Transport::kUnix;
-  int64_t queue_capacity = 64;  // master-side bound on outstanding requests
-  AdmissionPolicy admission = AdmissionPolicy::kBlock;
   // Requests allowed on the wire at once; the rest wait in the master-side
   // ingress queue where StealIngress can still reclaim them.
   int64_t max_inflight = 8;
   double heartbeat_period_ms = 20.0;  // executor's reporting period
-  double stop_grace_ms = 2000.0;      // wait for Goodbye before SIGKILL
-  double connect_timeout_ms = 15000.0;
-  FaultInjector* fault = nullptr;  // not owned; kKillProcess faults only
 };
 
 class ProcessReplica : public Replica {
  public:
   // Spawns and handshakes the executor; aborts via VLORA_CHECK on spawn or
   // protocol failure (construction happens before any workload is accepted,
-  // so there is nothing to recover).
-  ProcessReplica(int index, const ModelConfig& config, const ProcessReplicaOptions& options);
+  // so there is nothing to recover). The fault injector, if any, only
+  // drives kKillProcess faults.
+  ProcessReplica(int index, const ModelConfig& config, const ReplicaOptions& options,
+                 const ProcessReplicaOptions& process);
   ~ProcessReplica() override;
 
-  int AddAdapter(const LoraAdapter& adapter) override VLORA_EXCLUDES(mutex_);
-  void Prewarm(const std::vector<int>& adapter_ids) override VLORA_EXCLUDES(mutex_);
-  void SetHandlers(CompletionHandler on_complete, FailureHandler on_failure) override
-      VLORA_EXCLUDES(mutex_);
-  void SetHandoffHandler(HandoffHandler on_handoff) override VLORA_EXCLUDES(mutex_);
-  void Start(ThreadPool* pool) override VLORA_EXCLUDES(mutex_);
-  [[nodiscard]] EnqueueResult Enqueue(EngineRequest request, bool never_block) override
-      VLORA_EXCLUDES(mutex_);
-  int64_t Depth() const override { return depth_.load(std::memory_order_relaxed); }
-  bool dead() const override { return dead_.load(std::memory_order_acquire); }
-  double HeartbeatMs() const override { return heartbeat_ms_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::vector<EngineRequest> StealIngress() override VLORA_EXCLUDES(mutex_);
-  void WaitDrained() override VLORA_EXCLUDES(mutex_);
-  void RequestStop() override VLORA_EXCLUDES(mutex_);
-  [[nodiscard]] std::vector<EngineResult> TakeResults() override VLORA_EXCLUDES(mutex_);
-  [[nodiscard]] ReplicaSnapshot Snapshot() override VLORA_EXCLUDES(mutex_);
+  int AddAdapter(const LoraAdapter& adapter) override;
+  void Prewarm(const std::vector<int>& adapter_ids) override;
+  void Start(ThreadPool* pool) override;
 
   // Executor pid, for tests that deliver a real SIGKILL from outside.
   pid_t executor_pid() const { return pid_; }
@@ -110,43 +88,24 @@ class ProcessReplica : public Replica {
   static bool ExecutorAvailable() { return !DefaultExecutorPath().empty(); }
 
  private:
-  struct Ingress {
-    EngineRequest request;
-    double enqueue_ms;
-  };
-
-  void SpawnAndHandshake(const ModelConfig& config);
-  void ReaderLoop() VLORA_EXCLUDES(mutex_);
-  void OnResult(EngineResult result) VLORA_EXCLUDES(mutex_);
-  // Moves ingress into the inflight window (up to max_inflight) and ships
-  // the frames. Sends happen outside mutex_; a send failure is ignored here
-  // because the reader observes the same broken connection and owns the
+  void SpawnAndHandshake(const ModelConfig& config, const ServerOptions& server,
+                         const ProcessReplicaOptions& process);
+  // Moves queued requests into the inflight window (up to max_inflight) and
+  // ships the frames. Sends happen outside mutex_; a send failure is ignored
+  // here because the reader observes the same broken connection and owns the
   // recovery path.
-  void Pump() VLORA_EXCLUDES(mutex_);
-  // Connection gone while requests are outstanding: freeze the heartbeat and
-  // wait for the supervisor's quarantine to call StealIngress (see the file
-  // comment). With nothing outstanding, convicts immediately.
+  void PumpIngress() override VLORA_EXCLUDES(mutex_);
+  // Sends Stop and bounds the reader's wait for the Goodbye.
+  void OnStopRequested() override VLORA_EXCLUDES(mutex_);
+  void ReaderLoop() VLORA_EXCLUDES(mutex_);
+  // Connection gone: reap the executor and mark the replica lost. With
+  // requests outstanding the supervisor's quarantine convicts (see the file
+  // comment); with nothing outstanding, convicts immediately.
   void HandleConnectionLost() VLORA_EXCLUDES(mutex_);
-  // Conviction: mark dead, fail over the inflight window, reap the child.
-  void MarkDeadAndFailOver() VLORA_EXCLUDES(mutex_);
-  void FailRequest(int64_t request_id, const Status& status);
   void KillExecutor() VLORA_EXCLUDES(child_mutex_);         // SIGKILL if unreaped
   void ReapChild(bool block) VLORA_EXCLUDES(child_mutex_);  // waitpid bookkeeping
-  int64_t DepthLocked() const VLORA_REQUIRES(mutex_) {
-    return static_cast<int64_t>(ingress_.size() + inflight_.size());
-  }
 
-  const int64_t queue_capacity_;
-  const AdmissionPolicy admission_;
   const int64_t max_inflight_;
-  const double stop_grace_ms_;
-  const double heartbeat_period_ms_;
-  FaultInjector* const fault_;  // may be null
-  const ProcessReplicaOptions options_;
-  Stopwatch clock_;
-  CompletionHandler on_complete_;
-  FailureHandler on_failure_;
-  HandoffHandler on_handoff_;
   bool reader_started_ = false;  // set in Start, read in the destructor
 
   std::string socket_path_;  // unix transport: unlinked on destruction
@@ -159,34 +118,8 @@ class ProcessReplica : public Replica {
   pid_t pid_ = -1;
   bool child_reaped_ VLORA_GUARDED_BY(child_mutex_) = false;
 
-  Mutex mutex_{Rank::kReplicaIngress, "ProcessReplica::mutex_"};
-  CondVar space_cv_;    // wakes blocked submitters
-  CondVar drained_cv_;  // wakes WaitDrained
-  std::deque<Ingress> ingress_ VLORA_GUARDED_BY(mutex_);
-  // Requests on the wire: id -> master-side enqueue time. Ordered so
-  // fail-over walks ids deterministically.
-  std::map<int64_t, double> inflight_ VLORA_GUARDED_BY(mutex_);
-  bool stop_requested_ VLORA_GUARDED_BY(mutex_) = false;
-  bool running_ VLORA_GUARDED_BY(mutex_) = false;
-  bool lost_ VLORA_GUARDED_BY(mutex_) = false;       // connection gone
-  bool convicted_ VLORA_GUARDED_BY(mutex_) = false;  // fail-over has run
-  int64_t submitted_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t completed_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t rejected_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t cancelled_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t failed_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t stolen_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t handoffs_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t peak_depth_ VLORA_GUARDED_BY(mutex_) = 0;
-  std::vector<EngineResult> results_ VLORA_GUARDED_BY(mutex_);
-  LatencyRecorder latency_ VLORA_GUARDED_BY(mutex_);
-
-  // tools/atomics.toml: depth_/heartbeat_ms_ are `counter`s; dead_ and
-  // reader_done_ are `flag`s whose release stores publish the reader
-  // thread's final drain before the master joins it.
-  std::atomic<int64_t> depth_{0};
-  std::atomic<bool> dead_{false};
-  std::atomic<double> heartbeat_ms_{0.0};
+  // tools/atomics.toml: reader_done_ is a `flag` whose release store
+  // publishes the reader thread's final drain before the master joins it.
   std::atomic<bool> reader_done_{false};
 };
 

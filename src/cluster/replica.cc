@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -9,79 +10,52 @@
 
 namespace vlora {
 
-ThreadReplica::ThreadReplica(int index, const ModelConfig& config,
-                             const ReplicaOptions& options)
-    : Replica(index),
+Replica::Replica(int index, ReplicaBackend backend, const ReplicaOptions& options)
+    : index_(index),
       queue_capacity_(options.queue_capacity),
-      admission_(options.admission),
       fault_(options.fault),
-      server_(config, options.server) {
+      backend_(ReplicaBackendName(backend)),
+      admission_(options.admission) {
   VLORA_CHECK(queue_capacity_ >= 1);
 }
 
-ThreadReplica::~ThreadReplica() {
-  RequestStop();
-  // The hosting pool joins the worker; by the time the pool is destroyed the
-  // loop has observed stop_requested_ and returned.
+void Replica::CheckSetupPhase() {
+  MutexLock lock(&mutex_);
+  VLORA_CHECK(!running_);
 }
 
-int ThreadReplica::AddAdapter(const LoraAdapter& adapter) {
-  {
-    MutexLock lock(&mutex_);
-    VLORA_CHECK(!running_);
-  }
-  return server_.AddAdapter(std::make_unique<LoraAdapter>(adapter));
+void Replica::BeginServing() {
+  MutexLock lock(&mutex_);
+  VLORA_CHECK(!running_);
+  running_ = true;
 }
 
-void ThreadReplica::Prewarm(const std::vector<int>& adapter_ids) {
-  {
-    MutexLock lock(&mutex_);
-    VLORA_CHECK(!running_);
-  }
-  for (int id : adapter_ids) {
-    server_.PrewarmAdapter(id);
-  }
-}
-
-void ThreadReplica::SetHandlers(CompletionHandler on_complete, FailureHandler on_failure) {
-  {
-    MutexLock lock(&mutex_);
-    VLORA_CHECK(!running_);
-  }
+void Replica::SetHandlers(CompletionHandler on_complete, FailureHandler on_failure) {
+  CheckSetupPhase();
   on_complete_ = std::move(on_complete);
   on_failure_ = std::move(on_failure);
 }
 
-void ThreadReplica::SetHandoffHandler(HandoffHandler on_handoff) {
-  {
-    MutexLock lock(&mutex_);
-    VLORA_CHECK(!running_);
-  }
+void Replica::SetHandoffHandler(HandoffHandler on_handoff) {
+  CheckSetupPhase();
   on_handoff_ = std::move(on_handoff);
 }
 
-void ThreadReplica::Start(ThreadPool* pool) {
-  VLORA_CHECK(pool != nullptr);
-  {
-    MutexLock lock(&mutex_);
-    VLORA_CHECK(!running_);
-    running_ = true;
-  }
-  pool->Post([this] { WorkerLoop(); });
-}
-
-EnqueueResult ThreadReplica::Enqueue(EngineRequest request, bool never_block) {
+EnqueueResult Replica::Enqueue(EngineRequest request, bool never_block) {
   if (admission_ == AdmissionPolicy::kBlock && !never_block) {
     // This call may park on space_cv_; a caller holding any real lock here
     // would stall the whole cluster behind one full queue.
-    VLORA_BLOCKING_REGION(nullptr, "ThreadReplica::Enqueue(kBlock)");  // vlora-lint: allow(hot-path-blocking) kBlock admission is backpressure by design
+    VLORA_BLOCKING_REGION(nullptr, "Replica::Enqueue(kBlock)");  // vlora-lint: allow(hot-path-blocking) kBlock admission is backpressure by design
   }
   const int64_t request_id = request.id;
   const int adapter_id = request.adapter_id;
   const bool decode_stage = request.resume_handle != nullptr;
   {
     MutexLock lock(&mutex_);
-    if (stop_requested_ || dead_.load(std::memory_order_acquire)) {
+    const auto refusing = [this]() VLORA_REQUIRES(mutex_) {
+      return stop_requested_ || lost_ || dead();
+    };
+    if (refusing()) {
       return EnqueueResult::kRefused;
     }
     if (admission_ == AdmissionPolicy::kReject || never_block) {
@@ -92,11 +66,10 @@ EnqueueResult ThreadReplica::Enqueue(EngineRequest request, bool never_block) {
         return EnqueueResult::kFull;
       }
     } else {
-      while (!stop_requested_ && !dead_.load(std::memory_order_acquire) &&
-             DepthLocked() >= queue_capacity_) {
+      while (!refusing() && DepthLocked() >= queue_capacity_) {
         space_cv_.Wait(mutex_);  // vlora-lint: allow(hot-path-blocking) kBlock admission is backpressure by design
       }
-      if (stop_requested_ || dead_.load(std::memory_order_acquire)) {
+      if (refusing()) {
         return EnqueueResult::kRefused;
       }
     }
@@ -107,214 +80,145 @@ EnqueueResult ThreadReplica::Enqueue(EngineRequest request, bool never_block) {
     peak_depth_ = std::max(peak_depth_, new_depth);
     depth_.store(new_depth, std::memory_order_relaxed);
   }
-  // Both enqueue events fire before the worker is woken for this request, so
-  // a decode-stage completion can never precede its kDecodeEnqueued.
+  // Both enqueue events fire before the service side can see this request,
+  // so a decode-stage completion can never precede its kDecodeEnqueued.
   trace::EmitEnqueued(request_id, adapter_id, index_);
   if (decode_stage) {
     trace::EmitDecodeEnqueued(request_id, adapter_id, index_);
   }
-  ingress_cv_.NotifyOne();
+  // Explicit receiver: the call-graph passes fan a virtual call out to every
+  // backend's override only through a member call.
+  this->PumpIngress();
   return EnqueueResult::kAccepted;
 }
 
-void ThreadReplica::FailRequest(int64_t request_id, const Status& status) {
+void Replica::TakeIngressLocked(int64_t max_in_service, std::vector<EngineRequest>* out) {
+  while (!ingress_.empty() && static_cast<int64_t>(in_service_.size()) < max_in_service) {
+    Ingress& item = ingress_.front();
+    in_service_.emplace(item.request.id, item.enqueue_ms);  // vlora-lint: allow(hot-path-alloc) one node per outstanding request; bounded by queue_capacity_
+    out->push_back(std::move(item.request));  // vlora-lint: allow(hot-path-alloc) amortized: caller's scratch capacity is hoisted out of its loop
+    ingress_.pop_front();
+  }
+  depth_.store(DepthLocked(), std::memory_order_relaxed);
+}
+
+int64_t Replica::Complete(std::span<EngineResult> results) {
+  static Counter* const completions = MetricsRegistry::Global().counter("replica.completions");
+  const double now_ms = clock_.ElapsedMillis();
+  completed_ids_.clear();
+  int64_t served = 0;
+  {
+    MutexLock lock(&mutex_);
+    for (EngineResult& result : results) {
+      auto it = in_service_.find(result.request_id);
+      if (it == in_service_.end()) {
+        result.handle.reset();  // late duplicate after a fail-over; the retry owns it now
+        continue;
+      }
+      latency_.Record(now_ms - it->second);  // a handoff records its prefill-stage latency
+      in_service_.erase(it);
+      if (result.handle != nullptr && on_handoff_) {
+        ++handoffs_;  // the request's life continues on a decode replica
+      } else {
+        ++completed_;
+        completed_ids_.push_back(result.request_id);  // vlora-lint: allow(hot-path-alloc) amortized: service-thread scratch keeps its capacity across calls
+        results_.push_back(std::move(result));  // vlora-lint: allow(hot-path-alloc) completion accumulator drained by TakeResults; bounded by in-flight budget
+      }
+    }
+    served = completed_ + handoffs_;
+    depth_.store(DepthLocked(), std::memory_order_relaxed);
+    if (DepthLocked() == 0) {
+      drained_cv_.NotifyAll();
+    }
+  }
+  if (!results.empty()) {
+    space_cv_.NotifyAll();
+  }
+  if (!completed_ids_.empty()) {
+    completions->Add(static_cast<int64_t>(completed_ids_.size()));
+    for (int64_t id : completed_ids_) {
+      trace::EmitCompleted(id, /*adapter=*/-1, index_, StatusCode::kOk);
+    }
+    if (on_complete_) {
+      for (int64_t id : completed_ids_) {
+        on_complete_(index_, id);
+      }
+    }
+  }
+  // Terminal results were moved out above, leaving null handles: whatever
+  // still carries one is a handoff.
+  for (EngineResult& result : results) {
+    if (result.handle != nullptr) {
+      on_handoff_(index_, std::move(result));
+    }
+  }
+  return served;
+}
+
+void Replica::FailInService(int64_t request_id, const Status& status) {
+  {
+    MutexLock lock(&mutex_);
+    if (in_service_.erase(request_id) == 0) {
+      return;  // already failed over
+    }
+    ++failed_;
+    depth_.store(DepthLocked(), std::memory_order_relaxed);
+    if (DepthLocked() == 0) {
+      drained_cv_.NotifyAll();
+    }
+  }
+  space_cv_.NotifyAll();
   if (on_failure_) {
     on_failure_(index_, request_id, status);
   }
 }
 
-void ThreadReplica::Die() {
-  std::vector<int64_t> failed_ids;
+void Replica::FailOver(const char* reason) {
+  std::vector<int64_t> ids;
+  bool stopping = false;
   {
     MutexLock lock(&mutex_);
-    dead_.store(true, std::memory_order_release);
+    if (!running_) {
+      return;  // already failed over, or the service side exited cleanly
+    }
     running_ = false;
+    stopping = stop_requested_;
+    if (!stopping) {
+      // A clean shutdown is not a death: dead() stays false.
+      dead_.store(true, std::memory_order_release);
+    }
     for (Ingress& item : ingress_) {
-      failed_ids.push_back(item.request.id);
+      ids.push_back(item.request.id);
     }
     ingress_.clear();
-    // enqueue_ms_ is worker-thread-only and Die runs on the worker: these
-    // are the requests already inside the engine, lost with the replica.
-    for (const auto& [id, enqueue_ms] : enqueue_ms_) {
+    for (const auto& [id, enqueue_ms] : in_service_) {
       (void)enqueue_ms;
-      failed_ids.push_back(id);
+      ids.push_back(id);
     }
-    enqueue_ms_.clear();
-    in_server_ = 0;
-    failed_ += static_cast<int64_t>(failed_ids.size());
+    in_service_.clear();
+    (stopping ? cancelled_ : failed_) += static_cast<int64_t>(ids.size());
     depth_.store(0, std::memory_order_relaxed);
   }
   space_cv_.NotifyAll();
   drained_cv_.NotifyAll();
-  // Deterministic fail-over order: the unordered map above scrambles ids.
-  std::sort(failed_ids.begin(), failed_ids.end());
-  for (int64_t id : failed_ids) {
-    FailRequest(id, Status::Unavailable("replica " + std::to_string(index_) + " killed"));
-  }
+  ReportFailures(std::move(ids),
+                 stopping ? Status::Cancelled("replica stopping")
+                          : Status::Unavailable("replica " + std::to_string(index_) + " " +
+                                                reason));
 }
 
-void ThreadReplica::WorkerLoop() {
-  // Worker-thread attribution: engine batch steps and kernel dispatches
-  // emitted from this thread carry the replica index.
-  trace::SetCurrentReplica(index_);
-  static Counter* const completions = MetricsRegistry::Global().counter("replica.completions");
-  int64_t completed_local = 0;
-  // Iteration scratch lives outside the loop so the heap buffers reach a
-  // steady-state capacity instead of being reallocated every pass.
-  std::vector<Ingress> batch;
-  std::vector<Ingress> to_cancel;
-  std::vector<Ingress> to_fail;
-  std::vector<EngineResult> finished;
-  std::vector<EngineResult> diverted;
-  std::vector<int64_t> finished_ids;
-  for (;;) {
-    batch.clear();
-    to_cancel.clear();
-    to_fail.clear();
-    finished.clear();
-    diverted.clear();
-    finished_ids.clear();
-    if (fault_ != nullptr) {
-      fault_->WaitWhileGated();
-      const WorkerFault fault = fault_->OnWorkerIteration(index_, completed_local);
-      if (fault.kill) {
-        Die();
-        return;
-      }
-      if (fault.stall_ms > 0.0) {
-        {
-          MutexLock lock(&mutex_);
-          ++stalls_;
-        }
-        std::this_thread::sleep_for(  // vlora-lint: allow(hot-path-blocking) test-only injected stall; fault_ is null in production
-            std::chrono::duration<double, std::milli>(fault.stall_ms));
-      }
-    }
-    heartbeat_ms_.store(clock_.ElapsedMillis(), std::memory_order_relaxed);
-
-    bool exiting = false;
-    {
-      MutexLock lock(&mutex_);
-      while (!stop_requested_ && ingress_.empty() && in_server_ == 0) {
-        ingress_cv_.Wait(mutex_);  // vlora-lint: allow(hot-path-blocking) idle park until work arrives
-      }
-      if (stop_requested_) {
-        // Shutdown: cancel queued work instead of serving it; only finish
-        // what is already inside the engine.
-        to_cancel.assign(  // vlora-lint: allow(hot-path-alloc) shutdown-only drain, not steady state
-            std::make_move_iterator(ingress_.begin()), std::make_move_iterator(ingress_.end()));
-        ingress_.clear();
-        cancelled_ += static_cast<int64_t>(to_cancel.size());
-        depth_.store(in_server_, std::memory_order_relaxed);
-        if (in_server_ == 0) {
-          running_ = false;
-          exiting = true;
-        }
-      } else {
-        while (!ingress_.empty()) {
-          Ingress item = std::move(ingress_.front());
-          ingress_.pop_front();
-          if (fault_ != nullptr && fault_->ShouldFailRequest(index_, item.request.id)) {
-            to_fail.push_back(std::move(item));  // vlora-lint: allow(hot-path-alloc) amortized: scratch capacity hoisted out of the loop
-            ++failed_;
-          } else {
-            batch.push_back(std::move(item));  // vlora-lint: allow(hot-path-alloc) amortized: scratch capacity hoisted out of the loop
-          }
-        }
-        in_server_ += static_cast<int64_t>(batch.size());
-        depth_.store(in_server_, std::memory_order_relaxed);
-      }
-    }
-    if (!to_cancel.empty() || !to_fail.empty()) {
-      space_cv_.NotifyAll();
-      drained_cv_.NotifyAll();  // waiters re-check the predicate
-      for (Ingress& item : to_cancel) {
-        FailRequest(item.request.id, Status::Cancelled("replica stopping"));
-      }
-      for (Ingress& item : to_fail) {
-        FailRequest(item.request.id, Status::Internal("injected request failure"));
-      }
-    }
-    if (exiting) {
-      drained_cv_.NotifyAll();
-      return;
-    }
-    for (Ingress& item : batch) {
-      enqueue_ms_[item.request.id] = item.enqueue_ms;
-      server_.Submit(std::move(item.request));
-    }
-    {
-      MutexLock step_lock(&step_mutex_);
-      finished = server_.StepOnce();
-    }
-    // Prefill-only results carrying a KvHandle divert to the handoff handler:
-    // they are not terminal completions here (no kCompleted, no results_),
-    // the request's life continues on a decode replica.
-    if (on_handoff_ && !finished.empty()) {
-      size_t keep = 0;
-      for (size_t i = 0; i < finished.size(); ++i) {
-        if (finished[i].handle != nullptr) {
-          diverted.push_back(std::move(finished[i]));  // vlora-lint: allow(hot-path-alloc) amortized: scratch capacity hoisted out of the loop
-        } else {
-          if (keep != i) {  // guard the self-move: it would empty the vectors
-            finished[keep] = std::move(finished[i]);
-          }
-          ++keep;
-        }
-      }
-      finished.resize(keep);  // vlora-lint: allow(hot-path-alloc) shrink within capacity, never grows
-    }
-    const double now_ms = clock_.ElapsedMillis();
-    {
-      MutexLock lock(&mutex_);
-      in_server_ -= static_cast<int64_t>(finished.size() + diverted.size());
-      for (EngineResult& result : finished) {
-        auto it = enqueue_ms_.find(result.request_id);
-        VLORA_CHECK(it != enqueue_ms_.end());
-        latency_.Record(now_ms - it->second);
-        enqueue_ms_.erase(it);
-        ++completed_;
-        finished_ids.push_back(result.request_id);  // vlora-lint: allow(hot-path-alloc) amortized: scratch capacity hoisted out of the loop
-        results_.push_back(std::move(result));  // vlora-lint: allow(hot-path-alloc) completion accumulator drained by TakeResults; bounded by in-flight budget
-      }
-      for (const EngineResult& result : diverted) {
-        auto it = enqueue_ms_.find(result.request_id);
-        VLORA_CHECK(it != enqueue_ms_.end());
-        latency_.Record(now_ms - it->second);  // prefill-stage latency
-        enqueue_ms_.erase(it);
-        ++handoffs_;
-      }
-      depth_.store(DepthLocked(), std::memory_order_relaxed);
-      if (ingress_.empty() && in_server_ == 0) {
-        drained_cv_.NotifyAll();
-      }
-    }
-    completed_local += static_cast<int64_t>(finished_ids.size() + diverted.size());
-    heartbeat_ms_.store(clock_.ElapsedMillis(), std::memory_order_relaxed);
-    if (!finished_ids.empty()) {
-      completions->Add(static_cast<int64_t>(finished_ids.size()));
-      for (int64_t id : finished_ids) {
-        trace::EmitCompleted(id, /*adapter=*/-1, index_, StatusCode::kOk);
-      }
-      space_cv_.NotifyAll();
-      if (on_complete_) {
-        for (int64_t id : finished_ids) {
-          on_complete_(index_, id);
-        }
-      }
-    }
-    if (!diverted.empty()) {
-      space_cv_.NotifyAll();
-      for (EngineResult& result : diverted) {
-        on_handoff_(index_, std::move(result));
-      }
+void Replica::ReportFailures(std::vector<int64_t> ids, const Status& status) {
+  std::sort(ids.begin(), ids.end());
+  if (on_failure_) {
+    for (int64_t id : ids) {
+      on_failure_(index_, id, status);
     }
   }
 }
 
-std::vector<EngineRequest> ThreadReplica::StealIngress() {
+std::vector<EngineRequest> Replica::StealIngress() {
   std::vector<EngineRequest> stolen;
-  bool drained = false;
+  bool convict = false;
   {
     MutexLock lock(&mutex_);
     for (Ingress& item : ingress_) {
@@ -322,55 +226,69 @@ std::vector<EngineRequest> ThreadReplica::StealIngress() {
     }
     ingress_.clear();
     stolen_ += static_cast<int64_t>(stolen.size());
-    depth_.store(in_server_, std::memory_order_relaxed);
-    drained = in_server_ == 0;
+    depth_.store(DepthLocked(), std::memory_order_relaxed);
+    if (DepthLocked() == 0) {
+      drained_cv_.NotifyAll();
+    }
+    // The quarantine spill doubles as the conviction point for a lost
+    // service side: the queue is reclaimed, so fail over what is in service
+    // and let the retry machinery take it from here.
+    convict = lost_;
   }
   space_cv_.NotifyAll();
-  if (drained) {
-    drained_cv_.NotifyAll();
+  if (convict) {
+    FailOver("lost");
   }
   return stolen;
 }
 
-void ThreadReplica::WaitDrained() {
-  VLORA_BLOCKING_REGION(nullptr, "ThreadReplica::WaitDrained");
+void Replica::WaitDrained() {
+  VLORA_BLOCKING_REGION(nullptr, "Replica::WaitDrained");
   MutexLock lock(&mutex_);
-  while (!ingress_.empty() || in_server_ != 0) {
+  while (DepthLocked() != 0) {
     drained_cv_.Wait(mutex_);
   }
 }
 
-void ThreadReplica::RequestStop() {
+void Replica::RequestStop() {
+  std::vector<int64_t> ids;
   {
     MutexLock lock(&mutex_);
+    if (stop_requested_) {
+      return;  // idempotent: the destructor calls it again after Shutdown
+    }
     stop_requested_ = true;
+    for (Ingress& item : ingress_) {
+      ids.push_back(item.request.id);
+    }
+    ingress_.clear();
+    cancelled_ += static_cast<int64_t>(ids.size());
+    depth_.store(DepthLocked(), std::memory_order_relaxed);
   }
-  if (fault_ != nullptr) {
-    fault_->OpenGate();  // a gated worker must be able to observe the stop
-  }
-  ingress_cv_.NotifyAll();
   space_cv_.NotifyAll();
+  drained_cv_.NotifyAll();
+  ReportFailures(std::move(ids), Status::Cancelled("replica stopping"));
+  if (fault_ != nullptr) {
+    fault_->OpenGate();  // a gated service loop must be able to observe the stop
+  }
+  OnStopRequested();
 }
 
-std::vector<EngineResult> ThreadReplica::TakeResults() {
+std::vector<EngineResult> Replica::TakeResults() {
   MutexLock lock(&mutex_);
   std::vector<EngineResult> out;
   out.swap(results_);
   return out;
 }
 
-ReplicaSnapshot ThreadReplica::Snapshot() {
+ReplicaSnapshot Replica::Snapshot() {
   ReplicaSnapshot snapshot;
   snapshot.index = index_;
-  snapshot.backend = ReplicaBackendName(ReplicaBackend::kThread);
-  {
-    // Order matters for TSan cleanliness: take the step mutex first so the
-    // server stats copy cannot overlap a StepOnce, then the state mutex.
-    MutexLock step_lock(&step_mutex_);
-    snapshot.server = server_.stats();
-  }
+  snapshot.backend = backend_;
+  // Taken before mutex_: a backend may serialise it against its step loop.
+  snapshot.server = ServerStatsForSnapshot();
   MutexLock lock(&mutex_);
-  snapshot.dead = dead_.load(std::memory_order_acquire);
+  snapshot.dead = dead();
   snapshot.submitted = submitted_;
   snapshot.completed = completed_;
   snapshot.rejected = rejected_;
@@ -382,6 +300,96 @@ ReplicaSnapshot ThreadReplica::Snapshot() {
   snapshot.peak_depth = peak_depth_;
   snapshot.latency = latency_;
   return snapshot;
+}
+
+ThreadReplica::ThreadReplica(int index, const ModelConfig& config,
+                             const ReplicaOptions& options)
+    : Replica(index, ReplicaBackend::kThread, options), server_(config, options.server) {}
+
+ThreadReplica::~ThreadReplica() {
+  RequestStop();
+  // The hosting pool joins the worker; by the time the pool is destroyed the
+  // loop has observed stop_requested_ and returned.
+}
+
+int ThreadReplica::AddAdapter(const LoraAdapter& adapter) {
+  CheckSetupPhase();
+  return server_.AddAdapter(std::make_unique<LoraAdapter>(adapter));
+}
+
+void ThreadReplica::Prewarm(const std::vector<int>& adapter_ids) {
+  CheckSetupPhase();
+  for (int id : adapter_ids) {
+    server_.PrewarmAdapter(id);
+  }
+}
+
+void ThreadReplica::Start(ThreadPool* pool) {
+  VLORA_CHECK(pool != nullptr);
+  BeginServing();
+  pool->Post([this] { WorkerLoop(); });
+}
+
+ServerStats ThreadReplica::ServerStatsForSnapshot() {
+  MutexLock step_lock(&step_mutex_);
+  return server_.stats();
+}
+
+void ThreadReplica::WorkerLoop() {
+  // Worker-thread attribution: engine batch steps and kernel dispatches
+  // emitted from this thread carry the replica index.
+  trace::SetCurrentReplica(index_);
+  int64_t served = 0;  // completions + handoffs: the fault script's key
+  // Iteration scratch lives outside the loop so the heap buffers reach a
+  // steady-state capacity instead of being reallocated every pass.
+  std::vector<EngineRequest> batch;
+  std::vector<EngineResult> finished;
+  for (;;) {
+    batch.clear();
+    if (fault_ != nullptr) {
+      fault_->WaitWhileGated();
+      const WorkerFault fault = fault_->OnWorkerIteration(index_, served);
+      if (fault.kill) {
+        FailOver("killed");
+        return;
+      }
+      if (fault.stall_ms > 0.0) {
+        {
+          MutexLock lock(&mutex_);
+          ++stalls_;
+        }
+        std::this_thread::sleep_for(  // vlora-lint: allow(hot-path-blocking) test-only injected stall; fault_ is null in production
+            std::chrono::duration<double, std::milli>(fault.stall_ms));
+      }
+    }
+    Beat();
+    {
+      MutexLock lock(&mutex_);
+      while (!stop_requested_ && DepthLocked() == 0) {
+        work_cv_.Wait(mutex_);  // vlora-lint: allow(hot-path-blocking) idle park until work arrives
+      }
+      if (stop_requested_ && DepthLocked() == 0) {
+        // RequestStop cancelled the queue and the engine is empty.
+        running_ = false;
+        return;
+      }
+      // Every queued request: depth never exceeds the capacity.
+      TakeIngressLocked(queue_capacity_, &batch);
+    }
+    for (EngineRequest& request : batch) {
+      if (fault_ != nullptr && fault_->ShouldFailRequest(index_, request.id)) {
+        FailInService(request.id, Status::Internal("injected request failure"));
+      } else {
+        server_.Submit(std::move(request));
+      }
+    }
+    {
+      MutexLock step_lock(&step_mutex_);
+      finished = server_.StepOnce();
+    }
+    served = Complete(finished);
+    Beat();
+  }
 }
 
 }  // namespace vlora

@@ -1,43 +1,43 @@
-// The replica contract and its in-process implementation.
+// The replica contract: one front end, two ways to run a dequeued request.
 //
-// `Replica` is the abstract surface the ClusterServer drives: setup
-// (AddAdapter/Prewarm/SetHandlers), a Start that posts the replica's service
-// loop onto the cluster's ThreadPool, the router-thread Enqueue with
-// admission control, the health signals (Depth/dead/HeartbeatMs), and the
-// recovery hooks (StealIngress on quarantine, completion/failure handlers).
-// Two implementations exist:
+// `Replica` is the surface the ClusterServer drives, and it implements the
+// whole front end once: admission (kBlock/kReject, `never_block`), the
+// ingress queue, the in-service table (request id -> enqueue time), the
+// Depth/dead/HeartbeatMs health signals, the counters, latency recorder and
+// results buffer, StealIngress, WaitDrained, TakeResults, Snapshot, one
+// completion path and one fail-over path. A backend only decides how a
+// dequeued request runs:
 //
-//   ThreadReplica   (here)      a VloraServer behind a bounded ingress queue,
-//                               driven by a worker loop in this process — the
-//                               default and the test backend.
-//   ProcessReplica  (process_replica.h)  the same contract over a forked
-//                               executor process and the src/net wire
-//                               protocol; real SIGKILLs instead of simulated
+//   ThreadReplica   (here)      a VloraServer stepped by a worker loop in
+//                               this process — the default and the test
+//                               backend.
+//   ProcessReplica  (process_replica.h)  a forked executor fed over the
+//                               src/net wire protocol through an inflight
+//                               window; real SIGKILLs instead of simulated
 //                               ones.
 //
-// ThreadReplica threading model: the router thread calls Enqueue(); exactly
-// one worker thread runs WorkerLoop(), which moves queued requests into the
-// server and calls StepOnce() until the replica drains. The server itself is
-// therefore single-threaded apart from its staged Submit. All cross-thread
-// state (ingress queue, outstanding count, result buffer, latency recorder)
-// is guarded by one mutex; stats snapshots serialise against StepOnce
-// through a separate step mutex so they can be taken mid-run under TSan.
+// Threading model: router threads call Enqueue; one service thread per
+// replica (ThreadReplica's worker, ProcessReplica's reader) moves requests
+// into service and reports their outcome through Complete / FailInService /
+// FailOver; the supervisor reads the health signals and calls StealIngress
+// on quarantine. All front-end state sits under one mutex. Completion,
+// failure and handoff handlers run with no replica lock held.
 //
-// Backpressure: `queue_capacity` bounds *outstanding* requests (queued +
-// in-engine). kBlock makes Enqueue wait for space — the caller slows to the
+// Backpressure: `queue_capacity` bounds *outstanding* requests (queued + in
+// service). kBlock makes Enqueue wait for space — the caller slows to the
 // replica's service rate; kReject makes it fail fast and count the reject.
 // Either way a saturating trace cannot grow replica memory without bound.
 //
-// Failure semantics: the worker loop consults an optional FaultInjector each
-// iteration. An injected kill marks the replica dead and *fails over* every
-// request it holds (queued and in-engine) through the failure handler —
-// nothing is silently dropped; the cluster's recovery layer retries them on
-// survivors. Injected request failures are reported the same way. On
-// RequestStop the worker cancels queued-but-unstarted requests with
-// Status::Cancelled (rather than serving a possibly long queue during
-// shutdown) and finishes only what is already inside the engine. A heartbeat
-// stamped each worker iteration lets the cluster health checker distinguish
-// a stalled replica (queued work, stale heartbeat) from an idle one.
+// Failure semantics: nothing a replica accepted is silently dropped. Every
+// request ends in exactly one of completed, handoffs, failed, cancelled or
+// stolen. RequestStop cancels queued requests with Status::Cancelled (rather
+// than serving a possibly long queue during shutdown); the backend finishes
+// only what is already in service. A replica that dies (an injected kill,
+// a lost executor) fails over everything it holds through the failure
+// handler, in ascending request-id order, so the cluster's recovery layer
+// retries it on survivors. A heartbeat stamped by the service thread lets
+// the health checker tell a stalled replica (work held, stale heartbeat)
+// from an idle one.
 
 #ifndef VLORA_SRC_CLUSTER_REPLICA_H_
 #define VLORA_SRC_CLUSTER_REPLICA_H_
@@ -46,8 +46,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
-#include <unordered_map>
+#include <map>
+#include <span>
 #include <vector>
 
 #include "src/common/fault.h"
@@ -86,11 +86,12 @@ constexpr const char* ReplicaBackendName(ReplicaBackend backend) {
   return "?";
 }
 
+// Options every backend takes; ProcessReplicaOptions adds the wire tuning.
 struct ReplicaOptions {
   ServerOptions server;
   int64_t queue_capacity = 64;  // bound on outstanding requests
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  FaultInjector* fault = nullptr;  // not owned; hooks into the worker loop
+  FaultInjector* fault = nullptr;  // not owned; consulted by the service side
 };
 
 struct ReplicaSnapshot {
@@ -110,11 +111,10 @@ struct ReplicaSnapshot {
   LatencyRecorder latency;   // wall-clock enqueue -> completion
 };
 
-// Abstract replica driven by the ClusterServer. All methods are called from
+// A replica driven by the ClusterServer. All public methods are called from
 // the master process: Enqueue from router threads, StealIngress and the
 // health-signal getters from the supervisor, the rest from the setup /
-// shutdown path. Handlers registered via SetHandlers are invoked with no
-// replica lock held and may call back into the cluster layer.
+// shutdown path.
 class Replica {
  public:
   using CompletionHandler = std::function<void(int replica, int64_t request_id)>;
@@ -124,7 +124,7 @@ class Replica {
   // result does NOT flow through TakeResults or the completion handler.
   using HandoffHandler = std::function<void(int replica, EngineResult result)>;
 
-  explicit Replica(int index) : index_(index) {}
+  Replica(int index, ReplicaBackend backend, const ReplicaOptions& options);
   virtual ~Replica() = default;
 
   Replica(const Replica&) = delete;
@@ -141,81 +141,105 @@ class Replica {
   // Optional recovery wiring; may be left unset for standalone use. Both
   // handlers must be set before Start and be safe to invoke from the
   // replica's service thread.
-  virtual void SetHandlers(CompletionHandler on_complete, FailureHandler on_failure) = 0;
+  void SetHandlers(CompletionHandler on_complete, FailureHandler on_failure)
+      VLORA_EXCLUDES(mutex_);
 
   // Optional, disaggregated mode only; set before Start. When unset,
   // handle-carrying results take the ordinary completion path (the executor
   // relies on this to ship handles back over the wire).
-  virtual void SetHandoffHandler(HandoffHandler on_handoff) = 0;
+  void SetHandoffHandler(HandoffHandler on_handoff) VLORA_EXCLUDES(mutex_);
 
   // Posts the replica's service loop; the pool must dedicate a thread to it.
   virtual void Start(ThreadPool* pool) = 0;
 
   // Router-thread entry. `never_block` turns a kBlock replica into fail-fast
   // for this one call (the supervisor's retry path must never block).
-  [[nodiscard]] virtual EnqueueResult Enqueue(EngineRequest request,
-                                              bool never_block = false) = 0;
+  [[nodiscard]] EnqueueResult Enqueue(EngineRequest request, bool never_block = false)
+      VLORA_EXCLUDES(mutex_);
 
-  // Outstanding requests (queued + in-flight). Lock-free; the router's load
+  // Outstanding requests (queued + in service). Lock-free; the router's load
   // signal.
-  virtual int64_t Depth() const = 0;
+  int64_t Depth() const { return depth_.load(std::memory_order_relaxed); }
 
   // True once the replica is permanently gone (injected kill, executor
-  // death); it accepts nothing more.
-  virtual bool dead() const = 0;
+  // death); it accepts nothing more. A clean stop is not a death.
+  bool dead() const { return dead_.load(std::memory_order_acquire); }
 
   // Service-loop liveness stamp. Advances while the replica makes progress;
   // stops during a stall and after death. Paired with Depth() it is the
   // health checker's stall signal.
-  virtual double HeartbeatMs() const = 0;
+  double HeartbeatMs() const { return heartbeat_ms_.load(std::memory_order_relaxed); }
 
   // Reclaims queued-but-unstarted requests (quarantine spill); the caller
-  // re-routes them. Requests already executing cannot be reclaimed.
-  [[nodiscard]] virtual std::vector<EngineRequest> StealIngress() = 0;
+  // re-routes them. Requests already in service cannot be reclaimed. A
+  // replica whose service side was lost is convicted here (FailOver).
+  [[nodiscard]] std::vector<EngineRequest> StealIngress() VLORA_EXCLUDES(mutex_);
 
   // Blocks until every accepted request has finished (or failed over).
-  virtual void WaitDrained() = 0;
+  void WaitDrained() VLORA_EXCLUDES(mutex_);
 
-  // Asks the replica to cancel queued work and wind down once in-flight
-  // requests finish; wakes blocked submitters.
-  virtual void RequestStop() = 0;
+  // Cancels queued requests, then opens the fault gate and lets the backend
+  // wind down once in-service requests finish; wakes blocked submitters.
+  // Idempotent.
+  void RequestStop() VLORA_EXCLUDES(mutex_);
 
   // Moves out results accumulated since the last call.
-  [[nodiscard]] virtual std::vector<EngineResult> TakeResults() = 0;
+  [[nodiscard]] std::vector<EngineResult> TakeResults() VLORA_EXCLUDES(mutex_);
 
   // Consistent copy of the counters; safe while the replica serves.
-  [[nodiscard]] virtual ReplicaSnapshot Snapshot() = 0;
+  [[nodiscard]] ReplicaSnapshot Snapshot() VLORA_EXCLUDES(mutex_);
 
  protected:
+  // Backend hooks, each called with no replica lock held.
+  // After Enqueue queued a request: move queued work toward execution.
+  virtual void PumpIngress() = 0;
+  // After RequestStop cancelled the queue: wind the service side down.
+  virtual void OnStopRequested() = 0;
+  // Engine stats for Snapshot; only an in-process engine has them.
+  virtual ServerStats ServerStatsForSnapshot() { return {}; }
+
+  // Setup/lifecycle checks: CHECK-fails once the replica started serving.
+  void CheckSetupPhase() VLORA_EXCLUDES(mutex_);
+  void BeginServing() VLORA_EXCLUDES(mutex_);
+
+  // Service side. Moves queued requests into the in-service table, oldest
+  // first, until `max_in_service` are in service; appends them to `out`.
+  void TakeIngressLocked(int64_t max_in_service, std::vector<EngineRequest>* out)
+      VLORA_REQUIRES(mutex_);
+  // The completion path: takes each result's request out of service and
+  // records its latency. A handle-carrying result goes to the handoff
+  // handler when one is set (a KV handoff is not a completion); every other
+  // result is a terminal completion, buffered for TakeResults. Results whose
+  // request is no longer in service (a late duplicate after a fail-over) are
+  // dropped. Returns completions + handoffs so far, the fault scripts' key.
+  int64_t Complete(std::span<EngineResult> results) VLORA_EXCLUDES(mutex_);
+  // Takes one in-service request out as failed and reports it.
+  void FailInService(int64_t request_id, const Status& status) VLORA_EXCLUDES(mutex_);
+  // The fail-over path: the service side is gone. Unless a stop was
+  // requested the replica is marked dead; everything it holds (queued and in
+  // service) fails over through the failure handler — Unavailable("replica
+  // <i> <reason>"), or Cancelled when stopping. Runs at most once.
+  void FailOver(const char* reason) VLORA_EXCLUDES(mutex_);
+  // Stamps the liveness heartbeat.
+  void Beat() { heartbeat_ms_.store(clock_.ElapsedMillis(), std::memory_order_relaxed); }
+
+  int64_t DepthLocked() const VLORA_REQUIRES(mutex_) {
+    return static_cast<int64_t>(ingress_.size() + in_service_.size());
+  }
+
   const int index_;
-};
+  const int64_t queue_capacity_;
+  FaultInjector* const fault_;  // may be null
 
-// The in-process implementation (see the file comment for the threading and
-// failure model).
-class ThreadReplica : public Replica {
- public:
-  ThreadReplica(int index, const ModelConfig& config, const ReplicaOptions& options);
-  ~ThreadReplica() override;
-
-  int AddAdapter(const LoraAdapter& adapter) override VLORA_EXCLUDES(mutex_);
-  void Prewarm(const std::vector<int>& adapter_ids) override VLORA_EXCLUDES(mutex_);
-  void SetHandlers(CompletionHandler on_complete, FailureHandler on_failure) override
-      VLORA_EXCLUDES(mutex_);
-  void SetHandoffHandler(HandoffHandler on_handoff) override VLORA_EXCLUDES(mutex_);
-  void Start(ThreadPool* pool) override VLORA_EXCLUDES(mutex_);
-  [[nodiscard]] EnqueueResult Enqueue(EngineRequest request, bool never_block) override
-      VLORA_EXCLUDES(mutex_);
-  int64_t Depth() const override { return depth_.load(std::memory_order_relaxed); }
-  bool dead() const override { return dead_.load(std::memory_order_acquire); }
-  double HeartbeatMs() const override { return heartbeat_ms_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::vector<EngineRequest> StealIngress() override VLORA_EXCLUDES(mutex_);
-  void WaitDrained() override VLORA_EXCLUDES(mutex_);
-  void RequestStop() override VLORA_EXCLUDES(mutex_);
-  [[nodiscard]] std::vector<EngineResult> TakeResults() override VLORA_EXCLUDES(mutex_);
-  [[nodiscard]] ReplicaSnapshot Snapshot() override VLORA_EXCLUDES(step_mutex_, mutex_);
-
-  // Direct server access for tests; only valid when the replica is idle.
-  VloraServer& server_for_testing() { return server_; }
+  Mutex mutex_{Rank::kReplicaIngress, "Replica::mutex_"};
+  CondVar space_cv_;  // wakes blocked submitters
+  bool stop_requested_ VLORA_GUARDED_BY(mutex_) = false;
+  bool running_ VLORA_GUARDED_BY(mutex_) = false;  // serving, not yet failed over
+  // The service side became unreachable (ProcessReplica's lost connection)
+  // but the replica is not yet convicted: Enqueue refuses, and the next
+  // StealIngress convicts.
+  bool lost_ VLORA_GUARDED_BY(mutex_) = false;
+  int64_t stalls_ VLORA_GUARDED_BY(mutex_) = 0;
 
  private:
   struct Ingress {
@@ -223,60 +247,73 @@ class ThreadReplica : public Replica {
     double enqueue_ms;
   };
 
-  void WorkerLoop() VLORA_EXCLUDES(mutex_, step_mutex_) VLORA_HOT;
-  // Injected-kill path: fails over everything held (worker thread only).
-  void Die() VLORA_EXCLUDES(mutex_);
-  void FailRequest(int64_t request_id, const Status& status) VLORA_EXCLUDES(mutex_);
-  // Outstanding requests (queued + in-engine) under the lock; the source of
-  // truth behind the lock-free depth_ mirror.
-  int64_t DepthLocked() const VLORA_REQUIRES(mutex_) {
-    return static_cast<int64_t>(ingress_.size()) + in_server_;
-  }
+  // Reports `ids` through the failure handler in ascending order.
+  void ReportFailures(std::vector<int64_t> ids, const Status& status);
 
-  const int64_t queue_capacity_;
+  const char* const backend_;
   const AdmissionPolicy admission_;
-  FaultInjector* const fault_;  // may be null
-  VloraServer server_;
   Stopwatch clock_;
   CompletionHandler on_complete_;
   FailureHandler on_failure_;
   HandoffHandler on_handoff_;
+  // Service-thread scratch for Complete (one service thread per replica):
+  // this call's terminal completions, reported after the lock drops.
+  std::vector<int64_t> completed_ids_;
 
-  Mutex mutex_{Rank::kReplicaIngress, "ThreadReplica::mutex_"};
-  CondVar ingress_cv_;  // wakes the worker
-  CondVar space_cv_;    // wakes blocked submitters
   CondVar drained_cv_;  // wakes WaitDrained
   std::deque<Ingress> ingress_ VLORA_GUARDED_BY(mutex_);
-  int64_t in_server_ VLORA_GUARDED_BY(mutex_) = 0;
-  bool stop_requested_ VLORA_GUARDED_BY(mutex_) = false;
-  bool running_ VLORA_GUARDED_BY(mutex_) = false;
+  // Requests the service side runs: id -> enqueue time (latency origin).
+  std::map<int64_t, double> in_service_ VLORA_GUARDED_BY(mutex_);
   int64_t submitted_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t completed_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t rejected_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t cancelled_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t failed_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t stolen_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t stalls_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t handoffs_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t peak_depth_ VLORA_GUARDED_BY(mutex_) = 0;
   std::vector<EngineResult> results_ VLORA_GUARDED_BY(mutex_);
   LatencyRecorder latency_ VLORA_GUARDED_BY(mutex_);
+
+  // tools/atomics.toml: depth_/heartbeat_ms_ are `counter`s (monitoring
+  // reads, nothing ordered through them); dead_ is a `flag` — the release
+  // store in FailOver publishes the final counters before the master acts.
+  std::atomic<int64_t> depth_{0};
+  std::atomic<bool> dead_{false};
+  std::atomic<double> heartbeat_ms_{0.0};
+};
+
+// The in-process backend: a worker loop steps a VloraServer over the
+// requests it takes from the front end, consulting an optional
+// FaultInjector each iteration (gate, kill, stall, per-request failure).
+// The server is single-threaded apart from its staged Submit; its stats
+// snapshot serialises against StepOnce through the step mutex.
+class ThreadReplica : public Replica {
+ public:
+  ThreadReplica(int index, const ModelConfig& config, const ReplicaOptions& options);
+  ~ThreadReplica() override;
+
+  int AddAdapter(const LoraAdapter& adapter) override;
+  void Prewarm(const std::vector<int>& adapter_ids) override;
+  void Start(ThreadPool* pool) override;
+
+  // Direct server access for tests; only valid when the replica is idle.
+  VloraServer& server_for_testing() { return server_; }
+
+ private:
+  void PumpIngress() override { work_cv_.NotifyOne(); }
+  void OnStopRequested() override { work_cv_.NotifyAll(); }
+  ServerStats ServerStatsForSnapshot() override VLORA_EXCLUDES(step_mutex_);
+  void WorkerLoop() VLORA_EXCLUDES(mutex_, step_mutex_) VLORA_HOT;
+
+  VloraServer server_;
+  CondVar work_cv_;  // wakes the worker
 
   // Serialises StepOnce vs Snapshot's server-stats copy. Lock order: always
   // taken before mutex_ (Snapshot), never the other way around — the rank
   // (kReplicaStep > kReplicaIngress) enforces it at runtime in debug builds.
   Mutex step_mutex_ VLORA_ACQUIRED_BEFORE(mutex_){Rank::kReplicaStep,
                                                   "ThreadReplica::step_mutex_"};
-
-  // tools/atomics.toml: depth_/heartbeat_ms_ are `counter`s (monitoring
-  // reads, nothing ordered through them); dead_ is a `flag` — the release
-  // store in the worker publishes its final stats before the master acts.
-  std::atomic<int64_t> depth_{0};
-  std::atomic<bool> dead_{false};
-  std::atomic<double> heartbeat_ms_{0.0};
-
-  // Worker-thread-only: wall enqueue time of requests inside the server.
-  std::unordered_map<int64_t, double> enqueue_ms_;
 };
 
 }  // namespace vlora

@@ -115,6 +115,25 @@ std::map<int64_t, std::vector<int32_t>> ResultKey(const std::vector<EngineResult
   return key;
 }
 
+int64_t ReplicaCompletions() {
+  return MetricsRegistry::Global().counter("replica.completions")->value();
+}
+
+// Both backends count the same way: `replica.completions` moves by the
+// terminal completions only (a KV handoff is not one), and every request a
+// replica accepted ends in exactly one of its outcome counters.
+void ExpectOneAccounting(const ClusterStats& stats, int64_t completions_delta,
+                         size_t requests) {
+  EXPECT_EQ(completions_delta, stats.completed);
+  EXPECT_EQ(stats.completed, static_cast<int64_t>(requests));
+  for (const ReplicaSnapshot& snapshot : stats.replicas) {
+    EXPECT_EQ(snapshot.completed + snapshot.handoffs + snapshot.failed + snapshot.cancelled +
+                  snapshot.stolen,
+              snapshot.submitted)
+        << snapshot.backend << " replica " << snapshot.index;
+  }
+}
+
 #define SKIP_WITHOUT_EXECUTOR()                                                    \
   do {                                                                             \
     if (!ProcessReplica::ExecutorAvailable()) {                                    \
@@ -167,11 +186,15 @@ TEST(ProcessClusterTest, ThreadAndProcessBackendsProduceIdenticalResults) {
   std::map<int64_t, std::vector<int32_t>> reference;
   for (ReplicaBackend backend : {ReplicaBackend::kThread, ReplicaBackend::kProcess}) {
     auto cluster = MakeProcessCluster(config, /*replicas=*/2, trace, nullptr, backend);
+    const int64_t completions_before = ReplicaCompletions();
     for (const Request& request : trace) {
       EXPECT_TRUE(cluster->Submit(EngineRequestFromTrace(request, config, SmallMap())));
     }
     const std::vector<EngineResult> results = cluster->Drain();
     EXPECT_EQ(results.size(), trace.size());
+    cluster->Shutdown();
+    ExpectOneAccounting(cluster->Stats(), ReplicaCompletions() - completions_before,
+                        trace.size());
     const auto key = ResultKey(results);
     EXPECT_EQ(key.size(), trace.size());
     if (backend == ReplicaBackend::kThread) {
@@ -205,6 +228,7 @@ TEST(ProcessClusterTest, DisaggregatedProcessBackendMatchesUnifiedResults) {
   for (const Leg& leg : legs) {
     auto cluster = MakeProcessCluster(config, /*replicas=*/3, trace, nullptr, leg.backend,
                                       /*max_inflight=*/4, leg.num_prefill);
+    const int64_t completions_before = ReplicaCompletions();
     for (const Request& request : trace) {
       EXPECT_TRUE(cluster->Submit(EngineRequestFromTrace(request, config, SmallMap())));
     }
@@ -214,6 +238,7 @@ TEST(ProcessClusterTest, DisaggregatedProcessBackendMatchesUnifiedResults) {
     cluster->Shutdown();
 
     const ClusterStats stats = cluster->Stats();
+    ExpectOneAccounting(stats, ReplicaCompletions() - completions_before, trace.size());
     if (leg.num_prefill > 0) {
       EXPECT_GT(stats.handoffs, 0) << "disaggregated run never handed off KV";
       EXPECT_EQ(stats.handles_created, stats.handoffs);
