@@ -1,27 +1,15 @@
 #include "src/core/lora_trainer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
 #include "src/kernels/atmm.h"
+#include "src/kernels/transformer_ops.h"
 
 namespace vlora {
 
 namespace {
-
-// These three mirror the engine's forward math exactly; the
-// FinalHiddenMatchesEngine test guards against drift.
-
-void RmsNormRow(const float* x, const float* gain, float* out, int64_t d) {
-  float ss = 0.0f;
-  for (int64_t i = 0; i < d; ++i) {
-    ss += x[i] * x[i];
-  }
-  const float inv = 1.0f / std::sqrt(ss / static_cast<float>(d) + 1e-5f);
-  for (int64_t i = 0; i < d; ++i) {
-    out[i] = x[i] * inv * gain[i];
-  }
-}
 
 // Backward of y = RMSNorm_g(x) for one row: returns dL/dx given dL/dy.
 std::vector<float> RmsNormBackward(const std::vector<float>& x, const float* gain,
@@ -45,22 +33,21 @@ std::vector<float> RmsNormBackward(const std::vector<float>& x, const float* gai
   return dx;
 }
 
-float Silu(float z) { return z / (1.0f + std::exp(-z)); }
-
 float SiluGrad(float z) {
   const float sigma = 1.0f / (1.0f + std::exp(-z));
   return sigma * (1.0f + z * (1.0f - sigma));
 }
 
-void AddPositionEmbedding(float* row, int64_t d, int64_t position) {
-  for (int64_t i = 0; i < d; i += 2) {
-    const double angle = static_cast<double>(position) /
-                         std::pow(10000.0, static_cast<double>(i) / static_cast<double>(d));
-    row[i] += 0.1f * static_cast<float>(std::sin(angle));
-    if (i + 1 < d) {
-      row[i + 1] += 0.1f * static_cast<float>(std::cos(angle));
+// Task-head logits of a final hidden state, accumulated in double.
+std::vector<double> HeadLogits(const std::vector<float>& hidden, const VisionTaskHead& head) {
+  std::vector<double> logits(static_cast<size_t>(head.num_options()), 0.0);
+  for (int64_t c = 0; c < head.num_options(); ++c) {
+    for (int64_t i = 0; i < static_cast<int64_t>(hidden.size()); ++i) {
+      logits[static_cast<size_t>(c)] +=
+          static_cast<double>(hidden[static_cast<size_t>(i)]) * head.weight.at(i, c);
     }
   }
+  return logits;
 }
 
 }  // namespace
@@ -79,8 +66,6 @@ LoraTrainer::ForwardCache LoraTrainer::ForwardWithCache(const std::vector<int32_
   const int64_t d = config.d_model;
   const int64_t ff = config.d_ff;
   const int64_t n = static_cast<int64_t>(prompt.size());
-  const int64_t d_head = config.d_head();
-  const float attn_scale = 1.0f / std::sqrt(static_cast<float>(d_head));
   AtmmDispatcher atmm;
 
   Tensor x = Tensor::Zeros(Shape(n, d));
@@ -101,16 +86,14 @@ LoraTrainer::ForwardCache LoraTrainer::ForwardWithCache(const std::vector<int32_
   Tensor proj = Tensor::Zeros(Shape(n, d));
   Tensor mid = Tensor::Zeros(Shape(n, ff));
   Tensor mlp = Tensor::Zeros(Shape(n, d));
-  std::vector<float> scores(static_cast<size_t>(n));
+  const KvSpan span{k.data(), v.data(), n};
   ForwardCache cache;
 
   for (int layer = 0; layer < config.num_layers; ++layer) {
     const LayerWeights& w = model_->layer(layer);
     const bool last = layer == config.num_layers - 1;
 
-    for (int64_t t = 0; t < n; ++t) {
-      RmsNormRow(x.data() + t * d, w.attn_norm.data(), normed.data() + t * d, d);
-    }
+    RmsNormRows(x.data(), w.attn_norm.data(), normed.data(), n, d);
     q.Fill(0.0f);
     k.Fill(0.0f);
     v.Fill(0.0f);
@@ -118,32 +101,8 @@ LoraTrainer::ForwardCache LoraTrainer::ForwardWithCache(const std::vector<int32_
     atmm.Execute(normed, w.wk, k);
     atmm.Execute(normed, w.wv, v);
 
-    attn.Fill(0.0f);
-    for (int64_t t = 0; t < n; ++t) {
-      for (int head = 0; head < config.num_heads; ++head) {
-        const int64_t off = head * d_head;
-        float max_score = -1e30f;
-        for (int64_t j = 0; j <= t; ++j) {
-          float dot = 0.0f;
-          for (int64_t i = 0; i < d_head; ++i) {
-            dot += q.at(t, off + i) * k.at(j, off + i);
-          }
-          scores[static_cast<size_t>(j)] = dot * attn_scale;
-          max_score = std::max(max_score, scores[static_cast<size_t>(j)]);
-        }
-        float denom = 0.0f;
-        for (int64_t j = 0; j <= t; ++j) {
-          scores[static_cast<size_t>(j)] = std::exp(scores[static_cast<size_t>(j)] - max_score);
-          denom += scores[static_cast<size_t>(j)];
-        }
-        for (int64_t j = 0; j <= t; ++j) {
-          const float weight = scores[static_cast<size_t>(j)] / denom;
-          for (int64_t i = 0; i < d_head; ++i) {
-            attn.at(t, off + i) += weight * v.at(j, off + i);
-          }
-        }
-      }
-    }
+    Attention({.q = q.data(), .out = attn.data(), .num_rows = n, .spans = &span, .num_spans = 1,
+               .ld = d, .num_heads = config.num_heads, .d_head = config.d_head()});
     if (last) {
       cache.attn_row.assign(attn.data() + (n - 1) * d, attn.data() + n * d);
     }
@@ -162,17 +121,13 @@ LoraTrainer::ForwardCache LoraTrainer::ForwardWithCache(const std::vector<int32_
       cache.x2.assign(x.data() + (n - 1) * d, x.data() + n * d);
     }
 
-    for (int64_t t = 0; t < n; ++t) {
-      RmsNormRow(x.data() + t * d, w.mlp_norm.data(), normed.data() + t * d, d);
-    }
+    RmsNormRows(x.data(), w.mlp_norm.data(), normed.data(), n, d);
     mid.Fill(0.0f);
     atmm.Execute(normed, w.w1, mid);
     if (last) {
       cache.mid.assign(mid.data() + (n - 1) * ff, mid.data() + n * ff);
     }
-    for (int64_t i = 0; i < n * ff; ++i) {
-      mid.data()[i] = Silu(mid.data()[i]);
-    }
+    SiluInPlace(mid.data(), n * ff);
     mlp.Fill(0.0f);
     atmm.Execute(mid, w.w2, mlp);
     x.AddInPlace(mlp);
@@ -182,7 +137,7 @@ LoraTrainer::ForwardCache LoraTrainer::ForwardWithCache(const std::vector<int32_
   }
 
   cache.hidden.resize(static_cast<size_t>(d));
-  RmsNormRow(x.data() + (n - 1) * d, model_->final_norm().data(), cache.hidden.data(), d);
+  RmsNormRows(x.data() + (n - 1) * d, model_->final_norm().data(), cache.hidden.data(), 1, d);
   return cache;
 }
 
@@ -203,16 +158,8 @@ double LoraTrainer::BackwardOneExample(const ForwardCache& cache, int label,
   const float s = adapter_->scaling();
 
   // Head softmax cross-entropy.
-  std::vector<double> probs(static_cast<size_t>(classes));
-  double max_logit = -1e300;
-  for (int64_t c = 0; c < classes; ++c) {
-    double z = 0.0;
-    for (int64_t i = 0; i < d; ++i) {
-      z += static_cast<double>(cache.hidden[static_cast<size_t>(i)]) * head.weight.at(i, c);
-    }
-    probs[static_cast<size_t>(c)] = z;
-    max_logit = std::max(max_logit, z);
-  }
+  std::vector<double> probs = HeadLogits(cache.hidden, head);
+  const double max_logit = *std::max_element(probs.begin(), probs.end());
   double denom = 0.0;
   for (int64_t c = 0; c < classes; ++c) {
     probs[static_cast<size_t>(c)] = std::exp(probs[static_cast<size_t>(c)] - max_logit);
@@ -298,21 +245,12 @@ double LoraTrainer::BackwardOneExample(const ForwardCache& cache, int label,
 }
 
 double LoraTrainer::ExampleLoss(const LoraTrainExample& example, const VisionTaskHead& head) {
-  const ForwardCache cache = ForwardWithCache(example.prompt_tokens);
-  const int64_t classes = head.num_options();
-  double max_logit = -1e300;
-  std::vector<double> logits(static_cast<size_t>(classes));
-  for (int64_t c = 0; c < classes; ++c) {
-    double z = 0.0;
-    for (int64_t i = 0; i < model_->config().d_model; ++i) {
-      z += static_cast<double>(cache.hidden[static_cast<size_t>(i)]) * head.weight.at(i, c);
-    }
-    logits[static_cast<size_t>(c)] = z;
-    max_logit = std::max(max_logit, z);
-  }
+  const std::vector<double> logits =
+      HeadLogits(ForwardWithCache(example.prompt_tokens).hidden, head);
+  const double max_logit = *std::max_element(logits.begin(), logits.end());
   double denom = 0.0;
-  for (int64_t c = 0; c < classes; ++c) {
-    denom += std::exp(logits[static_cast<size_t>(c)] - max_logit);
+  for (double z : logits) {
+    denom += std::exp(z - max_logit);
   }
   return -(logits[static_cast<size_t>(example.label)] - max_logit - std::log(denom));
 }
@@ -357,19 +295,9 @@ LoraTrainResult LoraTrainer::Train(const std::vector<LoraTrainExample>& examples
 
   int correct = 0;
   for (const LoraTrainExample& example : examples) {
-    const ForwardCache cache = ForwardWithCache(example.prompt_tokens);
-    int best = 0;
-    double best_score = -1e300;
-    for (int64_t c = 0; c < options.num_classes; ++c) {
-      double z = 0.0;
-      for (int64_t i = 0; i < d; ++i) {
-        z += static_cast<double>(cache.hidden[static_cast<size_t>(i)]) * head.weight.at(i, c);
-      }
-      if (z > best_score) {
-        best_score = z;
-        best = static_cast<int>(c);
-      }
-    }
+    const std::vector<double> logits =
+        HeadLogits(ForwardWithCache(example.prompt_tokens).hidden, head);
+    const auto best = std::max_element(logits.begin(), logits.end()) - logits.begin();
     correct += best == example.label ? 1 : 0;
   }
   result.train_accuracy = static_cast<double>(correct) / static_cast<double>(examples.size());

@@ -11,40 +11,6 @@ namespace vlora {
 
 namespace {
 
-void RmsNormRows(const float* x, const float* gain, float* out, int64_t rows, int64_t d) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = x + r * d;
-    float ss = 0.0f;
-    for (int64_t i = 0; i < d; ++i) {
-      ss += row[i] * row[i];
-    }
-    const float inv = 1.0f / std::sqrt(ss / static_cast<float>(d) + 1e-5f);
-    float* out_row = out + r * d;
-    for (int64_t i = 0; i < d; ++i) {
-      out_row[i] = row[i] * inv * gain[i];
-    }
-  }
-}
-
-void SiluInPlace(float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    x[i] = x[i] / (1.0f + std::exp(-x[i]));
-  }
-}
-
-// Sinusoidal absolute position embedding added onto token embeddings so that
-// token order matters (and KV prefix reuse stays position-aligned).
-void AddPositionEmbedding(float* row, int64_t d, int64_t position) {
-  for (int64_t i = 0; i < d; i += 2) {
-    const double angle =
-        static_cast<double>(position) / std::pow(10000.0, static_cast<double>(i) / static_cast<double>(d));
-    row[i] += 0.1f * static_cast<float>(std::sin(angle));
-    if (i + 1 < d) {
-      row[i + 1] += 0.1f * static_cast<float>(std::cos(angle));
-    }
-  }
-}
-
 uint64_t AdapterChainSeed(int adapter_id) {
   return 0x5EEDull * static_cast<uint64_t>(adapter_id + 2);
 }
@@ -59,7 +25,11 @@ InferenceEngine::InferenceEngine(const ModelConfig& config, const EngineOptions&
       kv_(std::make_unique<KvBlockManager>(config, options.kv_block_size, options.kv_num_blocks)),
       switcher_(&atmm_),
       merge_targets_(model_.MergeTargets()),
-      lora_op_(std::make_unique<AtmmLoraOperator>(&atmm_)) {}
+      lora_op_(std::make_unique<AtmmLoraOperator>(&atmm_)),
+      kv_spans_(static_cast<size_t>(options.kv_num_blocks)) {
+  // Attention covers num_heads * d_head columns; a remainder would stay zero.
+  VLORA_CHECK(config.num_heads > 0 && config.d_model % config.num_heads == 0);
+}
 
 int InferenceEngine::RegisterAdapter(const LoraAdapter* adapter) {
   VLORA_CHECK(adapter != nullptr);
@@ -300,22 +270,6 @@ void InferenceEngine::AppendKv(Sequence& seq, int layer, int64_t pos, const floa
   }
 }
 
-void InferenceEngine::GatherCache(const Sequence& seq, int layer, bool want_v, int64_t len,
-                                  float* out) const {
-  const int64_t block = kv_->block_size();
-  const int64_t d = config_.d_model;
-  int64_t pos = 0;
-  while (pos < len) {
-    const int64_t block_index = pos / block;
-    const int64_t in_block = pos % block;
-    const int64_t take = std::min(block - in_block, len - pos);
-    const int64_t block_id = seq.cache.blocks[static_cast<size_t>(block_index)];
-    const float* src = want_v ? kv_->VPtr(block_id, layer) : kv_->KPtr(block_id, layer);
-    std::memcpy(out + pos * d, src + in_block * d, static_cast<size_t>(take * d) * sizeof(float));
-    pos += take;
-  }
-}
-
 Tensor InferenceEngine::Forward(std::vector<Sequence*>& batch,
                                 const std::vector<int64_t>& row_offsets,
                                 const std::vector<int64_t>& row_counts) {
@@ -434,8 +388,6 @@ Tensor InferenceEngine::Forward(std::vector<Sequence*>& batch,
     lora_op_->Run(input, plan.segments, plan.views, output);
   };
 
-  const float attn_scale = 1.0f / std::sqrt(static_cast<float>(d_head));
-
   for (int layer = 0; layer < config_.num_layers; ++layer) {
     const LayerWeights& w = model_.layer(layer);
 
@@ -459,51 +411,21 @@ Tensor InferenceEngine::Forward(std::vector<Sequence*>& batch,
                v.data() + row_offsets[s] * d, row_counts[s]);
     }
 
-    attn.Fill(0.0f);
+    // Attend in place over each sequence's KV blocks, one span per block.
+    const int64_t block = kv_->block_size();
     for (size_t s = 0; s < batch.size(); ++s) {
-      Sequence& seq = *batch[s];
+      const Sequence& seq = *batch[s];
       const int64_t ctx = seq.computed + row_counts[s];
-      if (static_cast<int64_t>(scratch_k_.size()) < ctx * d) {
-        scratch_k_.resize(static_cast<size_t>(ctx * d));
-        scratch_v_.resize(static_cast<size_t>(ctx * d));
+      const int64_t num_spans = (ctx + block - 1) / block;
+      for (int64_t b = 0; b < num_spans; ++b) {
+        const int64_t block_id = seq.cache.blocks[static_cast<size_t>(b)];
+        kv_spans_[static_cast<size_t>(b)] = {kv_->KPtr(block_id, layer), kv_->VPtr(block_id, layer),
+                                             std::min(block, ctx - b * block)};
       }
-      GatherCache(seq, layer, /*want_v=*/false, ctx, scratch_k_.data());
-      GatherCache(seq, layer, /*want_v=*/true, ctx, scratch_v_.data());
-      if (static_cast<int64_t>(scratch_scores_.size()) < ctx) {
-        scratch_scores_.resize(static_cast<size_t>(ctx));
-      }
-      for (int64_t t = 0; t < row_counts[s]; ++t) {
-        const int64_t attend_len = seq.computed + t + 1;  // causal
-        const float* q_row = q.data() + (row_offsets[s] + t) * d;
-        float* out_row = attn.data() + (row_offsets[s] + t) * d;
-        for (int head = 0; head < config_.num_heads; ++head) {
-          const int64_t off = head * d_head;
-          float max_score = -1e30f;
-          for (int64_t p = 0; p < attend_len; ++p) {
-            const float* k_row = scratch_k_.data() + p * d + off;
-            float dot = 0.0f;
-            for (int64_t i = 0; i < d_head; ++i) {
-              dot += q_row[off + i] * k_row[i];
-            }
-            scratch_scores_[static_cast<size_t>(p)] = dot * attn_scale;
-            max_score = std::max(max_score, scratch_scores_[static_cast<size_t>(p)]);
-          }
-          float denom = 0.0f;
-          for (int64_t p = 0; p < attend_len; ++p) {
-            float& score = scratch_scores_[static_cast<size_t>(p)];
-            score = std::exp(score - max_score);
-            denom += score;
-          }
-          const float inv_denom = 1.0f / denom;
-          for (int64_t p = 0; p < attend_len; ++p) {
-            const float weight = scratch_scores_[static_cast<size_t>(p)] * inv_denom;
-            const float* v_row = scratch_v_.data() + p * d + off;
-            for (int64_t i = 0; i < d_head; ++i) {
-              out_row[off + i] += weight * v_row[i];
-            }
-          }
-        }
-      }
+      Attention({.q = q.data() + row_offsets[s] * d, .out = attn.data() + row_offsets[s] * d,
+                 .num_rows = row_counts[s], .first_pos = seq.computed, .spans = kv_spans_.data(),
+                 .num_spans = num_spans, .ld = d, .num_heads = config_.num_heads,
+                 .d_head = d_head});
     }
 
     // Output projection + its bypass branches.

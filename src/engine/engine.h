@@ -30,6 +30,7 @@
 #include "src/engine/model.h"
 #include "src/engine/model_config.h"
 #include "src/kernels/lora_ops.h"
+#include "src/kernels/transformer_ops.h"
 #include "src/lora/adapter.h"
 #include "src/lora/merge.h"
 
@@ -176,8 +177,6 @@ class InferenceEngine {
   // `pos`, from the projected k/v row-major buffers.
   void AppendKv(Sequence& seq, int layer, int64_t pos, const float* k_rows, const float* v_rows,
                 int64_t count);
-  // Gathers cached K or V for positions [0, len) into a dense scratch matrix.
-  void GatherCache(const Sequence& seq, int layer, bool want_v, int64_t len, float* out) const;
 
   // Runs the transformer over the concatenated current-token batch, returning
   // final hidden states (rows aligned with the input rows).
@@ -236,11 +235,8 @@ class InferenceEngine {
 
   std::deque<Sequence> sequences_;
   std::unique_ptr<AtmmLoraOperator> lora_op_;
-
-  // Scratch reused across steps.
-  std::vector<float> scratch_k_;
-  std::vector<float> scratch_v_;
-  std::vector<float> scratch_scores_;
+  // Attention spans over one sequence's KV blocks; pool-sized, never grown.
+  std::vector<KvSpan> kv_spans_;
 };
 
 }  // namespace vlora

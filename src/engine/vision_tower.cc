@@ -3,30 +3,11 @@
 #include <cmath>
 #include <cstring>
 
+#include "src/kernels/transformer_ops.h"
+
 namespace vlora {
 
 namespace {
-
-void RmsNormRows(const float* x, const float* gain, float* out, int64_t rows, int64_t d) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = x + r * d;
-    float ss = 0.0f;
-    for (int64_t i = 0; i < d; ++i) {
-      ss += row[i] * row[i];
-    }
-    const float inv = 1.0f / std::sqrt(ss / static_cast<float>(d) + 1e-5f);
-    float* out_row = out + r * d;
-    for (int64_t i = 0; i < d; ++i) {
-      out_row[i] = row[i] * inv * gain[i];
-    }
-  }
-}
-
-void SiluInPlace(float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    x[i] = x[i] / (1.0f + std::exp(-x[i]));
-  }
-}
 
 uint64_t Mix64(uint64_t x) {
   x ^= x >> 33;
@@ -120,9 +101,6 @@ Tensor VisionTower::Encode(const Tensor& image) {
   x.AddInPlace(pos_embed_);
 
   // Encoder blocks: bidirectional attention over all patches.
-  const int heads = config_.num_heads;
-  const int64_t d_head = dv / heads;
-  const float attn_scale = 1.0f / std::sqrt(static_cast<float>(d_head));
   Tensor normed = Tensor::Zeros(Shape(n, dv));
   Tensor q = Tensor::Zeros(Shape(n, dv));
   Tensor k = Tensor::Zeros(Shape(n, dv));
@@ -131,7 +109,7 @@ Tensor VisionTower::Encode(const Tensor& image) {
   Tensor proj = Tensor::Zeros(Shape(n, dv));
   Tensor mid = Tensor::Zeros(Shape(n, 2 * dv));
   Tensor mlp = Tensor::Zeros(Shape(n, dv));
-  std::vector<float> scores(static_cast<size_t>(n));
+  const KvSpan span{k.data(), v.data(), n};
 
   for (const Block& block : blocks_) {
     RmsNormRows(x.data(), block.norm1.data(), normed.data(), n, dv);
@@ -141,32 +119,9 @@ Tensor VisionTower::Encode(const Tensor& image) {
     atmm_.Execute(normed, block.wq, q);
     atmm_.Execute(normed, block.wk, k);
     atmm_.Execute(normed, block.wv, v);
-    attn.Fill(0.0f);
-    for (int64_t i = 0; i < n; ++i) {
-      for (int head = 0; head < heads; ++head) {
-        const int64_t off = head * d_head;
-        float max_score = -1e30f;
-        for (int64_t j = 0; j < n; ++j) {
-          float dot = 0.0f;
-          for (int64_t t = 0; t < d_head; ++t) {
-            dot += q.at(i, off + t) * k.at(j, off + t);
-          }
-          scores[static_cast<size_t>(j)] = dot * attn_scale;
-          max_score = std::max(max_score, scores[static_cast<size_t>(j)]);
-        }
-        float denom = 0.0f;
-        for (int64_t j = 0; j < n; ++j) {
-          scores[static_cast<size_t>(j)] = std::exp(scores[static_cast<size_t>(j)] - max_score);
-          denom += scores[static_cast<size_t>(j)];
-        }
-        for (int64_t j = 0; j < n; ++j) {
-          const float weight = scores[static_cast<size_t>(j)] / denom;
-          for (int64_t t = 0; t < d_head; ++t) {
-            attn.at(i, off + t) += weight * v.at(j, off + t);
-          }
-        }
-      }
-    }
+    Attention({.q = q.data(), .out = attn.data(), .num_rows = n, .spans = &span, .num_spans = 1,
+               .ld = dv, .num_heads = config_.num_heads, .d_head = dv / config_.num_heads,
+               .causal = false});
     proj.Fill(0.0f);
     atmm_.Execute(attn, block.wo, proj);
     x.AddInPlace(proj);

@@ -16,6 +16,7 @@
 #ifndef VLORA_SRC_KERNELS_MICROKERNEL_H_
 #define VLORA_SRC_KERNELS_MICROKERNEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -80,6 +81,35 @@ QuantAxpyRowFn Avx2QuantAxpyRow(WeightFormat format);
 // dst[0..cols) = dequant(row). Null when AVX2 is not compiled in.
 using QuantDequantRowFn = void (*)(const uint8_t* row_blocks, int64_t cols, float* dst);
 QuantDequantRowFn Avx2QuantDequantRow(WeightFormat format);
+
+// --- Attention tiles behind Attention (transformer_ops.h) ---
+
+inline constexpr int64_t kAttentionTile = 16;        // keys per tile: two ymm of scores
+inline constexpr int64_t kAttentionQueryBlock = 64;  // query rows per tile call
+
+// One key tile of one head against a query block: row r folds the tile's
+// first Visible(r) keys into its running max m[r], sum l[r] and output row.
+struct AttentionTile {
+  const float* q = nullptr;
+  float* out = nullptr;
+  const float* k = nullptr;
+  const float* v = nullptr;
+  int64_t ld = 0;
+  int64_t d_head = 0;
+  float scale = 0.0f;
+  int64_t keys = 0;
+  int64_t rows = 0;
+  int64_t row_offset = 0;
+  float* m = nullptr;
+  float* l = nullptr;
+
+  int64_t Visible(int64_t r) const { return std::min(keys, r + row_offset); }
+  int64_t First() const { return std::max<int64_t>(0, 1 - row_offset); }
+};
+
+void AttentionTileScalar(const AttentionTile& tile);
+// Requires Avx2Available(); a build without AVX2 support runs the scalar one.
+void AttentionTileAvx2(const AttentionTile& tile);
 
 }  // namespace vlora
 

@@ -1,9 +1,10 @@
-// AVX2+FMA micro-kernels. This is the ONLY translation unit in the tree
-// compiled with -mavx2 -mfma (per-file flags in src/kernels/CMakeLists.txt);
-// everything else stays at the baseline ISA so the binary runs on any host
-// and only routes here after the runtime probe (kernel_variant.cc). When the
-// toolchain cannot target AVX2 the file degrades to an empty table and null
-// helper pointers, and dispatch stays scalar.
+// AVX2+FMA micro-kernels and attention tile. This is the ONLY translation
+// unit in the tree compiled with -mavx2 -mfma (per-file flags in
+// src/kernels/CMakeLists.txt); everything else stays at the baseline ISA so
+// the binary runs on any host and only routes here after the runtime probe
+// (kernel_variant.cc). When the toolchain cannot target AVX2 the file
+// degrades to an empty table, null helper pointers and the scalar attention
+// tile, and dispatch stays scalar.
 //
 // Layout contract matches the scalar kernels in gemm.cc exactly: packed
 // panels [p * mr + i] / [p * nr + j], accumulate-into-C semantics, identical
@@ -17,6 +18,8 @@
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
+
+#include <cmath>
 
 namespace vlora {
 namespace {
@@ -253,6 +256,72 @@ void DequantRowQ4(const uint8_t* row_blocks, int64_t cols, float* dst) {
   }
 }
 
+// --- attention tile (microkernel.h): every per-row step is lane-wise or a
+// fixed reduction tree, so rows sharing a tile never affect each other ---
+
+constexpr int64_t kDimChunk = 64;  // head dimensions transposed at a time
+
+// e^x for x <= 0: Cephes expf reduction and polynomial, about 1 ulp. x is
+// clamped at ln(FLT_MIN), so callers mask lanes that must be exactly zero.
+inline __m256 ExpNonPositive(__m256 x) {
+  x = _mm256_max_ps(x, _mm256_set1_ps(-87.33f));
+  const __m256 n =
+      _mm256_floor_ps(_mm256_fmadd_ps(x, _mm256_set1_ps(1.44269504f), _mm256_set1_ps(0.5f)));
+  x = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), x);
+  x = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), x);
+  __m256 y = _mm256_set1_ps(1.9875691500e-4f);
+  for (float c : {1.3981999507e-3f, 8.3334519073e-3f, 4.1665795894e-2f, 1.6666665459e-1f,
+                  5.0000001201e-1f}) {
+    y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(c));
+  }
+  y = _mm256_add_ps(_mm256_fmadd_ps(y, _mm256_mul_ps(x, x), x), _mm256_set1_ps(1.0f));
+  const __m256i exponent = _mm256_add_epi32(_mm256_cvttps_epi32(n), _mm256_set1_epi32(127));
+  return _mm256_mul_ps(y, _mm256_castsi256_ps(_mm256_slli_epi32(exponent, 23)));
+}
+
+// op folded over the 8 lanes of v in a fixed tree.
+template <typename Op>
+inline float Reduce(__m256 v, Op op) {
+  __m128 r = op(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  r = op(r, _mm_movehl_ps(r, r));
+  return _mm_cvtss_f32(op(r, _mm_shuffle_ps(r, r, 1)));
+}
+
+// All-ones in the first min(n, 8) lanes, for masked loads and stores.
+inline __m256i LaneMask(int64_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(std::min<int64_t>(n, 8))),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// s[r][j] (+)= sum over c < cn of q[r * ld + c] * kt[c][j] for R rows, in c
+// order; `first` starts from zero instead of the sums already in s.
+template <int R>
+inline void TileScores(const float* q, int64_t ld, const float (*kt)[kAttentionTile], int64_t cn,
+                       bool first, float (*s)[kAttentionTile]) {
+  __m256 lo[R];
+  __m256 hi[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    lo[r] = first ? _mm256_setzero_ps() : _mm256_load_ps(s[r]);
+    hi[r] = first ? _mm256_setzero_ps() : _mm256_load_ps(s[r] + 8);
+  }
+  for (int64_t c = 0; c < cn; ++c) {
+    const __m256 k_lo = _mm256_load_ps(kt[c]);
+    const __m256 k_hi = _mm256_load_ps(kt[c] + 8);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256 qc = _mm256_broadcast_ss(q + r * ld + c);
+      lo[r] = _mm256_fmadd_ps(qc, k_lo, lo[r]);
+      hi[r] = _mm256_fmadd_ps(qc, k_hi, hi[r]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    _mm256_store_ps(s[r], lo[r]);
+    _mm256_store_ps(s[r] + 8, hi[r]);
+  }
+}
+
 }  // namespace
 
 const std::vector<MicroKernelEntry>& Avx2MicroKernelTable() {
@@ -295,6 +364,75 @@ QuantDequantRowFn Avx2QuantDequantRow(WeightFormat format) {
   return nullptr;
 }
 
+void AttentionTileAvx2(const AttentionTile& t) {
+  alignas(32) float kt[kDimChunk][kAttentionTile];            // transposed keys
+  alignas(32) float w[kAttentionQueryBlock][kAttentionTile];  // scores, then weights
+  float alpha[kAttentionQueryBlock];
+  for (int64_t c0 = 0; c0 < t.d_head; c0 += kDimChunk) {
+    const int64_t cn = std::min(kDimChunk, t.d_head - c0);
+    for (int64_t c = 0; c < cn; ++c) {
+      for (int64_t j = 0; j < kAttentionTile; ++j) {
+        kt[c][j] = j < t.keys ? t.k[j * t.ld + c0 + c] : 0.0f;
+      }
+    }
+    int64_t r = t.First();
+    for (; r + 4 <= t.rows; r += 4) {
+      TileScores<4>(t.q + r * t.ld + c0, t.ld, kt, cn, c0 == 0, w + r);
+    }
+    for (; r < t.rows; ++r) {
+      TileScores<1>(t.q + r * t.ld + c0, t.ld, kt, cn, c0 == 0, w + r);
+    }
+  }
+
+  const __m256 scale = _mm256_set1_ps(t.scale);
+  const __m256 neg_inf = _mm256_set1_ps(-INFINITY);
+  for (int64_t r = t.First(); r < t.rows; ++r) {
+    const __m256 n = _mm256_set1_ps(static_cast<float>(t.Visible(r)));
+    const __m256 keep_lo = _mm256_cmp_ps(_mm256_setr_ps(0, 1, 2, 3, 4, 5, 6, 7), n, _CMP_LT_OQ);
+    const __m256 keep_hi =
+        _mm256_cmp_ps(_mm256_setr_ps(8, 9, 10, 11, 12, 13, 14, 15), n, _CMP_LT_OQ);
+    const __m256 s_lo =
+        _mm256_blendv_ps(neg_inf, _mm256_mul_ps(_mm256_load_ps(w[r]), scale), keep_lo);
+    const __m256 s_hi =
+        _mm256_blendv_ps(neg_inf, _mm256_mul_ps(_mm256_load_ps(w[r] + 8), scale), keep_hi);
+    const float tile_max =
+        Reduce(_mm256_max_ps(s_lo, s_hi), [](__m128 a, __m128 b) { return _mm_max_ps(a, b); });
+    const float m_new = std::max(t.m[r], tile_max);
+    alpha[r] = m_new == t.m[r] ? 1.0f : std::exp(t.m[r] - m_new);
+    const __m256 shift = _mm256_set1_ps(m_new);
+    const __m256 w_lo = _mm256_and_ps(ExpNonPositive(_mm256_sub_ps(s_lo, shift)), keep_lo);
+    const __m256 w_hi = _mm256_and_ps(ExpNonPositive(_mm256_sub_ps(s_hi, shift)), keep_hi);
+    _mm256_store_ps(w[r], w_lo);
+    _mm256_store_ps(w[r] + 8, w_hi);
+    t.l[r] = t.l[r] * alpha[r] +
+             Reduce(_mm256_add_ps(w_lo, w_hi), [](__m128 a, __m128 b) { return _mm_add_ps(a, b); });
+    t.m[r] = m_new;
+  }
+
+  // out = out * alpha + weights x V, 8 columns at a time; even and odd keys
+  // accumulate apart to halve the FMA dependency chains.
+  for (int64_t r = t.First(); r < t.rows; ++r) {
+    const int64_t n = t.Visible(r);
+    for (int64_t c = 0; c < t.d_head; c += 8) {
+      const __m256i mask = LaneMask(t.d_head - c);
+      __m256 even = _mm256_setzero_ps();
+      __m256 odd = _mm256_setzero_ps();
+      for (int64_t j = 0; j < n; j += 2) {
+        even = _mm256_fmadd_ps(_mm256_broadcast_ss(w[r] + j),
+                               _mm256_maskload_ps(t.v + j * t.ld + c, mask), even);
+        if (j + 1 < n) {
+          odd = _mm256_fmadd_ps(_mm256_broadcast_ss(w[r] + j + 1),
+                                _mm256_maskload_ps(t.v + (j + 1) * t.ld + c, mask), odd);
+        }
+      }
+      float* o = t.out + r * t.ld + c;
+      const __m256 acc = _mm256_fmadd_ps(_mm256_maskload_ps(o, mask), _mm256_set1_ps(alpha[r]),
+                                         _mm256_add_ps(even, odd));
+      _mm256_maskstore_ps(o, mask, acc);
+    }
+  }
+}
+
 }  // namespace vlora
 
 #else  // !(__AVX2__ && __FMA__): baseline-ISA build of this file
@@ -309,6 +447,8 @@ const std::vector<MicroKernelEntry>& Avx2MicroKernelTable() {
 QuantAxpyRowFn Avx2QuantAxpyRow(WeightFormat) { return nullptr; }
 
 QuantDequantRowFn Avx2QuantDequantRow(WeightFormat) { return nullptr; }
+
+void AttentionTileAvx2(const AttentionTile& tile) { AttentionTileScalar(tile); }
 
 }  // namespace vlora
 

@@ -1,0 +1,52 @@
+// Transformer operators shared by the inference engine, the vision tower and
+// the LoRA trainer: one RMSNorm, SiLU, position embedding and attention.
+// DESIGN.md §12 describes the attention kernel and its per-row invariant.
+
+#ifndef VLORA_SRC_KERNELS_TRANSFORMER_OPS_H_
+#define VLORA_SRC_KERNELS_TRANSFORMER_OPS_H_
+
+#include <cstdint>
+
+#include "src/common/annotations.h"
+#include "src/kernels/kernel_variant.h"
+
+namespace vlora {
+
+// out[r] = x[r] / sqrt(mean(x[r]^2) + 1e-5) * gain for `rows` rows of width d.
+void RmsNormRows(const float* x, const float* gain, float* out, int64_t rows, int64_t d);
+
+// x = x * sigmoid(x), elementwise over n values.
+void SiluInPlace(float* x, int64_t n);
+
+// Adds the sinusoidal embedding of absolute `position` to one d-wide row.
+void AddPositionEmbedding(float* row, int64_t d, int64_t position);
+
+// `rows` cached key and value rows read in place; row r of K is at k + r * ld.
+struct KvSpan {
+  const float* k = nullptr;
+  const float* v = nullptr;
+  int64_t rows = 0;
+};
+
+struct AttentionArgs {
+  const float* q = nullptr;  // num_rows query rows; row i at q + i * ld
+  float* out = nullptr;      // written, same layout as q; must not overlap q
+  int64_t num_rows = 0;
+  int64_t first_pos = 0;          // absolute position of query row 0
+  const KvSpan* spans = nullptr;  // keys in order; span 0 starts at position 0
+  int64_t num_spans = 0;
+  int64_t ld = 0;  // row stride of q, out and every span (d_model)
+  int num_heads = 0;
+  int64_t d_head = 0;
+  bool causal = true;  // the row at position p sees keys [0, p]; else all keys
+};
+
+// Multi-head softmax(q kᵀ / sqrt(d_head)) v, an online softmax over 16-key
+// tiles of the spans; writes num_heads * d_head columns per row, each a
+// function of the row's position and the keys only. The scalar tile kernel
+// defines the semantics; the AVX2 one (microkernel_avx2.cc) only rounds apart.
+void Attention(const AttentionArgs& args, KernelVariant variant = ActiveKernelVariant()) VLORA_HOT;
+
+}  // namespace vlora
+
+#endif  // VLORA_SRC_KERNELS_TRANSFORMER_OPS_H_

@@ -65,7 +65,7 @@ bool ParseModelConfig(WireReader& r, ModelConfig* model) {
     return false;
   }
   if (num_layers <= 0 || num_layers > kMaxLayers || model->d_model <= 0 ||
-      model->d_model > kMaxDim || num_heads <= 0 || num_heads > model->d_model ||
+      model->d_model > kMaxDim || num_heads <= 0 || model->d_model % num_heads != 0 ||
       model->d_ff <= 0 || model->d_ff > kMaxDim || model->vocab_size <= 0 ||
       model->vocab_size > kMaxDim || model->max_seq_len <= 0 ||
       model->visual_tokens_per_image < 0) {

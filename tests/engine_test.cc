@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "src/engine/engine.h"
@@ -335,8 +336,18 @@ TEST_F(EngineTest, PrefixReuseProducesIdenticalOutputs) {
   first.prompt_tokens = vision.BuildPrompt(77, text);
   first.max_new_tokens = 4;
   first.eos_token = -1;
+  first.capture_final_hidden = true;
   const EngineResult r1 = engine->RunToCompletion(first);
   EXPECT_EQ(r1.reused_tokens, 0);
+  ASSERT_EQ(r1.final_hidden.size(), static_cast<size_t>(config_.d_model));
+  // Attention output depends only on a row's absolute position and the
+  // cached K/V, so a prefill that starts after reused blocks reproduces the
+  // last prompt row bit for bit.
+  auto same_hidden = [&](const EngineResult& result) {
+    return result.final_hidden.size() == r1.final_hidden.size() &&
+           std::memcmp(result.final_hidden.data(), r1.final_hidden.data(),
+                       r1.final_hidden.size() * sizeof(float)) == 0;
+  };
 
   // The persistent prefix cache keeps the prompt blocks alive after the first
   // request finished: the repeat reuses them and answers identically.
@@ -345,6 +356,7 @@ TEST_F(EngineTest, PrefixReuseProducesIdenticalOutputs) {
   const EngineResult r2 = engine->RunToCompletion(second);
   EXPECT_EQ(r2.output_tokens, r1.output_tokens);
   EXPECT_GT(r2.reused_tokens, 0);
+  EXPECT_TRUE(same_hidden(r2));
   EXPECT_GT(engine->kv().prefix_hits(), 0);
 
   // Concurrent clones share blocks too.
@@ -365,6 +377,7 @@ TEST_F(EngineTest, PrefixReuseProducesIdenticalOutputs) {
     if (result.request_id == 4) {
       EXPECT_GT(result.reused_tokens, 0);
       EXPECT_EQ(result.output_tokens, r1.output_tokens);
+      EXPECT_TRUE(same_hidden(result));
     }
   }
 }

@@ -12,6 +12,12 @@
 // GEMM (tight, same fp bound) and against the original weights (analytic
 // per-format bound from MaxAbsErrorBound). Everything is seeded; every path
 // is run twice and must be bitwise identical to itself.
+//
+// Attention (transformer_ops.h) gets the same treatment against a
+// double-precision two-pass softmax over paged K/V spans, plus the per-row
+// invariant the engine relies on: within a variant, a query row's output is
+// bitwise identical whether it is computed in a whole prefill, in a chunk
+// after a block-aligned reused prefix, or alone as a decode row.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -28,6 +35,7 @@
 #include "src/kernels/kernel_variant.h"
 #include "src/kernels/microkernel.h"
 #include "src/kernels/quant.h"
+#include "src/kernels/transformer_ops.h"
 #include "src/tensor/tensor.h"
 
 namespace vlora {
@@ -310,6 +318,206 @@ TEST(KernelDiffTest, RunTwiceIsBitwiseIdentical) {
       GemmQuantized(a.data(), b_q, q2.data(), m, n, k, TileConfig{}, workspace, variant);
       EXPECT_EQ(0, std::memcmp(q1.data(), q2.data(), c_bytes))
           << KernelVariantName(variant) << "/" << WeightFormatName(format);
+    }
+  }
+}
+
+// --- Attention -------------------------------------------------------------
+
+constexpr int64_t kKvBlock = 16;
+
+// Queries, keys and values for `ctx` positions, with K/V also stored as
+// kKvBlock-row pages in a pool in reverse block order, so the kernel reads
+// scattered spans in place the way the engine reads KvBlockManager blocks.
+struct AttentionCase {
+  int64_t ctx = 0;
+  int heads = 0;
+  int64_t d_head = 0;
+  int64_t ld = 0;
+  Tensor q;
+  Tensor k;
+  Tensor v;
+  std::vector<float> pool;
+
+  AttentionCase(int64_t ctx_in, int heads_in, int64_t d_head_in, uint64_t seed)
+      : ctx(ctx_in), heads(heads_in), d_head(d_head_in), ld(heads_in * d_head_in) {
+    Rng rng(seed);
+    q = Tensor::Random(Shape(ctx, ld), rng, 1.0f);
+    k = Tensor::Random(Shape(ctx, ld), rng, 1.0f);
+    v = Tensor::Random(Shape(ctx, ld), rng, 1.0f);
+    const int64_t blocks = (ctx + kKvBlock - 1) / kKvBlock;
+    pool.assign(static_cast<size_t>(blocks * 2 * kKvBlock * ld), 0.0f);
+    for (int64_t b = 0; b < blocks; ++b) {
+      const int64_t rows = std::min(kKvBlock, ctx - b * kKvBlock);
+      const size_t bytes = static_cast<size_t>(rows * ld) * sizeof(float);
+      std::memcpy(PageK(b), k.data() + b * kKvBlock * ld, bytes);
+      std::memcpy(PageK(b) + kKvBlock * ld, v.data() + b * kKvBlock * ld, bytes);
+    }
+  }
+
+  float* PageK(int64_t block) {
+    const int64_t slot = (ctx + kKvBlock - 1) / kKvBlock - 1 - block;
+    return pool.data() + slot * 2 * kKvBlock * ld;
+  }
+
+  // One span per block over keys [0, keys); the last one may be ragged.
+  std::vector<KvSpan> Spans(int64_t keys) {
+    std::vector<KvSpan> spans;
+    for (int64_t b = 0; b * kKvBlock < keys; ++b) {
+      spans.push_back({PageK(b), PageK(b) + kKvBlock * ld, std::min(kKvBlock, keys - b * kKvBlock)});
+    }
+    return spans;
+  }
+
+  // Query rows [begin, end) against keys [0, keys). The output starts as NaN
+  // so a column the kernel leaves unwritten fails every comparison.
+  Tensor Run(int64_t begin, int64_t end, int64_t keys, bool causal, KernelVariant variant) {
+    const std::vector<KvSpan> spans = Spans(keys);
+    Tensor out = Tensor::Full(Shape(end - begin, ld), std::numeric_limits<float>::quiet_NaN());
+    AttentionArgs args;
+    args.q = q.data() + begin * ld;
+    args.out = out.data();
+    args.num_rows = end - begin;
+    args.first_pos = begin;
+    args.spans = spans.data();
+    args.num_spans = static_cast<int64_t>(spans.size());
+    args.ld = ld;
+    args.num_heads = heads;
+    args.d_head = d_head;
+    args.causal = causal;
+    Attention(args, variant);
+    return out;
+  }
+
+  // Two-pass softmax attention of every row over dense K/V, in double.
+  std::vector<double> Reference(bool causal) const {
+    std::vector<double> out(static_cast<size_t>(ctx * ld), 0.0);
+    std::vector<double> w(static_cast<size_t>(ctx));
+    const double scale = 1.0 / std::sqrt(static_cast<double>(d_head));
+    for (int64_t i = 0; i < ctx; ++i) {
+      const int64_t visible = causal ? i + 1 : ctx;
+      for (int h = 0; h < heads; ++h) {
+        const int64_t off = h * d_head;
+        double max_score = -std::numeric_limits<double>::infinity();
+        for (int64_t j = 0; j < visible; ++j) {
+          double dot = 0.0;
+          for (int64_t c = 0; c < d_head; ++c) {
+            dot += static_cast<double>(q.data()[i * ld + off + c]) * k.data()[j * ld + off + c];
+          }
+          w[static_cast<size_t>(j)] = dot * scale;
+          max_score = std::max(max_score, w[static_cast<size_t>(j)]);
+        }
+        double denom = 0.0;
+        for (int64_t j = 0; j < visible; ++j) {
+          w[static_cast<size_t>(j)] = std::exp(w[static_cast<size_t>(j)] - max_score);
+          denom += w[static_cast<size_t>(j)];
+        }
+        for (int64_t j = 0; j < visible; ++j) {
+          for (int64_t c = 0; c < d_head; ++c) {
+            out[static_cast<size_t>(i * ld + off + c)] +=
+                w[static_cast<size_t>(j)] / denom * v.data()[j * ld + off + c];
+          }
+        }
+      }
+    }
+    return out;
+  }
+};
+
+// Hybrid bound for an attention output: each weight carries the rounding of
+// a d_head-term dot product and an exp, and the output sums `visible` of
+// them (|v| <= 1); a 64-ULP floor covers large magnitudes.
+bool AttentionClose(double actual, double expected, int64_t visible, int64_t d_head) {
+  const double abs_tol = 4.0 * static_cast<double>(visible + d_head) * static_cast<double>(kEps);
+  const double ulp_tol = 64.0 * static_cast<double>(kEps) * std::fabs(expected);
+  return std::fabs(actual - expected) <= std::max(abs_tol, ulp_tol);
+}
+
+const int64_t kAttentionContexts[] = {1, kKvBlock - 1, kKvBlock, kKvBlock + 1, 3 * kKvBlock + 5, 392};
+const int64_t kAttentionHeadDims[] = {8, 12, 16};
+
+TEST(AttentionDiffTest, EveryVariantMatchesDoubleReference) {
+  for (KernelVariant variant : AvailableKernelVariants()) {
+    for (int64_t ctx : kAttentionContexts) {
+      for (int64_t d_head : kAttentionHeadDims) {
+        for (bool causal : {true, false}) {
+          AttentionCase c(ctx, 2, d_head, 0xA77Eull ^ static_cast<uint64_t>(ctx * 31 + d_head));
+          const Tensor out = c.Run(0, ctx, ctx, causal, variant);
+          const std::vector<double> ref = c.Reference(causal);
+          for (int64_t i = 0; i < ctx * c.ld; ++i) {
+            const int64_t visible = causal ? i / c.ld + 1 : ctx;
+            ASSERT_TRUE(AttentionClose(out.data()[i], ref[static_cast<size_t>(i)], visible, d_head))
+                << KernelVariantName(variant) << " ctx " << ctx << " d_head " << d_head
+                << (causal ? " causal" : " bidirectional") << " element " << i << ": "
+                << out.data()[i] << " vs " << ref[static_cast<size_t>(i)];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(AttentionDiffTest, Avx2MatchesScalarWithinBound) {
+  if (!Avx2Available()) {
+    GTEST_SKIP() << "host has no AVX2 kernels";
+  }
+  for (int64_t ctx : kAttentionContexts) {
+    for (int64_t d_head : kAttentionHeadDims) {
+      for (bool causal : {true, false}) {
+        AttentionCase c(ctx, 2, d_head, 0x5CA1Aull + static_cast<uint64_t>(ctx + d_head));
+        const Tensor scalar = c.Run(0, ctx, ctx, causal, KernelVariant::kScalar);
+        const Tensor avx2 = c.Run(0, ctx, ctx, causal, KernelVariant::kAvx2);
+        for (int64_t i = 0; i < ctx * c.ld; ++i) {
+          const int64_t visible = causal ? i / c.ld + 1 : ctx;
+          ASSERT_TRUE(AttentionClose(avx2.data()[i], scalar.data()[i], visible, d_head))
+              << "ctx " << ctx << " d_head " << d_head << " element " << i << ": scalar "
+              << scalar.data()[i] << " avx2 " << avx2.data()[i];
+        }
+      }
+    }
+  }
+}
+
+TEST(AttentionDiffTest, RunTwiceIsBitwiseIdentical) {
+  for (KernelVariant variant : AvailableKernelVariants()) {
+    for (bool causal : {true, false}) {
+      AttentionCase c(3 * kKvBlock + 5, 3, 12, 0x7E57ull);
+      const Tensor first = c.Run(0, c.ctx, c.ctx, causal, variant);
+      const Tensor second = c.Run(0, c.ctx, c.ctx, causal, variant);
+      EXPECT_EQ(0, std::memcmp(first.data(), second.data(),
+                               static_cast<size_t>(c.ctx * c.ld) * sizeof(float)))
+          << KernelVariantName(variant);
+    }
+  }
+}
+
+// Row p alone (decode), in a whole prefill over [0, n), and in a chunk
+// [r, n) after a block-aligned reused prefix: bitwise equal per variant.
+TEST(AttentionDiffTest, RowOutputIsIndependentOfChunking) {
+  const int64_t n = 73;
+  for (KernelVariant variant : AvailableKernelVariants()) {
+    for (int64_t d_head : kAttentionHeadDims) {
+      AttentionCase c(n, 2, d_head, 0xC4C4ull + static_cast<uint64_t>(d_head));
+      const size_t row_bytes = static_cast<size_t>(c.ld) * sizeof(float);
+      for (bool causal : {true, false}) {
+        const Tensor whole = c.Run(0, n, n, causal, variant);
+        for (int64_t reuse : {kKvBlock, 4 * kKvBlock}) {
+          const Tensor chunk = c.Run(reuse, n, n, causal, variant);
+          for (int64_t p = reuse; p < n; ++p) {
+            ASSERT_EQ(0, std::memcmp(whole.data() + p * c.ld, chunk.data() + (p - reuse) * c.ld,
+                                     row_bytes))
+                << KernelVariantName(variant) << " d_head " << d_head << " reuse " << reuse
+                << " row " << p;
+          }
+        }
+        if (causal) {
+          for (int64_t p = 0; p < n; ++p) {
+            const Tensor decode = c.Run(p, p + 1, p + 1, true, variant);
+            ASSERT_EQ(0, std::memcmp(whole.data() + p * c.ld, decode.data(), row_bytes))
+                << KernelVariantName(variant) << " d_head " << d_head << " decode row " << p;
+          }
+        }
+      }
     }
   }
 }

@@ -348,6 +348,18 @@ TEST(MessagesTest, ConfigRoundTripsModelAndTuning) {
   EXPECT_EQ(decoded.heartbeat_period_ms, 7.5);
 }
 
+TEST(MessagesTest, ConfigRejectsHeadSplitThatDoesNotDivideWidth) {
+  ConfigMessage config;
+  config.model = TinyConfig();
+  config.model.d_model = 130;  // 8 heads of 16 would leave columns 128-129 unattended
+  config.model.num_heads = 8;
+  EXPECT_FALSE(RoundTrip(config).ok());
+  config.model.num_heads = 10;  // 10 heads of 13 cover the width
+  Result<ConfigMessage> out = RoundTrip(config);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out.value().model.d_head(), 13);
+}
+
 TEST(MessagesTest, AckPrewarmStartStopGoodbyeRoundTrip) {
   AckMessage ack;
   ack.value = 42;
