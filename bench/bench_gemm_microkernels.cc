@@ -81,6 +81,11 @@ void PrintComputePathComparison() {
       {"prefill 256x1024*1024x64", 256, 1024, 64},
       {"prefill 256x64*64x1024", 256, 64, 1024},
       {"decode 1x1024*1024x1024", 1, 1024, 1024},
+      // SmallConfig decode step: batch-8 Q/K/V/O projection, LM head, and
+      // one row's LoRA shrink (rank 8). All three read B in place.
+      {"decode 8x128*128x128 (SmallConfig projection)", 8, 128, 128},
+      {"decode 8x128*128x512 (SmallConfig LM head)", 8, 128, 512},
+      {"decode 1x128*128x8 (SmallConfig LoRA shrink)", 1, 128, 8},
   };
   const int reps = 5;
 
@@ -96,12 +101,12 @@ void PrintComputePathComparison() {
       const double fp32_ms =
           variant == KernelVariant::kScalar ? baseline : TimeFp32Ms(shape, variant, reps);
       table.AddRow(std::string(KernelVariantName(variant)) + "/fp32",
-                   {fp32_ms, baseline / fp32_ms, dense_bytes / 1024.0}, 3);
+                   {fp32_ms, baseline / fp32_ms, dense_bytes / 1024.0}, 4);
       for (WeightFormat format : {WeightFormat::kQ8, WeightFormat::kQ4}) {
         int64_t weight_bytes = 0;
         const double ms = TimeQuantMs(shape, variant, format, reps, &weight_bytes);
         table.AddRow(std::string(KernelVariantName(variant)) + "/" + WeightFormatName(format),
-                     {ms, baseline / ms, weight_bytes / 1024.0}, 3);
+                     {ms, baseline / ms, weight_bytes / 1024.0}, 4);
       }
     }
     table.Print(shape.label);

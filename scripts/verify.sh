@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + full test suite (plus an explicit
-# `ctest -L e2e_process` pass over the forked-executor suites), the
+# `ctest -L e2e_process` pass over the forked-executor suites), the kernels
+# label and the engine tests rerun on the scalar kernel variant, the
 # servebench self-test (bench-smoke), the static-analysis stage (vlora_lint, Clang thread-safety build,
 # clang-tidy), then the concurrency-labelled tests (cluster, fault
 # injection, thread pool, ATMM dispatch) and the kernels-labelled tests
@@ -52,6 +53,15 @@ echo "=== disagg: prefill/decode split lifecycle proofs ==="
 # disagg label (two-stage lifecycle, handoff faults, SLO routing) stays wired.
 ctest --test-dir build --output-on-failure -L disagg
 record "disagg tests" "pass"
+
+echo "=== scalar variant: kernels label + engine tests on the portable kernels ==="
+# On an AVX2 host the scalar micro-kernels (packed and in-place B), the
+# scalar attention tile and the scalar LM head otherwise run only inside
+# kernel_diff_test's cross-variant sweeps; this reruns them end to end.
+VLORA_KERNEL_VARIANT=scalar ctest --test-dir build --output-on-failure -L kernels
+VLORA_KERNEL_VARIANT=scalar ctest --test-dir build --output-on-failure \
+  -R '^(engine_test|engine_edge_test)$'
+record "scalar-variant tests" "pass"
 
 echo "=== trace-overhead guard (fails above 5%) ==="
 ./build/bench/bench_trace_overhead

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "src/common/logging.h"
 #include "src/common/trace.h"
@@ -13,6 +14,15 @@ namespace {
 
 uint64_t AdapterChainSeed(int adapter_id) {
   return 0x5EEDull * static_cast<uint64_t>(adapter_id + 2);
+}
+
+// The first `rows` rows of `buffer` as a rows x cols view; `buffer` is
+// reallocated (contents undefined) only when it has fewer rows.
+Tensor ScratchRows(Tensor& buffer, int64_t rows, int64_t cols) {
+  if (buffer.empty() || buffer.shape().dim(0) < rows) {
+    buffer = Tensor(Shape(rows, cols));
+  }
+  return buffer.RowSlice(0, rows);
 }
 
 }  // namespace
@@ -270,9 +280,9 @@ void InferenceEngine::AppendKv(Sequence& seq, int layer, int64_t pos, const floa
   }
 }
 
-Tensor InferenceEngine::Forward(std::vector<Sequence*>& batch,
-                                const std::vector<int64_t>& row_offsets,
-                                const std::vector<int64_t>& row_counts) {
+const float* InferenceEngine::Forward(std::vector<Sequence*>& batch,
+                                      const std::vector<int64_t>& row_offsets,
+                                      const std::vector<int64_t>& row_counts) {
   const int64_t d = config_.d_model;
   const int64_t d_head = config_.d_head();
   const int64_t ff = config_.d_ff;
@@ -283,8 +293,9 @@ Tensor InferenceEngine::Forward(std::vector<Sequence*>& batch,
   VLORA_CHECK(total_rows > 0);
 
   // Embedding + positions. Prompt slots covered by injected visual
-  // embeddings bypass the table lookup.
-  Tensor x = Tensor::Zeros(Shape(total_rows, d));
+  // embeddings bypass the table lookup. Every row below is written in full
+  // (the GEMM outputs are zeroed before each accumulation).
+  Tensor x = ScratchRows(scratch_.x, total_rows, d);
   for (size_t s = 0; s < batch.size(); ++s) {
     Sequence& seq = *batch[s];
     for (int64_t t = 0; t < row_counts[s]; ++t) {
@@ -310,14 +321,14 @@ Tensor InferenceEngine::Forward(std::vector<Sequence*>& batch,
     }
   }
 
-  Tensor normed = Tensor::Zeros(Shape(total_rows, d));
-  Tensor q = Tensor::Zeros(Shape(total_rows, d));
-  Tensor k = Tensor::Zeros(Shape(total_rows, d));
-  Tensor v = Tensor::Zeros(Shape(total_rows, d));
-  Tensor attn = Tensor::Zeros(Shape(total_rows, d));
-  Tensor proj = Tensor::Zeros(Shape(total_rows, d));
-  Tensor mlp_mid = Tensor::Zeros(Shape(total_rows, ff));
-  Tensor mlp_out = Tensor::Zeros(Shape(total_rows, d));
+  Tensor normed = ScratchRows(scratch_.normed, total_rows, d);
+  Tensor q = ScratchRows(scratch_.q, total_rows, d);
+  Tensor k = ScratchRows(scratch_.k, total_rows, d);
+  Tensor v = ScratchRows(scratch_.v, total_rows, d);
+  Tensor attn = ScratchRows(scratch_.attn, total_rows, d);
+  Tensor proj = ScratchRows(scratch_.proj, total_rows, d);
+  Tensor mlp_mid = ScratchRows(scratch_.mlp_mid, total_rows, ff);
+  Tensor mlp_out = ScratchRows(scratch_.mlp_out, total_rows, d);
 
   // Per-target bypass plans; the adapter views are patched per layer below.
   // An adapter contributes a branch only for the projections it adapts.
@@ -446,44 +457,29 @@ Tensor InferenceEngine::Forward(std::vector<Sequence*>& batch,
 
   // Final norm (gain applied row-wise).
   RmsNormRows(x.data(), model_.final_norm().data(), normed.data(), total_rows, d);
-  return normed.Clone();
+  return normed.data();
 }
 
-int32_t InferenceEngine::SampleToken(const Sequence& seq, const float* hidden) {
-  const int64_t d = config_.d_model;
+int32_t InferenceEngine::SampleToken(const Sequence& seq, const float* logits) {
   const int64_t vocab = config_.vocab_size;
-  const float* head = model_.lm_head().data();
-  std::vector<float> logits(static_cast<size_t>(vocab), 0.0f);
-  for (int64_t i = 0; i < d; ++i) {
-    const float h = hidden[i];
-    const float* head_row = head + i * vocab;
-    for (int64_t token = 0; token < vocab; ++token) {
-      logits[static_cast<size_t>(token)] += h * head_row[token];
-    }
-  }
-
   const SamplingParams& params = seq.request.sampling;
   if (params.temperature <= 0.0f) {
-    return static_cast<int32_t>(
-        std::max_element(logits.begin(), logits.end()) - logits.begin());
+    return static_cast<int32_t>(std::max_element(logits, logits + vocab) - logits);
   }
 
   // Top-k softmax sampling with a deterministic per-(request, step) stream.
   const int k = std::clamp<int>(params.top_k, 1, static_cast<int>(vocab));
-  std::vector<int32_t> order(static_cast<size_t>(vocab));
-  for (int64_t token = 0; token < vocab; ++token) {
-    order[static_cast<size_t>(token)] = static_cast<int32_t>(token);
-  }
+  std::vector<int32_t>& order = scratch_.order;
+  order.resize(static_cast<size_t>(vocab));
+  std::iota(order.begin(), order.end(), 0);
   std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                    [&](int32_t a, int32_t b) {
-                      return logits[static_cast<size_t>(a)] > logits[static_cast<size_t>(b)];
-                    });
-  const float max_logit = logits[static_cast<size_t>(order[0])];
-  std::vector<double> weights(static_cast<size_t>(k));
+                    [&](int32_t a, int32_t b) { return logits[a] > logits[b]; });
+  const float max_logit = logits[order[0]];
+  std::vector<double>& weights = scratch_.weights;
+  weights.resize(static_cast<size_t>(k));
   for (int i = 0; i < k; ++i) {
-    weights[static_cast<size_t>(i)] = std::exp(
-        (logits[static_cast<size_t>(order[static_cast<size_t>(i)])] - max_logit) /
-        params.temperature);
+    weights[static_cast<size_t>(i)] =
+        std::exp((logits[order[static_cast<size_t>(i)]] - max_logit) / params.temperature);
   }
   Rng stream(params.seed ^ (static_cast<uint64_t>(seq.request.id) * 0x9E3779B97F4A7C15ull) ^
              (static_cast<uint64_t>(seq.generated) * 0xC4CEB9FE1A85EC53ull));
@@ -575,16 +571,38 @@ std::vector<EngineResult> InferenceEngine::StepImpl(const std::vector<int64_t>* 
     return finished;
   }
 
-  Tensor hidden = Forward(batch, row_offsets, row_counts);
+  const float* hidden = Forward(batch, row_offsets, row_counts);
 
+  // LM head: the last hidden row of every sequence that samples this step
+  // (all but task-head prefills) goes through one ATMM GEMM.
   const int64_t d = config_.d_model;
+  const int64_t vocab = config_.vocab_size;
+  auto last_hidden_of = [&](size_t s) {
+    return hidden + (row_offsets[s] + row_counts[s] - 1) * d;
+  };
+  auto samples = [](const Sequence* seq) { return !seq->request.use_task_head || seq->prefilled; };
+  const int64_t sampling = std::count_if(batch.begin(), batch.end(), samples);
+  if (sampling > 0) {
+    Tensor head_in = ScratchRows(scratch_.head_in, sampling, d);
+    Tensor logits = ScratchRows(scratch_.logits, sampling, vocab);
+    float* row = head_in.data();
+    for (size_t s = 0; s < batch.size(); ++s) {
+      if (samples(batch[s])) {
+        row = std::copy_n(last_hidden_of(s), d, row);
+      }
+    }
+    logits.Fill(0.0f);
+    atmm_.Execute(head_in, model_.lm_head(), logits);
+  }
+
+  const float* logits_row = scratch_.logits.data();
   for (size_t s = 0; s < batch.size(); ++s) {
     Sequence& seq = *batch[s];
     const bool was_prefill = !seq.prefilled;
     seq.computed += row_counts[s];
     seq.cache.length = seq.computed;
     seq.prefilled = true;
-    const float* last_hidden = hidden.data() + (row_offsets[s] + row_counts[s] - 1) * d;
+    const float* last_hidden = last_hidden_of(s);
 
     if (was_prefill && seq.request.capture_final_hidden && seq.generated == 0) {
       seq.captured_hidden.assign(last_hidden, last_hidden + d);
@@ -607,7 +625,8 @@ std::vector<EngineResult> InferenceEngine::StepImpl(const std::vector<int64_t>* 
       seq.head_option = ResolveTaskHead(seq, last_hidden);
       seq.finished = true;
     } else {
-      const int32_t next = SampleToken(seq, last_hidden);
+      const int32_t next = SampleToken(seq, logits_row);
+      logits_row += vocab;
       ++seq.generated;
       seq.tokens.push_back(next);
       if (next == seq.request.eos_token || seq.generated >= seq.request.max_new_tokens) {

@@ -179,9 +179,10 @@ class InferenceEngine {
                 int64_t count);
 
   // Runs the transformer over the concatenated current-token batch, returning
-  // final hidden states (rows aligned with the input rows).
-  Tensor Forward(std::vector<Sequence*>& batch, const std::vector<int64_t>& row_offsets,
-                 const std::vector<int64_t>& row_counts);
+  // final hidden states (rows aligned with the input rows) in scratch_, valid
+  // until the next Forward.
+  const float* Forward(std::vector<Sequence*>& batch, const std::vector<int64_t>& row_offsets,
+                       const std::vector<int64_t>& row_counts);
 
   std::vector<EngineResult> StepImpl(const std::vector<int64_t>* request_ids);
 
@@ -205,9 +206,9 @@ class InferenceEngine {
   bool PreemptOne(const Sequence& requester, const std::vector<Sequence*>& protected_set);
   void ReleaseSequence(Sequence& seq);
 
-  // Next token from the final hidden state row, honouring the request's
-  // sampling parameters.
-  int32_t SampleToken(const Sequence& seq, const float* hidden);
+  // Next token from the sequence's vocab-wide logits row, honouring the
+  // request's sampling parameters.
+  int32_t SampleToken(const Sequence& seq, const float* logits);
   int ResolveTaskHead(const Sequence& seq, const float* hidden);
 
   ModelConfig config_;
@@ -237,6 +238,17 @@ class InferenceEngine {
   std::unique_ptr<AtmmLoraOperator> lora_op_;
   // Attention spans over one sequence's KV blocks; pool-sized, never grown.
   std::vector<KvSpan> kv_spans_;
+  // Per-step buffers, grown to the largest step seen so that a steady-state
+  // step allocates none: Forward's activations (rows x width), the LM head's
+  // input rows and logits (one row per sampling sequence), and top-k
+  // sampling's candidate order and weights.
+  struct StepScratch {
+    Tensor x, normed, q, k, v, attn, proj, mlp_mid, mlp_out;
+    Tensor head_in, logits;
+    std::vector<int32_t> order;
+    std::vector<double> weights;
+  };
+  StepScratch scratch_;
 };
 
 }  // namespace vlora

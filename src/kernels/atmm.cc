@@ -40,7 +40,9 @@ TileConfig AtmmDispatcher::HeuristicConfig(int64_t m, int64_t n, int64_t k,
     // two vector FMAs per broadcast instead of one.
     config.nr = 16;
   }
-  config.mr = m >= 8 ? 8 : 4;
+  // 5-8 rows take one 8-row micro-panel rather than two 4-row ones, so a
+  // decode batch reads its weights in place (ReadsBInPlace) at equal FLOPs.
+  config.mr = m > 4 ? 8 : 4;
   config.nc = floor_pow2(n, config.nr, 128);
   config.mc = floor_pow2(m, config.mr, m >= 1024 ? 256 : 64);
   config.kc = floor_pow2(k, 16, k >= 2048 ? 256 : 128);

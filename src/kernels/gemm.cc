@@ -10,23 +10,23 @@ namespace vlora {
 
 namespace {
 
-// Computes a single mr x nr tile of C from packed panels.
+// Computes a single mr x nr tile of C.
 //
 // a_panel: kc values per micro-row group, laid out [p * MR + i]
-// b_panel: kc values per micro-col group, laid out [p * NR + j]
+// b:       NR values per reduction step, laid out [p * ldb + j]
 // The accumulator lives entirely in registers for the fixed-size template
 // instantiations below; GCC/Clang vectorise the inner NR loop.
 template <int MR, int NR>
-void MicroKernelFull(int64_t kc, const float* a_panel, const float* b_panel, float* c,
+void MicroKernelFull(int64_t kc, const float* a_panel, const float* b, int64_t ldb, float* c,
                      int64_t ldc) {
   float acc[MR][NR] = {};
   for (int64_t p = 0; p < kc; ++p) {
     const float* a = a_panel + p * MR;
-    const float* b = b_panel + p * NR;
+    const float* b_row = b + p * ldb;
     for (int i = 0; i < MR; ++i) {
       const float ai = a[i];
       for (int j = 0; j < NR; ++j) {
-        acc[i][j] += ai * b[j];
+        acc[i][j] += ai * b_row[j];
       }
     }
   }
@@ -40,16 +40,16 @@ void MicroKernelFull(int64_t kc, const float* a_panel, const float* b_panel, flo
 
 // Edge variant: writes only the valid m_eff x n_eff corner.
 template <int MR, int NR>
-void MicroKernelEdge(int64_t kc, const float* a_panel, const float* b_panel, float* c, int64_t ldc,
-                     int m_eff, int n_eff) {
+void MicroKernelEdge(int64_t kc, const float* a_panel, const float* b, int64_t ldb, float* c,
+                     int64_t ldc, int m_eff, int n_eff) {
   float acc[MR][NR] = {};
   for (int64_t p = 0; p < kc; ++p) {
     const float* a = a_panel + p * MR;
-    const float* b = b_panel + p * NR;
+    const float* b_row = b + p * ldb;
     for (int i = 0; i < MR; ++i) {
       const float ai = a[i];
       for (int j = 0; j < NR; ++j) {
-        acc[i][j] += ai * b[j];
+        acc[i][j] += ai * b_row[j];
       }
     }
   }
@@ -163,6 +163,27 @@ bool HasMicroKernel(KernelVariant variant, int mr, int nr) {
   return false;
 }
 
+void RunMicroKernels(const MicroKernelEntry& kernel, const float* pack_a, int64_t mc_eff,
+                     const float* b, int64_t panel_step, int64_t ldb, int64_t nc_eff,
+                     int64_t kc_eff, float* c, int64_t ldc) {
+  for (int64_t jr = 0; jr < nc_eff; jr += kernel.nr) {
+    const int n_eff = static_cast<int>(std::min<int64_t>(kernel.nr, nc_eff - jr));
+    const float* b_panel = b + jr * panel_step;
+    for (int64_t ir = 0; ir < mc_eff; ir += kernel.mr) {
+      const int m_eff = static_cast<int>(std::min<int64_t>(kernel.mr, mc_eff - ir));
+      const float* a_panel = pack_a + ir * kc_eff;
+      float* c_tile = c + ir * ldc + jr;
+      if (m_eff == kernel.mr && n_eff == kernel.nr) {
+        kernel.full(kc_eff, a_panel, b_panel, ldb, c_tile, ldc);
+      } else {
+        kernel.edge(kc_eff, a_panel, b_panel, ldb, c_tile, ldc, m_eff, n_eff);
+      }
+    }
+  }
+}
+
+bool ReadsBInPlace(int64_t m, int mr, int64_t n, int nr) { return m <= mr && n % nr == 0; }
+
 void GemmTiled(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
                const TileConfig& config, GemmWorkspace& workspace, KernelVariant variant) {
   VLORA_CHECK(config.Valid());
@@ -172,8 +193,7 @@ void GemmTiled(const float* a, const float* b, float* c, int64_t m, int64_t n, i
   const int64_t mc = config.mc;
   const int64_t nc = config.nc;
   const int64_t kc = config.kc;
-  const int mr = config.mr;
-  const int nr = config.nr;
+  const bool in_place = ReadsBInPlace(m, config.mr, n, config.nr);
 
   float* pack_a = workspace.Ensure(mc * kc + kc * nc);
   float* pack_b = pack_a + mc * kc;
@@ -182,24 +202,16 @@ void GemmTiled(const float* a, const float* b, float* c, int64_t m, int64_t n, i
     const int64_t nc_eff = std::min(nc, n - jc);
     for (int64_t pc = 0; pc < k; pc += kc) {
       const int64_t kc_eff = std::min(kc, k - pc);
-      PackBPanels(b + pc * n + jc, n, kc_eff, nc_eff, nr, pack_b);
+      const float* b_block = b + pc * n + jc;
+      if (!in_place) {
+        PackBPanels(b_block, n, kc_eff, nc_eff, config.nr, pack_b);
+      }
       for (int64_t ic = 0; ic < m; ic += mc) {
         const int64_t mc_eff = std::min(mc, m - ic);
-        PackAPanels(a + ic * k + pc, k, mc_eff, kc_eff, mr, pack_a);
-        for (int64_t jr = 0; jr < nc_eff; jr += nr) {
-          const int n_eff = static_cast<int>(std::min<int64_t>(nr, nc_eff - jr));
-          const float* b_panel = pack_b + (jr / nr) * (kc_eff * nr);
-          for (int64_t ir = 0; ir < mc_eff; ir += mr) {
-            const int m_eff = static_cast<int>(std::min<int64_t>(mr, mc_eff - ir));
-            const float* a_panel = pack_a + (ir / mr) * (kc_eff * mr);
-            float* c_tile = c + (ic + ir) * n + jc + jr;
-            if (m_eff == mr && n_eff == nr) {
-              kernel->full(kc_eff, a_panel, b_panel, c_tile, n);
-            } else {
-              kernel->edge(kc_eff, a_panel, b_panel, c_tile, n, m_eff, n_eff);
-            }
-          }
-        }
+        PackAPanels(a + ic * k + pc, k, mc_eff, kc_eff, config.mr, pack_a);
+        RunMicroKernels(*kernel, pack_a, mc_eff, in_place ? b_block : pack_b,
+                        in_place ? 1 : kc_eff, in_place ? n : config.nr, nc_eff, kc_eff,
+                        c + ic * n + jc, n);
       }
     }
   }
@@ -230,8 +242,7 @@ void GemmTiledParallel(const float* a, const float* b, float* c, int64_t m, int6
   const int64_t mc = config.mc;
   const int64_t nc = config.nc;
   const int64_t kc = config.kc;
-  const int mr = config.mr;
-  const int nr = config.nr;
+  const bool in_place = ReadsBInPlace(m, config.mr, n, config.nr);
 
   const int64_t num_ic_blocks = (m + mc - 1) / mc;
   // One private packed-A panel per block tile plus the shared packed-B panel.
@@ -242,26 +253,18 @@ void GemmTiledParallel(const float* a, const float* b, float* c, int64_t m, int6
     const int64_t nc_eff = std::min(nc, n - jc);
     for (int64_t pc = 0; pc < k; pc += kc) {
       const int64_t kc_eff = std::min(kc, k - pc);
-      PackBPanels(b + pc * n + jc, n, kc_eff, nc_eff, nr, pack_b);
+      const float* b_block = b + pc * n + jc;
+      if (!in_place) {
+        PackBPanels(b_block, n, kc_eff, nc_eff, config.nr, pack_b);
+      }
       pool.ParallelFor(0, num_ic_blocks, [&](int64_t block) {
         const int64_t ic = block * mc;
         const int64_t mc_eff = std::min(mc, m - ic);
         float* pack_a = pack_a_all + block * mc * kc;
-        PackAPanels(a + ic * k + pc, k, mc_eff, kc_eff, mr, pack_a);
-        for (int64_t jr = 0; jr < nc_eff; jr += nr) {
-          const int n_eff = static_cast<int>(std::min<int64_t>(nr, nc_eff - jr));
-          const float* b_panel = pack_b + (jr / nr) * (kc_eff * nr);
-          for (int64_t ir = 0; ir < mc_eff; ir += mr) {
-            const int m_eff = static_cast<int>(std::min<int64_t>(mr, mc_eff - ir));
-            const float* a_panel = pack_a + (ir / mr) * (kc_eff * mr);
-            float* c_tile = c + (ic + ir) * n + jc + jr;
-            if (m_eff == mr && n_eff == nr) {
-              kernel->full(kc_eff, a_panel, b_panel, c_tile, n);
-            } else {
-              kernel->edge(kc_eff, a_panel, b_panel, c_tile, n, m_eff, n_eff);
-            }
-          }
-        }
+        PackAPanels(a + ic * k + pc, k, mc_eff, kc_eff, config.mr, pack_a);
+        RunMicroKernels(*kernel, pack_a, mc_eff, in_place ? b_block : pack_b,
+                        in_place ? 1 : kc_eff, in_place ? n : config.nr, nc_eff, kc_eff,
+                        c + ic * n + jc, n);
       });
     }
   }

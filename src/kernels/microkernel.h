@@ -1,10 +1,14 @@
 // Register micro-kernel tables, one per KernelVariant.
 //
-// A micro-kernel computes one mr x nr tile of C from packed panels:
+// A micro-kernel computes one mr x nr tile of C from a packed A panel and kc
+// rows of B read at a row stride:
 //   a_panel: kc values per micro-row group, laid out [p * mr + i]
-//   b_panel: kc values per micro-col group, laid out [p * nr + j]
-// Full kernels write the whole tile; edge kernels write only the valid
-// m_eff x n_eff corner (panels are zero-padded, so the arithmetic is shared).
+//   b:       nr values per reduction step, laid out [p * ldb + j]
+// ldb is nr when B was packed into a zero-padded micro-col panel, and B's own
+// row stride n when the GEMM reads the weight rows in place (gemm.h,
+// ReadsBInPlace). Full kernels write the whole tile; edge kernels write only
+// the valid m_eff x n_eff corner (A panels are zero-padded, and B is either a
+// zero-padded panel or n_eff == nr, so the arithmetic is shared).
 //
 // Both variants expose the SAME (mr, nr) instantiation set, so a tiling
 // configuration profiled for one variant is at least executable under the
@@ -25,9 +29,9 @@
 
 namespace vlora {
 
-using MicroKernelFn = void (*)(int64_t kc, const float* a_panel, const float* b_panel, float* c,
-                               int64_t ldc);
-using MicroKernelEdgeFn = void (*)(int64_t kc, const float* a_panel, const float* b_panel,
+using MicroKernelFn = void (*)(int64_t kc, const float* a_panel, const float* b, int64_t ldb,
+                               float* c, int64_t ldc);
+using MicroKernelEdgeFn = void (*)(int64_t kc, const float* a_panel, const float* b, int64_t ldb,
                                    float* c, int64_t ldc, int m_eff, int n_eff);
 
 struct MicroKernelEntry {
@@ -67,6 +71,15 @@ void PackAPanels(const float* a, int64_t lda, int64_t mc_eff, int64_t kc_eff, in
 // panels: layout [jr][p][j] with j < nr, zero-padded to full nr.
 void PackBPanels(const float* b, int64_t ldb, int64_t kc_eff, int64_t nc_eff, int nr,
                  float* packed);
+
+// Sweeps `kernel` over an mc_eff x nc_eff block of C (row stride ldc) from A
+// packed by PackAPanels and kc_eff rows of B. B's column panel jr starts at
+// b + jr * panel_step and is read at stride ldb: packed panels (PackBPanels)
+// have panel_step = kc_eff and ldb = nr, B read in place has panel_step = 1
+// and ldb = n.
+void RunMicroKernels(const MicroKernelEntry& kernel, const float* pack_a, int64_t mc_eff,
+                     const float* b, int64_t panel_step, int64_t ldb, int64_t nc_eff,
+                     int64_t kc_eff, float* c, int64_t ldc);
 
 // --- Fused-dequant helpers implemented in microkernel_avx2.cc ---
 //

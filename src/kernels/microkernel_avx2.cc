@@ -6,11 +6,12 @@
 // degrades to an empty table, null helper pointers and the scalar attention
 // tile, and dispatch stays scalar.
 //
-// Layout contract matches the scalar kernels in gemm.cc exactly: packed
-// panels [p * mr + i] / [p * nr + j], accumulate-into-C semantics, identical
-// summation order over p — so the only numerical difference from scalar is
-// FMA's single rounding per multiply-add, which the differential harness
-// bounds in ULPs (tests/kernel_diff_test.cc).
+// Layout contract matches the scalar kernels in gemm.cc exactly: a packed A
+// panel [p * mr + i], B rows [p * ldb + j] (a packed panel or B in place),
+// accumulate-into-C semantics, identical summation order over p — so the
+// only numerical difference from scalar is FMA's single rounding per
+// multiply-add, which the differential harness bounds in ULPs
+// (tests/kernel_diff_test.cc).
 
 #include "src/kernels/microkernel.h"
 #include "src/kernels/quant.h"
@@ -32,7 +33,7 @@ struct Avx2Tile {
   static constexpr int kLanes = NR / 8;
 
   static inline void Compute(int64_t kc, const float* a_panel, const float* b_panel,
-                             __m256 (&acc)[MR][kLanes]) {
+                             int64_t ldb, __m256 (&acc)[MR][kLanes]) {
     for (int i = 0; i < MR; ++i) {
       for (int l = 0; l < kLanes; ++l) {
         acc[i][l] = _mm256_setzero_ps();
@@ -44,12 +45,12 @@ struct Avx2Tile {
     int64_t p = 0;
     for (; p + 2 <= kc; p += 2) {
       const float* a = a_panel + p * MR;
-      const float* b = b_panel + p * NR;
+      const float* b = b_panel + p * ldb;
       __m256 bv0[kLanes];
       __m256 bv1[kLanes];
       for (int l = 0; l < kLanes; ++l) {
         bv0[l] = _mm256_loadu_ps(b + 8 * l);
-        bv1[l] = _mm256_loadu_ps(b + NR + 8 * l);
+        bv1[l] = _mm256_loadu_ps(b + ldb + 8 * l);
       }
       for (int i = 0; i < MR; ++i) {
         const __m256 av0 = _mm256_broadcast_ss(a + i);
@@ -62,7 +63,7 @@ struct Avx2Tile {
     }
     for (; p < kc; ++p) {
       const float* a = a_panel + p * MR;
-      const float* b = b_panel + p * NR;
+      const float* b = b_panel + p * ldb;
       __m256 bv[kLanes];
       for (int l = 0; l < kLanes; ++l) {
         bv[l] = _mm256_loadu_ps(b + 8 * l);
@@ -76,10 +77,10 @@ struct Avx2Tile {
     }
   }
 
-  static void Full(int64_t kc, const float* a_panel, const float* b_panel, float* c,
+  static void Full(int64_t kc, const float* a_panel, const float* b_panel, int64_t ldb, float* c,
                    int64_t ldc) {
     __m256 acc[MR][kLanes];
-    Compute(kc, a_panel, b_panel, acc);
+    Compute(kc, a_panel, b_panel, ldb, acc);
     for (int i = 0; i < MR; ++i) {
       float* c_row = c + i * ldc;
       for (int l = 0; l < kLanes; ++l) {
@@ -89,10 +90,10 @@ struct Avx2Tile {
     }
   }
 
-  static void Edge(int64_t kc, const float* a_panel, const float* b_panel, float* c, int64_t ldc,
-                   int m_eff, int n_eff) {
+  static void Edge(int64_t kc, const float* a_panel, const float* b_panel, int64_t ldb, float* c,
+                   int64_t ldc, int m_eff, int n_eff) {
     __m256 acc[MR][kLanes];
-    Compute(kc, a_panel, b_panel, acc);
+    Compute(kc, a_panel, b_panel, ldb, acc);
     alignas(32) float tmp[MR][NR];
     for (int i = 0; i < MR; ++i) {
       for (int l = 0; l < kLanes; ++l) {
@@ -113,33 +114,33 @@ struct Avx2Tile {
 template <int MR>
 struct Avx2Tile4 {
   static inline void Compute(int64_t kc, const float* a_panel, const float* b_panel,
-                             __m128 (&acc)[MR]) {
+                             int64_t ldb, __m128 (&acc)[MR]) {
     for (int i = 0; i < MR; ++i) {
       acc[i] = _mm_setzero_ps();
     }
     for (int64_t p = 0; p < kc; ++p) {
       const float* a = a_panel + p * MR;
-      const __m128 bv = _mm_loadu_ps(b_panel + p * 4);
+      const __m128 bv = _mm_loadu_ps(b_panel + p * ldb);
       for (int i = 0; i < MR; ++i) {
         acc[i] = _mm_fmadd_ps(_mm_broadcast_ss(a + i), bv, acc[i]);
       }
     }
   }
 
-  static void Full(int64_t kc, const float* a_panel, const float* b_panel, float* c,
+  static void Full(int64_t kc, const float* a_panel, const float* b_panel, int64_t ldb, float* c,
                    int64_t ldc) {
     __m128 acc[MR];
-    Compute(kc, a_panel, b_panel, acc);
+    Compute(kc, a_panel, b_panel, ldb, acc);
     for (int i = 0; i < MR; ++i) {
       float* c_row = c + i * ldc;
       _mm_storeu_ps(c_row, _mm_add_ps(_mm_loadu_ps(c_row), acc[i]));
     }
   }
 
-  static void Edge(int64_t kc, const float* a_panel, const float* b_panel, float* c, int64_t ldc,
-                   int m_eff, int n_eff) {
+  static void Edge(int64_t kc, const float* a_panel, const float* b_panel, int64_t ldb, float* c,
+                   int64_t ldc, int m_eff, int n_eff) {
     __m128 acc[MR];
-    Compute(kc, a_panel, b_panel, acc);
+    Compute(kc, a_panel, b_panel, ldb, acc);
     alignas(16) float tmp[MR][4];
     for (int i = 0; i < MR; ++i) {
       _mm_store_ps(tmp[i], acc[i]);
@@ -293,6 +294,56 @@ inline __m256i LaneMask(int64_t n) {
                             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
+// The first min(n, 8) floats at p, zero in the other lanes.
+inline __m256 LoadUpTo8(const float* p, int64_t n) {
+  return n >= 8 ? _mm256_loadu_ps(p) : _mm256_maskload_ps(p, LaneMask(n));
+}
+
+// Transposes the 8x8 block held as rows r[0..8) in place: r[i] becomes
+// column i.
+inline void Transpose8x8(__m256 (&r)[8]) {
+  __m256 t[8];
+#pragma GCC unroll 4
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  __m256 s[8];
+#pragma GCC unroll 2
+  for (int h = 0; h < 8; h += 4) {  // rows 0-3, then rows 4-7
+    s[h] = _mm256_shuffle_ps(t[h], t[h + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    s[h + 1] = _mm256_shuffle_ps(t[h], t[h + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    s[h + 2] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    s[h + 3] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+#pragma GCC unroll 4
+  for (int i = 0; i < 4; ++i) {
+    r[i] = _mm256_permute2f128_ps(s[i], s[i + 4], 0x20);
+    r[i + 4] = _mm256_permute2f128_ps(s[i], s[i + 4], 0x31);
+  }
+}
+
+// kt[c][j] = k[j * ld + c] for the tile's 16 keys and the cn <= kDimChunk
+// columns at k, in 8x8 register transposes. Keys past `keys` enter as zero
+// rows and a ragged column block is read with masked loads.
+inline void TransposeKeys(const float* k, int64_t ld, int64_t keys, int64_t cn,
+                          float (*kt)[kAttentionTile]) {
+  for (int64_t j0 = 0; j0 < kAttentionTile; j0 += 8) {
+    for (int64_t c = 0; c < cn; c += 8) {
+      __m256 r[8];
+#pragma GCC unroll 8
+      for (int i = 0; i < 8; ++i) {
+        r[i] = j0 + i < keys ? LoadUpTo8(k + (j0 + i) * ld + c, cn - c) : _mm256_setzero_ps();
+      }
+      Transpose8x8(r);
+#pragma GCC unroll 8
+      for (int i = 0; i < 8; ++i) {  // rows past cn hold zeros and are never read
+        _mm256_store_ps(kt[c + i] + j0, r[i]);
+      }
+    }
+  }
+}
+
 // s[r][j] (+)= sum over c < cn of q[r * ld + c] * kt[c][j] for R rows, in c
 // order; `first` starts from zero instead of the sums already in s.
 template <int R>
@@ -370,11 +421,7 @@ void AttentionTileAvx2(const AttentionTile& t) {
   float alpha[kAttentionQueryBlock];
   for (int64_t c0 = 0; c0 < t.d_head; c0 += kDimChunk) {
     const int64_t cn = std::min(kDimChunk, t.d_head - c0);
-    for (int64_t c = 0; c < cn; ++c) {
-      for (int64_t j = 0; j < kAttentionTile; ++j) {
-        kt[c][j] = j < t.keys ? t.k[j * t.ld + c0 + c] : 0.0f;
-      }
-    }
+    TransposeKeys(t.k + c0, t.ld, t.keys, cn, kt);
     int64_t r = t.First();
     for (; r + 4 <= t.rows; r += 4) {
       TileScores<4>(t.q + r * t.ld + c0, t.ld, kt, cn, c0 == 0, w + r);

@@ -241,36 +241,23 @@ void GemmQuantized(const float* a, const QuantizedMatrix& b, float* c, int64_t m
   const int64_t mc = config.mc;
   const int64_t nc = config.nc;
   const int64_t kc = config.kc;
-  const int mr = config.mr;
-  const int nr = config.nr;
 
   // A panels + B panels + one dequantized B row.
   float* pack_a = workspace.Ensure(mc * kc + kc * nc + nc);
   float* pack_b = pack_a + mc * kc;
   float* row_buf = pack_b + kc * nc;
 
+  // B is dequantized while packing, so it is always read from packed panels.
   for (int64_t jc = 0; jc < n; jc += nc) {
     const int64_t nc_eff = std::min(nc, n - jc);
     for (int64_t pc = 0; pc < k; pc += kc) {
       const int64_t kc_eff = std::min(kc, k - pc);
-      PackBQuantized(b, pc, jc, kc_eff, nc_eff, nr, pack_b, row_buf, variant);
+      PackBQuantized(b, pc, jc, kc_eff, nc_eff, config.nr, pack_b, row_buf, variant);
       for (int64_t ic = 0; ic < m; ic += mc) {
         const int64_t mc_eff = std::min(mc, m - ic);
-        PackAPanels(a + ic * k + pc, k, mc_eff, kc_eff, mr, pack_a);
-        for (int64_t jr = 0; jr < nc_eff; jr += nr) {
-          const int n_eff = static_cast<int>(std::min<int64_t>(nr, nc_eff - jr));
-          const float* b_panel = pack_b + (jr / nr) * (kc_eff * nr);
-          for (int64_t ir = 0; ir < mc_eff; ir += mr) {
-            const int m_eff = static_cast<int>(std::min<int64_t>(mr, mc_eff - ir));
-            const float* a_panel = pack_a + (ir / mr) * (kc_eff * mr);
-            float* c_tile = c + (ic + ir) * n + jc + jr;
-            if (m_eff == mr && n_eff == nr) {
-              kernel->full(kc_eff, a_panel, b_panel, c_tile, n);
-            } else {
-              kernel->edge(kc_eff, a_panel, b_panel, c_tile, n, m_eff, n_eff);
-            }
-          }
-        }
+        PackAPanels(a + ic * k + pc, k, mc_eff, kc_eff, config.mr, pack_a);
+        RunMicroKernels(*kernel, pack_a, mc_eff, pack_b, kc_eff, config.nr, nc_eff, kc_eff,
+                        c + ic * n + jc, n);
       }
     }
   }

@@ -293,6 +293,45 @@ TEST(KernelDiffTest, DecodeRowDelegatesToFusedGemv) {
   }
 }
 
+// A row's GEMM result must not depend on how many rows share the call:
+// continuous batching and servebench's solo re-run compare a row computed in
+// a batch with the same row computed alone. A call of at most mr rows reads B
+// in place when n is a multiple of nr (ReadsBInPlace); a taller call packs B.
+// Both must give the same bits, also across kc blocks (k > kc) and with a
+// zero-padded edge panel (n not a multiple of nr, packed on both sides).
+TEST(KernelDiffTest, GemmRowsDoNotDependOnTheBPath) {
+  for (KernelVariant variant : AvailableKernelVariants()) {
+    for (const auto& [mr, nr] : MicroKernelShapes(variant)) {
+      const TileConfig config = WrapConfig(mr, nr);
+      const int64_t m = 3 * mr + 1;
+      const int64_t k = 2 * config.kc + 5;
+      for (int64_t n : {4 * nr, 3 * nr + 1}) {
+        Rng rng(0x9A7Bull ^ static_cast<uint64_t>(mr * 1000 + nr * 10 + n));
+        Tensor a = Tensor::Random(Shape(m, k), rng, 1.0f);
+        Tensor b = Tensor::Random(Shape(k, n), rng, 1.0f);
+        const Tensor c0 = Tensor::Random(Shape(m, n), rng, 1.0f);
+        GemmWorkspace workspace;
+        ASSERT_FALSE(ReadsBInPlace(m, mr, n, nr));
+        Tensor whole = c0.Clone();
+        GemmTiled(a.data(), b.data(), whole.data(), m, n, k, config, workspace, variant);
+        for (int64_t rows : {int64_t{1}, static_cast<int64_t>(mr)}) {
+          Tensor split = c0.Clone();
+          for (int64_t r0 = 0; r0 < m; r0 += rows) {
+            const int64_t count = std::min(rows, m - r0);
+            EXPECT_EQ(ReadsBInPlace(count, mr, n, nr), n % nr == 0);
+            GemmTiled(a.data() + r0 * k, b.data(), split.data() + r0 * n, count, n, k, config,
+                      workspace, variant);
+          }
+          ASSERT_EQ(0, std::memcmp(whole.data(), split.data(),
+                                   static_cast<size_t>(m * n) * sizeof(float)))
+              << KernelVariantName(variant) << " " << mr << "x" << nr << " n " << n
+              << " in calls of " << rows << " rows";
+        }
+      }
+    }
+  }
+}
+
 // Seeded and deterministic: the same call twice is bitwise identical, for
 // every variant and every storage format.
 TEST(KernelDiffTest, RunTwiceIsBitwiseIdentical) {
@@ -434,7 +473,9 @@ bool AttentionClose(double actual, double expected, int64_t visible, int64_t d_h
 }
 
 const int64_t kAttentionContexts[] = {1, kKvBlock - 1, kKvBlock, kKvBlock + 1, 3 * kKvBlock + 5, 392};
-const int64_t kAttentionHeadDims[] = {8, 12, 16};
+// In the AVX2 key transpose, 12 takes a masked column block, 24 three full
+// ones, and 80 two 64-column chunks, the second 16 wide.
+const int64_t kAttentionHeadDims[] = {8, 12, 16, 24, 80};
 
 TEST(AttentionDiffTest, EveryVariantMatchesDoubleReference) {
   for (KernelVariant variant : AvailableKernelVariants()) {
