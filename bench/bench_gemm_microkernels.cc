@@ -6,6 +6,11 @@
 // rows, and the weight-storage shrink in the last column. On hosts without
 // AVX2 the table degrades to the scalar rows — the binary always runs.
 //
+// Two stage tables follow, each a median over repeated timings so they can
+// be compared across commits: prefill-shape GEMMs (whether B is read in
+// place or packed, ReadsBInPlace) and SmallConfig attention over paged KV
+// blocks (a causal prefill and single decode rows, in µs and K+V GB/s).
+//
 // The google-benchmark section below keeps the original per-configuration
 // throughput and dispatcher-overhead microbenchmarks.
 
@@ -22,6 +27,7 @@
 #include "src/kernels/atmm.h"
 #include "src/kernels/gemm.h"
 #include "src/kernels/quant.h"
+#include "src/kernels/transformer_ops.h"
 #include "src/tensor/tensor.h"
 
 namespace vlora {
@@ -113,6 +119,111 @@ void PrintComputePathComparison() {
   }
 }
 
+// Median over `reps` timings of `calls` back-to-back runs of fn, in µs per
+// call, after one warm-up run.
+template <typename Fn>
+double MedianMicrosPerCall(Fn&& fn, int calls, int reps) {
+  fn();
+  std::vector<double> samples;
+  for (int rep = 0; rep < reps; ++rep) {
+    Stopwatch timer;
+    for (int i = 0; i < calls; ++i) {
+      fn();
+    }
+    samples.push_back(timer.ElapsedMicros() / calls);
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+// GEMMs at SmallConfig prefill shapes (40-row VQA turns, the 392-row video
+// prompt). Narrow B is read in place at any height; the 1024-wide B packs.
+void PrintPrefillGemmStages() {
+  const BenchShape shapes[] = {
+      {"40x128*128x128", 40, 128, 128},   {"40x128*128x512", 40, 128, 512},
+      {"392x128*128x128", 392, 128, 128}, {"392x128*128x512", 392, 128, 512},
+      {"40x128*128x1024", 40, 128, 1024},
+  };
+  AsciiTable table({"shape", "variant", "B", "us (median of 21)", "GFLOP/s"});
+  for (const BenchShape& shape : shapes) {
+    Rng rng(13);
+    Tensor a = Tensor::Random(Shape(shape.m, shape.k), rng, 1.0f);
+    Tensor b = Tensor::Random(Shape(shape.k, shape.n), rng, 1.0f);
+    Tensor c = Tensor::Zeros(Shape(shape.m, shape.n));
+    GemmWorkspace workspace;
+    for (KernelVariant variant : AvailableKernelVariants()) {
+      const TileConfig config =
+          AtmmDispatcher::HeuristicConfig(shape.m, shape.n, shape.k, variant);
+      const double us = MedianMicrosPerCall(
+          [&] {
+            GemmTiled(a.data(), b.data(), c.data(), shape.m, shape.n, shape.k, config, workspace,
+                      variant);
+          },
+          20, 21);
+      const bool in_place = ReadsBInPlace(shape.m, config.mr, shape.n, config.nr);
+      table.AddRow({shape.label, KernelVariantName(variant), in_place ? "in place" : "packed",
+                    AsciiTable::FormatDouble(us, 2),
+                    AsciiTable::FormatDouble(2.0 * shape.m * shape.n * shape.k / us / 1e3, 2)});
+    }
+  }
+  table.Print("Prefill-shape GEMMs (AtmmDispatcher heuristic tile)");
+}
+
+// SmallConfig attention (8 heads of 16) over paged 16-row KV blocks laid out
+// as the engine stores them: per block a key panel, then value rows.
+struct PagedKv {
+  static constexpr int64_t kBlock = 16;
+  static constexpr int64_t kDim = 128;
+  std::vector<float> pool;
+  std::vector<KvSpan> spans;
+
+  explicit PagedKv(int64_t keys) {
+    const int64_t blocks = (keys + kBlock - 1) / kBlock;
+    Rng rng(17);
+    pool.resize(static_cast<size_t>(blocks * 2 * kBlock * kDim));
+    for (float& x : pool) {
+      x = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+    }
+    for (int64_t b = 0; b < blocks; ++b) {
+      const float* k = pool.data() + b * 2 * kBlock * kDim;
+      spans.push_back({k, k + kBlock * kDim, std::min(kBlock, keys - b * kBlock)});
+    }
+  }
+};
+
+void PrintAttentionStages() {
+  const int64_t d = PagedKv::kDim;
+  AsciiTable table({"stage", "variant", "us per call (median of 21)", "K+V GB/s"});
+  auto add = [&](const std::string& label, int64_t rows, int64_t keys, int calls) {
+    const PagedKv kv(keys);
+    Rng rng(19);
+    Tensor q = Tensor::Random(Shape(rows, d), rng, 1.0f);
+    Tensor out = Tensor::Zeros(Shape(rows, d));
+    const AttentionArgs args{.q = q.data(), .out = out.data(), .num_rows = rows,
+                             .first_pos = keys - rows, .spans = kv.spans.data(),
+                             .num_spans = static_cast<int64_t>(kv.spans.size()), .ld = d,
+                             .panel = PagedKv::kBlock, .num_heads = 8, .d_head = 16};
+    // K and V bytes the tiles read: each 64-row query block reads every key
+    // its causal rows can see.
+    double bytes = 0.0;
+    for (int64_t r0 = 0; r0 < rows; r0 += 64) {
+      bytes += 2.0 * static_cast<double>(std::min(keys, keys - rows + r0 + 64) * d) * 4.0;
+    }
+    for (KernelVariant variant : AvailableKernelVariants()) {
+      const double us = MedianMicrosPerCall([&] { Attention(args, variant); }, calls, 21);
+      table.AddRow({label, KernelVariantName(variant), AsciiTable::FormatDouble(us, 2),
+                    AsciiTable::FormatDouble(bytes / us / 1e3, 2)});
+    }
+  };
+  add("prefill 392 rows, causal", 392, 392, 2);
+  for (int64_t keys : {96, 256, 1024}) {
+    add("decode 1 row over " + std::to_string(keys) + " keys", 1, keys, 32);
+  }
+  table.Print("Attention, 8 heads of 16, paged 16-row KV blocks");
+  std::printf(
+      "long-context target (not a gate): decode over 1024 keys reads >= 15 GB/s of K+V\n");
+}
+
 void BM_GemmTiledDown(benchmark::State& state) {
   const int64_t m = state.range(0);  // token rows
   const int64_t k = 1024;            // d_model
@@ -179,6 +290,8 @@ BENCHMARK(BM_GemmNaiveReference)->Arg(16)->Arg(256);
 
 int main(int argc, char** argv) {
   vlora::PrintComputePathComparison();
+  vlora::PrintPrefillGemmStages();
+  vlora::PrintAttentionStages();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + full test suite (plus an explicit
 # `ctest -L e2e_process` pass over the forked-executor suites), the kernels
-# label and the engine tests rerun on the scalar kernel variant, the
-# servebench self-test (bench-smoke), the static-analysis stage (vlora_lint, Clang thread-safety build,
-# clang-tidy), then the concurrency-labelled tests (cluster, fault
+# label, the engine, KV cache, vision tower and trainer tests rerun on the
+# scalar kernel variant, the servebench self-test (bench-smoke), the
+# static-analysis stage (vlora_lint, Clang thread-safety build, clang-tidy),
+# then the concurrency-labelled tests (cluster, fault
 # injection, thread pool, ATMM dispatch) and the kernels-labelled tests
 # (differential micro-kernel harness, quantization) under both
 # ThreadSanitizer and AddressSanitizer+UBSan. The ASan tree also runs the
@@ -57,10 +58,12 @@ record "disagg tests" "pass"
 echo "=== scalar variant: kernels label + engine tests on the portable kernels ==="
 # On an AVX2 host the scalar micro-kernels (packed and in-place B), the
 # scalar attention tile and the scalar LM head otherwise run only inside
-# kernel_diff_test's cross-variant sweeps; this reruns them end to end.
+# kernel_diff_test's cross-variant sweeps; this reruns them end to end. The
+# KV cache, vision tower and trainer suites reach the key-panel layout
+# through the scalar tile too.
 VLORA_KERNEL_VARIANT=scalar ctest --test-dir build --output-on-failure -L kernels
 VLORA_KERNEL_VARIANT=scalar ctest --test-dir build --output-on-failure \
-  -R '^(engine_test|engine_edge_test)$'
+  -R '^(engine_test|engine_edge_test|kv_cache_test|vision_tower_test|lora_trainer_test)$'
 record "scalar-variant tests" "pass"
 
 echo "=== trace-overhead guard (fails above 5%) ==="

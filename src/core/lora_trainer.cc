@@ -82,11 +82,12 @@ LoraTrainer::ForwardCache LoraTrainer::ForwardWithCache(const std::vector<int32_
   Tensor q = Tensor::Zeros(Shape(n, d));
   Tensor k = Tensor::Zeros(Shape(n, d));
   Tensor v = Tensor::Zeros(Shape(n, d));
+  Tensor kt = Tensor::Zeros(Shape(d, n));
   Tensor attn = Tensor::Zeros(Shape(n, d));
   Tensor proj = Tensor::Zeros(Shape(n, d));
   Tensor mid = Tensor::Zeros(Shape(n, ff));
   Tensor mlp = Tensor::Zeros(Shape(n, d));
-  const KvSpan span{k.data(), v.data(), n};
+  const KvSpan span{kt.data(), v.data(), n};
   ForwardCache cache;
 
   for (int layer = 0; layer < config.num_layers; ++layer) {
@@ -101,8 +102,9 @@ LoraTrainer::ForwardCache LoraTrainer::ForwardWithCache(const std::vector<int32_
     atmm.Execute(normed, w.wk, k);
     atmm.Execute(normed, w.wv, v);
 
+    PackKeyPanel(k.data(), n, d, kt.data());
     Attention({.q = q.data(), .out = attn.data(), .num_rows = n, .spans = &span, .num_spans = 1,
-               .ld = d, .num_heads = config.num_heads, .d_head = config.d_head()});
+               .ld = d, .panel = n, .num_heads = config.num_heads, .d_head = config.d_head()});
     if (last) {
       cache.attn_row.assign(attn.data() + (n - 1) * d, attn.data() + n * d);
     }

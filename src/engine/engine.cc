@@ -273,8 +273,7 @@ void InferenceEngine::AppendKv(Sequence& seq, int layer, int64_t pos, const floa
     const int64_t block_id = seq.cache.blocks[static_cast<size_t>(block_index)];
     // Shared blocks are full prompt blocks and never written again.
     VLORA_CHECK(kv_->RefCount(block_id) == 1 || abs_pos < seq.reused);
-    std::memcpy(kv_->KPtr(block_id, layer) + in_block * d, k_rows + t * d,
-                static_cast<size_t>(d) * sizeof(float));
+    WriteKeyRow(k_rows + t * d, d, block, in_block, kv_->KPtr(block_id, layer));
     std::memcpy(kv_->VPtr(block_id, layer) + in_block * d, v_rows + t * d,
                 static_cast<size_t>(d) * sizeof(float));
   }
@@ -435,7 +434,7 @@ const float* InferenceEngine::Forward(std::vector<Sequence*>& batch,
       }
       Attention({.q = q.data() + row_offsets[s] * d, .out = attn.data() + row_offsets[s] * d,
                  .num_rows = row_counts[s], .first_pos = seq.computed, .spans = kv_spans_.data(),
-                 .num_spans = num_spans, .ld = d, .num_heads = config_.num_heads,
+                 .num_spans = num_spans, .ld = d, .panel = block, .num_heads = config_.num_heads,
                  .d_head = d_head});
     }
 

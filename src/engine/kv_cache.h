@@ -7,9 +7,14 @@
 // SGLang prefix-matching reuse §5 describes. Block memory is charged to the
 // UnifiedMemoryPool shared with adapter weights.
 //
-// Layout: one block stores K and V for all layers for its token positions:
-//   kv[layer][k_or_v][token_in_block][d_model]
-// which keeps a block self-contained and the per-layer stride computable.
+// Layout: one block stores K and V for all layers for its token positions,
+// per layer its K then its V:
+//   K: kt[d_model][block_size]  a key panel (KvSpan, transformer_ops.h):
+//                               column c of the key at token t-in-block is
+//                               kt[c][t], written by WriteKeyRow
+//   V: v[block_size][d_model]   row t is the value at token t-in-block
+// The attention tile reads both where they lie. A block stays self-contained
+// and the per-layer stride computable; KvHandle pages copy its bytes as is.
 
 #ifndef VLORA_SRC_ENGINE_KV_CACHE_H_
 #define VLORA_SRC_ENGINE_KV_CACHE_H_
@@ -48,8 +53,9 @@ class KvBlockManager {
   void Release(int64_t block_id);
   int RefCount(int64_t block_id) const;
 
-  // Pointer to K (or V) for `layer` within the block. Row t of the returned
-  // region is token position t-in-block, d_model floats wide.
+  // Pointer to K (or V) for `layer` within the block: K is the layer's key
+  // panel, block_size keys wide; row t of V is token t-in-block, d_model
+  // floats wide (layout above).
   float* KPtr(int64_t block_id, int layer);
   float* VPtr(int64_t block_id, int layer);
   const float* KPtr(int64_t block_id, int layer) const;

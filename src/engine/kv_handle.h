@@ -5,10 +5,10 @@
 // if it had run the prefill itself: the token buffer (prompt plus the first
 // sampled token), the prefill bookkeeping (computed / reused / generated),
 // and one KvPage per KV block — a verbatim copy of the block's floats in the
-// engine's native layout (kv[layer][k|v][token][d_model], see
-// KvBlockManager::FloatsPerBlock). Pages are whole-block copies; the tail of
-// a partially filled last block is never read by the consumer, because every
-// read is bounded by `computed`.
+// engine's native layout (per layer a key panel then value rows, see
+// kv_cache.h); both ends run one binary, so the layout needs no conversion.
+// Pages are whole-block copies; the tail of a partially filled last block is
+// never read by the consumer, because every read is bounded by `computed`.
 //
 // Handles are immutable once built. Thread replicas move the shared_ptr
 // through the handoff handler; process replicas serialise the same struct as

@@ -105,11 +105,12 @@ Tensor VisionTower::Encode(const Tensor& image) {
   Tensor q = Tensor::Zeros(Shape(n, dv));
   Tensor k = Tensor::Zeros(Shape(n, dv));
   Tensor v = Tensor::Zeros(Shape(n, dv));
+  Tensor kt = Tensor::Zeros(Shape(dv, n));
   Tensor attn = Tensor::Zeros(Shape(n, dv));
   Tensor proj = Tensor::Zeros(Shape(n, dv));
   Tensor mid = Tensor::Zeros(Shape(n, 2 * dv));
   Tensor mlp = Tensor::Zeros(Shape(n, dv));
-  const KvSpan span{k.data(), v.data(), n};
+  const KvSpan span{kt.data(), v.data(), n};
 
   for (const Block& block : blocks_) {
     RmsNormRows(x.data(), block.norm1.data(), normed.data(), n, dv);
@@ -119,9 +120,10 @@ Tensor VisionTower::Encode(const Tensor& image) {
     atmm_.Execute(normed, block.wq, q);
     atmm_.Execute(normed, block.wk, k);
     atmm_.Execute(normed, block.wv, v);
+    PackKeyPanel(k.data(), n, dv, kt.data());
     Attention({.q = q.data(), .out = attn.data(), .num_rows = n, .spans = &span, .num_spans = 1,
-               .ld = dv, .num_heads = config_.num_heads, .d_head = dv / config_.num_heads,
-               .causal = false});
+               .ld = dv, .panel = n, .num_heads = config_.num_heads,
+               .d_head = dv / config_.num_heads, .causal = false});
     proj.Fill(0.0f);
     atmm_.Execute(attn, block.wo, proj);
     x.AddInPlace(proj);

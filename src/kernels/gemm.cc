@@ -182,7 +182,9 @@ void RunMicroKernels(const MicroKernelEntry& kernel, const float* pack_a, int64_
   }
 }
 
-bool ReadsBInPlace(int64_t m, int mr, int64_t n, int nr) { return m <= mr && n % nr == 0; }
+bool ReadsBInPlace(int64_t m, int mr, int64_t n, int nr) {
+  return n % nr == 0 && (m <= mr || n <= kInPlaceMaxCols);
+}
 
 void GemmTiled(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
                const TileConfig& config, GemmWorkspace& workspace, KernelVariant variant) {

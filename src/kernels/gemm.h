@@ -3,9 +3,9 @@
 // GemmTiled computes C += A * B (row-major) using the BLIS-style loop nest:
 // the B block (kc x nc) and A block (mc x kc) are packed into contiguous
 // panels sized for the cache hierarchy, then a register-blocked mr x nr
-// micro-kernel sweeps the packed panels. A one-panel GEMM (ReadsBInPlace)
-// reads B where it lies instead: each weight is used once, so packing would
-// only copy it. The micro-kernels are compiled ahead of time as template
+// micro-kernel sweeps the packed panels. A one-panel GEMM or a narrow B
+// (ReadsBInPlace) is read where it lies instead, so packing would only copy
+// it. The micro-kernels are compiled ahead of time as template
 // instantiations — the CPU analog of ATMM's pre-compiled CUTLASS kernels —
 // and selected through a per-variant function-pointer table (microkernel.h):
 // portable scalar always, AVX2+FMA when the host supports it.
@@ -44,11 +44,18 @@ void GemmTiled(const float* a, const float* b, float* c, int64_t m, int64_t n, i
 void GemmTiled(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
                const TileConfig& config, GemmWorkspace& workspace);
 
+// Widest B, in columns, that taller GEMMs still read in place: rows at most
+// 2 KiB apart. At 4 KiB strides a panel's rows alias in L1 and packing wins.
+inline constexpr int64_t kInPlaceMaxCols = 512;
+
 // True when GemmTiled and GemmTiledParallel read B in place rather than
-// packing it: one micro-panel of A covers every row (m <= mr), so each B
-// panel is consumed once, and every column panel is a full nr wide (n a
-// multiple of nr), so none needs zero padding. The micro-kernel sums the same
-// values in the same order either way, so both paths are bitwise equal.
+// packing it. Every column panel must be a full nr wide (n a multiple of nr),
+// so none needs zero padding; then either one micro-panel of A covers every
+// row (m <= mr), so each B panel is consumed once and packing would only copy
+// it, or B is narrow (n <= kInPlaceMaxCols), so its rows are close enough
+// that reading them where they lie is as cheap as reading a packed panel.
+// The micro-kernel sums the same values in the same order either way, so
+// both paths are bitwise equal.
 bool ReadsBInPlace(int64_t m, int mr, int64_t n, int nr);
 
 // Convenience overload on tensors; shapes are validated.

@@ -102,12 +102,14 @@ inline constexpr int64_t kAttentionQueryBlock = 64;  // query rows per tile call
 
 // One key tile of one head against a query block: row r folds the tile's
 // first Visible(r) keys into its running max m[r], sum l[r] and output row.
+// k points into a key panel (KvSpan): column c of key j at k[c * panel + j].
 struct AttentionTile {
   const float* q = nullptr;
   float* out = nullptr;
   const float* k = nullptr;
   const float* v = nullptr;
   int64_t ld = 0;
+  int64_t panel = 0;
   int64_t d_head = 0;
   float scale = 0.0f;
   int64_t keys = 0;

@@ -260,8 +260,6 @@ void DequantRowQ4(const uint8_t* row_blocks, int64_t cols, float* dst) {
 // --- attention tile (microkernel.h): every per-row step is lane-wise or a
 // fixed reduction tree, so rows sharing a tile never affect each other ---
 
-constexpr int64_t kDimChunk = 64;  // head dimensions transposed at a time
-
 // e^x for x <= 0: Cephes expf reduction and polynomial, about 1 ulp. x is
 // clamped at ln(FLT_MIN), so callers mask lanes that must be exactly zero.
 inline __m256 ExpNonPositive(__m256 x) {
@@ -294,82 +292,129 @@ inline __m256i LaneMask(int64_t n) {
                             _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
-// The first min(n, 8) floats at p, zero in the other lanes.
-inline __m256 LoadUpTo8(const float* p, int64_t n) {
-  return n >= 8 ? _mm256_loadu_ps(p) : _mm256_maskload_ps(p, LaneMask(n));
+// The 16 floats at p under the two lane masks; masked lanes read as zero.
+inline void LoadCols(const float* p, const __m256i (&mask)[2], __m256 (&x)[2]) {
+  x[0] = _mm256_maskload_ps(p, mask[0]);
+  x[1] = _mm256_maskload_ps(p + 8, mask[1]);
 }
 
-// Transposes the 8x8 block held as rows r[0..8) in place: r[i] becomes
-// column i.
-inline void Transpose8x8(__m256 (&r)[8]) {
-  __m256 t[8];
-#pragma GCC unroll 4
-  for (int i = 0; i < 8; i += 2) {
-    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
-    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
-  }
-  __m256 s[8];
-#pragma GCC unroll 2
-  for (int h = 0; h < 8; h += 4) {  // rows 0-3, then rows 4-7
-    s[h] = _mm256_shuffle_ps(t[h], t[h + 2], _MM_SHUFFLE(1, 0, 1, 0));
-    s[h + 1] = _mm256_shuffle_ps(t[h], t[h + 2], _MM_SHUFFLE(3, 2, 3, 2));
-    s[h + 2] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(1, 0, 1, 0));
-    s[h + 3] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(3, 2, 3, 2));
-  }
-#pragma GCC unroll 4
-  for (int i = 0; i < 4; ++i) {
-    r[i] = _mm256_permute2f128_ps(s[i], s[i + 4], 0x20);
-    r[i + 4] = _mm256_permute2f128_ps(s[i], s[i + 4], 0x31);
-  }
-}
-
-// kt[c][j] = k[j * ld + c] for the tile's 16 keys and the cn <= kDimChunk
-// columns at k, in 8x8 register transposes. Keys past `keys` enter as zero
-// rows and a ragged column block is read with masked loads.
-inline void TransposeKeys(const float* k, int64_t ld, int64_t keys, int64_t cn,
-                          float (*kt)[kAttentionTile]) {
-  for (int64_t j0 = 0; j0 < kAttentionTile; j0 += 8) {
-    for (int64_t c = 0; c < cn; c += 8) {
-      __m256 r[8];
-#pragma GCC unroll 8
-      for (int i = 0; i < 8; ++i) {
-        r[i] = j0 + i < keys ? LoadUpTo8(k + (j0 + i) * ld + c, cn - c) : _mm256_setzero_ps();
-      }
-      Transpose8x8(r);
-#pragma GCC unroll 8
-      for (int i = 0; i < 8; ++i) {  // rows past cn hold zeros and are never read
-        _mm256_store_ps(kt[c + i] + j0, r[i]);
-      }
-    }
-  }
-}
-
-// s[r][j] (+)= sum over c < cn of q[r * ld + c] * kt[c][j] for R rows, in c
-// order; `first` starts from zero instead of the sums already in s.
-template <int R>
-inline void TileScores(const float* q, int64_t ld, const float (*kt)[kAttentionTile], int64_t cn,
-                       bool first, float (*s)[kAttentionTile]) {
+// w[r + i][j] = sum over c < d_head of q[(r + i) * ld + c] * k[c * panel + j]
+// for the R rows from r and the tile's 16 keys, in c order. A full tile
+// loads each key column whole; a ragged one (keys < 16) loads it under the
+// masks, so no lane reads past the tile and the missing keys score zero.
+template <int R, bool kFullTile>
+inline void RowScores(const AttentionTile& t, int64_t r, const __m256i (&mask)[2],
+                      float (*w)[kAttentionTile]) {
+  const float* q = t.q + r * t.ld;
   __m256 lo[R];
   __m256 hi[R];
 #pragma GCC unroll 4
-  for (int r = 0; r < R; ++r) {
-    lo[r] = first ? _mm256_setzero_ps() : _mm256_load_ps(s[r]);
-    hi[r] = first ? _mm256_setzero_ps() : _mm256_load_ps(s[r] + 8);
+  for (int i = 0; i < R; ++i) {
+    lo[i] = _mm256_setzero_ps();
+    hi[i] = _mm256_setzero_ps();
   }
-  for (int64_t c = 0; c < cn; ++c) {
-    const __m256 k_lo = _mm256_load_ps(kt[c]);
-    const __m256 k_hi = _mm256_load_ps(kt[c] + 8);
+  for (int64_t c = 0; c < t.d_head; ++c) {
+    const float* col = t.k + c * t.panel;
+    __m256 k[2];
+    if (kFullTile) {
+      k[0] = _mm256_loadu_ps(col);
+      k[1] = _mm256_loadu_ps(col + 8);
+    } else {
+      LoadCols(col, mask, k);
+    }
 #pragma GCC unroll 4
-    for (int r = 0; r < R; ++r) {
-      const __m256 qc = _mm256_broadcast_ss(q + r * ld + c);
-      lo[r] = _mm256_fmadd_ps(qc, k_lo, lo[r]);
-      hi[r] = _mm256_fmadd_ps(qc, k_hi, hi[r]);
+    for (int i = 0; i < R; ++i) {
+      const __m256 qc = _mm256_broadcast_ss(q + i * t.ld + c);
+      lo[i] = _mm256_fmadd_ps(qc, k[0], lo[i]);
+      hi[i] = _mm256_fmadd_ps(qc, k[1], hi[i]);
     }
   }
 #pragma GCC unroll 4
-  for (int r = 0; r < R; ++r) {
-    _mm256_store_ps(s[r], lo[r]);
-    _mm256_store_ps(s[r] + 8, hi[r]);
+  for (int i = 0; i < R; ++i) {
+    _mm256_store_ps(w[r + i], lo[i]);
+    _mm256_store_ps(w[r + i] + 8, hi[i]);
+  }
+}
+
+// Every row's scores against the tile, four rows at a time; each row's sums
+// are the same whichever block it shares.
+template <bool kFullTile>
+inline void TileScores(const AttentionTile& t, float (*w)[kAttentionTile]) {
+  const __m256i mask[2] = {LaneMask(t.keys), LaneMask(t.keys - 8)};
+  int64_t r = t.First();
+  for (; r + 4 <= t.rows; r += 4) {
+    RowScores<4, kFullTile>(t, r, mask, w);
+  }
+  for (; r < t.rows; ++r) {
+    RowScores<1, kFullTile>(t, r, mask, w);
+  }
+}
+
+// out[r + i] = out[r + i] * alpha[r + i] + sum over j < Visible(r + i) of
+// w[r + i][j] * v[j] for the R rows from r, 16 columns per pass, so the rows
+// share each V load. Every row keeps its own chains, even keys in one and odd
+// keys in the other, each in key order: keys both rows see go through the
+// shared loop, and a row that sees more keys (a pair straddling the causal
+// diagonal) continues its chains alone. A row's bits therefore match the
+// one-row pass.
+template <int R>
+inline void FoldValues(const AttentionTile& t, int64_t r, const float (*w)[kAttentionTile],
+                       const float* alpha) {
+  int64_t n[R];
+  for (int i = 0; i < R; ++i) {
+    n[i] = t.Visible(r + i);
+  }
+  const int64_t shared = *std::min_element(n, n + R);
+  for (int64_t c = 0; c < t.d_head; c += 16) {
+    const __m256i mask[2] = {LaneMask(t.d_head - c), LaneMask(t.d_head - c - 8)};
+    const float* v = t.v + c;
+    __m256 even[R][2];
+    __m256 odd[R][2];
+#pragma GCC unroll 2
+    for (int i = 0; i < R; ++i) {
+      even[i][0] = even[i][1] = odd[i][0] = odd[i][1] = _mm256_setzero_ps();
+    }
+    int64_t j = 0;
+    for (; j + 2 <= shared; j += 2) {
+      __m256 v0[2];
+      __m256 v1[2];
+      LoadCols(v + j * t.ld, mask, v0);
+      LoadCols(v + (j + 1) * t.ld, mask, v1);
+#pragma GCC unroll 2
+      for (int i = 0; i < R; ++i) {
+        const __m256 w0 = _mm256_broadcast_ss(w[r + i] + j);
+        const __m256 w1 = _mm256_broadcast_ss(w[r + i] + j + 1);
+#pragma GCC unroll 2
+        for (int h = 0; h < 2; ++h) {
+          even[i][h] = _mm256_fmadd_ps(w0, v0[h], even[i][h]);
+          odd[i][h] = _mm256_fmadd_ps(w1, v1[h], odd[i][h]);
+        }
+      }
+    }
+#pragma GCC unroll 2
+    for (int i = 0; i < R; ++i) {
+      for (int64_t key = j; key < n[i]; ++key) {
+        __m256 vk[2];
+        LoadCols(v + key * t.ld, mask, vk);
+        const __m256 wk = _mm256_broadcast_ss(w[r + i] + key);
+        if (key % 2 == 0) {
+          even[i][0] = _mm256_fmadd_ps(wk, vk[0], even[i][0]);
+          even[i][1] = _mm256_fmadd_ps(wk, vk[1], even[i][1]);
+        } else {
+          odd[i][0] = _mm256_fmadd_ps(wk, vk[0], odd[i][0]);
+          odd[i][1] = _mm256_fmadd_ps(wk, vk[1], odd[i][1]);
+        }
+      }
+      float* o = t.out + (r + i) * t.ld + c;
+      __m256 prev[2];
+      LoadCols(o, mask, prev);
+      const __m256 a = _mm256_set1_ps(alpha[r + i]);
+#pragma GCC unroll 2
+      for (int h = 0; h < 2; ++h) {
+        _mm256_maskstore_ps(o + 8 * h, mask[h],
+                            _mm256_fmadd_ps(prev[h], a, _mm256_add_ps(even[i][h], odd[i][h])));
+      }
+    }
   }
 }
 
@@ -416,19 +461,12 @@ QuantDequantRowFn Avx2QuantDequantRow(WeightFormat format) {
 }
 
 void AttentionTileAvx2(const AttentionTile& t) {
-  alignas(32) float kt[kDimChunk][kAttentionTile];            // transposed keys
   alignas(32) float w[kAttentionQueryBlock][kAttentionTile];  // scores, then weights
   float alpha[kAttentionQueryBlock];
-  for (int64_t c0 = 0; c0 < t.d_head; c0 += kDimChunk) {
-    const int64_t cn = std::min(kDimChunk, t.d_head - c0);
-    TransposeKeys(t.k + c0, t.ld, t.keys, cn, kt);
-    int64_t r = t.First();
-    for (; r + 4 <= t.rows; r += 4) {
-      TileScores<4>(t.q + r * t.ld + c0, t.ld, kt, cn, c0 == 0, w + r);
-    }
-    for (; r < t.rows; ++r) {
-      TileScores<1>(t.q + r * t.ld + c0, t.ld, kt, cn, c0 == 0, w + r);
-    }
+  if (t.keys == kAttentionTile) {
+    TileScores<true>(t, w);
+  } else {
+    TileScores<false>(t, w);
   }
 
   const __m256 scale = _mm256_set1_ps(t.scale);
@@ -456,27 +494,13 @@ void AttentionTileAvx2(const AttentionTile& t) {
     t.m[r] = m_new;
   }
 
-  // out = out * alpha + weights x V, 8 columns at a time; even and odd keys
-  // accumulate apart to halve the FMA dependency chains.
-  for (int64_t r = t.First(); r < t.rows; ++r) {
-    const int64_t n = t.Visible(r);
-    for (int64_t c = 0; c < t.d_head; c += 8) {
-      const __m256i mask = LaneMask(t.d_head - c);
-      __m256 even = _mm256_setzero_ps();
-      __m256 odd = _mm256_setzero_ps();
-      for (int64_t j = 0; j < n; j += 2) {
-        even = _mm256_fmadd_ps(_mm256_broadcast_ss(w[r] + j),
-                               _mm256_maskload_ps(t.v + j * t.ld + c, mask), even);
-        if (j + 1 < n) {
-          odd = _mm256_fmadd_ps(_mm256_broadcast_ss(w[r] + j + 1),
-                                _mm256_maskload_ps(t.v + (j + 1) * t.ld + c, mask), odd);
-        }
-      }
-      float* o = t.out + r * t.ld + c;
-      const __m256 acc = _mm256_fmadd_ps(_mm256_maskload_ps(o, mask), _mm256_set1_ps(alpha[r]),
-                                         _mm256_add_ps(even, odd));
-      _mm256_maskstore_ps(o, mask, acc);
-    }
+  // out = out * alpha + weights x V, two rows at a time.
+  int64_t r = t.First();
+  for (; r + 2 <= t.rows; r += 2) {
+    FoldValues<2>(t, r, w, alpha);
+  }
+  if (r < t.rows) {
+    FoldValues<1>(t, r, w, alpha);
   }
 }
 

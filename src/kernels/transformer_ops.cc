@@ -49,7 +49,7 @@ void AttentionTileScalar(const AttentionTile& t) {
     for (int64_t j = 0; j < n; ++j) {
       float dot = 0.0f;
       for (int64_t c = 0; c < t.d_head; ++c) {
-        dot += t.q[r * t.ld + c] * t.k[j * t.ld + c];
+        dot += t.q[r * t.ld + c] * t.k[c * t.panel + j];
       }
       scores[j] = dot * t.scale;
       m_new = std::max(m_new, scores[j]);
@@ -71,9 +71,16 @@ void AttentionTileScalar(const AttentionTile& t) {
   }
 }
 
+void PackKeyPanel(const float* k, int64_t rows, int64_t ld, float* kt) {
+  for (int64_t j = 0; j < rows; ++j) {
+    WriteKeyRow(k + j * ld, ld, rows, j, kt);
+  }
+}
+
 void Attention(const AttentionArgs& a, KernelVariant variant) {
   int64_t keys = 0;
   for (int64_t s = 0; s < a.num_spans; ++s) {
+    VLORA_CHECK(a.spans[s].rows <= a.panel);
     keys += a.spans[s].rows;
   }
   // Every head fits the row stride; a causal row needs its own key cached.
@@ -82,7 +89,7 @@ void Attention(const AttentionArgs& a, KernelVariant variant) {
               (a.causal ? a.first_pos + a.num_rows <= keys : keys > 0));
   float m[kAttentionQueryBlock];
   float l[kAttentionQueryBlock];
-  AttentionTile tile{.ld = a.ld, .d_head = a.d_head, .m = m, .l = l};
+  AttentionTile tile{.ld = a.ld, .panel = a.panel, .d_head = a.d_head, .m = m, .l = l};
   tile.scale = 1.0f / std::sqrt(static_cast<float>(a.d_head));
   for (int64_t r0 = 0; r0 < a.num_rows; r0 += kAttentionQueryBlock) {
     tile.rows = std::min(kAttentionQueryBlock, a.num_rows - r0);
@@ -101,7 +108,7 @@ void Attention(const AttentionArgs& a, KernelVariant variant) {
       for (int64_t s = 0; span_pos < end; ++s) {
         const KvSpan& span = a.spans[s];
         for (int64_t t0 = 0; t0 < span.rows && span_pos + t0 < end; t0 += kAttentionTile) {
-          tile.k = span.k + t0 * a.ld + off;
+          tile.k = span.k + off * a.panel + t0;
           tile.v = span.v + t0 * a.ld + off;
           tile.keys = std::min(kAttentionTile, span.rows - t0);
           // Causal row r sits at block_pos + r and sees the keys up to itself.

@@ -21,12 +21,29 @@ void SiluInPlace(float* x, int64_t n);
 // Adds the sinusoidal embedding of absolute `position` to one d-wide row.
 void AddPositionEmbedding(float* row, int64_t d, int64_t position);
 
-// `rows` cached key and value rows read in place; row r of K is at k + r * ld.
+// `rows` cached keys and values at consecutive positions, read in place.
+// K is a key panel `panel` keys wide (AttentionArgs::panel, rows <= panel):
+// column c of key j lies at k[c * panel + j], so each column of a key tile is
+// contiguous and the tile loads it as is. V is row-major: row j at
+// v + j * ld. A KV block stores its K this way with panel = block size
+// (kv_cache.h).
 struct KvSpan {
   const float* k = nullptr;
   const float* v = nullptr;
   int64_t rows = 0;
 };
+
+// Stores the d floats of `key` as key j of the panel kt, `panel` keys wide.
+inline void WriteKeyRow(const float* key, int64_t d, int64_t panel, int64_t j, float* kt) {
+  for (int64_t c = 0; c < d; ++c) {
+    kt[c * panel + j] = key[c];
+  }
+}
+
+// Packs `rows` dense keys (row j at k + j * ld, ld floats wide) into one
+// panel kt of rows * ld floats, `rows` keys wide: a single span over them
+// has panel = rows.
+void PackKeyPanel(const float* k, int64_t rows, int64_t ld, float* kt);
 
 struct AttentionArgs {
   const float* q = nullptr;  // num_rows query rows; row i at q + i * ld
@@ -35,7 +52,8 @@ struct AttentionArgs {
   int64_t first_pos = 0;          // absolute position of query row 0
   const KvSpan* spans = nullptr;  // keys in order; span 0 starts at position 0
   int64_t num_spans = 0;
-  int64_t ld = 0;  // row stride of q, out and every span (d_model)
+  int64_t ld = 0;     // row stride of q, out and every span's V (d_model)
+  int64_t panel = 0;  // width of every span's key panel (KvSpan)
   int num_heads = 0;
   int64_t d_head = 0;
   bool causal = true;  // the row at position p sees keys [0, p]; else all keys

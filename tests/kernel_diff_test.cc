@@ -14,10 +14,11 @@
 // is run twice and must be bitwise identical to itself.
 //
 // Attention (transformer_ops.h) gets the same treatment against a
-// double-precision two-pass softmax over paged K/V spans, plus the per-row
-// invariant the engine relies on: within a variant, a query row's output is
-// bitwise identical whether it is computed in a whole prefill, in a chunk
-// after a block-aligned reused prefix, or alone as a decode row.
+// double-precision two-pass softmax over paged K/V spans at KV block sizes 8,
+// 16 and 32, plus the per-row invariant the engine relies on: within a
+// variant, a query row's output is bitwise identical whether it is computed
+// in a whole prefill, in a chunk after a block-aligned reused prefix, in a
+// two-row call across the causal diagonal, or alone as a decode row.
 
 #include <gtest/gtest.h>
 
@@ -296,22 +297,25 @@ TEST(KernelDiffTest, DecodeRowDelegatesToFusedGemv) {
 // A row's GEMM result must not depend on how many rows share the call:
 // continuous batching and servebench's solo re-run compare a row computed in
 // a batch with the same row computed alone. A call of at most mr rows reads B
-// in place when n is a multiple of nr (ReadsBInPlace); a taller call packs B.
-// Both must give the same bits, also across kc blocks (k > kc) and with a
-// zero-padded edge panel (n not a multiple of nr, packed on both sides).
+// in place when n is a multiple of nr (ReadsBInPlace), and so does a taller
+// call while n <= kInPlaceMaxCols; a taller call over a wider B packs it.
+// Every path must give the same bits, also across kc blocks (k > kc) and with
+// a zero-padded edge panel (n not a multiple of nr, packed on both sides).
 TEST(KernelDiffTest, GemmRowsDoNotDependOnTheBPath) {
+  // A multiple of every nr, just past the widest B read in place when tall.
+  const int64_t wide = (kInPlaceMaxCols / 16 + 1) * 16;
   for (KernelVariant variant : AvailableKernelVariants()) {
     for (const auto& [mr, nr] : MicroKernelShapes(variant)) {
       const TileConfig config = WrapConfig(mr, nr);
       const int64_t m = 3 * mr + 1;
       const int64_t k = 2 * config.kc + 5;
-      for (int64_t n : {4 * nr, 3 * nr + 1}) {
+      for (int64_t n : std::initializer_list<int64_t>{4 * nr, 3 * nr + 1, wide}) {
         Rng rng(0x9A7Bull ^ static_cast<uint64_t>(mr * 1000 + nr * 10 + n));
         Tensor a = Tensor::Random(Shape(m, k), rng, 1.0f);
         Tensor b = Tensor::Random(Shape(k, n), rng, 1.0f);
         const Tensor c0 = Tensor::Random(Shape(m, n), rng, 1.0f);
         GemmWorkspace workspace;
-        ASSERT_FALSE(ReadsBInPlace(m, mr, n, nr));
+        ASSERT_EQ(ReadsBInPlace(m, mr, n, nr), n % nr == 0 && n <= kInPlaceMaxCols);
         Tensor whole = c0.Clone();
         GemmTiled(a.data(), b.data(), whole.data(), m, n, k, config, workspace, variant);
         for (int64_t rows : {int64_t{1}, static_cast<int64_t>(mr)}) {
@@ -363,13 +367,21 @@ TEST(KernelDiffTest, RunTwiceIsBitwiseIdentical) {
 
 // --- Attention -------------------------------------------------------------
 
-constexpr int64_t kKvBlock = 16;
+// KV block sizes the attention suites run at: 8 is what engine_edge_test
+// serves, 16 the engine default (one block per key tile), 32 two tiles per
+// block.
+const int64_t kKvBlocks[] = {8, 16, 32};
 
 // Queries, keys and values for `ctx` positions, with K/V also stored as
-// kKvBlock-row pages in a pool in reverse block order, so the kernel reads
-// scattered spans in place the way the engine reads KvBlockManager blocks.
+// `block`-position pages in a pool in reverse block order, each laid out as
+// a KvBlockManager block layer: K as a key panel `block` keys wide (column c
+// of key j at [c * block + j]), then V as rows. The kernel reads scattered
+// spans in place the way the engine reads KV blocks. The pool starts as NaN,
+// so a kernel that folds in a key or value past a ragged page's last row
+// fails every comparison.
 struct AttentionCase {
   int64_t ctx = 0;
+  int64_t block = 0;
   int heads = 0;
   int64_t d_head = 0;
   int64_t ld = 0;
@@ -378,32 +390,38 @@ struct AttentionCase {
   Tensor v;
   std::vector<float> pool;
 
-  AttentionCase(int64_t ctx_in, int heads_in, int64_t d_head_in, uint64_t seed)
-      : ctx(ctx_in), heads(heads_in), d_head(d_head_in), ld(heads_in * d_head_in) {
+  AttentionCase(int64_t ctx_in, int64_t block_in, int heads_in, int64_t d_head_in, uint64_t seed)
+      : ctx(ctx_in), block(block_in), heads(heads_in), d_head(d_head_in), ld(heads_in * d_head_in) {
     Rng rng(seed);
     q = Tensor::Random(Shape(ctx, ld), rng, 1.0f);
     k = Tensor::Random(Shape(ctx, ld), rng, 1.0f);
     v = Tensor::Random(Shape(ctx, ld), rng, 1.0f);
-    const int64_t blocks = (ctx + kKvBlock - 1) / kKvBlock;
-    pool.assign(static_cast<size_t>(blocks * 2 * kKvBlock * ld), 0.0f);
+    const int64_t blocks = (ctx + block - 1) / block;
+    pool.assign(static_cast<size_t>(blocks * 2 * block * ld),
+                std::numeric_limits<float>::quiet_NaN());
     for (int64_t b = 0; b < blocks; ++b) {
-      const int64_t rows = std::min(kKvBlock, ctx - b * kKvBlock);
-      const size_t bytes = static_cast<size_t>(rows * ld) * sizeof(float);
-      std::memcpy(PageK(b), k.data() + b * kKvBlock * ld, bytes);
-      std::memcpy(PageK(b) + kKvBlock * ld, v.data() + b * kKvBlock * ld, bytes);
+      for (int64_t j = 0; j < std::min(block, ctx - b * block); ++j) {
+        const int64_t pos = b * block + j;
+        for (int64_t c = 0; c < ld; ++c) {
+          PageK(b)[c * block + j] = k.data()[pos * ld + c];
+        }
+        std::memcpy(PageV(b) + j * ld, v.data() + pos * ld,
+                    static_cast<size_t>(ld) * sizeof(float));
+      }
     }
   }
 
-  float* PageK(int64_t block) {
-    const int64_t slot = (ctx + kKvBlock - 1) / kKvBlock - 1 - block;
-    return pool.data() + slot * 2 * kKvBlock * ld;
+  float* PageK(int64_t b) {
+    const int64_t slot = (ctx + block - 1) / block - 1 - b;
+    return pool.data() + slot * 2 * block * ld;
   }
+  float* PageV(int64_t b) { return PageK(b) + block * ld; }
 
   // One span per block over keys [0, keys); the last one may be ragged.
   std::vector<KvSpan> Spans(int64_t keys) {
     std::vector<KvSpan> spans;
-    for (int64_t b = 0; b * kKvBlock < keys; ++b) {
-      spans.push_back({PageK(b), PageK(b) + kKvBlock * ld, std::min(kKvBlock, keys - b * kKvBlock)});
+    for (int64_t b = 0; b * block < keys; ++b) {
+      spans.push_back({PageK(b), PageV(b), std::min(block, keys - b * block)});
     }
     return spans;
   }
@@ -421,6 +439,7 @@ struct AttentionCase {
     args.spans = spans.data();
     args.num_spans = static_cast<int64_t>(spans.size());
     args.ld = ld;
+    args.panel = block;
     args.num_heads = heads;
     args.d_head = d_head;
     args.causal = causal;
@@ -472,25 +491,34 @@ bool AttentionClose(double actual, double expected, int64_t visible, int64_t d_h
   return std::fabs(actual - expected) <= std::max(abs_tol, ulp_tol);
 }
 
-const int64_t kAttentionContexts[] = {1, kKvBlock - 1, kKvBlock, kKvBlock + 1, 3 * kKvBlock + 5, 392};
-// In the AVX2 key transpose, 12 takes a masked column block, 24 three full
-// ones, and 80 two 64-column chunks, the second 16 wide.
+// Contexts around one block, plus one ending in a ragged block, at every
+// block size; 392 (the video prefill) is ragged at block 32.
+std::vector<int64_t> AttentionContexts(int64_t block) {
+  return {1, block - 1, block, block + 1, 3 * block + 5, 392};
+}
+// 12 is read under lane masks, 24 and 80 end on a half-width column pass
+// (weights x V folds 16 columns at a time).
 const int64_t kAttentionHeadDims[] = {8, 12, 16, 24, 80};
 
 TEST(AttentionDiffTest, EveryVariantMatchesDoubleReference) {
   for (KernelVariant variant : AvailableKernelVariants()) {
-    for (int64_t ctx : kAttentionContexts) {
-      for (int64_t d_head : kAttentionHeadDims) {
-        for (bool causal : {true, false}) {
-          AttentionCase c(ctx, 2, d_head, 0xA77Eull ^ static_cast<uint64_t>(ctx * 31 + d_head));
-          const Tensor out = c.Run(0, ctx, ctx, causal, variant);
-          const std::vector<double> ref = c.Reference(causal);
-          for (int64_t i = 0; i < ctx * c.ld; ++i) {
-            const int64_t visible = causal ? i / c.ld + 1 : ctx;
-            ASSERT_TRUE(AttentionClose(out.data()[i], ref[static_cast<size_t>(i)], visible, d_head))
-                << KernelVariantName(variant) << " ctx " << ctx << " d_head " << d_head
-                << (causal ? " causal" : " bidirectional") << " element " << i << ": "
-                << out.data()[i] << " vs " << ref[static_cast<size_t>(i)];
+    for (int64_t block : kKvBlocks) {
+      for (int64_t ctx : AttentionContexts(block)) {
+        for (int64_t d_head : kAttentionHeadDims) {
+          for (bool causal : {true, false}) {
+            AttentionCase c(ctx, block, 2, d_head,
+                            0xA77Eull ^ static_cast<uint64_t>(ctx * 31 + d_head));
+            const Tensor out = c.Run(0, ctx, ctx, causal, variant);
+            const std::vector<double> ref = c.Reference(causal);
+            for (int64_t i = 0; i < ctx * c.ld; ++i) {
+              const int64_t visible = causal ? i / c.ld + 1 : ctx;
+              ASSERT_TRUE(
+                  AttentionClose(out.data()[i], ref[static_cast<size_t>(i)], visible, d_head))
+                  << KernelVariantName(variant) << " block " << block << " ctx " << ctx
+                  << " d_head " << d_head << (causal ? " causal" : " bidirectional")
+                  << " element " << i << ": " << out.data()[i] << " vs "
+                  << ref[static_cast<size_t>(i)];
+            }
           }
         }
       }
@@ -502,17 +530,19 @@ TEST(AttentionDiffTest, Avx2MatchesScalarWithinBound) {
   if (!Avx2Available()) {
     GTEST_SKIP() << "host has no AVX2 kernels";
   }
-  for (int64_t ctx : kAttentionContexts) {
-    for (int64_t d_head : kAttentionHeadDims) {
-      for (bool causal : {true, false}) {
-        AttentionCase c(ctx, 2, d_head, 0x5CA1Aull + static_cast<uint64_t>(ctx + d_head));
-        const Tensor scalar = c.Run(0, ctx, ctx, causal, KernelVariant::kScalar);
-        const Tensor avx2 = c.Run(0, ctx, ctx, causal, KernelVariant::kAvx2);
-        for (int64_t i = 0; i < ctx * c.ld; ++i) {
-          const int64_t visible = causal ? i / c.ld + 1 : ctx;
-          ASSERT_TRUE(AttentionClose(avx2.data()[i], scalar.data()[i], visible, d_head))
-              << "ctx " << ctx << " d_head " << d_head << " element " << i << ": scalar "
-              << scalar.data()[i] << " avx2 " << avx2.data()[i];
+  for (int64_t block : kKvBlocks) {
+    for (int64_t ctx : AttentionContexts(block)) {
+      for (int64_t d_head : kAttentionHeadDims) {
+        for (bool causal : {true, false}) {
+          AttentionCase c(ctx, block, 2, d_head, 0x5CA1Aull + static_cast<uint64_t>(ctx + d_head));
+          const Tensor scalar = c.Run(0, ctx, ctx, causal, KernelVariant::kScalar);
+          const Tensor avx2 = c.Run(0, ctx, ctx, causal, KernelVariant::kAvx2);
+          for (int64_t i = 0; i < ctx * c.ld; ++i) {
+            const int64_t visible = causal ? i / c.ld + 1 : ctx;
+            ASSERT_TRUE(AttentionClose(avx2.data()[i], scalar.data()[i], visible, d_head))
+                << "block " << block << " ctx " << ctx << " d_head " << d_head << " element "
+                << i << ": scalar " << scalar.data()[i] << " avx2 " << avx2.data()[i];
+          }
         }
       }
     }
@@ -521,13 +551,15 @@ TEST(AttentionDiffTest, Avx2MatchesScalarWithinBound) {
 
 TEST(AttentionDiffTest, RunTwiceIsBitwiseIdentical) {
   for (KernelVariant variant : AvailableKernelVariants()) {
-    for (bool causal : {true, false}) {
-      AttentionCase c(3 * kKvBlock + 5, 3, 12, 0x7E57ull);
-      const Tensor first = c.Run(0, c.ctx, c.ctx, causal, variant);
-      const Tensor second = c.Run(0, c.ctx, c.ctx, causal, variant);
-      EXPECT_EQ(0, std::memcmp(first.data(), second.data(),
-                               static_cast<size_t>(c.ctx * c.ld) * sizeof(float)))
-          << KernelVariantName(variant);
+    for (int64_t block : kKvBlocks) {
+      for (bool causal : {true, false}) {
+        AttentionCase c(3 * block + 5, block, 3, 12, 0x7E57ull);
+        const Tensor first = c.Run(0, c.ctx, c.ctx, causal, variant);
+        const Tensor second = c.Run(0, c.ctx, c.ctx, causal, variant);
+        EXPECT_EQ(0, std::memcmp(first.data(), second.data(),
+                                 static_cast<size_t>(c.ctx * c.ld) * sizeof(float)))
+            << KernelVariantName(variant) << " block " << block;
+      }
     }
   }
 }
@@ -535,28 +567,54 @@ TEST(AttentionDiffTest, RunTwiceIsBitwiseIdentical) {
 // Row p alone (decode), in a whole prefill over [0, n), and in a chunk
 // [r, n) after a block-aligned reused prefix: bitwise equal per variant.
 TEST(AttentionDiffTest, RowOutputIsIndependentOfChunking) {
-  const int64_t n = 73;
   for (KernelVariant variant : AvailableKernelVariants()) {
-    for (int64_t d_head : kAttentionHeadDims) {
-      AttentionCase c(n, 2, d_head, 0xC4C4ull + static_cast<uint64_t>(d_head));
-      const size_t row_bytes = static_cast<size_t>(c.ld) * sizeof(float);
-      for (bool causal : {true, false}) {
-        const Tensor whole = c.Run(0, n, n, causal, variant);
-        for (int64_t reuse : {kKvBlock, 4 * kKvBlock}) {
-          const Tensor chunk = c.Run(reuse, n, n, causal, variant);
-          for (int64_t p = reuse; p < n; ++p) {
-            ASSERT_EQ(0, std::memcmp(whole.data() + p * c.ld, chunk.data() + (p - reuse) * c.ld,
-                                     row_bytes))
-                << KernelVariantName(variant) << " d_head " << d_head << " reuse " << reuse
-                << " row " << p;
+    for (int64_t block : kKvBlocks) {
+      const int64_t n = 4 * block + 9;  // the last block is ragged
+      for (int64_t d_head : kAttentionHeadDims) {
+        AttentionCase c(n, block, 2, d_head, 0xC4C4ull + static_cast<uint64_t>(d_head));
+        const size_t row_bytes = static_cast<size_t>(c.ld) * sizeof(float);
+        for (bool causal : {true, false}) {
+          const Tensor whole = c.Run(0, n, n, causal, variant);
+          for (int64_t reuse : {block, 4 * block}) {
+            const Tensor chunk = c.Run(reuse, n, n, causal, variant);
+            for (int64_t p = reuse; p < n; ++p) {
+              ASSERT_EQ(0, std::memcmp(whole.data() + p * c.ld,
+                                       chunk.data() + (p - reuse) * c.ld, row_bytes))
+                  << KernelVariantName(variant) << " block " << block << " d_head " << d_head
+                  << " reuse " << reuse << " row " << p;
+            }
+          }
+          if (causal) {
+            for (int64_t p = 0; p < n; ++p) {
+              const Tensor decode = c.Run(p, p + 1, p + 1, true, variant);
+              ASSERT_EQ(0, std::memcmp(whole.data() + p * c.ld, decode.data(), row_bytes))
+                  << KernelVariantName(variant) << " block " << block << " d_head " << d_head
+                  << " decode row " << p;
+            }
           }
         }
-        if (causal) {
-          for (int64_t p = 0; p < n; ++p) {
-            const Tensor decode = c.Run(p, p + 1, p + 1, true, variant);
-            ASSERT_EQ(0, std::memcmp(whole.data() + p * c.ld, decode.data(), row_bytes))
-                << KernelVariantName(variant) << " d_head " << d_head << " decode row " << p;
-          }
+      }
+    }
+  }
+}
+
+// A two-row call [p, p + 2) folds weights x V for both rows in one pass, and
+// on the causal diagonal row p + 1 sees one key more than row p: it carries
+// that key on alone, in its own even or odd chain by p's parity. Each row
+// must still equal the same row of the whole prefill, bitwise per variant.
+TEST(AttentionDiffTest, TwoRowPairAcrossTheDiagonalMatchesItsRows) {
+  for (KernelVariant variant : AvailableKernelVariants()) {
+    for (int64_t block : kKvBlocks) {
+      const int64_t n = 3 * block + 5;
+      for (int64_t d_head : kAttentionHeadDims) {
+        AttentionCase c(n, block, 2, d_head, 0xD1A6ull + static_cast<uint64_t>(d_head));
+        const size_t pair_bytes = static_cast<size_t>(2 * c.ld) * sizeof(float);
+        const Tensor whole = c.Run(0, n, n, true, variant);
+        for (int64_t p = 0; p + 2 <= n; ++p) {
+          const Tensor pair = c.Run(p, p + 2, p + 2, true, variant);
+          ASSERT_EQ(0, std::memcmp(whole.data() + p * c.ld, pair.data(), pair_bytes))
+              << KernelVariantName(variant) << " block " << block << " d_head " << d_head
+              << " rows " << p << "-" << p + 1;
         }
       }
     }

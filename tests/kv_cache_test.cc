@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/engine/kv_cache.h"
 #include "src/engine/model_config.h"
+#include "src/kernels/transformer_ops.h"
 
 namespace vlora {
 namespace {
@@ -49,6 +53,34 @@ TEST(KvBlockManagerTest, KvPointersDistinctPerLayer) {
   // Writes round-trip.
   k0[3] = 42.0f;
   EXPECT_EQ(kv.KPtr(block, 0)[3], 42.0f);
+}
+
+// A block's K is a key panel block_size keys wide (transformer_ops.h): a key
+// row written through the append helper reads back at (column, position),
+// leaves the rest of the panel and the block's V untouched.
+TEST(KvBlockManagerTest, KeyRowReadsBackAtColumnAndPosition) {
+  const ModelConfig config = TinyConfig();
+  const int64_t d = config.d_model;
+  for (int64_t block_size : {8, 16}) {
+    KvBlockManager kv(config, block_size, 2);
+    const int64_t block = kv.AllocateBlock();
+    float* k = kv.KPtr(block, 1);
+    std::fill_n(kv.BlockData(block), kv.FloatsPerBlock(), -1.0f);
+    std::vector<float> key(static_cast<size_t>(d));
+    for (int64_t c = 0; c < d; ++c) {
+      key[static_cast<size_t>(c)] = static_cast<float>(c);
+    }
+    const int64_t pos = block_size - 3;
+    WriteKeyRow(key.data(), d, block_size, pos, k);
+    for (int64_t c = 0; c < d; ++c) {
+      for (int64_t t = 0; t < block_size; ++t) {
+        EXPECT_EQ(k[c * block_size + t], t == pos ? static_cast<float>(c) : -1.0f)
+            << "block size " << block_size << " column " << c << " position " << t;
+      }
+    }
+    const float* v = kv.VPtr(block, 1);
+    EXPECT_TRUE(std::all_of(v, v + block_size * d, [](float x) { return x == -1.0f; }));
+  }
 }
 
 TEST(KvBlockManagerTest, ChainHashOrderSensitive) {
