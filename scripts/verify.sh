@@ -33,14 +33,19 @@ E2E_PROCESS_TARGETS=(net_test process_cluster_test)
 # arithmetic stay in bounds, TSan re-checks GemmTiledParallel determinism.
 KERNEL_TARGETS=(kernel_diff_test quant_test)
 
+# Builds and the tier-1 ctest pass an explicit job count: with the Unix
+# Makefiles generator a bare `-j` means `make -j`, with no job limit, and
+# CTest before 3.29 ignores a trailing `-j` with no count and runs serially.
+JOBS="$(nproc)"
+
 STAGE_NAMES=()
 STAGE_RESULTS=()
 record() { STAGE_NAMES+=("$1"); STAGE_RESULTS+=("$2"); }
 
 echo "=== tier-1: configure, build, ctest ==="
 cmake -B build -S .
-cmake --build build -j
-ctest --test-dir build --output-on-failure -j
+cmake --build build -j "$JOBS"
+ctest --test-dir build --output-on-failure -j "$JOBS"
 record "tier-1 build+tests" "pass"
 
 echo "=== e2e: process cluster over the wire (forked executors) ==="
@@ -119,7 +124,7 @@ if [[ "${SKIP_STATIC:-0}" != "1" ]]; then
   if command -v clang++ >/dev/null 2>&1; then
     echo "=== static-analysis: clang -Werror=thread-safety ==="
     cmake -B build-ts -S . -DCMAKE_CXX_COMPILER=clang++ -DVLORA_THREAD_SAFETY=ON
-    cmake --build build-ts -j
+    cmake --build build-ts -j "$JOBS"
     record "thread-safety build" "pass"
   else
     echo "--- clang++ not found; skipping thread-safety build (annotations are"
@@ -146,7 +151,7 @@ fi
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "=== ThreadSanitizer: concurrency + kernel tests ==="
   cmake -B build-tsan -S . -DVLORA_SANITIZE=tsan
-  cmake --build build-tsan -j --target "${CONCURRENCY_TARGETS[@]}" "${KERNEL_TARGETS[@]}"
+  cmake --build build-tsan -j "$JOBS" --target "${CONCURRENCY_TARGETS[@]}" "${KERNEL_TARGETS[@]}"
   ctest --test-dir build-tsan --output-on-failure -L "concurrency|kernels"
   record "TSan concurrency+kernel tests" "pass"
 else
@@ -156,7 +161,7 @@ fi
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "=== AddressSanitizer+UBSan: concurrency + e2e_process + kernel tests ==="
   cmake -B build-asan -S . -DVLORA_SANITIZE=asan
-  cmake --build build-asan -j --target "${CONCURRENCY_TARGETS[@]}" "${E2E_PROCESS_TARGETS[@]}" \
+  cmake --build build-asan -j "$JOBS" --target "${CONCURRENCY_TARGETS[@]}" "${E2E_PROCESS_TARGETS[@]}" \
     "${KERNEL_TARGETS[@]}"
   ctest --test-dir build-asan --output-on-failure -L "concurrency|e2e_process|kernels"
   record "ASan+UBSan conc+e2e+kernel tests" "pass"

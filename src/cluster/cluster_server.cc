@@ -20,9 +20,8 @@ ClusterServer::ClusterServer(const ModelConfig& config, const ClusterOptions& op
     VLORA_CHECK(options_.disagg.num_prefill >= 1);
     VLORA_CHECK(options_.disagg.num_prefill < options_.num_replicas);
   }
-  if (options_.overload_spill_depth <= 0) {
-    options_.overload_spill_depth = std::max<int64_t>(1, options_.replica_queue_capacity / 2);
-  }
+  // Home-replica depth at which affinity routing spills to least-loaded.
+  const int64_t spill_depth = std::max<int64_t>(1, options_.replica_queue_capacity / 2);
   // TPOT batching: a decode step over B sequences costs ~B * est_decode_step_ms
   // of per-token latency for everyone in the batch, so the SLO bounds B.
   ServerOptions decode_server = options_.server;
@@ -63,7 +62,7 @@ ClusterServer::ClusterServer(const ModelConfig& config, const ClusterOptions& op
     all_members_[static_cast<size_t>(i)] = i;
   }
   router_ = std::make_unique<Router>(options_.policy, &placement_, options_.num_replicas,
-                                     options_.overload_spill_depth);
+                                     spill_depth);
   if (options_.disagg.enabled) {
     const int num_prefill = options_.disagg.num_prefill;
     const int num_decode = options_.num_replicas - num_prefill;
@@ -71,9 +70,9 @@ ClusterServer::ClusterServer(const ModelConfig& config, const ClusterOptions& op
       (is_prefill(i) ? prefill_members_ : decode_members_).push_back(i);
     }
     prefill_router_ = std::make_unique<Router>(options_.policy, &prefill_placement_, num_prefill,
-                                               options_.overload_spill_depth);
+                                               spill_depth);
     decode_router_ = std::make_unique<Router>(options_.policy, &decode_placement_, num_decode,
-                                              options_.overload_spill_depth);
+                                              spill_depth);
     // Decode replicas never produce prefill_only results, so wiring the
     // handler everywhere is harmless and keeps the replica contract uniform.
     for (auto& replica : replicas_) {
@@ -757,11 +756,13 @@ ClusterStats ClusterServer::Stats() {
 
 EngineRequest EngineRequestFromTrace(const Request& request, const ModelConfig& config,
                                      const TraceMapOptions& options) {
+  constexpr int64_t kMinPromptTokens = 4;
+  constexpr int64_t kMinNewTokens = 1;
   EngineRequest engine_request;
   engine_request.id = request.id;
   engine_request.adapter_id = request.adapter_id;
   const int64_t prompt_len =
-      std::clamp(request.input_tokens / options.token_scale, options.min_prompt_tokens,
+      std::clamp(request.input_tokens / options.token_scale, kMinPromptTokens,
                  options.max_prompt_tokens);
   // Deterministic per-request prompt: the same trace maps to the same engine
   // requests on every replica count, which is what makes cluster results
@@ -773,9 +774,7 @@ EngineRequest EngineRequestFromTrace(const Request& request, const ModelConfig& 
         static_cast<int32_t>(rng.NextInt(2, config.vocab_size - 1)));
   }
   engine_request.max_new_tokens = static_cast<int>(std::clamp(
-      request.output_tokens / options.token_scale, options.min_new_tokens,
-      options.max_new_tokens));
-  engine_request.use_task_head = options.use_task_heads && request.closed_set_output;
+      request.output_tokens / options.token_scale, kMinNewTokens, options.max_new_tokens));
   engine_request.eos_token = -1;  // fixed-length decode keeps runs comparable
   return engine_request;
 }

@@ -94,9 +94,6 @@ struct ClusterOptions {
   // injector here apply to both backends.
   ProcessReplicaOptions process;
   int64_t replica_queue_capacity = 64;
-  // Home-replica depth at which affinity routing spills to least-loaded;
-  // 0 derives half the queue capacity.
-  int64_t overload_spill_depth = 0;
   PlacementOptions placement;
   RecoveryOptions recovery;
   DisaggOptions disagg;
@@ -159,11 +156,6 @@ class ClusterServer {
   // to least-loaded.
   void PlaceAdapters(const std::vector<double>& shares);
   const AdapterPlacement& placement() const { return placement_; }
-  // Pool-local placements (disaggregated mode; empty otherwise). Local
-  // replica index l maps to global index l (prefill) / num_prefill + l
-  // (decode). Same setup-phase/quiescent contract as placement().
-  const AdapterPlacement& prefill_placement() const { return prefill_placement_; }
-  const AdapterPlacement& decode_placement() const { return decode_placement_; }
 
   // Invoked (from a replica worker thread) whenever a request completes, with
   // the cluster-clock completion time; benches use it to build recovery
@@ -337,21 +329,16 @@ class ClusterServer {
 };
 
 // Maps a synthetic workload request onto the mini engine: a deterministic
-// prompt derived from the request id, token counts scaled down by
-// `token_scale` (paper-size prompts do not fit a tiny CPU model), and
-// closed-set requests resolved through the adapter's task head when it has
-// one. Shared by the cluster bench, test and example so they serve the same
-// requests the simulator costs.
+// prompt derived from the request id and token counts scaled down by
+// `token_scale` (paper-size prompts do not fit a tiny CPU model), with at
+// least 4 prompt tokens and 1 new token. Every request decodes through the LM
+// head; a caller that wants a task-head answer sets `use_task_head` on the
+// result. Shared by the cluster bench, test and example so they serve the
+// same requests the simulator costs.
 struct TraceMapOptions {
   int64_t token_scale = 16;       // divide trace token counts by this
-  int64_t min_prompt_tokens = 4;
   int64_t max_prompt_tokens = 64;
-  int64_t min_new_tokens = 1;
   int64_t max_new_tokens = 16;
-  // Route closed-set requests through the adapter's vision task head. Only
-  // enable when every adapter the trace references carries a head — the
-  // engine checks at submit time.
-  bool use_task_heads = false;
 };
 
 EngineRequest EngineRequestFromTrace(const Request& request, const ModelConfig& config,

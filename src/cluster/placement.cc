@@ -86,16 +86,6 @@ bool AdapterPlacement::IsHot(int adapter_id) const {
   return adapter_id >= 0 && adapter_id < num_adapters() && hot_[static_cast<size_t>(adapter_id)];
 }
 
-double AdapterPlacement::ReplicaShare(int replica) const {
-  VLORA_CHECK(replica >= 0 && replica < num_replicas_);
-  return replica_share_[static_cast<size_t>(replica)];
-}
-
-bool AdapterPlacement::IsReplicaLive(int replica) const {
-  VLORA_CHECK(replica >= 0 && replica < num_replicas_);
-  return live_[static_cast<size_t>(replica)];
-}
-
 void AdapterPlacement::RehomeColdAdapter(int adapter) {
   int target = -1;
   for (int replica = 0; replica < num_replicas_; ++replica) {

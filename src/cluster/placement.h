@@ -54,10 +54,6 @@ class AdapterPlacement {
   bool IsHome(int adapter_id, int replica) const;
   bool IsHot(int adapter_id) const;
 
-  // Cumulative request share assigned to a replica (hot shares split over
-  // the homes that actually carry them).
-  double ReplicaShare(int replica) const;
-
   // Removes a dead replica from the plan and re-homes its orphaned cold
   // adapters onto the surviving replica with the least cumulative share
   // (hottest first, ties to the lowest index — deterministic). Idempotent;
@@ -65,7 +61,6 @@ class AdapterPlacement {
   // alive once any adapter is placed.
   void Rebalance(int dead_replica);
 
-  bool IsReplicaLive(int replica) const;
   int num_live_replicas() const { return num_live_; }
 
   std::string ToString() const;  // one line per replica, for bench output

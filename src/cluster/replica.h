@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "src/common/fault.h"
+#include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/stopwatch.h"
 #include "src/common/sync.h"
@@ -107,7 +108,7 @@ struct ReplicaSnapshot {
   int64_t stalls = 0;     // injected worker stalls served
   int64_t handoffs = 0;   // prefill-only results diverted to the handoff handler
   int64_t peak_depth = 0;
-  ServerStats server;        // logical-clock serving stats (thread backend only)
+  ServerStats server;        // Alg-1 iteration and swap counters (thread backend only)
   LatencyRecorder latency;   // wall-clock enqueue -> completion
 };
 
@@ -296,9 +297,6 @@ class ThreadReplica : public Replica {
   int AddAdapter(const LoraAdapter& adapter) override;
   void Prewarm(const std::vector<int>& adapter_ids) override;
   void Start(ThreadPool* pool) override;
-
-  // Direct server access for tests; only valid when the replica is idle.
-  VloraServer& server_for_testing() { return server_; }
 
  private:
   void PumpIngress() override { work_cv_.NotifyOne(); }

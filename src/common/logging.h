@@ -21,9 +21,8 @@ enum class LogLevel : int {
   kError = 3,
 };
 
-// Sets / reads the process-wide minimum level that is actually emitted.
+// Sets the process-wide minimum level that is actually emitted.
 void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 namespace internal {
 

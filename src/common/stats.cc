@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "src/common/status.h"
 
@@ -72,44 +71,6 @@ void LatencyRecorder::Merge(const LatencyRecorder& other) {
   for (double s : other.samples_.samples()) {
     samples_.Add(s);
   }
-}
-
-Histogram::Histogram(double lo, double hi, int num_bins) : lo_(lo), hi_(hi) {
-  VLORA_CHECK(hi > lo);
-  VLORA_CHECK(num_bins > 0);
-  bin_width_ = (hi - lo) / num_bins;
-  bins_.assign(static_cast<size_t>(num_bins), 0);
-}
-
-void Histogram::Add(double value) {
-  int bin = static_cast<int>((value - lo_) / bin_width_);
-  bin = std::clamp(bin, 0, num_bins() - 1);
-  ++bins_[static_cast<size_t>(bin)];
-  ++total_;
-}
-
-int64_t Histogram::BinCount(int bin) const {
-  VLORA_CHECK(bin >= 0 && bin < num_bins());
-  return bins_[static_cast<size_t>(bin)];
-}
-
-double Histogram::BinLow(int bin) const { return lo_ + bin * bin_width_; }
-
-double Histogram::BinHigh(int bin) const { return lo_ + (bin + 1) * bin_width_; }
-
-std::string Histogram::ToAscii(int width) const {
-  int64_t max_count = 1;
-  for (int64_t c : bins_) {
-    max_count = std::max(max_count, c);
-  }
-  std::ostringstream out;
-  for (int i = 0; i < num_bins(); ++i) {
-    const int bar = static_cast<int>(static_cast<double>(BinCount(i)) / max_count * width);
-    char line[96];
-    std::snprintf(line, sizeof(line), "[%8.3f, %8.3f) |", BinLow(i), BinHigh(i));
-    out << line << std::string(static_cast<size_t>(bar), '#') << " " << BinCount(i) << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace vlora

@@ -1,4 +1,4 @@
-// Statistics helpers: running summaries, percentiles and fixed-bin histograms.
+// Statistics helpers: running summaries and percentiles.
 // Used by the bench harnesses (Fig 17/18 tail latency) and the simulator's
 // per-request latency accounting.
 
@@ -6,7 +6,6 @@
 #define VLORA_SRC_COMMON_STATS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace vlora {
@@ -63,30 +62,6 @@ class LatencyRecorder {
 
  private:
   SampleStats samples_;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp into the
-// first / last bin so no data is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int num_bins);
-
-  void Add(double value);
-  int64_t BinCount(int bin) const;
-  int num_bins() const { return static_cast<int>(bins_.size()); }
-  int64_t total() const { return total_; }
-  double BinLow(int bin) const;
-  double BinHigh(int bin) const;
-
-  // Renders an ASCII bar chart (used by example binaries).
-  std::string ToAscii(int width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bin_width_;
-  std::vector<int64_t> bins_;
-  int64_t total_ = 0;
 };
 
 }  // namespace vlora

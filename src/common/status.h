@@ -72,17 +72,11 @@ class [[nodiscard]] Status {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
   }
   static Status NotFound(std::string msg) { return Status(StatusCode::kNotFound, std::move(msg)); }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) { return Status(StatusCode::kInternal, std::move(msg)); }
   static Status Cancelled(std::string msg) {

@@ -283,8 +283,6 @@ void EmitDecodeEnqueued(int64_t request_id, int adapter, int replica) {
 
 void SetCurrentReplica(int replica) { t_current_replica = replica; }
 
-int CurrentReplica() { return t_current_replica; }
-
 BatchStepSpan::BatchStepSpan(int64_t batch_size) : replica_(t_current_replica) {
   // The matching End lives in the destructor — this pair IS the RAII guard.
   EmitBatchStepBegin(replica_, batch_size);  // vlora-lint: allow(trace-span-unclosed)

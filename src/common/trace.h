@@ -239,7 +239,6 @@ void EmitDecodeEnqueued(int64_t request_id, int adapter, int replica);
 // every event emitted from that thread without an explicit replica (engine
 // batch steps, kernel dispatches) is stamped with it. -1 = unattributed.
 void SetCurrentReplica(int replica);
-int CurrentReplica();
 
 // RAII batch-step span: Begin on construction, End (with the completed count
 // set via set_completed) on destruction — covers early returns, which is why

@@ -7,6 +7,10 @@ namespace vlora {
 
 namespace {
 
+// Plain-SGD step size and L2 weight decay of the softmax regression.
+constexpr float kLearningRate = 0.5f;
+constexpr float kWeightDecay = 1e-4f;
+
 // Runs one capture-only request and returns the final hidden state.
 std::vector<float> ExtractFeature(InferenceEngine& engine, const HeadExample& example,
                                   int adapter_id, int64_t request_id) {
@@ -78,8 +82,7 @@ HeadTrainingResult TrainTaskHead(InferenceEngine& engine,
             probs[static_cast<size_t>(c)] - (c == label ? 1.0 : 0.0));
         for (int64_t i = 0; i < d; ++i) {
           float& w = weight.at(i, c);
-          w -= options.learning_rate *
-               (grad_scale * x[static_cast<size_t>(i)] + options.weight_decay * w);
+          w -= kLearningRate * (grad_scale * x[static_cast<size_t>(i)] + kWeightDecay * w);
         }
       }
     }

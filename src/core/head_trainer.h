@@ -27,8 +27,6 @@ struct HeadExample {
 struct HeadTrainerOptions {
   int num_classes = 2;
   int epochs = 40;
-  float learning_rate = 0.5f;
-  float weight_decay = 1e-4f;
   uint64_t seed = 5;
   int adapter_id = -1;  // extract features with this adapter active (-1 base)
 };

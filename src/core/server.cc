@@ -76,16 +76,6 @@ void VloraServer::PrewarmAdapter(int adapter_id) {
   adapter_manager_.EnsureResident(adapter_id);
 }
 
-std::vector<int> VloraServer::ResidentAdapters() const {
-  std::vector<int> resident;
-  for (int id = 0; id < num_adapters(); ++id) {
-    if (adapter_manager_.IsResident(id)) {
-      resident.push_back(id);
-    }
-  }
-  return resident;
-}
-
 std::vector<EngineResult> VloraServer::StepOnce() {
   AdmitStaged();
   // Build the Algorithm-1 queue view from the engine's live sequences. The
@@ -176,7 +166,6 @@ std::vector<EngineResult> VloraServer::StepOnce() {
       options_.alg1.exec_estimate_ms + (switched ? options_.alg1.switch_ms : 0.0);
 
   for (const EngineResult& result : finished) {
-    stats_.latency.Record(logical_clock_ms_ - submit_ms_.at(result.request_id));
     submit_ms_.erase(result.request_id);
     last_service_ms_.erase(result.request_id);
     queue_depth_.fetch_sub(1, std::memory_order_relaxed);

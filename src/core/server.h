@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/stats.h"
 #include "src/common/sync.h"
 #include "src/core/generator.h"
 #include "src/core/scheduler.h"
@@ -50,9 +49,6 @@ struct ServerStats {
   int64_t adapter_swap_ins = 0;
   int64_t adapter_evictions = 0;
   double visible_swap_ms = 0.0;  // per the adapter manager's transfer model
-  // Per-request submit->finish latency on the server's logical clock; the
-  // cluster layer reports the same percentiles on the wall clock.
-  LatencyRecorder latency;
 };
 
 class VloraServer {
@@ -81,10 +77,6 @@ class VloraServer {
   // warm-up); does not count toward swap statistics. Serving thread only, or
   // before serving starts.
   void PrewarmAdapter(int adapter_id);
-
-  // Adapter ids currently device-resident. Only meaningful when the server is
-  // quiescent or called from the serving thread.
-  std::vector<int> ResidentAdapters() const;
 
   // One orchestrated iteration: Algorithm 1 picks batch + mode, the engine
   // switches if needed and executes. Returns newly finished results.

@@ -29,7 +29,6 @@ Tensor ScratchRows(Tensor& buffer, int64_t rows, int64_t cols) {
 
 InferenceEngine::InferenceEngine(const ModelConfig& config, const EngineOptions& options)
     : config_(config),
-      options_(options),
       rng_(options.seed),
       model_(config, rng_),
       kv_(std::make_unique<KvBlockManager>(config, options.kv_block_size, options.kv_num_blocks)),
@@ -46,23 +45,6 @@ int InferenceEngine::RegisterAdapter(const LoraAdapter* adapter) {
   VLORA_CHECK(adapter->num_layers() == config_.num_layers);
   VLORA_CHECK(adapter->d_model() == config_.d_model);
   adapters_.push_back(adapter);
-  // Quantize into engine-owned storage when the engine serves a block format
-  // and the adapter does not already carry its own quantized factors.
-  std::map<LoraTarget, std::vector<QuantizedFactors>> quantized;
-  if (options_.adapter_weight_format != WeightFormat::kFp32 &&
-      adapter->weight_format() == WeightFormat::kFp32) {
-    for (LoraTarget target : adapter->targets()) {
-      std::vector<QuantizedFactors>& layers = quantized[target];
-      layers.reserve(static_cast<size_t>(adapter->num_layers()));
-      for (int layer = 0; layer < adapter->num_layers(); ++layer) {
-        const LoraLayerWeights& weights = adapter->layer(target, layer);
-        layers.push_back(
-            {QuantizedMatrix::Quantize(weights.down, options_.adapter_weight_format),
-             QuantizedMatrix::Quantize(weights.up, options_.adapter_weight_format)});
-      }
-    }
-  }
-  quantized_adapters_.push_back(std::move(quantized));
   return static_cast<int>(adapters_.size()) - 1;
 }
 
@@ -388,12 +370,6 @@ const float* InferenceEngine::Forward(std::vector<Sequence*>& batch,
       const auto& [adapter_id, sign] = plan.entries[i];
       plan.views[i] = adapters_[static_cast<size_t>(adapter_id)]->LayerView(target, layer);
       plan.views[i].scaling *= sign;
-      const auto& quantized = quantized_adapters_[static_cast<size_t>(adapter_id)];
-      if (auto it = quantized.find(target); it != quantized.end()) {
-        const QuantizedFactors& factors = it->second[static_cast<size_t>(layer)];
-        plan.views[i].down_q = &factors.down;
-        plan.views[i].up_q = &factors.up;
-      }
     }
     lora_op_->Run(input, plan.segments, plan.views, output);
   };

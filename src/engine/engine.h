@@ -94,12 +94,6 @@ struct EngineOptions {
   int64_t kv_block_size = 16;
   int64_t kv_num_blocks = 512;
   uint64_t seed = 42;
-  // kQ8 / kQ4 block-quantizes every adapter's factors at registration (into
-  // engine-owned storage; callers keep their dense adapters untouched), and
-  // the LoRA bypass GEMMs run on the fused-dequant ATMM path. kFp32 serves
-  // dense weights. Adapters that already carry quantized factors
-  // (LoraAdapter::QuantizeWeights) use those regardless of this option.
-  WeightFormat adapter_weight_format = WeightFormat::kFp32;
 };
 
 class InferenceEngine {
@@ -212,7 +206,6 @@ class InferenceEngine {
   int ResolveTaskHead(const Sequence& seq, const float* hidden);
 
   ModelConfig config_;
-  EngineOptions options_;
   Rng rng_;
   TransformerModel model_;
   std::unique_ptr<KvBlockManager> kv_;
@@ -220,14 +213,6 @@ class InferenceEngine {
   SwiftSwitcher switcher_;
   ModelMergeTargets merge_targets_;
   std::vector<const LoraAdapter*> adapters_;
-  // Engine-owned quantized copies of each adapter's factors, indexed like
-  // adapters_, built at registration when options_.adapter_weight_format is a
-  // block format. Empty maps for adapters served dense.
-  struct QuantizedFactors {
-    QuantizedMatrix down;
-    QuantizedMatrix up;
-  };
-  std::vector<std::map<LoraTarget, std::vector<QuantizedFactors>>> quantized_adapters_;
 
   InferMode mode_ = InferMode::kUnmerged;
   int merged_adapter_ = -1;

@@ -103,19 +103,6 @@ void AtmmDispatcher::Execute(const Tensor& a, const Tensor& b, Tensor& c) {
   Execute(a.data(), b.data(), c.data(), a.shape().dim(0), b.shape().dim(1), a.shape().dim(1));
 }
 
-void AtmmDispatcher::ExecuteQuantized(const float* a, const QuantizedMatrix& b, float* c,
-                                      int64_t m) {
-  VLORA_CHECK(!b.empty());
-  const int64_t k = b.rows();
-  const int64_t n = b.cols();
-  const KernelVariant variant = ActiveKernelVariant();
-  const TileConfig config = Select(m, n, k, variant, b.format());
-  static Counter* const dispatches = MetricsRegistry::Global().counter("atmm.dispatches");
-  dispatches->Increment();
-  trace::EmitKernelDispatch(m, n, k, config.mc, config.nc, config.kc, config.mr, config.nr);
-  GemmQuantized(a, b, c, m, n, k, config, workspace_, variant);
-}
-
 int64_t AtmmDispatcher::TableSize() const {
   MutexLock lock(&mutex_);
   int64_t total = 0;
@@ -128,29 +115,6 @@ int64_t AtmmDispatcher::TableSize() const {
 int64_t AtmmDispatcher::TableSize(KernelVariant variant, WeightFormat format) const {
   MutexLock lock(&mutex_);
   return static_cast<int64_t>(tables_[static_cast<size_t>(SlotIndex(variant, format))].size());
-}
-
-std::vector<std::pair<ShapeKey, TileConfig>> AtmmDispatcher::Entries() const {
-  MutexLock lock(&mutex_);
-  const ShapeTable& table =
-      tables_[static_cast<size_t>(SlotIndex(ActiveKernelVariant(), WeightFormat::kFp32))];
-  std::vector<std::pair<ShapeKey, TileConfig>> entries(table.begin(), table.end());
-  return entries;
-}
-
-std::vector<AtmmTableEntry> AtmmDispatcher::AllEntries() const {
-  MutexLock lock(&mutex_);
-  std::vector<AtmmTableEntry> entries;
-  for (int v = 0; v < kNumKernelVariants; ++v) {
-    for (int f = 0; f < kNumWeightFormats; ++f) {
-      const auto variant = static_cast<KernelVariant>(v);
-      const auto format = static_cast<WeightFormat>(f);
-      for (const auto& [key, config] : tables_[static_cast<size_t>(SlotIndex(variant, format))]) {
-        entries.push_back({key, variant, format, config});
-      }
-    }
-  }
-  return entries;
 }
 
 }  // namespace vlora

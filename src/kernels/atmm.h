@@ -1,11 +1,12 @@
 // ATMM: adaptive-tiling matrix multiplication (§4.3).
 //
 // AtmmDispatcher owns the hash tables that map input shapes to their optimal
-// tiling configuration (built offline by TilingSearch, §4.3.2 / Appendix B)
-// and executes GEMMs with the per-shape best configuration. Shapes between
+// tiling configuration (filled by RunTilingSearch, §4.3.2 / Appendix B) and
+// executes GEMMs with the per-shape best configuration. Shapes between
 // profiled grid points snap to the nearest profiled bucket; shapes outside the
 // table fall back to a size-driven heuristic so ATMM never fails, it only
-// loses a little optimality.
+// loses a little optimality. Only benches and tests run the search; a serving
+// engine's dispatcher starts empty and runs on HeuristicConfig.
 //
 // There is one table per (KernelVariant, WeightFormat) pair: the optimal tile
 // depends on the micro-kernel ISA (an 8-wide FMA kernel is memory-bound where
@@ -19,13 +20,10 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "src/common/sync.h"
 #include "src/kernels/gemm.h"
 #include "src/kernels/kernel_variant.h"
-#include "src/kernels/quant.h"
 #include "src/kernels/tile_config.h"
 #include "src/tensor/tensor.h"
 
@@ -54,15 +52,6 @@ struct ShapeKeyHash {
     x ^= x >> 33;
     return static_cast<size_t>(x);
   }
-};
-
-// One registered table entry, qualified by the compute path it was profiled
-// for. Persistence (SaveTilingTable / LoadTilingTable) round-trips these.
-struct AtmmTableEntry {
-  ShapeKey shape;
-  KernelVariant variant;
-  WeightFormat format;
-  TileConfig config;
 };
 
 // Thread-safety: the shape -> config tables are guarded, so a tiling search
@@ -103,21 +92,10 @@ class AtmmDispatcher {
                int64_t k) VLORA_HOT;
   void Execute(const Tensor& a, const Tensor& b, Tensor& c);
 
-  // C += A * B with B block-quantized: selects from the (active variant,
-  // b.format()) table and runs the fused-dequant path. A is m x b.rows().
-  void ExecuteQuantized(const float* a, const QuantizedMatrix& b, float* c,
-                        int64_t m) VLORA_HOT;
-
   // Number of registered entries across every (variant, format) table, or in
   // one specific table.
   int64_t TableSize() const VLORA_EXCLUDES(mutex_);
   int64_t TableSize(KernelVariant variant, WeightFormat format) const VLORA_EXCLUDES(mutex_);
-
-  // Snapshot of the active variant's fp32 table (order unspecified).
-  std::vector<std::pair<ShapeKey, TileConfig>> Entries() const VLORA_EXCLUDES(mutex_);
-
-  // Snapshot of every table, for persistence (order unspecified).
-  std::vector<AtmmTableEntry> AllEntries() const VLORA_EXCLUDES(mutex_);
 
   // Grid step used to bucket the m (token-count) dimension. Matches the step
   // the search profiles with; §4.3.2 uses 32 for the same reason.

@@ -47,17 +47,9 @@ void AtmmLoraOperator::Run(const Tensor& x, const std::vector<LoraSegment>& segm
     std::memset(mid, 0, static_cast<size_t>(rows * rank) * sizeof(float));
     const float* x_seg = x.data() + segment.row_begin * d;
     float* y_seg = y.data() + segment.row_begin * d;
-    if (adapter.quantized()) {
-      // Fused-dequant path: both GEMMs read block storage directly; the
-      // (variant, format) ATMM table picks the tile.
-      dispatcher_->ExecuteQuantized(x_seg, *adapter.down_q, mid, rows);
-      ScaleRows(mid, rows, rank, adapter.scaling);
-      dispatcher_->ExecuteQuantized(mid, *adapter.up_q, y_seg, rows);
-    } else {
-      dispatcher_->Execute(x_seg, adapter.down->data(), mid, rows, rank, d);
-      ScaleRows(mid, rows, rank, adapter.scaling);
-      dispatcher_->Execute(mid, adapter.up->data(), y_seg, rows, d, rank);
-    }
+    dispatcher_->Execute(x_seg, adapter.down->data(), mid, rows, rank, d);
+    ScaleRows(mid, rows, rank, adapter.scaling);
+    dispatcher_->Execute(mid, adapter.up->data(), y_seg, rows, d, rank);
   }
 }
 

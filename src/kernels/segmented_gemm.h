@@ -16,8 +16,6 @@
 
 namespace vlora {
 
-class QuantizedMatrix;
-
 struct LoraSegment {
   int64_t row_begin = 0;  // first row of X owned by this segment
   int64_t row_end = 0;    // one past the last row
@@ -29,21 +27,13 @@ struct LoraSegment {
 // Non-owning view of one adapter's low-rank factors. down is d x r, up is
 // r x d; the adapter's contribution to a token row x is (x * down) * up,
 // multiplied by `scaling` (the usual alpha / r factor).
-//
-// When the adapter carries block-quantized factors (quant.h), down_q / up_q
-// point at them and quantized() is true: operators that support the
-// fused-dequant path use the quantized storage, everything else keeps reading
-// the dense tensors (which remain valid either way).
 struct AdapterWeightsView {
   const Tensor* down = nullptr;
   const Tensor* up = nullptr;
-  const QuantizedMatrix* down_q = nullptr;
-  const QuantizedMatrix* up_q = nullptr;
   float scaling = 1.0f;
 
   int64_t rank() const { return down->shape().dim(1); }
   int64_t d_model() const { return down->shape().dim(0); }
-  bool quantized() const { return down_q != nullptr && up_q != nullptr; }
 };
 
 // Validates that every segment lies within [0, x_rows) and references a valid

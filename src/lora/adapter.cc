@@ -48,37 +48,11 @@ AdapterWeightsView LoraAdapter::LayerView(LoraTarget target, int i) const {
   view.down = &weights.down;
   view.up = &weights.up;
   view.scaling = scaling_;
-  if (!weights.down_q.empty() && !weights.up_q.empty()) {
-    view.down_q = &weights.down_q;
-    view.up_q = &weights.up_q;
-  }
   return view;
-}
-
-void LoraAdapter::QuantizeWeights(WeightFormat format) {
-  VLORA_CHECK(format != WeightFormat::kFp32);
-  for (auto& [target, layers] : factors_) {
-    for (LoraLayerWeights& weights : layers) {
-      weights.down_q = QuantizedMatrix::Quantize(weights.down, format);
-      weights.up_q = QuantizedMatrix::Quantize(weights.up, format);
-    }
-  }
-  weight_format_ = format;
 }
 
 int64_t LoraAdapter::NumParams() const {
   return static_cast<int64_t>(targets_.size()) * num_layers_ * 2 * d_model_ * rank_;
-}
-
-int64_t LoraAdapter::SizeBytesQuantized() const {
-  int64_t total = 0;
-  for (const auto& [target, layers] : factors_) {
-    for (const LoraLayerWeights& weights : layers) {
-      total += weights.down_q.empty() ? 0 : weights.down_q.SizeBytes();
-      total += weights.up_q.empty() ? 0 : weights.up_q.SizeBytes();
-    }
-  }
-  return total;
 }
 
 }  // namespace vlora

@@ -23,7 +23,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/vision_task.h"
-#include "src/kernels/quant.h"
 #include "src/kernels/segmented_gemm.h"
 #include "src/tensor/tensor.h"
 
@@ -55,14 +54,10 @@ struct VisionTaskHead {
   int64_t num_options() const { return weight.shape().dim(1); }
 };
 
-// Per-layer low-rank factors of one target. The quantized factors are empty
-// until LoraAdapter::QuantizeWeights runs; the dense tensors stay valid either
-// way (trainers and the merge path read them, serving reads the blocks).
+// Per-layer low-rank factors of one target.
 struct LoraLayerWeights {
   Tensor down;  // d x r
   Tensor up;    // r x d
-  QuantizedMatrix down_q;
-  QuantizedMatrix up_q;
 };
 
 class LoraAdapter {
@@ -91,21 +86,10 @@ class LoraAdapter {
   // View of one (target, layer)'s factors for the batched operators.
   AdapterWeightsView LayerView(LoraTarget target, int i) const;
 
-  // Block-quantizes every (target, layer) factor pair into `format` storage
-  // (in addition to the dense tensors, which later edits to `layer()` would
-  // invalidate — re-run after mutating factors). LayerView then carries the
-  // quantized views and the ATMM operator serves them on the fused-dequant
-  // path. format must be a block format (kQ8 / kQ4).
-  void QuantizeWeights(WeightFormat format);
-  // kFp32 when QuantizeWeights has not run; the block format otherwise.
-  WeightFormat weight_format() const { return weight_format_; }
-
   // Parameter count (all targets and layers, excluding the head).
   int64_t NumParams() const;
   // Bytes at fp16, the paper's serving precision; used by the swap model.
   int64_t SizeBytesFp16() const { return NumParams() * 2; }
-  // Bytes of the block-quantized factors; 0 until QuantizeWeights runs.
-  int64_t SizeBytesQuantized() const;
 
   const std::optional<VisionTaskHead>& task_head() const { return task_head_; }
   void SetTaskHead(VisionTaskHead head) { task_head_ = std::move(head); }
@@ -121,7 +105,6 @@ class LoraAdapter {
   int64_t d_model_ = 0;
   int64_t rank_ = 0;
   float scaling_ = 1.0f;
-  WeightFormat weight_format_ = WeightFormat::kFp32;
   std::vector<LoraTarget> targets_;
   std::map<LoraTarget, std::vector<LoraLayerWeights>> factors_;
   std::optional<VisionTaskHead> task_head_;

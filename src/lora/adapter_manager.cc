@@ -39,11 +39,6 @@ const LoraAdapter& AdapterManager::Get(int id) const {
   return adapters_[static_cast<size_t>(id)];
 }
 
-LoraAdapter& AdapterManager::GetMutable(int id) {
-  VLORA_CHECK(id >= 0 && id < num_adapters());
-  return adapters_[static_cast<size_t>(id)];
-}
-
 bool AdapterManager::IsResident(int id) const { return resident_last_use_.contains(id); }
 
 void AdapterManager::Touch(int id) {
@@ -89,7 +84,6 @@ SwapResult AdapterManager::EnsureResident(int id, double async_slack_ms) {
   result.visible_ms = std::max(0.0, result.transfer_ms - async_slack_ms);
   result.hidden_by_async = result.visible_ms == 0.0;
   ++total_swap_ins_;
-  total_visible_swap_ms_ += result.visible_ms;
   return result;
 }
 

@@ -78,7 +78,6 @@ class AdapterManager {
 
   int num_adapters() const { return static_cast<int>(adapters_.size()); }
   const LoraAdapter& Get(int id) const;
-  LoraAdapter& GetMutable(int id);
   bool IsResident(int id) const;
 
   // Ensures the adapter is device-resident, evicting least-recently-used
@@ -93,7 +92,6 @@ class AdapterManager {
   // Totals for the benches.
   int64_t total_swap_ins() const { return total_swap_ins_; }
   int64_t total_evictions() const { return total_evictions_; }
-  double total_visible_swap_ms() const { return total_visible_swap_ms_; }
 
  private:
   void EvictOneLru(SwapResult& result);
@@ -105,7 +103,6 @@ class AdapterManager {
   int64_t lru_tick_ = 0;
   int64_t total_swap_ins_ = 0;
   int64_t total_evictions_ = 0;
-  double total_visible_swap_ms_ = 0.0;
 };
 
 }  // namespace vlora

@@ -68,16 +68,6 @@ enum class Transport {
   kTcp,   // AF_INET loopback-or-not stream socket
 };
 
-constexpr const char* TransportName(Transport transport) {
-  switch (transport) {
-    case Transport::kUnix:
-      return "unix";
-    case Transport::kTcp:
-      return "tcp";
-  }
-  return "?";
-}
-
 // A listen/connect endpoint. Text form: "unix:/path/to.sock" or
 // "tcp:host:port" — what executor_main accepts on --connect.
 struct SocketAddress {

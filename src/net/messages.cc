@@ -511,8 +511,8 @@ Result<LoraAdapter> ParseAdapter(WireReader& r) {
     }
     factors.push_back(std::move(layer_factors));
   }
-  // Same reconstruction trick as LoadAdapter: build through Random so the
-  // adapter's invariants are established in one place, then overwrite.
+  // Build through Random so the adapter's invariants are established in one
+  // place, then overwrite the factors with the decoded ones.
   Rng scratch_rng(0);
   LoraAdapter adapter =
       LoraAdapter::Random(name, static_cast<int>(layers), d, rank, scratch_rng, 0.0f, targets);
@@ -554,16 +554,6 @@ Result<LoraAdapter> ParseAdapter(WireReader& r) {
     adapter.AddFusedDomain(std::move(domain));
   }
   return adapter;
-}
-
-// Convenience wrapper over AppendAdapter + EncodeFrame, both checked above;
-// there is deliberately no DecodeAdapterFrame (the executor splits framing
-// from body parsing).
-// vlora-codec: wrapper(EncodeAdapterFrame)
-std::string EncodeAdapterFrame(const LoraAdapter& adapter) {
-  WireWriter writer;
-  AppendAdapter(writer, adapter);
-  return EncodeFrame(MessageType::kLoadAdapter, writer.Take());
 }
 
 }  // namespace net

@@ -24,10 +24,10 @@
 // (or leaves trailing bytes) is a protocol error and the connection is
 // dropped — recovery then runs exactly as if the executor died.
 //
-// Adapter weights cross the wire bit-exact (raw float arrays, mirroring the
-// VLRA file format walk in src/lora/serialization.cc): both backends serve
-// from identical weights, which is what makes thread-vs-process result
-// equality testable.
+// Adapter weights and task heads cross the wire bit-exact (raw float
+// arrays): both backends serve from identical weights, which is what makes
+// thread-vs-process result equality testable. This is the only adapter
+// codec; executors receive adapters only as LoadAdapter frames.
 
 #ifndef VLORA_SRC_NET_MESSAGES_H_
 #define VLORA_SRC_NET_MESSAGES_H_
@@ -269,10 +269,10 @@ struct KvPageMessage {
   static bool Parse(WireReader& r, KvPageMessage* out);
 };
 
-// Full-weight adapter shipping (the wire twin of SaveAdapter/LoadAdapter).
+// Full-weight adapter shipping: targets, per-(target, layer) factors, the
+// optional task head and the fused-domain list.
 void AppendAdapter(WireWriter& w, const LoraAdapter& adapter);
 Result<LoraAdapter> ParseAdapter(WireReader& r);
-std::string EncodeAdapterFrame(const LoraAdapter& adapter);
 
 // Decodes one typed message out of an envelope, requiring full consumption.
 template <typename M>

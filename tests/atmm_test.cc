@@ -4,7 +4,6 @@
 
 #include "src/common/thread_pool.h"
 #include "src/kernels/atmm.h"
-#include "src/kernels/quant.h"
 #include "src/kernels/tiling_search.h"
 #include "src/tensor/tensor.h"
 
@@ -148,21 +147,6 @@ TEST(AtmmDispatcherTest, PerVariantFormatTablesAreIsolated) {
   EXPECT_EQ(dispatcher.TableSize(KernelVariant::kAvx2, WeightFormat::kFp32), 1);
   EXPECT_EQ(dispatcher.TableSize(KernelVariant::kScalar, WeightFormat::kQ8), 1);
   EXPECT_EQ(dispatcher.TableSize(KernelVariant::kAvx2, WeightFormat::kQ4), 0);
-
-  const std::vector<AtmmTableEntry> all = dispatcher.AllEntries();
-  ASSERT_EQ(all.size(), 3u);
-  for (const AtmmTableEntry& entry : all) {
-    EXPECT_TRUE(entry.shape == key);
-    if (entry.variant == KernelVariant::kScalar && entry.format == WeightFormat::kFp32) {
-      EXPECT_EQ(entry.config, scalar_cfg);
-    } else if (entry.variant == KernelVariant::kAvx2) {
-      EXPECT_EQ(entry.format, WeightFormat::kFp32);
-      EXPECT_EQ(entry.config, avx2_cfg);
-    } else {
-      EXPECT_EQ(entry.format, WeightFormat::kQ8);
-      EXPECT_EQ(entry.config, q8_cfg);
-    }
-  }
 }
 
 // Scalar-profiled configs are never served to AVX2 selections and vice versa,
@@ -187,30 +171,6 @@ TEST(AtmmDispatcherTest, ScalarEntriesNeverLeakToAvx2) {
   mirror.Register(ShapeKey{64, 64, 256}, avx2_only, KernelVariant::kAvx2, WeightFormat::kFp32);
   EXPECT_EQ(mirror.Select(64, 64, 256, KernelVariant::kScalar, WeightFormat::kFp32),
             AtmmDispatcher::HeuristicConfig(64, 64, 256));
-}
-
-// ExecuteQuantized selects from the (variant, format) table and computes the
-// same product as the dense reference over the dequantized weights.
-TEST(AtmmDispatcherTest, ExecuteQuantizedMatchesReference) {
-  AtmmDispatcher dispatcher;
-  Rng rng(47);
-  for (WeightFormat format : {WeightFormat::kQ8, WeightFormat::kQ4}) {
-    for (auto [m, n, k] : {std::tuple<int64_t, int64_t, int64_t>{5, 7, 45},
-                           {64, 32, 128},
-                           {1, 64, 64}}) {
-      Tensor a = Tensor::Random(Shape(m, k), rng, 1.0f);
-      Tensor b = Tensor::Random(Shape(k, n), rng, 1.0f);
-      const QuantizedMatrix b_q = QuantizedMatrix::Quantize(b, format);
-      Tensor b_deq(Shape(k, n));
-      for (int64_t row = 0; row < k; ++row) {
-        b_q.DequantizeRowRange(row, 0, n, b_deq.data() + row * n, KernelVariant::kScalar);
-      }
-      Tensor c = Tensor::Zeros(Shape(m, n));
-      dispatcher.ExecuteQuantized(a.data(), b_q, c.data(), m);
-      EXPECT_LT(Tensor::MaxAbsDiff(c, MatMulReference(a, b_deq)), 1e-3f)
-          << WeightFormatName(format) << " " << m << "x" << n << "x" << k;
-    }
-  }
 }
 
 // Concurrent Register (profiling shards) and Select (serving threads) on a

@@ -443,19 +443,6 @@ TEST_F(ClusterTest, AffinityReducesSwapInsVersusRoundRobin) {
   EXPECT_LT(swap_ins[RoutePolicy::kAdapterAffinity], swap_ins[RoutePolicy::kRoundRobin]);
 }
 
-TEST_F(ClusterTest, ServerStatsReportLatencyPercentiles) {
-  // The single-replica server reports the same SLO metrics the cluster does.
-  const std::vector<Request> trace = SkewedTrace(4, 0.6, 15.0, 1.5, 31);
-  auto cluster = MakeCluster(1, RoutePolicy::kRoundRobin, trace);
-  for (const Request& request : trace) {
-    ASSERT_TRUE(cluster->Submit(EngineRequestFromTrace(request, config_, SmallMap())));
-  }
-  (void)cluster->Drain();
-  const ReplicaSnapshot snapshot = cluster->replica(0).Snapshot();
-  EXPECT_EQ(snapshot.server.latency.count(), static_cast<int64_t>(trace.size()));
-  EXPECT_GE(snapshot.server.latency.P95Ms(), snapshot.server.latency.P50Ms());
-}
-
 }  // namespace
 }  // namespace vlora
 

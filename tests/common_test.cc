@@ -266,26 +266,6 @@ TEST(LatencyRecorderTest, SingleRecordDefinesAllPercentiles) {
   EXPECT_DOUBLE_EQ(recorder.P99Ms(), 12.0);
 }
 
-TEST(HistogramTest, BinsAndClamping) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.Add(0.5);   // bin 0
-  hist.Add(9.9);   // bin 4
-  hist.Add(-3.0);  // clamps to bin 0
-  hist.Add(42.0);  // clamps to bin 4
-  EXPECT_EQ(hist.BinCount(0), 2);
-  EXPECT_EQ(hist.BinCount(4), 2);
-  EXPECT_EQ(hist.total(), 4);
-  EXPECT_DOUBLE_EQ(hist.BinLow(1), 2.0);
-  EXPECT_DOUBLE_EQ(hist.BinHigh(1), 4.0);
-}
-
-TEST(HistogramTest, AsciiRendersAllBins) {
-  Histogram hist(0.0, 4.0, 4);
-  hist.Add(1.0);
-  const std::string art = hist.ToAscii(10);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 4);
-}
-
 TEST(AsciiTableTest, AlignsColumns) {
   AsciiTable table({"system", "latency"});
   table.AddRow({"V-LoRA", "1.0"});

@@ -708,45 +708,88 @@ TEST(MessagesTest, ResultExpectsHandleFollowsAttachedHandle) {
 
 // --- Adapter shipping -------------------------------------------------------
 
-TEST(AdapterWireTest, AdapterWeightsCrossBitExact) {
+// A plain adapter on every target with no head, and one that exercises the
+// optional fields: a target subset, a non-unit scaling, a 12-option detection
+// head and two fused domains.
+std::vector<LoraAdapter> WireAdapters() {
   const ModelConfig config = TinyConfig();
   Rng rng(0x10adu);
-  LoraAdapter adapter =
+  LoraAdapter plain =
       LoraAdapter::Random("wire-adapter", config.num_layers, config.d_model, /*rank=*/4, rng);
-  adapter.AddFusedDomain("medical");
-  adapter.AddFusedDomain("satellite");
+  plain.AddFusedDomain("medical");
+  plain.AddFusedDomain("satellite");
 
-  const std::string payload = PayloadOf(EncodeAdapterFrame(adapter));
-  Result<Envelope> envelope = DecodeEnvelope(payload);
-  ASSERT_TRUE(envelope.ok());
-  ASSERT_EQ(envelope.value().type, MessageType::kLoadAdapter);
+  LoraAdapter headed = LoraAdapter::Random("traffic-detect", 3, 32, 8, rng, 0.1f,
+                                           {LoraTarget::kWq, LoraTarget::kWo});
+  headed.set_scaling(0.75f);
+  VisionTaskHead head;
+  head.task = VisionTask::kObjectDetection;
+  head.weight = Tensor::Random(Shape(32, 12), rng, 0.3f);
+  headed.SetTaskHead(std::move(head));
+  headed.AddFusedDomain("license-plate");
+  headed.AddFusedDomain("traffic-sign");
 
-  WireReader reader(envelope.value().body);
-  Result<LoraAdapter> decoded = ParseAdapter(reader);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(reader.Done());
+  std::vector<LoraAdapter> adapters;
+  adapters.push_back(std::move(plain));
+  adapters.push_back(std::move(headed));
+  return adapters;
+}
 
-  EXPECT_EQ(decoded.value().name(), adapter.name());
-  EXPECT_EQ(decoded.value().num_layers(), adapter.num_layers());
-  EXPECT_EQ(decoded.value().d_model(), adapter.d_model());
-  EXPECT_EQ(decoded.value().rank(), adapter.rank());
-  EXPECT_EQ(decoded.value().scaling(), adapter.scaling());
-  EXPECT_EQ(decoded.value().fused_domains(), adapter.fused_domains());
-  EXPECT_EQ(decoded.value().task_head().has_value(), adapter.task_head().has_value());
-  ASSERT_EQ(decoded.value().targets(), adapter.targets());
-  for (LoraTarget target : adapter.targets()) {
-    for (int layer = 0; layer < adapter.num_layers(); ++layer) {
-      const LoraLayerWeights& a = adapter.layer(target, layer);
-      const LoraLayerWeights& b = decoded.value().layer(target, layer);
-      ASSERT_EQ(a.down.NumElements(), b.down.NumElements());
-      ASSERT_EQ(a.up.NumElements(), b.up.NumElements());
-      EXPECT_EQ(std::memcmp(a.down.data(), b.down.data(),
-                            static_cast<size_t>(a.down.NumElements()) * sizeof(float)),
-                0);
-      EXPECT_EQ(std::memcmp(a.up.data(), b.up.data(),
-                            static_cast<size_t>(a.up.NumElements()) * sizeof(float)),
-                0);
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.NumElements() == b.NumElements() &&
+         std::memcmp(a.data(), b.data(), static_cast<size_t>(a.NumElements()) * sizeof(float)) ==
+             0;
+}
+
+TEST(AdapterWireTest, AdapterWeightsCrossBitExact) {
+  for (const LoraAdapter& adapter : WireAdapters()) {
+    SCOPED_TRACE(adapter.name());
+    WireWriter writer;
+    AppendAdapter(writer, adapter);
+    const std::string payload = PayloadOf(EncodeFrame(MessageType::kLoadAdapter, writer.Take()));
+    Result<Envelope> envelope = DecodeEnvelope(payload);
+    ASSERT_TRUE(envelope.ok());
+    ASSERT_EQ(envelope.value().type, MessageType::kLoadAdapter);
+
+    WireReader reader(envelope.value().body);
+    Result<LoraAdapter> decoded = ParseAdapter(reader);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_TRUE(reader.Done());
+
+    EXPECT_EQ(decoded.value().name(), adapter.name());
+    EXPECT_EQ(decoded.value().num_layers(), adapter.num_layers());
+    EXPECT_EQ(decoded.value().d_model(), adapter.d_model());
+    EXPECT_EQ(decoded.value().rank(), adapter.rank());
+    EXPECT_EQ(decoded.value().scaling(), adapter.scaling());
+    EXPECT_EQ(decoded.value().fused_domains(), adapter.fused_domains());
+    ASSERT_EQ(decoded.value().task_head().has_value(), adapter.task_head().has_value());
+    if (adapter.task_head().has_value()) {
+      EXPECT_EQ(decoded.value().task_head()->task, adapter.task_head()->task);
+      EXPECT_EQ(decoded.value().task_head()->weight.shape(), adapter.task_head()->weight.shape());
+      EXPECT_TRUE(SameBits(decoded.value().task_head()->weight, adapter.task_head()->weight));
     }
+    ASSERT_EQ(decoded.value().targets(), adapter.targets());
+    for (LoraTarget target : adapter.targets()) {
+      for (int layer = 0; layer < adapter.num_layers(); ++layer) {
+        const LoraLayerWeights& a = adapter.layer(target, layer);
+        const LoraLayerWeights& b = decoded.value().layer(target, layer);
+        EXPECT_TRUE(SameBits(a.down, b.down));
+        EXPECT_TRUE(SameBits(a.up, b.up));
+      }
+    }
+  }
+}
+
+TEST(AdapterWireTest, EveryTruncationFailsCleanly) {
+  const std::vector<LoraAdapter> adapters = WireAdapters();
+  const LoraAdapter& headed = adapters.back();
+  ASSERT_TRUE(headed.task_head().has_value());
+  WireWriter writer;
+  AppendAdapter(writer, headed);
+  const std::string body = writer.Take();
+  for (size_t cut = 0; cut < body.size(); ++cut) {
+    WireReader reader(body.data(), cut);
+    EXPECT_FALSE(ParseAdapter(reader).ok() && reader.Done()) << "cut at " << cut;
   }
 }
 

@@ -7,8 +7,9 @@
 // the ordering asserted from the trace: the victim is quarantined before any
 // fail-over retry, and nothing is enqueued to it after the quarantine.
 // A parity scenario runs the same seeded workload on the thread and process
-// backends and requires identical result multisets (adapter weights cross
-// the wire bit-exact; the executor's engine is seeded from the Config frame).
+// backends and requires identical result multisets, task-head answers
+// included (adapter weights and heads cross the wire bit-exact; the
+// executor's engine is seeded from the Config frame).
 //
 // Every test skips cleanly when the executor binary is not available (ctest
 // wires VLORA_EXECUTOR to the built target; manual runs can rely on the
@@ -16,9 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster_server.h"
@@ -35,6 +38,10 @@ using trace::TraceEventKind;
 using trace::TraceMatcher;
 using trace::TraceSession;
 
+// Adapter carrying a vision task head; requests that set use_task_head must
+// target it.
+constexpr int kHeadedAdapter = 0;
+
 std::vector<LoraAdapter> MakeAdapters(const ModelConfig& config, int count, uint64_t seed) {
   Rng rng(seed);
   std::vector<LoraAdapter> adapters;
@@ -42,6 +49,10 @@ std::vector<LoraAdapter> MakeAdapters(const ModelConfig& config, int count, uint
     adapters.push_back(LoraAdapter::Random("proc-" + std::to_string(i), config.num_layers,
                                            config.d_model, 4, rng));
   }
+  VisionTaskHead head;
+  head.task = VisionTask::kImageClassification;
+  head.weight = Tensor::Random(Shape(config.d_model, 5), rng, 0.3f);
+  adapters[kHeadedAdapter].SetTaskHead(std::move(head));
   return adapters;
 }
 
@@ -105,12 +116,14 @@ std::unique_ptr<ClusterServer> MakeProcessCluster(const ModelConfig& config, int
   return cluster;
 }
 
-// Multiset of (request id -> output tokens): completion order varies across
-// backends and replica counts, content must not.
-std::map<int64_t, std::vector<int32_t>> ResultKey(const std::vector<EngineResult>& results) {
-  std::map<int64_t, std::vector<int32_t>> key;
+// Multiset of (request id -> output tokens, task-head option): completion
+// order varies across backends and replica counts, content must not.
+using ResultMap = std::map<int64_t, std::pair<std::vector<int32_t>, int>>;
+
+ResultMap ResultKey(const std::vector<EngineResult>& results) {
+  ResultMap key;
   for (const EngineResult& result : results) {
-    key[result.request_id] = result.output_tokens;
+    key[result.request_id] = {result.output_tokens, result.head_option};
   }
   return key;
 }
@@ -183,12 +196,16 @@ TEST(ProcessClusterTest, ThreadAndProcessBackendsProduceIdenticalResults) {
   const std::vector<Request> trace = SmallTrace(6, 25.0, 1.0, 31);
   ASSERT_GE(trace.size(), 8u);
 
-  std::map<int64_t, std::vector<int32_t>> reference;
+  ResultMap reference;
   for (ReplicaBackend backend : {ReplicaBackend::kThread, ReplicaBackend::kProcess}) {
     auto cluster = MakeProcessCluster(config, /*replicas=*/2, trace, nullptr, backend);
     const int64_t completions_before = ReplicaCompletions();
     for (const Request& request : trace) {
-      EXPECT_TRUE(cluster->Submit(EngineRequestFromTrace(request, config, SmallMap())));
+      // The headed adapter's requests answer through its task head, so the
+      // head, the request flag and head_option all cross the wire.
+      EngineRequest engine_request = EngineRequestFromTrace(request, config, SmallMap());
+      engine_request.use_task_head = engine_request.adapter_id == kHeadedAdapter;
+      EXPECT_TRUE(cluster->Submit(std::move(engine_request)));
     }
     const std::vector<EngineResult> results = cluster->Drain();
     EXPECT_EQ(results.size(), trace.size());
@@ -197,6 +214,9 @@ TEST(ProcessClusterTest, ThreadAndProcessBackendsProduceIdenticalResults) {
                         trace.size());
     const auto key = ResultKey(results);
     EXPECT_EQ(key.size(), trace.size());
+    const auto headed = std::count_if(results.begin(), results.end(),
+                                      [](const EngineResult& r) { return r.head_option >= 0; });
+    EXPECT_GT(headed, 0) << "no request answered through the task head";
     if (backend == ReplicaBackend::kThread) {
       reference = key;
     } else {
@@ -224,7 +244,7 @@ TEST(ProcessClusterTest, DisaggregatedProcessBackendMatchesUnifiedResults) {
                       {ReplicaBackend::kThread, 1},
                       {ReplicaBackend::kProcess, 1}};
 
-  std::map<int64_t, std::vector<int32_t>> reference;
+  ResultMap reference;
   for (const Leg& leg : legs) {
     auto cluster = MakeProcessCluster(config, /*replicas=*/3, trace, nullptr, leg.backend,
                                       /*max_inflight=*/4, leg.num_prefill);

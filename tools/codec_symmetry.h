@@ -19,7 +19,7 @@
 // plus two comment directives for asymmetric names:
 //
 //   // vlora-codec: pair(EncodeFrame, DecodeEnvelope)
-//   // vlora-codec: wrapper(EncodeAdapterFrame)
+//   // vlora-codec: wrapper(EncodeXFrame)
 //
 // `pair` forces a comparison between two differently named functions;
 // `wrapper` marks a function that composes other codecs (its sequence is
