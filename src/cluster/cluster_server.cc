@@ -15,34 +15,44 @@ ClusterServer::ClusterServer(const ModelConfig& config, const ClusterOptions& op
     : options_(options) {
   VLORA_CHECK(options_.num_replicas >= 1);
   VLORA_CHECK(options_.recovery.max_attempts >= 1);
-  if (options_.disagg.enabled) {
+  const bool disagg = options_.disagg.enabled;
+  if (disagg) {
     // Both pools need at least one replica.
     VLORA_CHECK(options_.disagg.num_prefill >= 1);
     VLORA_CHECK(options_.disagg.num_prefill < options_.num_replicas);
   }
   // Home-replica depth at which affinity routing spills to least-loaded.
   const int64_t spill_depth = std::max<int64_t>(1, options_.replica_queue_capacity / 2);
+  // Replicas [0, num_prefill) form the prefill pool, the rest the decode
+  // pool; unified mode has one pool of every replica.
+  pools_.resize(disagg ? 2 : 1);
+  slots_.resize(static_cast<size_t>(options_.num_replicas));
+  for (int i = 0; i < options_.num_replicas; ++i) {
+    PoolSlot& slot = slots_[static_cast<size_t>(i)];
+    slot.pool = disagg && i >= options_.disagg.num_prefill ? kDecodePool : kPrefillPool;
+    slot.local = static_cast<int>(pools_[slot.pool].members.size());
+    pools_[slot.pool].members.push_back(i);
+  }
+  for (Pool& pool : pools_) {
+    pool.router = std::make_unique<Router>(options_.policy, &pool.placement,
+                                           static_cast<int>(pool.members.size()), spill_depth);
+  }
   // TPOT batching: a decode step over B sequences costs ~B * est_decode_step_ms
   // of per-token latency for everyone in the batch, so the SLO bounds B.
   ServerOptions decode_server = options_.server;
-  if (options_.disagg.enabled && options_.disagg.tpot_slo_ms > 0.0) {
+  if (options_.disagg.tpot_slo_ms > 0.0) {
     const int cap = static_cast<int>(options_.disagg.tpot_slo_ms /
                                      std::max(1e-9, options_.disagg.est_decode_step_ms));
     decode_server.max_batch_size = std::clamp(cap, 1, decode_server.max_batch_size);
   }
-  const auto is_prefill = [this](int i) {
-    return options_.disagg.enabled && i < options_.disagg.num_prefill;
-  };
-  const auto server_for = [&](int i) -> const ServerOptions& {
-    return options_.disagg.enabled && !is_prefill(i) ? decode_server : options_.server;
-  };
   replicas_.reserve(static_cast<size_t>(options_.num_replicas));
   ReplicaOptions replica_options;
   replica_options.queue_capacity = options_.replica_queue_capacity;
   replica_options.admission = options_.admission;
   replica_options.fault = options_.fault;
   for (int i = 0; i < options_.num_replicas; ++i) {
-    replica_options.server = server_for(i);
+    replica_options.server =
+        slots_[static_cast<size_t>(i)].pool == kDecodePool ? decode_server : options_.server;
     if (options_.backend == ReplicaBackend::kProcess) {
       replicas_.push_back(
           std::make_unique<ProcessReplica>(i, config, replica_options, options_.process));
@@ -56,26 +66,9 @@ ClusterServer::ClusterServer(const ModelConfig& config, const ClusterOptions& op
         [this](int index, int64_t request_id, const Status& status) {
           OnReplicaFailure(index, request_id, status);
         });
-  }
-  all_members_.resize(static_cast<size_t>(options_.num_replicas));
-  for (int i = 0; i < options_.num_replicas; ++i) {
-    all_members_[static_cast<size_t>(i)] = i;
-  }
-  router_ = std::make_unique<Router>(options_.policy, &placement_, options_.num_replicas,
-                                     spill_depth);
-  if (options_.disagg.enabled) {
-    const int num_prefill = options_.disagg.num_prefill;
-    const int num_decode = options_.num_replicas - num_prefill;
-    for (int i = 0; i < options_.num_replicas; ++i) {
-      (is_prefill(i) ? prefill_members_ : decode_members_).push_back(i);
-    }
-    prefill_router_ = std::make_unique<Router>(options_.policy, &prefill_placement_, num_prefill,
-                                               spill_depth);
-    decode_router_ = std::make_unique<Router>(options_.policy, &decode_placement_, num_decode,
-                                              spill_depth);
-    // Decode replicas never produce prefill_only results, so wiring the
-    // handler everywhere is harmless and keeps the replica contract uniform.
-    for (auto& replica : replicas_) {
+    if (disagg) {
+      // Decode replicas never produce prefill_only results, so wiring the
+      // handler everywhere is harmless and keeps the replica contract uniform.
       replica->SetHandoffHandler(
           [this](int index, EngineResult result) { OnReplicaHandoff(index, std::move(result)); });
     }
@@ -98,23 +91,15 @@ int ClusterServer::AddAdapter(const LoraAdapter& adapter) {
 
 void ClusterServer::PlaceAdapters(const std::vector<double>& shares) {
   VLORA_CHECK(!started_);
-  placement_ = AdapterPlacement::Compute(shares, num_replicas(), options_.placement);
-  if (options_.disagg.enabled) {
-    // Each pool gets an independent placement over its own (pool-local)
-    // replica indices: every adapter keeps >= 1 live home in *both* pools.
-    const int num_prefill = options_.disagg.num_prefill;
-    prefill_placement_ = AdapterPlacement::Compute(shares, num_prefill, options_.placement);
-    decode_placement_ =
-        AdapterPlacement::Compute(shares, num_replicas() - num_prefill, options_.placement);
-    for (int r = 0; r < num_replicas(); ++r) {
-      const bool prefill = r < num_prefill;
-      const AdapterPlacement& pool = prefill ? prefill_placement_ : decode_placement_;
-      replicas_[static_cast<size_t>(r)]->Prewarm(pool.AdaptersOf(prefill ? r : r - num_prefill));
+  // Each pool gets an independent placement over its own (pool-local)
+  // replica indices: every adapter keeps >= 1 live home in every pool.
+  for (Pool& pool : pools_) {
+    pool.placement = AdapterPlacement::Compute(shares, static_cast<int>(pool.members.size()),
+                                               options_.placement);
+    for (size_t local = 0; local < pool.members.size(); ++local) {
+      replicas_[static_cast<size_t>(pool.members[local])]->Prewarm(
+          pool.placement.AdaptersOf(static_cast<int>(local)));
     }
-    return;
-  }
-  for (auto& replica : replicas_) {
-    replica->Prewarm(placement_.AdaptersOf(replica->index()));
   }
 }
 
@@ -160,13 +145,13 @@ bool ClusterServer::Submit(EngineRequest request) {
       const int64_t threshold = std::max<int64_t>(
           1, static_cast<int64_t>(options_.disagg.ttft_slo_ms /
                                   std::max(1e-9, options_.disagg.est_prefill_ms)));
+      const Pool& prefill = pools_[kPrefillPool];
       int64_t min_depth = std::numeric_limits<int64_t>::max();
-      for (size_t l = 0; l < prefill_members_.size(); ++l) {
-        if (!prefill_router_->IsReplicaAlive(static_cast<int>(l))) {
-          continue;
+      for (size_t local = 0; local < prefill.members.size(); ++local) {
+        if (prefill.router->IsReplicaAlive(static_cast<int>(local))) {
+          min_depth = std::min(
+              min_depth, replicas_[static_cast<size_t>(prefill.members[local])]->Depth());
         }
-        min_depth = std::min(
-            min_depth, replicas_[static_cast<size_t>(prefill_members_[l])]->Depth());
       }
       if (min_depth >= threshold) {  // also covers "no live prefill replica"
         ++rejected_;
@@ -175,9 +160,6 @@ bool ClusterServer::Submit(EngineRequest request) {
     }
     Pending pending;
     pending.request = request;
-    if (options_.disagg.enabled) {
-      pending.stage = Stage::kPrefill;
-    }
     pending.deadline_ms = options_.recovery.request_deadline_ms > 0.0
                               ? clock_.ElapsedMillis() + options_.recovery.request_deadline_ms
                               : std::numeric_limits<double>::infinity();
@@ -191,8 +173,7 @@ bool ClusterServer::Submit(EngineRequest request) {
   if (options_.disagg.enabled) {
     request.prefill_only = true;  // stage 1 of the two-stage lifecycle
   }
-  const RouteOutcome outcome =
-      RouteAndEnqueue(std::move(request), /*blocking=*/true, /*count_affinity=*/true);
+  const RouteOutcome outcome = RouteAndEnqueue(std::move(request), /*first_dispatch=*/true);
   if (outcome == RouteOutcome::kAccepted) {
     return true;
   }
@@ -220,39 +201,38 @@ bool ClusterServer::Submit(EngineRequest request) {
   return false;
 }
 
-ClusterServer::RouteOutcome ClusterServer::RouteAndEnqueue(EngineRequest request, bool blocking,
-                                                           bool count_affinity) {
-  // The request's stage flags pick the pool: prefill_only routes into the
-  // prefill pool, resume_handle into the decode pool, neither (unified mode)
-  // over the whole fleet — all_members_ is the identity mapping, so unified
-  // routing is byte-for-byte the historical behavior. Indices in `tried`,
-  // router decisions and depth vectors are pool-local; members[] maps them to
-  // global replica indices.
-  const bool prefill_stage = options_.disagg.enabled && request.prefill_only;
-  const bool decode_stage = options_.disagg.enabled && request.resume_handle != nullptr;
-  const std::vector<int>& members =
-      prefill_stage ? prefill_members_ : (decode_stage ? decode_members_ : all_members_);
-  const int pool_size = static_cast<int>(members.size());
-  std::vector<char> tried(static_cast<size_t>(pool_size), 0);
-  for (int round = 0; round < pool_size; ++round) {
+ClusterServer::RouteOutcome ClusterServer::RouteAndEnqueue(EngineRequest request,
+                                                           bool first_dispatch) {
+  // A resume handle routes into the decode pool; everything else routes into
+  // pool 0, which in unified mode is the whole fleet in index order, so
+  // unified routing is byte-for-byte the historical behavior. Router
+  // decisions, depths and `tried` are pool-local.
+  const bool decode_stage =
+      options_.disagg.enabled && !request.prefill_only && request.resume_handle != nullptr;
+  const size_t p = decode_stage ? kDecodePool : kPrefillPool;
+  std::vector<char> tried(replicas_.size(), 0);
+  for (size_t round = 0;; ++round) {
     int local = -1;
+    int target = -1;
     bool affinity_hit = false;
     bool spilled = false;
     {
       MutexLock lock(&mutex_);
-      Router& router =
-          prefill_stage ? *prefill_router_ : (decode_stage ? *decode_router_ : *router_);
-      std::vector<int64_t> depths(static_cast<size_t>(pool_size));
-      for (int i = 0; i < pool_size; ++i) {
-        depths[static_cast<size_t>(i)] =
-            replicas_[static_cast<size_t>(members[static_cast<size_t>(i)])]->Depth();
+      Pool& pool = pools_[p];
+      const size_t pool_size = pool.members.size();
+      if (round == pool_size) {
+        return RouteOutcome::kUnavailable;  // every member refused
       }
-      const RouteDecision decision = router.Pick(request.adapter_id, depths);
+      std::vector<int64_t> depths(pool_size);
+      for (size_t i = 0; i < pool_size; ++i) {
+        depths[i] = replicas_[static_cast<size_t>(pool.members[i])]->Depth();
+      }
+      const RouteDecision decision = pool.router->Pick(request.adapter_id, depths);
       if (decision.replica >= 0 && !tried[static_cast<size_t>(decision.replica)]) {
         local = decision.replica;
         affinity_hit = decision.affinity_hit;
         spilled = decision.spilled;
-        if (count_affinity && round == 0) {
+        if (first_dispatch && round == 0) {
           if (decision.affinity_hit) {
             ++affinity_hits_;
           }
@@ -263,29 +243,28 @@ ClusterServer::RouteOutcome ClusterServer::RouteAndEnqueue(EngineRequest request
       } else {
         // The router repeated a pick that already refused us (it learns of a
         // death only at the next health tick): probe the least-loaded live
-        // replica we have not tried yet.
-        for (int i = 0; i < pool_size; ++i) {
-          if (tried[static_cast<size_t>(i)] || !router.IsReplicaAlive(i)) {
+        // member we have not tried yet.
+        for (size_t i = 0; i < pool_size; ++i) {
+          if (tried[i] || !pool.router->IsReplicaAlive(static_cast<int>(i))) {
             continue;
           }
-          if (local < 0 ||
-              depths[static_cast<size_t>(i)] < depths[static_cast<size_t>(local)]) {
-            local = i;
+          if (local < 0 || depths[i] < depths[static_cast<size_t>(local)]) {
+            local = static_cast<int>(i);
           }
         }
       }
+      if (local < 0) {
+        return RouteOutcome::kUnavailable;
+      }
+      target = pool.members[static_cast<size_t>(local)];
     }
-    if (local < 0) {
-      return RouteOutcome::kUnavailable;
-    }
-    const int target = members[static_cast<size_t>(local)];
     if (decode_stage) {
       trace::EmitDecodeRouted(request.id, request.adapter_id, target, affinity_hit, spilled);
     } else {
       trace::EmitRouted(request.id, request.adapter_id, target, affinity_hit, spilled);
     }
     const EnqueueResult result =
-        replicas_[static_cast<size_t>(target)]->Enqueue(request, /*never_block=*/!blocking);
+        replicas_[static_cast<size_t>(target)]->Enqueue(request, /*never_block=*/!first_dispatch);
     if (result == EnqueueResult::kAccepted) {
       // kDecodeEnqueued is emitted by the replica itself, ordered before the
       // worker can observe the request (kCompleted must not precede it).
@@ -296,13 +275,11 @@ ClusterServer::RouteOutcome ClusterServer::RouteAndEnqueue(EngineRequest request
     }
     tried[static_cast<size_t>(local)] = 1;  // refused: dead or stopping
   }
-  return RouteOutcome::kUnavailable;
 }
 
 void ClusterServer::DispatchPending(EngineRequest request) {
   const int64_t id = request.id;
-  const RouteOutcome outcome =
-      RouteAndEnqueue(std::move(request), /*blocking=*/false, /*count_affinity=*/false);
+  const RouteOutcome outcome = RouteAndEnqueue(std::move(request), /*first_dispatch=*/false);
   if (outcome == RouteOutcome::kAccepted) {
     return;
   }
@@ -412,20 +389,10 @@ void ClusterServer::HealthCheck(double now_ms) {
         health.last_change_ms = now_ms;
       }
       health.last_depth = depth;
-      // Disaggregated mode mirrors every liveness flip into the pool router
-      // (and a death into the pool placement) under the replica's pool-local
-      // index, so stage routing and per-pool adapter homes stay correct.
-      const auto set_pool_alive = [this, r](bool alive) VLORA_REQUIRES(mutex_) {
-        if (!options_.disagg.enabled) {
-          return;
-        }
-        const int num_prefill = options_.disagg.num_prefill;
-        if (r < num_prefill) {
-          prefill_router_->SetReplicaAlive(r, alive);
-        } else {
-          decode_router_->SetReplicaAlive(r - num_prefill, alive);
-        }
-      };
+      // Liveness flips and deaths land in the replica's own pool, under its
+      // pool-local index.
+      const PoolSlot& slot = slots_[static_cast<size_t>(r)];
+      Pool& pool = pools_[slot.pool];
       if (is_dead) {
         if (!health.death_handled) {
           // The replica failed over its own queue when it died; here we stop
@@ -434,17 +401,8 @@ void ClusterServer::HealthCheck(double now_ms) {
           health.quarantined = false;
           ++replica_deaths_;
           health_event = true;
-          router_->SetReplicaAlive(r, false);
-          placement_.Rebalance(r);
-          set_pool_alive(false);
-          if (options_.disagg.enabled) {
-            const int num_prefill = options_.disagg.num_prefill;
-            if (r < num_prefill) {
-              prefill_placement_.Rebalance(r);
-            } else {
-              decode_placement_.Rebalance(r - num_prefill);
-            }
-          }
+          pool.router->SetReplicaAlive(slot.local, false);
+          pool.placement.Rebalance(slot.local);
         }
       } else if (!health.quarantined) {
         if (options_.recovery.stall_quarantine_ms > 0.0 && depth > 0 &&
@@ -457,8 +415,7 @@ void ClusterServer::HealthCheck(double now_ms) {
               MetricsRegistry::Global().counter("cluster.quarantines");
           quarantines->Increment();
           trace::EmitQuarantine(r);
-          router_->SetReplicaAlive(r, false);
-          set_pool_alive(false);
+          pool.router->SetReplicaAlive(slot.local, false);
           steal = true;
         }
       } else if (heartbeat != health.heartbeat_at_quarantine) {
@@ -468,8 +425,7 @@ void ClusterServer::HealthCheck(double now_ms) {
         ++readmissions_;
         health_event = true;
         trace::EmitReadmit(r);
-        router_->SetReplicaAlive(r, true);
-        set_pool_alive(true);
+        pool.router->SetReplicaAlive(slot.local, true);
       }
     }
     if (health_event) {
@@ -477,10 +433,6 @@ void ClusterServer::HealthCheck(double now_ms) {
     }
     if (steal) {
       std::vector<EngineRequest> stolen = replica.StealIngress();
-      if (!stolen.empty()) {
-        MutexLock lock(&mutex_);
-        rerouted_ += static_cast<int64_t>(stolen.size());
-      }
       std::sort(stolen.begin(), stolen.end(),
                 [](const EngineRequest& a, const EngineRequest& b) { return a.id < b.id; });
       for (EngineRequest& request : stolen) {
@@ -556,16 +508,8 @@ EngineRequest ClusterServer::BuildDispatchRequestLocked(const Pending& pending) 
   // at dispatch time so a retried prefill re-runs prefill and a retried
   // decode re-routes the same handle.
   EngineRequest request = pending.request;
-  switch (pending.stage) {
-    case Stage::kUnified:
-      break;
-    case Stage::kPrefill:
-      request.prefill_only = true;
-      break;
-    case Stage::kDecode:
-      request.resume_handle = pending.handle;
-      break;
-  }
+  request.prefill_only = options_.disagg.enabled && pending.handle == nullptr;
+  request.resume_handle = pending.handle;
   return request;
 }
 
@@ -580,7 +524,7 @@ void ClusterServer::OnReplicaHandoff(int replica, EngineResult result) {
       return;  // finalised while the prefill ran (deadline/shutdown); drop the handle
     }
     Pending& pending = it->second;
-    if (pending.stage == Stage::kDecode) {
+    if (pending.handle != nullptr) {
       // Duplicate: a stalled/replayed prefill completed after its request was
       // already handed off. The first handle won; drop this one uncounted.
       return;
@@ -588,8 +532,6 @@ void ClusterServer::OnReplicaHandoff(int replica, EngineResult result) {
     trace::EmitKvHandoff(result.request_id, pending.request.adapter_id, replica,
                          static_cast<int64_t>(handle->pages.size()), handle->TotalFloats());
     ++handoffs_;
-    ++handles_created_;
-    pending.stage = Stage::kDecode;
     pending.handle = std::move(handle);
     pending.state = PendingState::kEnqueued;
     to_dispatch = BuildDispatchRequestLocked(pending);
@@ -656,22 +598,18 @@ std::vector<FailedRequest> ClusterServer::TakeFailures() {
 }
 
 bool ClusterServer::WaitForReadmissions(int64_t count, double timeout_ms) {
-  const double deadline_ms = clock_.ElapsedMillis() + timeout_ms;
-  MutexLock lock(&mutex_);
-  while (readmissions_ < count) {
-    const double remaining_ms = deadline_ms - clock_.ElapsedMillis();
-    if (remaining_ms <= 0.0) {
-      return false;
-    }
-    health_cv_.WaitForMs(mutex_, remaining_ms);
-  }
-  return true;
+  return WaitForHealthCounts(count, /*deaths=*/0, timeout_ms);
 }
 
 bool ClusterServer::WaitForReplicaDeaths(int64_t count, double timeout_ms) {
+  return WaitForHealthCounts(/*readmissions=*/0, count, timeout_ms);
+}
+
+bool ClusterServer::WaitForHealthCounts(int64_t readmissions, int64_t deaths,
+                                        double timeout_ms) {
   const double deadline_ms = clock_.ElapsedMillis() + timeout_ms;
   MutexLock lock(&mutex_);
-  while (replica_deaths_ < count) {
+  while (readmissions_ < readmissions || replica_deaths_ < deaths) {
     const double remaining_ms = deadline_ms - clock_.ElapsedMillis();
     if (remaining_ms <= 0.0) {
       return false;
@@ -728,6 +666,7 @@ ClusterStats ClusterServer::Stats() {
     stats.adapter_swap_ins += snapshot.server.adapter_swap_ins;
     stats.adapter_evictions += snapshot.server.adapter_evictions;
     stats.visible_swap_ms += snapshot.server.visible_swap_ms;
+    stats.rerouted += snapshot.stolen;  // only the health checker steals
     stats.latency.Merge(snapshot.latency);
     stats.replicas.push_back(std::move(snapshot));
   }
@@ -736,7 +675,6 @@ ClusterStats ClusterServer::Stats() {
   stats.affinity_hits = affinity_hits_;
   stats.affinity_spills = affinity_spills_;
   stats.retries = retries_;
-  stats.rerouted = rerouted_;
   stats.failed = failed_;
   stats.cancelled = cancelled_;
   stats.deadline_failures = deadline_failures_;
@@ -744,7 +682,6 @@ ClusterStats ClusterServer::Stats() {
   stats.quarantines = quarantines_;
   stats.readmissions = readmissions_;
   stats.handoffs = handoffs_;
-  stats.handles_created = handles_created_;
   stats.handles_released = handles_released_;
   const double wall_ms = wall_ms_ > 0.0 ? wall_ms_ : (wall_started_ ? wall_.ElapsedMillis() : 0.0);
   stats.wall_ms = wall_ms;

@@ -130,9 +130,9 @@ struct ClusterStats {
   int64_t quarantines = 0;
   int64_t readmissions = 0;
   // Disaggregated mode (zero in unified mode).
+  // Each handoff hands the master one KvHandle, released exactly once.
   int64_t handoffs = 0;          // prefill results diverted to the handoff path
-  int64_t handles_created = 0;   // KvHandles the master took ownership of
-  int64_t handles_released = 0;  // ... and released (completion or final failure)
+  int64_t handles_released = 0;  // KvHandles released (completion or final failure)
 };
 
 class ClusterServer {
@@ -152,10 +152,15 @@ class ClusterServer {
 
   // Computes the placement from per-adapter request shares (AdapterShares()
   // over the expected trace) and pre-warms each replica's home set onto its
-  // device. Setup phase only; without this call affinity routing degenerates
-  // to least-loaded.
-  void PlaceAdapters(const std::vector<double>& shares);
-  const AdapterPlacement& placement() const { return placement_; }
+  // device. Without this call affinity routing degenerates to least-loaded.
+  // Setup phase only: no other thread exists yet, so deliberately unchecked.
+  void PlaceAdapters(const std::vector<double>& shares) VLORA_NO_THREAD_SAFETY_ANALYSIS;
+  // Pool 0's placement: the whole fleet in unified mode, the prefill pool in
+  // disaggregated mode (the decode pool keeps its own). Setup-phase /
+  // quiescent-only by contract, so deliberately unchecked.
+  const AdapterPlacement& placement() const VLORA_NO_THREAD_SAFETY_ANALYSIS {
+    return pools_[0].placement;
+  }
 
   // Invoked (from a replica worker thread) whenever a request completes, with
   // the cluster-clock completion time; benches use it to build recovery
@@ -210,20 +215,12 @@ class ClusterServer {
     kEnqueued,      // on some replica's queue or inside its engine
     kWaitingRetry,  // failed; waiting out the backoff before re-dispatch
   };
-  // Lifecycle stage of a pending request. Unified mode stays kUnified for a
-  // request's whole life; disaggregated requests go kPrefill -> kDecode at
-  // the handoff.
-  enum class Stage {
-    kUnified,
-    kPrefill,
-    kDecode,
-  };
   struct Pending {
     EngineRequest request;  // replay copy for retries (no stage flags attached)
     PendingState state = PendingState::kEnqueued;
-    Stage stage = Stage::kUnified;
-    // kDecode only: the KvHandle the prefill pool produced. Retries re-route
-    // the same handle; released (counted) when the pending entry dies.
+    // The KvHandle the prefill pool produced; set exactly when a
+    // disaggregated request reaches its decode stage. Retries re-route the
+    // same handle; released (counted) when the pending entry dies.
     std::shared_ptr<KvHandle> handle;
     int attempts = 1;
     double deadline_ms = 0.0;   // cluster clock; +inf when disabled
@@ -238,15 +235,33 @@ class ClusterServer {
     bool death_handled = false;
   };
   enum class RouteOutcome { kAccepted, kFull, kUnavailable };
+  // One routing domain: the whole fleet in unified mode; the prefill pool
+  // (kPrefillPool) or the decode pool (kDecodePool) in disaggregated mode.
+  // The placement and the router use pool-local indices; members maps them
+  // to global replica indices.
+  struct Pool {
+    std::vector<int> members;  // ascending
+    AdapterPlacement placement;
+    std::unique_ptr<Router> router;  // reads `placement`
+  };
+  static constexpr size_t kPrefillPool = 0;
+  static constexpr size_t kDecodePool = 1;
+  // Where a replica routes from: its pool and its index inside it.
+  struct PoolSlot {
+    size_t pool = 0;
+    int local = 0;
+  };
 
   // First-Submit initialisation: starts the replica workers, the hosting
   // pool and the supervisor. Holding mutex_ while starting is part of the
   // documented lock order (ClusterServer::mutex_ before Replica::mutex_ /
   // ThreadPool::mutex_; see DESIGN.md "Static concurrency invariants").
   void EnsureStartedLocked() VLORA_REQUIRES(mutex_);
-  // Picks a live replica and enqueues; probes other live replicas when the
-  // target refuses (dead/stopping). Never holds mutex_ across an Enqueue.
-  RouteOutcome RouteAndEnqueue(EngineRequest request, bool blocking, bool count_affinity)
+  // Picks a live replica of the request's pool and enqueues; probes other
+  // live members when the target refuses (dead/stopping). A first dispatch
+  // (from Submit) may block on a full target and counts affinity; a
+  // re-dispatch does neither. Never holds mutex_ across an Enqueue.
+  RouteOutcome RouteAndEnqueue(EngineRequest request, bool first_dispatch)
       VLORA_EXCLUDES(mutex_);
   // Re-dispatches a pending request (retry or quarantine spill); on failure
   // schedules another backoff round or finalises. Supervisor thread only.
@@ -258,37 +273,26 @@ class ClusterServer {
   void OnReplicaFailure(int replica, int64_t request_id, const Status& status)
       VLORA_EXCLUDES(mutex_);
   // Handoff callback (disaggregated mode): takes ownership of the KvHandle,
-  // moves the pending entry to Stage::kDecode and dispatches it into the
-  // decode pool. Duplicate handoffs (a stalled prefill replica completing
-  // after its request was already re-run) are dropped.
+  // which moves the pending entry to its decode stage, and dispatches it
+  // into the decode pool. Duplicate handoffs (a stalled prefill replica
+  // completing after its request was already re-run) are dropped.
   void OnReplicaHandoff(int replica, EngineResult result) VLORA_EXCLUDES(mutex_);
   // The request to put on the wire for `pending`'s current stage: a replay
   // copy with prefill_only / resume_handle attached as the stage demands.
   EngineRequest BuildDispatchRequestLocked(const Pending& pending) const
       VLORA_REQUIRES(mutex_);
+  // Waits on health_cv_ until both recorded counts reach their targets.
+  [[nodiscard]] bool WaitForHealthCounts(int64_t readmissions, int64_t deaths,
+                                         double timeout_ms) VLORA_EXCLUDES(mutex_);
   // Returns true when the pending table drained; caller notifies drained_cv_.
   bool FinalizeFailureLocked(std::unordered_map<int64_t, Pending>::iterator it,
                              const Status& status, bool deadline) VLORA_REQUIRES(mutex_);
   double BackoffMs(int attempts) const;
 
   ClusterOptions options_;
-  // Routing/placement state: written under mutex_ once serving starts
-  // (Rebalance, SetReplicaAlive). The const placement() accessor is
-  // setup-phase / quiescent-only by contract and deliberately unchecked.
-  AdapterPlacement placement_;
-  // Disaggregated mode: pool-local placements over pool-local replica
-  // indices; empty (and the pool routers null) in unified mode.
-  AdapterPlacement prefill_placement_;
-  AdapterPlacement decode_placement_;
-  // Pool membership as global replica indices; all_members_ is the identity
-  // list every unified route uses. Const after the ctor.
-  std::vector<int> all_members_;
-  std::vector<int> prefill_members_;
-  std::vector<int> decode_members_;
   std::vector<std::unique_ptr<Replica>> replicas_;
-  std::unique_ptr<Router> router_ VLORA_PT_GUARDED_BY(mutex_);  // set once in ctor
-  std::unique_ptr<Router> prefill_router_ VLORA_PT_GUARDED_BY(mutex_);  // disagg only
-  std::unique_ptr<Router> decode_router_ VLORA_PT_GUARDED_BY(mutex_);   // disagg only
+  // Replica index -> its pool slot. Const after the ctor.
+  std::vector<PoolSlot> slots_;
   std::unique_ptr<ThreadPool> pool_;  // after replicas_: destroyed (joined) first
   Stopwatch clock_;  // deadlines, backoff and health tracking; read-only after ctor
 
@@ -308,6 +312,10 @@ class ClusterServer {
   bool wall_started_ VLORA_GUARDED_BY(mutex_) = false;
   double wall_ms_ VLORA_GUARDED_BY(mutex_) = 0.0;
   bool supervisor_stop_ VLORA_GUARDED_BY(mutex_) = false;
+  // One pool in unified mode, two in disaggregated mode. Sized once in the
+  // ctor, before any router takes the address of its pool's placement;
+  // routing, Rebalance and SetReplicaAlive then run under mutex_.
+  std::vector<Pool> pools_ VLORA_GUARDED_BY(mutex_);
   std::unordered_map<int64_t, Pending> pending_ VLORA_GUARDED_BY(mutex_);
   std::vector<HealthState> health_ VLORA_GUARDED_BY(mutex_);
   std::vector<FailedRequest> failures_ VLORA_GUARDED_BY(mutex_);
@@ -316,7 +324,6 @@ class ClusterServer {
   int64_t affinity_spills_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t rejected_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t retries_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t rerouted_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t failed_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t cancelled_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t deadline_failures_ VLORA_GUARDED_BY(mutex_) = 0;
@@ -324,7 +331,6 @@ class ClusterServer {
   int64_t quarantines_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t readmissions_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t handoffs_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t handles_created_ VLORA_GUARDED_BY(mutex_) = 0;
   int64_t handles_released_ VLORA_GUARDED_BY(mutex_) = 0;
 };
 

@@ -22,8 +22,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,7 +90,6 @@ int ExecutorMain(int argc, char** argv) {
   options.admission = AdmissionPolicy::kBlock;
   ThreadReplica replica(replica_index, config.value().model, options);
 
-  std::atomic<int64_t> completed{0};  // `counter` protocol (tools/atomics.toml)
   replica.SetHandlers(
       [&](int /*replica*/, int64_t /*request_id*/) {
         // Results accumulate in the replica between handler invocations;
@@ -106,7 +103,6 @@ int ExecutorMain(int argc, char** argv) {
           net::ResultMessage message;
           message.result = std::move(result);
           (void)channel.SendMsg(message);
-          completed.fetch_add(1, std::memory_order_relaxed);
         }
       },
       [&](int /*replica*/, int64_t request_id, const Status& status) {
@@ -165,8 +161,8 @@ int ExecutorMain(int argc, char** argv) {
   replica.Start(&pool);
 
   // Forward the worker's liveness stamp every period; when the worker stalls
-  // or the engine wedges, worker_ms freezes and the master's stall detector
-  // fires exactly as it would in-process.
+  // or the engine wedges, worker_ms freezes, the master stops beating and its
+  // stall detector fires exactly as it would in-process.
   std::atomic<bool> heartbeat_stop{false};  // `flag` protocol (tools/atomics.toml)
   std::thread heartbeat([&] {
     const auto period =
@@ -175,20 +171,11 @@ int ExecutorMain(int argc, char** argv) {
       std::this_thread::sleep_for(period);
       net::HeartbeatMessage hb;
       hb.worker_ms = replica.HeartbeatMs();
-      hb.depth = replica.Depth();
-      hb.completed = completed.load(std::memory_order_relaxed);
       (void)channel.SendMsg(hb);
     }
   });
 
-  // Disagg KvHandle assembly for incoming resume requests, keyed by request
-  // id — the mirror of the master reader's map (see ProcessReplica).
-  struct Assembly {
-    std::shared_ptr<KvHandle> handle;
-    int64_t remaining = 0;  // pages still missing
-  };
-  std::map<int64_t, Assembly> assembling;
-
+  net::KvHandleReceiver handles;  // resume requests' KvHandles
   int exit_code = 0;
   for (;;) {
     Result<net::Envelope> envelope = channel.Recv();
@@ -200,41 +187,15 @@ int ExecutorMain(int argc, char** argv) {
     if (envelope.value().type == net::MessageType::kStop) {
       replica.RequestStop();
       pool.WaitIdle();  // worker drains in-engine work, handlers flush it
-      net::GoodbyeMessage goodbye;
-      goodbye.completed = completed.load(std::memory_order_relaxed);
-      (void)channel.SendMsg(goodbye);
+      (void)channel.SendMsg(net::GoodbyeMessage{});
       break;
     }
-    if (envelope.value().type == net::MessageType::kKvHandleMeta) {
-      Result<net::KvHandleMetaMessage> msg =
-          net::DecodeAs<net::KvHandleMetaMessage>(envelope.value());
-      if (!msg.ok()) {
-        exit_code = 1;
+    if (envelope.value().type == net::MessageType::kKvHandleMeta ||
+        envelope.value().type == net::MessageType::kKvPage) {
+      if (!handles.Accept(envelope.value())) {
+        exit_code = 1;  // undecodable, page without meta, out of range, or a duplicate
         break;
       }
-      Assembly assembly;
-      assembly.handle = std::make_shared<KvHandle>();
-      msg.value().ToHandle(assembly.handle.get());
-      assembly.remaining = msg.value().num_pages;
-      assembling[msg.value().request_id] = std::move(assembly);
-      continue;
-    }
-    if (envelope.value().type == net::MessageType::kKvPage) {
-      Result<net::KvPageMessage> msg = net::DecodeAs<net::KvPageMessage>(envelope.value());
-      if (!msg.ok()) {
-        exit_code = 1;
-        break;
-      }
-      net::KvPageMessage& page = msg.value();
-      auto it = assembling.find(page.request_id);
-      if (it == assembling.end() ||
-          page.page_index >= static_cast<int64_t>(it->second.handle->pages.size()) ||
-          !it->second.handle->pages[static_cast<size_t>(page.page_index)].data.empty()) {
-        exit_code = 1;  // page without meta, out of range, or a duplicate
-        break;
-      }
-      it->second.handle->pages[static_cast<size_t>(page.page_index)].data = std::move(page.data);
-      --it->second.remaining;
       continue;
     }
     if (envelope.value().type == net::MessageType::kRequest) {
@@ -245,15 +206,13 @@ int ExecutorMain(int argc, char** argv) {
       }
       const int64_t id = msg.value().request.id;
       if (msg.value().has_resume) {
-        auto it = assembling.find(id);
-        if (it == assembling.end() || it->second.remaining != 0) {
+        msg.value().request.resume_handle = handles.Take(id);
+        if (msg.value().request.resume_handle == nullptr) {
           // A resume whose handle never fully arrived is a protocol error:
           // dying loudly routes the request into the master's retry path.
           exit_code = 1;
           break;
         }
-        msg.value().request.resume_handle = std::move(it->second.handle);
-        assembling.erase(it);
       }
       if (replica.Enqueue(std::move(msg.value().request), /*never_block=*/false) !=
           EnqueueResult::kAccepted) {

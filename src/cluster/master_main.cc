@@ -113,10 +113,8 @@ int MasterMain(int argc, char** argv) {
               ReplicaBackendName(backend), replicas, requests, results.size(), stats.wall_ms,
               stats.throughput_rps);
   if (prefill > 0) {
-    std::printf("disaggregated: %d prefill / %d decode, handoffs=%lld "
-                "(handles created=%lld released=%lld)\n",
+    std::printf("disaggregated: %d prefill / %d decode, handoffs=%lld (handles released=%lld)\n",
                 prefill, replicas - prefill, static_cast<long long>(stats.handoffs),
-                static_cast<long long>(stats.handles_created),
                 static_cast<long long>(stats.handles_released));
   }
   std::printf("%-8s %-8s %-10s %-10s %-8s %-10s\n", "replica", "backend", "submitted",

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <map>
 #include <span>
 #include <thread>
 #include <utility>
@@ -210,14 +209,9 @@ void ProcessReplica::PumpIngress() {
 
 void ProcessReplica::ReaderLoop() {
   trace::SetCurrentReplica(index_);
-  // Disagg KvHandle assembly, keyed by request id: a KvHandleMeta frame
-  // opens an entry, KvPage frames fill it, the Result frame that expects it
-  // closes it. Recv is single-consumer, so the map is reader-thread-local.
-  struct Assembly {
-    std::shared_ptr<KvHandle> handle;
-    int64_t remaining = 0;  // pages still missing
-  };
-  std::map<int64_t, Assembly> assembling;
+  // Recv is single-consumer, so the receiver is reader-thread-local.
+  net::KvHandleReceiver handles;
+  double worker_ms = -1.0;  // the executor's last reported worker stamp
   for (;;) {
     Result<net::Envelope> envelope = channel_->Recv();
     if (!envelope.ok()) {
@@ -232,42 +226,22 @@ void ProcessReplica::ReaderLoop() {
         if (!hb.ok()) {
           break;
         }
-        // Republish the *local receive time*: the staleness clock must never
-        // compare timestamps across processes. A wedged executor stops
-        // sending, so the stamp freezes exactly like a stalled worker's.
-        Beat();
+        // Beat only when the executor's worker moved, so a stalled worker
+        // freezes the stamp exactly like a stalled ThreadReplica's. Executor
+        // stamps are compared only with each other; what is published is
+        // the local receive time.
+        if (hb.value().worker_ms != worker_ms) {
+          worker_ms = hb.value().worker_ms;
+          Beat();
+        }
         continue;
       }
-      case net::MessageType::kKvHandleMeta: {
-        Result<net::KvHandleMetaMessage> msg =
-            net::DecodeAs<net::KvHandleMetaMessage>(envelope.value());
-        if (!msg.ok()) {
+      case net::MessageType::kKvHandleMeta:
+      case net::MessageType::kKvPage:
+        if (!handles.Accept(envelope.value())) {
           break;
         }
-        Assembly assembly;
-        assembly.handle = std::make_shared<KvHandle>();
-        msg.value().ToHandle(assembly.handle.get());
-        assembly.remaining = msg.value().num_pages;
-        assembling[msg.value().request_id] = std::move(assembly);
         continue;
-      }
-      case net::MessageType::kKvPage: {
-        Result<net::KvPageMessage> msg = net::DecodeAs<net::KvPageMessage>(envelope.value());
-        if (!msg.ok()) {
-          break;
-        }
-        net::KvPageMessage& page = msg.value();
-        auto it = assembling.find(page.request_id);
-        if (it == assembling.end() ||
-            page.page_index >= static_cast<int64_t>(it->second.handle->pages.size()) ||
-            !it->second.handle->pages[static_cast<size_t>(page.page_index)].data.empty()) {
-          break;  // page without meta, out of range, or a duplicate: protocol error
-        }
-        it->second.handle->pages[static_cast<size_t>(page.page_index)].data =
-            std::move(page.data);
-        --it->second.remaining;
-        continue;
-      }
       case net::MessageType::kResult: {
         Result<net::ResultMessage> msg = net::DecodeAs<net::ResultMessage>(envelope.value());
         if (!msg.ok()) {
@@ -275,12 +249,10 @@ void ProcessReplica::ReaderLoop() {
         }
         EngineResult result = std::move(msg.value().result);
         if (msg.value().expects_handle) {
-          auto it = assembling.find(result.request_id);
-          if (it == assembling.end() || it->second.remaining != 0) {
+          result.handle = handles.Take(result.request_id);
+          if (result.handle == nullptr) {
             break;  // result references a handle we never fully received
           }
-          result.handle = std::move(it->second.handle);
-          assembling.erase(it);
           // The executor's engine emitted kPrefillDone in the child process;
           // republish it here so the master's tracer sees the whole lifecycle.
           trace::EmitPrefillDone(result.request_id, /*adapter=*/-1, result.prefill_tokens,

@@ -31,8 +31,10 @@
 // quarantine detour.
 //
 // Heartbeats ride the wire: the executor periodically reports its worker
-// loop's liveness stamp, and the master republishes the *local receive time*
-// so the staleness clock never compares timestamps across processes.
+// loop's liveness stamp, and the master beats (publishes its own receive
+// time) only when that stamp moved. A stalled executor worker therefore
+// freezes the heartbeat exactly as a stalled ThreadReplica does, and the
+// staleness clock never compares timestamps across processes.
 
 #ifndef VLORA_SRC_CLUSTER_PROCESS_REPLICA_H_
 #define VLORA_SRC_CLUSTER_PROCESS_REPLICA_H_

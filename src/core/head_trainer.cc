@@ -7,9 +7,12 @@ namespace vlora {
 
 namespace {
 
-// Plain-SGD step size and L2 weight decay of the softmax regression.
+// Plain-SGD step size, L2 weight decay, epochs and seed of the softmax
+// regression.
 constexpr float kLearningRate = 0.5f;
 constexpr float kWeightDecay = 1e-4f;
+constexpr int kEpochs = 40;
+constexpr uint64_t kSeed = 5;
 
 // Runs one capture-only request and returns the final hidden state.
 std::vector<float> ExtractFeature(InferenceEngine& engine, const HeadExample& example,
@@ -47,12 +50,12 @@ HeadTrainingResult TrainTaskHead(InferenceEngine& engine,
   }
 
   // Softmax regression: W (d x classes), plain SGD with weight decay.
-  Rng rng(options.seed);
+  Rng rng(kSeed);
   Tensor weight = Tensor::Random(Shape(d, classes), rng, 0.01f);
   std::vector<double> logits(static_cast<size_t>(classes));
   std::vector<double> probs(static_cast<size_t>(classes));
   double loss = 0.0;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
     loss = 0.0;
     const std::vector<int64_t> order = rng.Permutation(static_cast<int64_t>(examples.size()));
     for (int64_t index : order) {

@@ -26,8 +26,6 @@ struct HeadExample {
 
 struct HeadTrainerOptions {
   int num_classes = 2;
-  int epochs = 40;
-  uint64_t seed = 5;
   int adapter_id = -1;  // extract features with this adapter active (-1 base)
 };
 

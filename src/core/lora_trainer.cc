@@ -11,6 +11,8 @@ namespace vlora {
 
 namespace {
 
+constexpr uint64_t kShuffleSeed = 9;  // per-epoch example order
+
 // Backward of y = RMSNorm_g(x) for one row: returns dL/dx given dL/dy.
 std::vector<float> RmsNormBackward(const std::vector<float>& x, const float* gain,
                                    const std::vector<float>& dy) {
@@ -267,7 +269,7 @@ LoraTrainResult LoraTrainer::Train(const std::vector<LoraTrainExample>& examples
   LoraLayerWeights& factors = adapter_->layer(LoraTarget::kWo, config.num_layers - 1);
 
   LoraTrainResult result;
-  Rng rng(options.seed);
+  Rng rng(kShuffleSeed);
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     double epoch_loss = 0.0;
     const std::vector<int64_t> order = rng.Permutation(static_cast<int64_t>(examples.size()));

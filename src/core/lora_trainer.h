@@ -34,7 +34,6 @@ struct LoraTrainerOptions {
   int epochs = 30;
   float factor_lr = 0.05f;  // learning rate for the LoRA factors
   float head_lr = 0.3f;     // learning rate for the task head
-  uint64_t seed = 9;
 };
 
 struct LoraTrainResult {

@@ -231,9 +231,9 @@ SimMetrics RunDevice(const std::vector<Request>& trace, SchedulerPolicy& policy,
     metrics.unmerged_extra_ms += extra_ms;
 
     if (options.record_iterations) {
-      metrics.iterations.push_back(IterationRecord{
-          clock_ms, duration_ms, switch_ms, swap_ms, plan.mode, plan.merged_adapter,
-          static_cast<int>(plan.selected.size()), prefill_tokens, decode_count});
+      metrics.iterations.push_back(IterationRecord{duration_ms, switch_ms, plan.mode,
+                                                   static_cast<int>(plan.selected.size()),
+                                                   prefill_tokens});
     }
 
     clock_ms += duration_ms;

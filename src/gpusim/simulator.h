@@ -103,15 +103,11 @@ struct SimOptions {
 };
 
 struct IterationRecord {
-  double start_ms = 0.0;
   double duration_ms = 0.0;
   double switch_ms = 0.0;
-  double swap_ms = 0.0;
   InferMode mode = InferMode::kUnmerged;
-  int merged_adapter = -1;
   int batch_size = 0;
   int64_t prefill_tokens = 0;
-  int64_t decode_count = 0;
 };
 
 struct SimMetrics {

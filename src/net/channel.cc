@@ -1,5 +1,7 @@
 #include "src/net/channel.h"
 
+#include <algorithm>
+
 namespace vlora {
 namespace net {
 
@@ -19,6 +21,47 @@ Status SendKvHandle(Channel& channel, const KvHandle& handle) {
     VLORA_RETURN_IF_ERROR(channel.SendMsg(page));
   }
   return Status::Ok();
+}
+
+bool KvHandleReceiver::Accept(const Envelope& envelope) {
+  if (envelope.type == MessageType::kKvHandleMeta) {
+    Result<KvHandleMetaMessage> meta = DecodeAs<KvHandleMetaMessage>(envelope);
+    if (!meta.ok()) {
+      return false;
+    }
+    std::shared_ptr<KvHandle>& handle = assembling_[meta.value().request_id];
+    handle = std::make_shared<KvHandle>();
+    meta.value().ToHandle(handle.get());
+    return true;
+  }
+  Result<KvPageMessage> page = DecodeAs<KvPageMessage>(envelope);
+  if (!page.ok()) {
+    return false;
+  }
+  auto it = assembling_.find(page.value().request_id);
+  if (it == assembling_.end() ||
+      page.value().page_index >= static_cast<int64_t>(it->second->pages.size())) {
+    return false;
+  }
+  // Parse rejects empty pages, so an empty slot is one still missing.
+  std::vector<float>& data = it->second->pages[static_cast<size_t>(page.value().page_index)].data;
+  if (!data.empty()) {
+    return false;
+  }
+  data = std::move(page.value().data);
+  return true;
+}
+
+std::shared_ptr<KvHandle> KvHandleReceiver::Take(int64_t request_id) {
+  auto it = assembling_.find(request_id);
+  if (it == assembling_.end() ||
+      std::any_of(it->second->pages.begin(), it->second->pages.end(),
+                  [](const KvPage& page) { return page.data.empty(); })) {
+    return nullptr;
+  }
+  std::shared_ptr<KvHandle> handle = std::move(it->second);
+  assembling_.erase(it);
+  return handle;
 }
 
 Result<Envelope> Channel::Recv() {

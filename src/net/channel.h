@@ -17,6 +17,8 @@
 #ifndef VLORA_SRC_NET_CHANNEL_H_
 #define VLORA_SRC_NET_CHANNEL_H_
 
+#include <map>
+#include <memory>
 #include <string>
 
 #include "src/common/sync.h"
@@ -79,6 +81,22 @@ class Channel {
 // concurrent senders (heartbeats, other requests) interleaving between them
 // are harmless. Returns the first send error.
 Status SendKvHandle(Channel& channel, const KvHandle& handle);
+
+// The receiver half, shared by the same two ends: assembles KvHandles from
+// their frames, keyed by request_id. Single-threaded, like Channel::Recv.
+class KvHandleReceiver {
+ public:
+  // Takes a KvHandleMeta or KvPage frame. Returns false on a protocol error:
+  // an undecodable frame, a page without its meta, a page index at or above
+  // the meta's page count, or a page that already arrived.
+  [[nodiscard]] bool Accept(const Envelope& envelope);
+  // Moves out the handle for `request_id` once every page has arrived; null
+  // for an unknown or still incomplete handle.
+  std::shared_ptr<KvHandle> Take(int64_t request_id);
+
+ private:
+  std::map<int64_t, std::shared_ptr<KvHandle>> assembling_;
+};
 
 }  // namespace net
 }  // namespace vlora

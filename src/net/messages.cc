@@ -340,14 +340,10 @@ bool FailureMessage::Parse(WireReader& r, FailureMessage* out) {
          StatusCodeFromWire(code, &out->code) && r.Str(&out->message);
 }
 
-void HeartbeatMessage::AppendTo(WireWriter& w) const {
-  w.F64(worker_ms);
-  w.SignedVarint(depth);
-  w.SignedVarint(completed);
-}
+void HeartbeatMessage::AppendTo(WireWriter& w) const { w.F64(worker_ms); }
 
 bool HeartbeatMessage::Parse(WireReader& r, HeartbeatMessage* out) {
-  return r.F64(&out->worker_ms) && r.SignedVarint(&out->depth) && r.SignedVarint(&out->completed);
+  return r.F64(&out->worker_ms);
 }
 
 void StopMessage::AppendTo(WireWriter& w) const { (void)w; }
@@ -358,10 +354,12 @@ bool StopMessage::Parse(WireReader& r, StopMessage* out) {
   return true;
 }
 
-void GoodbyeMessage::AppendTo(WireWriter& w) const { w.SignedVarint(completed); }
+void GoodbyeMessage::AppendTo(WireWriter& w) const { (void)w; }
 
 bool GoodbyeMessage::Parse(WireReader& r, GoodbyeMessage* out) {
-  return r.SignedVarint(&out->completed);
+  (void)r;
+  (void)out;
+  return true;
 }
 
 KvHandleMetaMessage KvHandleMetaMessage::FromHandle(const KvHandle& handle) {

@@ -207,13 +207,12 @@ struct FailureMessage {
 };
 
 // The executor forwards its ThreadReplica's own liveness stamp: worker_ms
-// stops advancing during a stall or after a crash-wedge, so the master's
-// stall-quarantine heuristic keeps working unchanged over the wire.
+// stops advancing during a stall or after a crash-wedge, and the master
+// beats only when it moves, so stall quarantine works unchanged over the
+// wire.
 struct HeartbeatMessage {
   static constexpr MessageType kType = MessageType::kHeartbeat;
-  double worker_ms = 0.0;   // executor-clock worker heartbeat
-  int64_t depth = 0;        // executor-side outstanding requests
-  int64_t completed = 0;    // executor-side completion count
+  double worker_ms = 0.0;  // executor-clock worker heartbeat
 
   void AppendTo(WireWriter& w) const;
   static bool Parse(WireReader& r, HeartbeatMessage* out);
@@ -227,8 +226,6 @@ struct StopMessage {
 
 struct GoodbyeMessage {
   static constexpr MessageType kType = MessageType::kGoodbye;
-  int64_t completed = 0;
-
   void AppendTo(WireWriter& w) const;
   static bool Parse(WireReader& r, GoodbyeMessage* out);
 };

@@ -126,8 +126,7 @@ TEST(DisaggregatedTest, TwoStageLifecycleIsFullyTraced) {
   }
   EXPECT_EQ(static_cast<int64_t>(handed_off.size()), stats.handoffs);
   EXPECT_GT(stats.handoffs, 0);
-  EXPECT_EQ(stats.handles_created, stats.handoffs);
-  EXPECT_EQ(stats.handles_released, stats.handles_created);
+  EXPECT_EQ(stats.handles_released, stats.handoffs);
 
   for (size_t i = 0; i < 20; ++i) {
     const int64_t id = trace[i].id;
@@ -223,7 +222,7 @@ TEST(DisaggregatedTest, DeadDecodeReplicaIsNeverTargetedAgain) {
   EXPECT_TRUE(cluster->TakeFailures().empty());
   const ClusterStats stats = cluster->Stats();
   EXPECT_EQ(stats.replica_deaths, 1);
-  EXPECT_EQ(stats.handles_released, stats.handles_created);
+  EXPECT_EQ(stats.handles_released, stats.handoffs);
   cluster.reset();
   session.Stop();
   TraceMatcher matcher(session.Collect());
@@ -307,7 +306,7 @@ TEST(DisaggregatedTest, TtftAdmissionRejectsWhenPrefillPoolIsSaturated) {
   EXPECT_EQ(static_cast<int>(results.size()), admitted);
   const ClusterStats stats = cluster.Stats();
   EXPECT_EQ(stats.rejected, rejected);
-  EXPECT_EQ(stats.handles_released, stats.handles_created);
+  EXPECT_EQ(stats.handles_released, stats.handoffs);
   cluster.Shutdown();
   session.Stop();
   TraceMatcher matcher(session.Collect());
@@ -351,7 +350,7 @@ TEST(DisaggregatedTest, TpotSloCapsDecodeBatchSize) {
   const std::vector<EngineResult> results = cluster.Drain();
   EXPECT_EQ(results.size(), 16u);
   const ClusterStats stats = cluster.Stats();
-  EXPECT_EQ(stats.handles_released, stats.handles_created);
+  EXPECT_EQ(stats.handles_released, stats.handoffs);
   cluster.Shutdown();
   session.Stop();
   TraceMatcher matcher(session.Collect());

@@ -521,7 +521,6 @@ struct DisaggFaultOutcome {
   size_t failures = 0;
   int64_t replica_deaths = 0;
   int64_t handoffs = 0;
-  int64_t handles_created = 0;
   int64_t handles_released = 0;
 };
 
@@ -558,7 +557,6 @@ DisaggFaultOutcome RunDisaggKillPrefill(const ModelConfig& config,
   outcome.failures = cluster->TakeFailures().size();
   outcome.replica_deaths = stats.replica_deaths;
   outcome.handoffs = stats.handoffs;
-  outcome.handles_created = stats.handles_created;
   outcome.handles_released = stats.handles_released;
   EXPECT_EQ(results.size(), 24u);
   cluster.reset();
@@ -577,7 +575,7 @@ TEST(FaultInjectionTest, DisaggKilledPrefillReplicaRerunsLostPrefillsOnPoolSibli
   EXPECT_EQ(first.completed_ids.size(), 24u);
   EXPECT_EQ(first.failures, 0u);
   EXPECT_EQ(first.replica_deaths, 1);
-  EXPECT_EQ(first.handles_released, first.handles_created);
+  EXPECT_EQ(first.handles_released, first.handoffs);
   ASSERT_EQ(first.events.size(), 1u);
   EXPECT_EQ(first.events[0].kind, FaultKind::kKillReplica);
   EXPECT_EQ(first.events[0].replica, 0);
@@ -616,7 +614,7 @@ TEST(FaultInjectionTest, DisaggKilledPrefillReplicaRerunsLostPrefillsOnPoolSibli
   EXPECT_EQ(second.events, first.events);
   EXPECT_EQ(second.failures, first.failures);
   EXPECT_EQ(second.replica_deaths, first.replica_deaths);
-  EXPECT_EQ(second.handles_released, second.handles_created);
+  EXPECT_EQ(second.handles_released, second.handoffs);
 }
 
 DisaggFaultOutcome RunDisaggKillDecode(const ModelConfig& config,
@@ -654,7 +652,6 @@ DisaggFaultOutcome RunDisaggKillDecode(const ModelConfig& config,
   outcome.failures = cluster->TakeFailures().size();
   outcome.replica_deaths = stats.replica_deaths;
   outcome.handoffs = stats.handoffs;
-  outcome.handles_created = stats.handles_created;
   outcome.handles_released = stats.handles_released;
   EXPECT_EQ(results.size(), 20u);
   cluster.reset();
@@ -674,7 +671,7 @@ TEST(FaultInjectionTest, DisaggKilledDecodeReplicaReroutesHandlesWithoutReprefil
   EXPECT_EQ(first.failures, 0u);
   EXPECT_EQ(first.replica_deaths, 1);
   EXPECT_GT(first.handoffs, 0);
-  EXPECT_EQ(first.handles_released, first.handles_created);
+  EXPECT_EQ(first.handles_released, first.handoffs);
 
   TraceMatcher matcher(first.trace_events);
   // The victim died before its first step: it never retired a batch. A
@@ -713,7 +710,7 @@ TEST(FaultInjectionTest, DisaggKilledDecodeReplicaReroutesHandlesWithoutReprefil
   EXPECT_EQ(second.failures, first.failures);
   EXPECT_EQ(second.replica_deaths, first.replica_deaths);
   EXPECT_EQ(second.handoffs, first.handoffs);
-  EXPECT_EQ(second.handles_released, second.handles_created);
+  EXPECT_EQ(second.handles_released, second.handoffs);
 }
 
 TEST(FaultInjectionTest, DisaggStalledPrefillPoolRecoversThroughReadmission) {
@@ -752,7 +749,7 @@ TEST(FaultInjectionTest, DisaggStalledPrefillPoolRecoversThroughReadmission) {
   EXPECT_GE(stats.quarantines, 1);
   EXPECT_GE(stats.readmissions, 1);
   EXPECT_EQ(stats.replica_deaths, 0);
-  EXPECT_EQ(stats.handles_released, stats.handles_created);
+  EXPECT_EQ(stats.handles_released, stats.handoffs);
 
   cluster.reset();
   session.Stop();
