@@ -1,10 +1,8 @@
 // Microbenchmarks for the tiled GEMM at LoRA-serving shapes.
 //
 // The compute-path table prints, per shape, the measured latency of every
-// (kernel variant, weight format) path plus its speedup over the scalar-fp32
-// baseline: scalar-vs-AVX2 in the fp32 rows, fp32-vs-quantized in the Q8/Q4
-// rows, and the weight-storage shrink in the last column. On hosts without
-// AVX2 the table degrades to the scalar rows — the binary always runs.
+// kernel variant plus its speedup over the scalar baseline. On hosts without
+// AVX2 the table degrades to the scalar row — the binary always runs.
 //
 // Two stage tables follow, each a median over repeated timings so they can
 // be compared across commits: prefill-shape GEMMs (whether B is read in
@@ -26,7 +24,6 @@
 #include "src/common/table.h"
 #include "src/kernels/atmm.h"
 #include "src/kernels/gemm.h"
-#include "src/kernels/quant.h"
 #include "src/kernels/transformer_ops.h"
 #include "src/tensor/tensor.h"
 
@@ -40,7 +37,7 @@ struct BenchShape {
   int64_t n;
 };
 
-double TimeFp32Ms(const BenchShape& shape, KernelVariant variant, int reps) {
+double TimeMs(const BenchShape& shape, KernelVariant variant, int reps) {
   Rng rng(11);
   Tensor a = Tensor::Random(Shape(shape.m, shape.k), rng, 1.0f);
   Tensor b = Tensor::Random(Shape(shape.k, shape.n), rng, 1.0f);
@@ -60,28 +57,6 @@ double TimeFp32Ms(const BenchShape& shape, KernelVariant variant, int reps) {
   return best;
 }
 
-double TimeQuantMs(const BenchShape& shape, KernelVariant variant, WeightFormat format,
-                   int reps, int64_t* weight_bytes) {
-  Rng rng(11);
-  Tensor a = Tensor::Random(Shape(shape.m, shape.k), rng, 1.0f);
-  Tensor b = Tensor::Random(Shape(shape.k, shape.n), rng, 1.0f);
-  const QuantizedMatrix b_q = QuantizedMatrix::Quantize(b, format);
-  *weight_bytes = b_q.SizeBytes();
-  Tensor c = Tensor::Zeros(Shape(shape.m, shape.n));
-  GemmWorkspace workspace;
-  const TileConfig config = AtmmDispatcher::HeuristicConfig(shape.m, shape.n, shape.k, variant);
-  GemmQuantized(a.data(), b_q, c.data(), shape.m, shape.n, shape.k, config, workspace, variant);
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < reps; ++rep) {
-    c.Fill(0.0f);
-    Stopwatch timer;
-    GemmQuantized(a.data(), b_q, c.data(), shape.m, shape.n, shape.k, config, workspace,
-                  variant);
-    best = std::min(best, timer.ElapsedMillis());
-  }
-  return best;
-}
-
 void PrintComputePathComparison() {
   const BenchShape shapes[] = {
       {"prefill 256x1024*1024x64", 256, 1024, 64},
@@ -95,25 +70,17 @@ void PrintComputePathComparison() {
   };
   const int reps = 5;
 
-  std::printf("\nCompute-path comparison (speedup vs scalar/fp32; per-variant ATMM heuristic tile)\n");
+  std::printf("\nCompute-path comparison (speedup vs scalar; per-variant ATMM heuristic tile)\n");
   if (!Avx2Available()) {
-    std::printf("note: AVX2 unavailable on this host/build — scalar rows only\n");
+    std::printf("note: AVX2 unavailable on this host/build — scalar row only\n");
   }
   for (const BenchShape& shape : shapes) {
-    const int64_t dense_bytes = shape.k * shape.n * static_cast<int64_t>(sizeof(float));
-    const double baseline = TimeFp32Ms(shape, KernelVariant::kScalar, reps);
-    AsciiTable table({"compute path", "ms (best of 5)", "speedup", "weights KiB"});
+    const double baseline = TimeMs(shape, KernelVariant::kScalar, reps);
+    AsciiTable table({"compute path", "ms (best of 5)", "speedup"});
     for (KernelVariant variant : AvailableKernelVariants()) {
-      const double fp32_ms =
-          variant == KernelVariant::kScalar ? baseline : TimeFp32Ms(shape, variant, reps);
-      table.AddRow(std::string(KernelVariantName(variant)) + "/fp32",
-                   {fp32_ms, baseline / fp32_ms, dense_bytes / 1024.0}, 4);
-      for (WeightFormat format : {WeightFormat::kQ8, WeightFormat::kQ4}) {
-        int64_t weight_bytes = 0;
-        const double ms = TimeQuantMs(shape, variant, format, reps, &weight_bytes);
-        table.AddRow(std::string(KernelVariantName(variant)) + "/" + WeightFormatName(format),
-                     {ms, baseline / ms, weight_bytes / 1024.0}, 4);
-      }
+      const double ms =
+          variant == KernelVariant::kScalar ? baseline : TimeMs(shape, variant, reps);
+      table.AddRow(KernelVariantName(variant), {ms, baseline / ms}, 4);
     }
     table.Print(shape.label);
   }

@@ -14,7 +14,6 @@
 #include "src/common/stopwatch.h"
 #include "src/kernels/atmm.h"
 #include "src/kernels/gemm.h"
-#include "src/kernels/quant.h"
 #include "src/kernels/tiling_search.h"
 
 namespace vlora {
@@ -122,14 +121,12 @@ void Run() {
               "choice tracks the per-shape optimum.\n");
 
   // Second axis of the table (this reproduction's CPU analog of picking the
-  // kernel, not just the tile): the same shapes across every
-  // (KernelVariant, WeightFormat) compute path, each path served from its own
-  // ATMM slot (profiled entry when the search populated it, variant-aware
-  // heuristic otherwise). Speedups are against the scalar/fp32 path of the
-  // same shape — the fp32 rows show scalar-vs-AVX2, the Q8/Q4 rows show
-  // fp32-vs-quantized.
+  // kernel, not just the tile): the same shapes on every KernelVariant, each
+  // served from its own ATMM table (profiled entry when the search populated
+  // it, variant-aware heuristic otherwise). Speedups are against the scalar
+  // variant on the same shape.
   if (!Avx2Available()) {
-    std::printf("note: AVX2 unavailable on this host/build — scalar compute paths only\n");
+    std::printf("note: AVX2 unavailable on this host/build — scalar compute path only\n");
   }
   AsciiTable paths({"compute path", std::string(inputs[0].label) + " ms",
                     "speedup", std::string(inputs[1].label) + " ms", "speedup"});
@@ -137,30 +134,24 @@ void Run() {
   for (const InputShape& shape : inputs) {
     baseline_ms.push_back(ProfileConfig(
         shape.m, shape.n, shape.k,
-        dispatcher.Select(shape.m, shape.n, shape.k, KernelVariant::kScalar,
-                          WeightFormat::kFp32),
-        2, KernelVariant::kScalar, WeightFormat::kFp32));
+        dispatcher.Select(shape.m, shape.n, shape.k, KernelVariant::kScalar), 2,
+        KernelVariant::kScalar));
   }
   for (KernelVariant variant : AvailableKernelVariants()) {
-    for (WeightFormat format :
-         {WeightFormat::kFp32, WeightFormat::kQ8, WeightFormat::kQ4}) {
-      std::vector<double> row;
-      for (size_t i = 0; i < 2; ++i) {
-        const InputShape& shape = inputs[i];
-        const double ms =
-            (variant == KernelVariant::kScalar && format == WeightFormat::kFp32)
-                ? baseline_ms[i]
-                : ProfileConfig(shape.m, shape.n, shape.k,
-                                dispatcher.Select(shape.m, shape.n, shape.k, variant, format),
-                                2, variant, format);
-        row.push_back(ms);
-        row.push_back(baseline_ms[i] / ms);
-      }
-      paths.AddRow(std::string(KernelVariantName(variant)) + "/" + WeightFormatName(format),
-                   row, 3);
+    std::vector<double> row;
+    for (size_t i = 0; i < 2; ++i) {
+      const InputShape& shape = inputs[i];
+      const double ms = variant == KernelVariant::kScalar
+                            ? baseline_ms[i]
+                            : ProfileConfig(shape.m, shape.n, shape.k,
+                                            dispatcher.Select(shape.m, shape.n, shape.k, variant),
+                                            2, variant);
+      row.push_back(ms);
+      row.push_back(baseline_ms[i] / ms);
     }
+    paths.AddRow(KernelVariantName(variant), row, 3);
   }
-  paths.Print("Compute paths (scalar-vs-AVX2, fp32-vs-quantized; per-path ATMM tile)");
+  paths.Print("Compute paths (scalar-vs-AVX2; per-variant ATMM tile)");
 }
 
 }  // namespace

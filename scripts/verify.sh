@@ -6,7 +6,7 @@
 # static-analysis stage (vlora_lint, Clang thread-safety build, clang-tidy),
 # then the concurrency-labelled tests (cluster, fault
 # injection, thread pool, ATMM dispatch) and the kernels-labelled tests
-# (differential micro-kernel harness, quantization) under both
+# (differential micro-kernel harness) under both
 # ThreadSanitizer and AddressSanitizer+UBSan. The ASan tree also runs the
 # e2e_process suites, so real executor SIGKILL recovery is exercised under
 # ASan; the TSan tree deliberately does not (fork + threads is unsupported
@@ -28,10 +28,10 @@ CONCURRENCY_TARGETS=(cluster_test disaggregated_test fault_injection_test thread
 # e2e_process targets run under ASan but not TSan (fork + threads). The
 # process_cluster_test target pulls in vlora_executor via add_dependencies.
 E2E_PROCESS_TARGETS=(net_test process_cluster_test)
-# The kernels label: differential micro-kernel harness + quantization tests.
-# Run under both sanitizer trees — ASan/UBSan proves the packing and nibble
-# arithmetic stay in bounds, TSan re-checks GemmTiledParallel determinism.
-KERNEL_TARGETS=(kernel_diff_test quant_test)
+# The kernels label: the differential micro-kernel harness. Run under both
+# sanitizer trees — ASan/UBSan proves the packing and the in-place B reads
+# stay in bounds, TSan re-checks GemmTiledParallel determinism.
+KERNEL_TARGETS=(kernel_diff_test)
 
 # Builds and the tier-1 ctest pass an explicit job count: with the Unix
 # Makefiles generator a bare `-j` means `make -j`, with no job limit, and

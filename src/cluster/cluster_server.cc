@@ -36,6 +36,7 @@ ClusterServer::ClusterServer(const ModelConfig& config, const ClusterOptions& op
   for (Pool& pool : pools_) {
     pool.router = std::make_unique<Router>(options_.policy, &pool.placement,
                                            static_cast<int>(pool.members.size()), spill_depth);
+    pool.depths.resize(pool.members.size());
   }
   // TPOT batching: a decode step over B sequences costs ~B * est_decode_step_ms
   // of per-token latency for everyone in the batch, so the SLO bounds B.
@@ -79,7 +80,12 @@ ClusterServer::ClusterServer(const ModelConfig& config, const ClusterOptions& op
 ClusterServer::~ClusterServer() { Shutdown(); }
 
 int ClusterServer::AddAdapter(const LoraAdapter& adapter) {
-  VLORA_CHECK(!started_);
+  {
+    // Released before the replica calls: a process replica's AddAdapter
+    // waits on the wire for its Ack.
+    MutexLock lock(&mutex_);
+    VLORA_CHECK(!started_);
+  }
   int id = -1;
   for (auto& replica : replicas_) {
     const int replica_id = replica->AddAdapter(adapter);
@@ -210,7 +216,10 @@ ClusterServer::RouteOutcome ClusterServer::RouteAndEnqueue(EngineRequest request
   const bool decode_stage =
       options_.disagg.enabled && !request.prefill_only && request.resume_handle != nullptr;
   const size_t p = decode_stage ? kDecodePool : kPrefillPool;
-  std::vector<char> tried(replicas_.size(), 0);
+  // Members that refused the request. Empty, and never allocated, until the
+  // first refusal.
+  std::vector<char> tried;
+  auto was_tried = [&tried](size_t local) { return !tried.empty() && tried[local] != 0; };
   for (size_t round = 0;; ++round) {
     int local = -1;
     int target = -1;
@@ -223,12 +232,12 @@ ClusterServer::RouteOutcome ClusterServer::RouteAndEnqueue(EngineRequest request
       if (round == pool_size) {
         return RouteOutcome::kUnavailable;  // every member refused
       }
-      std::vector<int64_t> depths(pool_size);
+      std::vector<int64_t>& depths = pool.depths;
       for (size_t i = 0; i < pool_size; ++i) {
         depths[i] = replicas_[static_cast<size_t>(pool.members[i])]->Depth();
       }
       const RouteDecision decision = pool.router->Pick(request.adapter_id, depths);
-      if (decision.replica >= 0 && !tried[static_cast<size_t>(decision.replica)]) {
+      if (decision.replica >= 0 && !was_tried(static_cast<size_t>(decision.replica))) {
         local = decision.replica;
         affinity_hit = decision.affinity_hit;
         spilled = decision.spilled;
@@ -245,7 +254,7 @@ ClusterServer::RouteOutcome ClusterServer::RouteAndEnqueue(EngineRequest request
         // death only at the next health tick): probe the least-loaded live
         // member we have not tried yet.
         for (size_t i = 0; i < pool_size; ++i) {
-          if (tried[i] || !pool.router->IsReplicaAlive(static_cast<int>(i))) {
+          if (was_tried(i) || !pool.router->IsReplicaAlive(static_cast<int>(i))) {
             continue;
           }
           if (local < 0 || depths[i] < depths[static_cast<size_t>(local)]) {
@@ -273,7 +282,9 @@ ClusterServer::RouteOutcome ClusterServer::RouteAndEnqueue(EngineRequest request
     if (result == EnqueueResult::kFull) {
       return RouteOutcome::kFull;  // admission verdict, not a liveness one
     }
-    tried[static_cast<size_t>(local)] = 1;  // refused: dead or stopping
+    // Refused: the target is dead or stopping.
+    tried.resize(replicas_.size());  // vlora-lint: allow(hot-path-alloc) first refusal only; a live replica never refuses
+    tried[static_cast<size_t>(local)] = 1;
   }
 }
 

@@ -148,7 +148,7 @@ class ClusterServer {
   // Registers a copy of the adapter on every replica so any replica can serve
   // any request; returns the cluster-wide adapter id (identical on each
   // replica). Setup phase only.
-  int AddAdapter(const LoraAdapter& adapter);
+  int AddAdapter(const LoraAdapter& adapter) VLORA_EXCLUDES(mutex_);
 
   // Computes the placement from per-adapter request shares (AdapterShares()
   // over the expected trace) and pre-warms each replica's home set onto its
@@ -243,6 +243,7 @@ class ClusterServer {
     std::vector<int> members;  // ascending
     AdapterPlacement placement;
     std::unique_ptr<Router> router;  // reads `placement`
+    std::vector<int64_t> depths;     // routing scratch, one per member
   };
   static constexpr size_t kPrefillPool = 0;
   static constexpr size_t kDecodePool = 1;

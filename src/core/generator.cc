@@ -17,92 +17,20 @@ double GeneratorResult::AvgDomainsPerAdapter() const {
   return static_cast<double>(total) / static_cast<double>(adapters.size());
 }
 
-namespace {
-
-// Checks all items of a tentative adapter at fusion level k = item count.
-bool AllMeetRequirement(const std::vector<KnowledgeItem>& items,
-                        const std::vector<int>& member_indices, const AccuracyOracle& oracle) {
-  const int k = static_cast<int>(member_indices.size());
-  for (int index : member_indices) {
-    const KnowledgeItem& item = items[static_cast<size_t>(index)];
-    if (oracle.LoraAccuracy(item.task, k) < item.required_accuracy) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void FinalizeAdapter(const std::vector<KnowledgeItem>& items, GeneratedAdapterSpec& adapter,
-                     const AccuracyOracle& oracle) {
-  const int k = static_cast<int>(adapter.item_indices.size());
-  adapter.item_accuracies.clear();
-  bool same_task = true;
-  int total_options = 0;
-  bool all_closed = true;
-  const VisionTask first_task = items[static_cast<size_t>(adapter.item_indices[0])].task;
-  for (int index : adapter.item_indices) {
-    const KnowledgeItem& item = items[static_cast<size_t>(index)];
-    adapter.item_accuracies.push_back(oracle.LoraAccuracy(item.task, k));
-    same_task = same_task && item.task == first_task;
-    all_closed = all_closed && item.closed_set_options > 0;
-    total_options += item.closed_set_options;
-  }
-  // Task heads are attachable only when the fused knowledge shares one task
-  // type (§4.2.2) and every member's answer set is closed.
-  if (same_task && all_closed) {
-    adapter.has_task_head = true;
-    adapter.head_task = first_task;
-    adapter.head_options = total_options;
-  }
-}
-
-}  // namespace
-
 GeneratorResult GenerateAdapters(const std::vector<KnowledgeItem>& items,
                                  const AccuracyOracle& oracle, const GeneratorOptions& options) {
-  GeneratorResult result;
-  if (items.empty()) {
-    return result;
-  }
-
-  std::vector<int> order(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    order[i] = static_cast<int>(i);
-  }
-  if (options.shuffle) {
-    Rng rng(options.seed);
-    std::vector<int64_t> perm = rng.Permutation(static_cast<int64_t>(items.size()));
-    for (size_t i = 0; i < items.size(); ++i) {
-      order[i] = static_cast<int>(perm[i]);
+  // The oracle is the probe: every member of a k-item adapter gets the
+  // analytical accuracy of its task at fusion level k.
+  auto probe = [&](const std::vector<int>& members) {
+    const int k = static_cast<int>(members.size());
+    std::vector<double> accuracies;
+    accuracies.reserve(members.size());
+    for (int index : members) {
+      accuracies.push_back(oracle.LoraAccuracy(items[static_cast<size_t>(index)].task, k));
     }
-  }
-
-  GeneratedAdapterSpec current;
-  for (int index : order) {
-    // A single-item adapter that cannot meet its own requirement is an
-    // unsatisfiable input; the heuristic still packs it alone (the adapter
-    // simply delivers its best achievable accuracy) rather than looping.
-    std::vector<int> tentative = current.item_indices;
-    tentative.push_back(index);
-    const bool fits = AllMeetRequirement(items, tentative, oracle) || tentative.size() == 1;
-    if (fits) {
-      current.item_indices = std::move(tentative);
-      continue;
-    }
-    // Accuracy violation: roll back to the previous state (the already-packed
-    // items keep their trained adapter) and open a new adapter seeded with
-    // the offending dataset (Fig 10 steps 4-5).
-    ++result.rollbacks;
-    FinalizeAdapter(items, current, oracle);
-    result.adapters.push_back(std::move(current));
-    current = GeneratedAdapterSpec{};
-    current.item_indices.push_back(index);
-  }
-  if (!current.item_indices.empty()) {
-    FinalizeAdapter(items, current, oracle);
-    result.adapters.push_back(std::move(current));
-  }
-  return result;
+    return accuracies;
+  };
+  return GenerateAdaptersWithProbe(items, probe, options);
 }
 
 GeneratorResult GenerateAdaptersWithProbe(const std::vector<KnowledgeItem>& items,
@@ -147,6 +75,8 @@ GeneratorResult GenerateAdaptersWithProbe(const std::vector<KnowledgeItem>& item
       all_closed = all_closed && item.closed_set_options > 0;
       total_options += item.closed_set_options;
     }
+    // Task heads are attachable only when the fused knowledge shares one task
+    // type (§4.2.2) and every member's answer set is closed.
     if (same_task && all_closed) {
       adapter.has_task_head = true;
       adapter.head_task = first_task;
@@ -167,6 +97,9 @@ GeneratorResult GenerateAdaptersWithProbe(const std::vector<KnowledgeItem>& item
       current_accuracies = std::move(accuracies);
       continue;
     }
+    // Accuracy violation: roll back to the previous state (the already-packed
+    // items keep their trained adapter) and open a new adapter seeded with
+    // the offending dataset (Fig 10 steps 4-5).
     ++result.rollbacks;
     finalize(std::move(current), std::move(current_accuracies));
     current = GeneratedAdapterSpec{};

@@ -7,14 +7,14 @@
 namespace vlora {
 
 void AtmmDispatcher::Register(const ShapeKey& key, const TileConfig& config) {
-  Register(key, config, ActiveKernelVariant(), WeightFormat::kFp32);
+  Register(key, config, ActiveKernelVariant());
 }
 
 void AtmmDispatcher::Register(const ShapeKey& key, const TileConfig& config,
-                              KernelVariant variant, WeightFormat format) {
+                              KernelVariant variant) {
   VLORA_CHECK(config.Valid());
   MutexLock lock(&mutex_);
-  tables_[static_cast<size_t>(SlotIndex(variant, format))][key] = config;
+  tables_[static_cast<size_t>(variant)][key] = config;
 }
 
 TileConfig AtmmDispatcher::HeuristicConfig(int64_t m, int64_t n, int64_t k) {
@@ -53,8 +53,13 @@ TileConfig AtmmDispatcher::HeuristicConfig(int64_t m, int64_t n, int64_t k,
   return config;
 }
 
-TileConfig AtmmDispatcher::SelectLocked(int64_t m, int64_t n, int64_t k, int slot) const {
-  const ShapeTable& table = tables_[static_cast<size_t>(slot)];
+TileConfig AtmmDispatcher::Select(int64_t m, int64_t n, int64_t k) const {
+  return Select(m, n, k, ActiveKernelVariant());
+}
+
+TileConfig AtmmDispatcher::Select(int64_t m, int64_t n, int64_t k, KernelVariant variant) const {
+  MutexLock lock(&mutex_);
+  const ShapeTable& table = tables_[static_cast<size_t>(variant)];
   // Exact hit first.
   auto it = table.find(ShapeKey{m, n, k});
   if (it != table.end()) {
@@ -73,23 +78,13 @@ TileConfig AtmmDispatcher::SelectLocked(int64_t m, int64_t n, int64_t k, int slo
   if (it != table.end()) {
     return it->second;
   }
-  return HeuristicConfig(m, n, k, static_cast<KernelVariant>(slot / kNumWeightFormats));
-}
-
-TileConfig AtmmDispatcher::Select(int64_t m, int64_t n, int64_t k) const {
-  return Select(m, n, k, ActiveKernelVariant(), WeightFormat::kFp32);
-}
-
-TileConfig AtmmDispatcher::Select(int64_t m, int64_t n, int64_t k, KernelVariant variant,
-                                  WeightFormat format) const {
-  MutexLock lock(&mutex_);
-  return SelectLocked(m, n, k, SlotIndex(variant, format));
+  return HeuristicConfig(m, n, k, variant);
 }
 
 void AtmmDispatcher::Execute(const float* a, const float* b, float* c, int64_t m, int64_t n,
                              int64_t k) {
   const KernelVariant variant = ActiveKernelVariant();
-  const TileConfig config = Select(m, n, k, variant, WeightFormat::kFp32);
+  const TileConfig config = Select(m, n, k, variant);
   static Counter* const dispatches = MetricsRegistry::Global().counter("atmm.dispatches");
   dispatches->Increment();
   trace::EmitKernelDispatch(m, n, k, config.mc, config.nc, config.kc, config.mr, config.nr);
@@ -112,9 +107,9 @@ int64_t AtmmDispatcher::TableSize() const {
   return total;
 }
 
-int64_t AtmmDispatcher::TableSize(KernelVariant variant, WeightFormat format) const {
+int64_t AtmmDispatcher::TableSize(KernelVariant variant) const {
   MutexLock lock(&mutex_);
-  return static_cast<int64_t>(tables_[static_cast<size_t>(SlotIndex(variant, format))].size());
+  return static_cast<int64_t>(tables_[static_cast<size_t>(variant)].size());
 }
 
 }  // namespace vlora

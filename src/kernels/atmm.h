@@ -8,11 +8,10 @@
 // loses a little optimality. Only benches and tests run the search; a serving
 // engine's dispatcher starts empty and runs on HeuristicConfig.
 //
-// There is one table per (KernelVariant, WeightFormat) pair: the optimal tile
-// depends on the micro-kernel ISA (an 8-wide FMA kernel is memory-bound where
-// the scalar one is compute-bound) and on the weight format (dequantization
-// amortises over the packed panel, shifting the best kc). A configuration
-// profiled under one compute path is never served to another.
+// There is one table per KernelVariant: the optimal tile depends on the
+// micro-kernel ISA (an 8-wide FMA kernel is memory-bound where the scalar one
+// is compute-bound). A configuration profiled under one variant is never
+// served to another.
 
 #ifndef VLORA_SRC_KERNELS_ATMM_H_
 #define VLORA_SRC_KERNELS_ATMM_H_
@@ -64,19 +63,19 @@ class AtmmDispatcher {
   AtmmDispatcher() = default;
 
   // Registers the optimal config for a profiled shape (called by the search).
-  // The two-argument form registers for the active variant's fp32 path.
+  // The two-argument form registers for the active variant.
   void Register(const ShapeKey& key, const TileConfig& config) VLORA_EXCLUDES(mutex_);
-  void Register(const ShapeKey& key, const TileConfig& config, KernelVariant variant,
-                WeightFormat format) VLORA_EXCLUDES(mutex_);
+  void Register(const ShapeKey& key, const TileConfig& config, KernelVariant variant)
+      VLORA_EXCLUDES(mutex_);
 
   // Picks the config for a runtime shape: exact hit, else nearest registered
   // bucket (snapping m to the profiling grid), else the heuristic fallback.
-  // Only the (variant, format) table is consulted — entries profiled for a
-  // different compute path are never served. The three-argument form reads
-  // the active variant's fp32 table.
+  // Only the variant's table is consulted — entries profiled for a different
+  // variant are never served. The three-argument form reads the active
+  // variant's table.
   TileConfig Select(int64_t m, int64_t n, int64_t k) const VLORA_EXCLUDES(mutex_);
-  TileConfig Select(int64_t m, int64_t n, int64_t k, KernelVariant variant,
-                    WeightFormat format) const VLORA_EXCLUDES(mutex_);
+  TileConfig Select(int64_t m, int64_t n, int64_t k, KernelVariant variant) const
+      VLORA_EXCLUDES(mutex_);
 
   // Shape-driven fallback used when the table has no suitable entry. The
   // variant-aware form biases the register tile for the kernel ISA (the AVX2
@@ -92,10 +91,10 @@ class AtmmDispatcher {
                int64_t k) VLORA_HOT;
   void Execute(const Tensor& a, const Tensor& b, Tensor& c);
 
-  // Number of registered entries across every (variant, format) table, or in
-  // one specific table.
+  // Number of registered entries across every variant's table, or in one
+  // variant's table.
   int64_t TableSize() const VLORA_EXCLUDES(mutex_);
-  int64_t TableSize(KernelVariant variant, WeightFormat format) const VLORA_EXCLUDES(mutex_);
+  int64_t TableSize(KernelVariant variant) const VLORA_EXCLUDES(mutex_);
 
   // Grid step used to bucket the m (token-count) dimension. Matches the step
   // the search profiles with; §4.3.2 uses 32 for the same reason.
@@ -103,17 +102,9 @@ class AtmmDispatcher {
 
  private:
   using ShapeTable = std::unordered_map<ShapeKey, TileConfig, ShapeKeyHash>;
-  static constexpr int kNumSlots = kNumKernelVariants * kNumWeightFormats;
-
-  static int SlotIndex(KernelVariant variant, WeightFormat format) {
-    return static_cast<int>(variant) * kNumWeightFormats + static_cast<int>(format);
-  }
-
-  TileConfig SelectLocked(int64_t m, int64_t n, int64_t k, int slot) const
-      VLORA_REQUIRES(mutex_);
 
   mutable Mutex mutex_{Rank::kLeaf, "AtmmDispatcher::mutex_"};
-  std::array<ShapeTable, kNumSlots> tables_ VLORA_GUARDED_BY(mutex_);
+  std::array<ShapeTable, kNumKernelVariants> tables_ VLORA_GUARDED_BY(mutex_);  // by variant
   GemmWorkspace workspace_;  // execution-thread-only; see class comment
 };
 

@@ -110,6 +110,10 @@ std::vector<std::pair<int, int>> MicroKernelShapes(KernelVariant variant) {
   return shapes;
 }
 
+namespace {
+
+// Packs an mc_eff x kc_eff block of A (row-major, stride lda) into micro-row
+// panels: layout [ir][p][i] with i < mr, zero-padded to full mr.
 void PackAPanels(const float* a, int64_t lda, int64_t mc_eff, int64_t kc_eff, int mr,
                  float* packed) {
   for (int64_t ir = 0; ir < mc_eff; ir += mr) {
@@ -126,6 +130,8 @@ void PackAPanels(const float* a, int64_t lda, int64_t mc_eff, int64_t kc_eff, in
   }
 }
 
+// Packs a kc_eff x nc_eff block of B (row-major, stride ldb) into micro-col
+// panels: layout [jr][p][j] with j < nr, zero-padded to full nr.
 void PackBPanels(const float* b, int64_t ldb, int64_t kc_eff, int64_t nc_eff, int nr,
                  float* packed) {
   for (int64_t jr = 0; jr < nc_eff; jr += nr) {
@@ -142,6 +148,32 @@ void PackBPanels(const float* b, int64_t ldb, int64_t kc_eff, int64_t nc_eff, in
     }
   }
 }
+
+// Sweeps `kernel` over an mc_eff x nc_eff block of C (row stride ldc) from A
+// packed by PackAPanels and kc_eff rows of B. B's column panel jr starts at
+// b + jr * panel_step and is read at stride ldb: packed panels (PackBPanels)
+// have panel_step = kc_eff and ldb = nr, B read in place has panel_step = 1
+// and ldb = n.
+void RunMicroKernels(const MicroKernelEntry& kernel, const float* pack_a, int64_t mc_eff,
+                     const float* b, int64_t panel_step, int64_t ldb, int64_t nc_eff,
+                     int64_t kc_eff, float* c, int64_t ldc) {
+  for (int64_t jr = 0; jr < nc_eff; jr += kernel.nr) {
+    const int n_eff = static_cast<int>(std::min<int64_t>(kernel.nr, nc_eff - jr));
+    const float* b_panel = b + jr * panel_step;
+    for (int64_t ir = 0; ir < mc_eff; ir += kernel.mr) {
+      const int m_eff = static_cast<int>(std::min<int64_t>(kernel.mr, mc_eff - ir));
+      const float* a_panel = pack_a + ir * kc_eff;
+      float* c_tile = c + ir * ldc + jr;
+      if (m_eff == kernel.mr && n_eff == kernel.nr) {
+        kernel.full(kc_eff, a_panel, b_panel, ldb, c_tile, ldc);
+      } else {
+        kernel.edge(kc_eff, a_panel, b_panel, ldb, c_tile, ldc, m_eff, n_eff);
+      }
+    }
+  }
+}
+
+}  // namespace
 
 float* GemmWorkspace::Ensure(int64_t floats) {
   if (static_cast<int64_t>(buffer_.size()) < floats) {
@@ -161,25 +193,6 @@ bool HasMicroKernel(KernelVariant variant, int mr, int nr) {
     }
   }
   return false;
-}
-
-void RunMicroKernels(const MicroKernelEntry& kernel, const float* pack_a, int64_t mc_eff,
-                     const float* b, int64_t panel_step, int64_t ldb, int64_t nc_eff,
-                     int64_t kc_eff, float* c, int64_t ldc) {
-  for (int64_t jr = 0; jr < nc_eff; jr += kernel.nr) {
-    const int n_eff = static_cast<int>(std::min<int64_t>(kernel.nr, nc_eff - jr));
-    const float* b_panel = b + jr * panel_step;
-    for (int64_t ir = 0; ir < mc_eff; ir += kernel.mr) {
-      const int m_eff = static_cast<int>(std::min<int64_t>(kernel.mr, mc_eff - ir));
-      const float* a_panel = pack_a + ir * kc_eff;
-      float* c_tile = c + ir * ldc + jr;
-      if (m_eff == kernel.mr && n_eff == kernel.nr) {
-        kernel.full(kc_eff, a_panel, b_panel, ldb, c_tile, ldc);
-      } else {
-        kernel.edge(kc_eff, a_panel, b_panel, ldb, c_tile, ldc, m_eff, n_eff);
-      }
-    }
-  }
 }
 
 bool ReadsBInPlace(int64_t m, int mr, int64_t n, int nr) {

@@ -57,18 +57,6 @@ const char* KernelVariantName(KernelVariant variant) {
   return "?";
 }
 
-const char* WeightFormatName(WeightFormat format) {
-  switch (format) {
-    case WeightFormat::kFp32:
-      return "fp32";
-    case WeightFormat::kQ8:
-      return "q8";
-    case WeightFormat::kQ4:
-      return "q4";
-  }
-  return "?";
-}
-
 bool ParseKernelVariant(const std::string& text, KernelVariant* out) {
   if (text == "scalar") {
     *out = KernelVariant::kScalar;

@@ -1,5 +1,4 @@
-// Kernel variant dispatch: which ISA the GEMM micro-kernels run on, and which
-// weight format they consume.
+// Kernel variant dispatch: which ISA the GEMM micro-kernels run on.
 //
 // The paper pre-compiles one CUDA kernel per tiling configuration and picks at
 // runtime (§4.3.2). On the CPU the same idea has a second axis: the register
@@ -31,20 +30,7 @@ enum class KernelVariant : uint8_t {
 
 inline constexpr int kNumKernelVariants = 2;
 
-// Weight storage format of the B operand. Together with KernelVariant this
-// names a compute path; the ATMM table is keyed per (shape, variant, format)
-// because quantization shifts the optimal tile (dequant amortises over the
-// packed panel, so larger kc wins back bandwidth the quants saved).
-enum class WeightFormat : uint8_t {
-  kFp32 = 0,
-  kQ8 = 1,  // 8-bit blocks, per-block fp32 scale
-  kQ4 = 2,  // 4-bit blocks, per-block fp32 scale
-};
-
-inline constexpr int kNumWeightFormats = 3;
-
 const char* KernelVariantName(KernelVariant variant);
-const char* WeightFormatName(WeightFormat format);
 
 // Parses "scalar" / "avx2" (case-sensitive, the documented spellings).
 // Returns false on anything else, including "auto" — auto is not a variant.

@@ -60,41 +60,6 @@ const MicroKernelEntry* FindMicroKernel(KernelVariant variant, int mr, int nr) V
 // The (mr, nr) instantiation set of a variant, for exhaustive test sweeps.
 std::vector<std::pair<int, int>> MicroKernelShapes(KernelVariant variant);
 
-// --- Panel packing (implemented in gemm.cc, shared with the quantized path) ---
-
-// Packs an mc_eff x kc_eff block of A (row-major, stride lda) into micro-row
-// panels: layout [ir][p][i] with i < mr, zero-padded to full mr.
-void PackAPanels(const float* a, int64_t lda, int64_t mc_eff, int64_t kc_eff, int mr,
-                 float* packed);
-
-// Packs a kc_eff x nc_eff block of B (row-major, stride ldb) into micro-col
-// panels: layout [jr][p][j] with j < nr, zero-padded to full nr.
-void PackBPanels(const float* b, int64_t ldb, int64_t kc_eff, int64_t nc_eff, int nr,
-                 float* packed);
-
-// Sweeps `kernel` over an mc_eff x nc_eff block of C (row stride ldc) from A
-// packed by PackAPanels and kc_eff rows of B. B's column panel jr starts at
-// b + jr * panel_step and is read at stride ldb: packed panels (PackBPanels)
-// have panel_step = kc_eff and ldb = nr, B read in place has panel_step = 1
-// and ldb = n.
-void RunMicroKernels(const MicroKernelEntry& kernel, const float* pack_a, int64_t mc_eff,
-                     const float* b, int64_t panel_step, int64_t ldb, int64_t nc_eff,
-                     int64_t kc_eff, float* c, int64_t ldc);
-
-// --- Fused-dequant helpers implemented in microkernel_avx2.cc ---
-//
-// Operate on one row of QuantizedMatrix block storage (quant.h layout):
-// consecutive BlockQ8 / BlockQ4 structs covering kQuantBlockSize columns
-// each. `cols` is the logical (unpadded) column count.
-
-// y[0..cols) += x_p * dequant(row). Null when AVX2 is not compiled in.
-using QuantAxpyRowFn = void (*)(const uint8_t* row_blocks, int64_t cols, float x_p, float* y);
-QuantAxpyRowFn Avx2QuantAxpyRow(WeightFormat format);
-
-// dst[0..cols) = dequant(row). Null when AVX2 is not compiled in.
-using QuantDequantRowFn = void (*)(const uint8_t* row_blocks, int64_t cols, float* dst);
-QuantDequantRowFn Avx2QuantDequantRow(WeightFormat format);
-
 // --- Attention tiles behind Attention (transformer_ops.h) ---
 
 inline constexpr int64_t kAttentionTile = 16;        // keys per tile: two ymm of scores

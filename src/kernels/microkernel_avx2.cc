@@ -3,8 +3,8 @@
 // src/kernels/CMakeLists.txt); everything else stays at the baseline ISA so
 // the binary runs on any host and only routes here after the runtime probe
 // (kernel_variant.cc). When the toolchain cannot target AVX2 the file
-// degrades to an empty table, null helper pointers and the scalar attention
-// tile, and dispatch stays scalar.
+// degrades to an empty table and the scalar attention tile, and dispatch
+// stays scalar.
 //
 // Layout contract matches the scalar kernels in gemm.cc exactly: a packed A
 // panel [p * mr + i], B rows [p * ldb + j] (a packed panel or B in place),
@@ -14,7 +14,6 @@
 // (tests/kernel_diff_test.cc).
 
 #include "src/kernels/microkernel.h"
-#include "src/kernels/quant.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
@@ -153,109 +152,6 @@ struct Avx2Tile4 {
     }
   }
 };
-
-// --- fused-dequant row helpers (quant.h block layout) ---
-
-// 8 int8 values (lowest 8 bytes of `q`) -> 8 floats.
-inline __m256 CvtInt8x8(__m128i q) { return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q)); }
-
-// Unpacks one BlockQ4 payload into 32 biased-removed int8 quants in natural
-// column order: byte i holds quants 2i (low nibble) and 2i+1 (high nibble).
-inline void UnpackQ4(const uint8_t* packed, __m128i* q_lo16, __m128i* q_hi16) {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(packed));
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  const __m128i bias = _mm_set1_epi8(8);
-  const __m128i lo = _mm_and_si128(raw, mask);
-  const __m128i hi = _mm_and_si128(_mm_srli_epi16(raw, 4), mask);
-  *q_lo16 = _mm_sub_epi8(_mm_unpacklo_epi8(lo, hi), bias);  // quants 0..15
-  *q_hi16 = _mm_sub_epi8(_mm_unpackhi_epi8(lo, hi), bias);  // quants 16..31
-}
-
-void AxpyRowQ8(const uint8_t* row_blocks, int64_t cols, float x_p, float* y) {
-  const BlockQ8* block = reinterpret_cast<const BlockQ8*>(row_blocks);
-  const __m256 xv = _mm256_set1_ps(x_p);
-  int64_t col = 0;
-  for (; col + kQuantBlockSize <= cols; col += kQuantBlockSize, ++block) {
-    const __m256 s = _mm256_mul_ps(xv, _mm256_set1_ps(block->scale));
-    for (int g = 0; g < 4; ++g) {
-      const __m128i q8 =
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(block->q + 8 * g));
-      float* yp = y + col + 8 * g;
-      _mm256_storeu_ps(yp, _mm256_fmadd_ps(s, CvtInt8x8(q8), _mm256_loadu_ps(yp)));
-    }
-  }
-  if (col < cols) {  // partial trailing block: scalar, bounded by logical cols
-    const float s = x_p * block->scale;
-    for (int64_t j = col; j < cols; ++j) {
-      y[j] += s * static_cast<float>(block->q[j - col]);
-    }
-  }
-}
-
-void AxpyRowQ4(const uint8_t* row_blocks, int64_t cols, float x_p, float* y) {
-  const BlockQ4* block = reinterpret_cast<const BlockQ4*>(row_blocks);
-  const __m256 xv = _mm256_set1_ps(x_p);
-  int64_t col = 0;
-  for (; col + kQuantBlockSize <= cols; col += kQuantBlockSize, ++block) {
-    const __m256 s = _mm256_mul_ps(xv, _mm256_set1_ps(block->scale));
-    __m128i q_lo, q_hi;
-    UnpackQ4(block->q, &q_lo, &q_hi);
-    const __m128i groups[4] = {q_lo, _mm_srli_si128(q_lo, 8), q_hi, _mm_srli_si128(q_hi, 8)};
-    for (int g = 0; g < 4; ++g) {
-      float* yp = y + col + 8 * g;
-      _mm256_storeu_ps(yp, _mm256_fmadd_ps(s, CvtInt8x8(groups[g]), _mm256_loadu_ps(yp)));
-    }
-  }
-  if (col < cols) {
-    const float s = x_p * block->scale;
-    for (int64_t j = col; j < cols; ++j) {
-      const int64_t idx = j - col;
-      const uint8_t byte = block->q[idx / 2];
-      const int q = static_cast<int>((idx % 2 == 0) ? (byte & 0x0F) : (byte >> 4)) - 8;
-      y[j] += s * static_cast<float>(q);
-    }
-  }
-}
-
-void DequantRowQ8(const uint8_t* row_blocks, int64_t cols, float* dst) {
-  const BlockQ8* block = reinterpret_cast<const BlockQ8*>(row_blocks);
-  int64_t col = 0;
-  for (; col + kQuantBlockSize <= cols; col += kQuantBlockSize, ++block) {
-    const __m256 s = _mm256_set1_ps(block->scale);
-    for (int g = 0; g < 4; ++g) {
-      const __m128i q8 =
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(block->q + 8 * g));
-      _mm256_storeu_ps(dst + col + 8 * g, _mm256_mul_ps(s, CvtInt8x8(q8)));
-    }
-  }
-  if (col < cols) {
-    for (int64_t j = col; j < cols; ++j) {
-      dst[j] = block->scale * static_cast<float>(block->q[j - col]);
-    }
-  }
-}
-
-void DequantRowQ4(const uint8_t* row_blocks, int64_t cols, float* dst) {
-  const BlockQ4* block = reinterpret_cast<const BlockQ4*>(row_blocks);
-  int64_t col = 0;
-  for (; col + kQuantBlockSize <= cols; col += kQuantBlockSize, ++block) {
-    const __m256 s = _mm256_set1_ps(block->scale);
-    __m128i q_lo, q_hi;
-    UnpackQ4(block->q, &q_lo, &q_hi);
-    const __m128i groups[4] = {q_lo, _mm_srli_si128(q_lo, 8), q_hi, _mm_srli_si128(q_hi, 8)};
-    for (int g = 0; g < 4; ++g) {
-      _mm256_storeu_ps(dst + col + 8 * g, _mm256_mul_ps(s, CvtInt8x8(groups[g])));
-    }
-  }
-  if (col < cols) {
-    for (int64_t j = col; j < cols; ++j) {
-      const int64_t idx = j - col;
-      const uint8_t byte = block->q[idx / 2];
-      const int q = static_cast<int>((idx % 2 == 0) ? (byte & 0x0F) : (byte >> 4)) - 8;
-      dst[j] = block->scale * static_cast<float>(q);
-    }
-  }
-}
 
 // --- attention tile (microkernel.h): every per-row step is lane-wise or a
 // fixed reduction tree, so rows sharing a tile never affect each other ---
@@ -436,30 +332,6 @@ const std::vector<MicroKernelEntry>& Avx2MicroKernelTable() {
   return table;
 }
 
-QuantAxpyRowFn Avx2QuantAxpyRow(WeightFormat format) {
-  switch (format) {
-    case WeightFormat::kQ8:
-      return AxpyRowQ8;
-    case WeightFormat::kQ4:
-      return AxpyRowQ4;
-    case WeightFormat::kFp32:
-      break;
-  }
-  return nullptr;
-}
-
-QuantDequantRowFn Avx2QuantDequantRow(WeightFormat format) {
-  switch (format) {
-    case WeightFormat::kQ8:
-      return DequantRowQ8;
-    case WeightFormat::kQ4:
-      return DequantRowQ4;
-    case WeightFormat::kFp32:
-      break;
-  }
-  return nullptr;
-}
-
 void AttentionTileAvx2(const AttentionTile& t) {
   alignas(32) float w[kAttentionQueryBlock][kAttentionTile];  // scores, then weights
   float alpha[kAttentionQueryBlock];
@@ -514,10 +386,6 @@ const std::vector<MicroKernelEntry>& Avx2MicroKernelTable() {
   static const std::vector<MicroKernelEntry> empty;
   return empty;
 }
-
-QuantAxpyRowFn Avx2QuantAxpyRow(WeightFormat) { return nullptr; }
-
-QuantDequantRowFn Avx2QuantDequantRow(WeightFormat) { return nullptr; }
 
 void AttentionTileAvx2(const AttentionTile& tile) { AttentionTileScalar(tile); }
 

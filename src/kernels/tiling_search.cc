@@ -7,7 +7,6 @@
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
 #include "src/kernels/gemm.h"
-#include "src/kernels/quant.h"
 
 namespace vlora {
 
@@ -33,23 +32,13 @@ std::vector<TileConfig> DefaultCandidateConfigs() {
 }
 
 double ProfileConfig(int64_t m, int64_t n, int64_t k, const TileConfig& config, int repetitions,
-                     KernelVariant variant, WeightFormat format) {
+                     KernelVariant variant) {
   Rng rng(0xA77Eull ^ static_cast<uint64_t>(m * 131 + n * 17 + k));
   Tensor a = Tensor::Random(Shape(m, k), rng, 1.0f);
   Tensor b = Tensor::Random(Shape(k, n), rng, 1.0f);
   Tensor c = Tensor::Zeros(Shape(m, n));
   GemmWorkspace workspace;
-  QuantizedMatrix b_q;
-  if (format != WeightFormat::kFp32) {
-    b_q = QuantizedMatrix::Quantize(b, format);
-  }
-  auto run = [&] {
-    if (format == WeightFormat::kFp32) {
-      GemmTiled(a.data(), b.data(), c.data(), m, n, k, config, workspace, variant);
-    } else {
-      GemmQuantized(a.data(), b_q, c.data(), m, n, k, config, workspace, variant);
-    }
-  };
+  auto run = [&] { GemmTiled(a.data(), b.data(), c.data(), m, n, k, config, workspace, variant); };
   // Warm-up pass populates caches and the workspace buffer.
   run();
   double best_ms = std::numeric_limits<double>::infinity();
@@ -63,7 +52,7 @@ double ProfileConfig(int64_t m, int64_t n, int64_t k, const TileConfig& config, 
 }
 
 double ProfileConfig(int64_t m, int64_t n, int64_t k, const TileConfig& config, int repetitions) {
-  return ProfileConfig(m, n, k, config, repetitions, ActiveKernelVariant(), WeightFormat::kFp32);
+  return ProfileConfig(m, n, k, config, repetitions, ActiveKernelVariant());
 }
 
 TilingSearchResult RunTilingSearch(const TilingSearchOptions& options,
@@ -76,10 +65,6 @@ TilingSearchResult RunTilingSearch(const TilingSearchOptions& options,
   if (variants.empty()) {
     variants = {ActiveKernelVariant()};
   }
-  std::vector<WeightFormat> formats = options.weight_formats;
-  if (formats.empty()) {
-    formats = {WeightFormat::kFp32};
-  }
 
   const int64_t step = AtmmDispatcher::kMStep * std::max<int64_t>(1, options.m_stride_multiplier);
   for (KernelVariant variant : variants) {
@@ -88,34 +73,32 @@ TilingSearchResult RunTilingSearch(const TilingSearchOptions& options,
       continue;
     }
     ++result.variants_profiled;
-    for (WeightFormat format : formats) {
-      for (const auto& [n, k] : options.nk_pairs) {
-        for (int64_t m = options.m_min; m <= options.m_max; m += step) {
-          double best_ms = std::numeric_limits<double>::infinity();
-          TileConfig best = AtmmDispatcher::HeuristicConfig(m, n, k);
-          for (const TileConfig& config : candidates) {
-            if (config.WorkspaceFloats() > options.max_workspace_floats) {
-              continue;
-            }
-            // Skip configurations whose block tiles dwarf the matrix: they pay
-            // full packing cost for mostly-padded panels (the "low
-            // utilisation" regime), and pruning them keeps the search fast.
-            if (config.mc > 4 * m || config.nc > 4 * n || config.kc > 4 * k) {
-              continue;
-            }
-            ++result.configs_tried;
-            const double ms = ProfileConfig(m, n, k, config, options.repetitions, variant, format);
-            if (ms < best_ms) {
-              best_ms = ms;
-              best = config;
-            }
+    for (const auto& [n, k] : options.nk_pairs) {
+      for (int64_t m = options.m_min; m <= options.m_max; m += step) {
+        double best_ms = std::numeric_limits<double>::infinity();
+        TileConfig best = AtmmDispatcher::HeuristicConfig(m, n, k);
+        for (const TileConfig& config : candidates) {
+          if (config.WorkspaceFloats() > options.max_workspace_floats) {
+            continue;
           }
-          dispatcher.Register(ShapeKey{m, n, k}, best, variant, format);
-          ++result.shapes_profiled;
-          VLORA_LOG(Debug) << "tiling search [" << KernelVariantName(variant) << "/"
-                           << WeightFormatName(format) << "] m=" << m << " n=" << n << " k=" << k
-                           << " best " << best.ToString() << " " << best_ms << " ms";
+          // Skip configurations whose block tiles dwarf the matrix: they pay
+          // full packing cost for mostly-padded panels (the "low
+          // utilisation" regime), and pruning them keeps the search fast.
+          if (config.mc > 4 * m || config.nc > 4 * n || config.kc > 4 * k) {
+            continue;
+          }
+          ++result.configs_tried;
+          const double ms = ProfileConfig(m, n, k, config, options.repetitions, variant);
+          if (ms < best_ms) {
+            best_ms = ms;
+            best = config;
+          }
         }
+        dispatcher.Register(ShapeKey{m, n, k}, best, variant);
+        ++result.shapes_profiled;
+        VLORA_LOG(Debug) << "tiling search [" << KernelVariantName(variant) << "] m=" << m
+                         << " n=" << n << " k=" << k << " best " << best.ToString() << " "
+                         << best_ms << " ms";
       }
     }
   }

@@ -7,11 +7,10 @@
 // two bounded by the cache hierarchy, shapes step at the model-dimension
 // granularity, and the m (token) dimension steps at kMStep.
 //
-// The search runs once per requested (KernelVariant, WeightFormat) compute
-// path and registers each winner into that path's table — the best tile under
-// an 8-wide FMA kernel or a dequant-fused panel is not the best tile under the
-// scalar fp32 kernel, and serving a config across paths would re-introduce the
-// mistuned-kernel regression the table exists to avoid.
+// The search runs once per requested KernelVariant and registers each winner
+// into that variant's table — the best tile under an 8-wide FMA kernel is not
+// the best tile under the scalar kernel, and serving a config across variants
+// would re-introduce the mistuned-kernel regression the table exists to avoid.
 
 #ifndef VLORA_SRC_KERNELS_TILING_SEARCH_H_
 #define VLORA_SRC_KERNELS_TILING_SEARCH_H_
@@ -45,12 +44,10 @@ struct TilingSearchOptions {
   // Kernel variants to profile; empty means {ActiveKernelVariant()}. Variants
   // the host cannot execute are skipped with a warning, never profiled blind.
   std::vector<KernelVariant> variants;
-  // Weight formats to profile; empty means {kFp32}.
-  std::vector<WeightFormat> weight_formats;
 };
 
 struct TilingSearchResult {
-  // Grid shapes profiled, summed over every (variant, format) pass.
+  // Grid shapes profiled, summed over every variant pass.
   int64_t shapes_profiled = 0;
   int64_t configs_tried = 0;
   int64_t variants_profiled = 0;
@@ -62,10 +59,10 @@ TilingSearchResult RunTilingSearch(const TilingSearchOptions& options,
                                    AtmmDispatcher& dispatcher);
 
 // Times one (shape, config) pair: best-of-repetitions milliseconds. The
-// five-argument form profiles the active variant's fp32 path.
+// five-argument form profiles the active variant.
 double ProfileConfig(int64_t m, int64_t n, int64_t k, const TileConfig& config, int repetitions);
 double ProfileConfig(int64_t m, int64_t n, int64_t k, const TileConfig& config, int repetitions,
-                     KernelVariant variant, WeightFormat format);
+                     KernelVariant variant);
 
 }  // namespace vlora
 

@@ -114,39 +114,23 @@ TEST(TilingSearchTest, RegisteredConfigIsUsedAtRuntime) {
   EXPECT_LT(Tensor::MaxAbsDiff(c, MatMulReference(a, b)), 1e-3f);
 }
 
-// The per-(variant, format) tables are isolated: an entry registered for one
-// compute path is never served to another, in either direction.
-TEST(AtmmDispatcherTest, PerVariantFormatTablesAreIsolated) {
+// The per-variant tables are isolated: an entry registered for one variant
+// is never served to another, in either direction.
+TEST(AtmmDispatcherTest, PerVariantTablesAreIsolated) {
   AtmmDispatcher dispatcher;
   const ShapeKey key{128, 64, 256};
   const TileConfig scalar_cfg{16, 16, 32, 4, 4};
   const TileConfig avx2_cfg{32, 64, 64, 16, 16};
-  const TileConfig q8_cfg{128, 32, 256, 8, 8};
-  dispatcher.Register(key, scalar_cfg, KernelVariant::kScalar, WeightFormat::kFp32);
-  dispatcher.Register(key, avx2_cfg, KernelVariant::kAvx2, WeightFormat::kFp32);
-  dispatcher.Register(key, q8_cfg, KernelVariant::kScalar, WeightFormat::kQ8);
+  dispatcher.Register(key, scalar_cfg, KernelVariant::kScalar);
+  dispatcher.Register(key, avx2_cfg, KernelVariant::kAvx2);
 
-  // Each compute path sees exactly its own entry.
-  EXPECT_EQ(dispatcher.Select(128, 64, 256, KernelVariant::kScalar, WeightFormat::kFp32),
-            scalar_cfg);
-  EXPECT_EQ(dispatcher.Select(128, 64, 256, KernelVariant::kAvx2, WeightFormat::kFp32),
-            avx2_cfg);
-  EXPECT_EQ(dispatcher.Select(128, 64, 256, KernelVariant::kScalar, WeightFormat::kQ8), q8_cfg);
+  // Each variant sees exactly its own entry.
+  EXPECT_EQ(dispatcher.Select(128, 64, 256, KernelVariant::kScalar), scalar_cfg);
+  EXPECT_EQ(dispatcher.Select(128, 64, 256, KernelVariant::kAvx2), avx2_cfg);
 
-  // A path with no entry for the shape gets the heuristic, never a
-  // neighbouring path's profiled config.
-  const TileConfig heuristic =
-      AtmmDispatcher::HeuristicConfig(128, 64, 256, KernelVariant::kAvx2);
-  const TileConfig q4 = dispatcher.Select(128, 64, 256, KernelVariant::kAvx2, WeightFormat::kQ4);
-  EXPECT_EQ(q4, heuristic);
-  EXPECT_FALSE(q4 == scalar_cfg);
-  EXPECT_FALSE(q4 == avx2_cfg);
-
-  EXPECT_EQ(dispatcher.TableSize(), 3);
-  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kScalar, WeightFormat::kFp32), 1);
-  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kAvx2, WeightFormat::kFp32), 1);
-  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kScalar, WeightFormat::kQ8), 1);
-  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kAvx2, WeightFormat::kQ4), 0);
+  EXPECT_EQ(dispatcher.TableSize(), 2);
+  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kScalar), 1);
+  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kAvx2), 1);
 }
 
 // Scalar-profiled configs are never served to AVX2 selections and vice versa,
@@ -155,21 +139,20 @@ TEST(AtmmDispatcherTest, ScalarEntriesNeverLeakToAvx2) {
   AtmmDispatcher dispatcher;
   const TileConfig scalar_only{16, 16, 32, 4, 4};
   for (int64_t m = 32; m <= 256; m += 32) {
-    dispatcher.Register(ShapeKey{m, 64, 256}, scalar_only, KernelVariant::kScalar,
-                        WeightFormat::kFp32);
+    dispatcher.Register(ShapeKey{m, 64, 256}, scalar_only, KernelVariant::kScalar);
   }
   // Exact hits and grid-snapped lookups on the AVX2 side miss everything and
   // fall through to the (variant-aware) heuristic.
   for (int64_t m : {32, 50, 128, 256}) {
-    EXPECT_EQ(dispatcher.Select(m, 64, 256, KernelVariant::kAvx2, WeightFormat::kFp32),
+    EXPECT_EQ(dispatcher.Select(m, 64, 256, KernelVariant::kAvx2),
               AtmmDispatcher::HeuristicConfig(m, 64, 256, KernelVariant::kAvx2))
         << "m=" << m;
   }
   // And the mirror image: an AVX2-only entry is invisible to scalar.
   AtmmDispatcher mirror;
   const TileConfig avx2_only{64, 64, 128, 16, 16};
-  mirror.Register(ShapeKey{64, 64, 256}, avx2_only, KernelVariant::kAvx2, WeightFormat::kFp32);
-  EXPECT_EQ(mirror.Select(64, 64, 256, KernelVariant::kScalar, WeightFormat::kFp32),
+  mirror.Register(ShapeKey{64, 64, 256}, avx2_only, KernelVariant::kAvx2);
+  EXPECT_EQ(mirror.Select(64, 64, 256, KernelVariant::kScalar),
             AtmmDispatcher::HeuristicConfig(64, 64, 256));
 }
 
@@ -183,29 +166,25 @@ TEST(AtmmDispatcherTest, ConcurrentRegisterAndSelect) {
   pool.ParallelFor(0, kIterations, [&](int64_t i) {
     const KernelVariant variant =
         (i % 4 < 2) ? KernelVariant::kScalar : KernelVariant::kAvx2;
-    const WeightFormat format = (i % 2 == 0) ? WeightFormat::kFp32 : WeightFormat::kQ8;
     if (i % 3 == 0) {
-      dispatcher.Register(ShapeKey{32 * (i / 3 + 1), 64, 256}, config, variant, format);
+      dispatcher.Register(ShapeKey{32 * (i / 3 + 1), 64, 256}, config, variant);
     } else {
-      const TileConfig selected = dispatcher.Select(32 * (i % 16 + 1), 64, 256, variant, format);
+      const TileConfig selected = dispatcher.Select(32 * (i % 16 + 1), 64, 256, variant);
       ASSERT_TRUE(selected.Valid());
     }
   });
-  // Every registration landed in some slot.
-  int64_t per_slot_total = 0;
+  // Every registration landed in some variant's table.
+  int64_t per_variant_total = 0;
   for (int v = 0; v < kNumKernelVariants; ++v) {
-    for (int f = 0; f < kNumWeightFormats; ++f) {
-      per_slot_total += dispatcher.TableSize(static_cast<KernelVariant>(v),
-                                             static_cast<WeightFormat>(f));
-    }
+    per_variant_total += dispatcher.TableSize(static_cast<KernelVariant>(v));
   }
-  EXPECT_EQ(per_slot_total, dispatcher.TableSize());
+  EXPECT_EQ(per_variant_total, dispatcher.TableSize());
   EXPECT_GT(dispatcher.TableSize(), 0);
 }
 
-// Searching multiple variants/formats populates separate slots, one winner
-// per (shape, variant, format).
-TEST(TilingSearchTest, PerVariantSearchPopulatesSeparateSlots) {
+// Searching multiple variants populates separate tables, one winner per
+// (shape, variant).
+TEST(TilingSearchTest, PerVariantSearchPopulatesSeparateTables) {
   AtmmDispatcher dispatcher;
   TilingSearchOptions options;
   options.nk_pairs = {{32, 128}};
@@ -215,20 +194,14 @@ TEST(TilingSearchTest, PerVariantSearchPopulatesSeparateSlots) {
   options.repetitions = 1;
   options.candidates = {TileConfig{16, 16, 32, 4, 4}, TileConfig{64, 32, 64, 8, 8}};
   options.variants = AvailableKernelVariants();
-  options.weight_formats = {WeightFormat::kFp32, WeightFormat::kQ8};
   const TilingSearchResult result = RunTilingSearch(options, dispatcher);
 
   const int64_t variants = static_cast<int64_t>(AvailableKernelVariants().size());
   EXPECT_EQ(result.variants_profiled, variants);
-  // 1 shape x 2 formats per variant pass.
-  EXPECT_EQ(dispatcher.TableSize(), variants * 2);
+  // 1 shape per variant pass.
+  EXPECT_EQ(dispatcher.TableSize(), variants);
   for (KernelVariant variant : AvailableKernelVariants()) {
-    EXPECT_EQ(dispatcher.TableSize(variant, WeightFormat::kFp32), 1)
-        << KernelVariantName(variant);
-    EXPECT_EQ(dispatcher.TableSize(variant, WeightFormat::kQ8), 1)
-        << KernelVariantName(variant);
-    EXPECT_EQ(dispatcher.TableSize(variant, WeightFormat::kQ4), 0)
-        << KernelVariantName(variant);
+    EXPECT_EQ(dispatcher.TableSize(variant), 1) << KernelVariantName(variant);
   }
 }
 
@@ -248,8 +221,8 @@ TEST(TilingSearchTest, SkipsUnavailableVariants) {
   options.candidates = {TileConfig{16, 16, 32, 4, 4}};
   options.variants = {KernelVariant::kScalar, KernelVariant::kAvx2};
   RunTilingSearch(options, dispatcher);
-  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kAvx2, WeightFormat::kFp32), 0);
-  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kScalar, WeightFormat::kFp32), 1);
+  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kAvx2), 0);
+  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kScalar), 1);
 }
 
 TEST(TilingSearchTest, PrunesOversizedWorkspace) {

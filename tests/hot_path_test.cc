@@ -97,6 +97,30 @@ TEST(HotPathTest, GoodTwinAndColdFunctionsStayQuiet) {
   EXPECT_TRUE(findings.empty()) << FormatFinding(findings[0]);
 }
 
+TEST(HotPathTest, SizedContainerConstructionIsAllocation) {
+  // A container built with a size or contents allocates as surely as one
+  // that grows; a default-constructed or empty-braced one allocates nothing.
+  const std::string bad = std::string("#include \"hp.h\"\n") +
+                          "void Engine::Serve() {\n" +
+                          "  std::vector<char> tried(n, 0);\n" +
+                          "  std::unordered_map<int, int> seen{{1, 2}};\n" +
+                          "}\n";
+  const std::vector<Finding> bad_findings =
+      CheckHotPaths(ServeConfig(), {{"src/x/hp.h", HotHeader()}, {"src/x/hp.cc", bad}});
+  EXPECT_EQ(CountRule(bad_findings, "hot-path-alloc"), 2)
+      << MessagesFor(bad_findings, "hot-path-alloc");
+
+  const std::string good = std::string("#include \"hp.h\"\n") +
+                           "void Engine::Serve() {\n" +
+                           "  std::vector<char> tried;\n" +
+                           "  std::map<int, int> seen{};\n" +
+                           "  std::vector<int64_t>& depths = scratch_;\n" +
+                           "}\n";
+  const std::vector<Finding> good_findings =
+      CheckHotPaths(ServeConfig(), {{"src/x/hp.h", HotHeader()}, {"src/x/hp.cc", good}});
+  EXPECT_TRUE(good_findings.empty()) << FormatFinding(good_findings[0]);
+}
+
 TEST(HotPathTest, ViolationsReachThroughCallChainsWithChainInMessage) {
   const std::string cc = std::string("#include \"hp.h\"\n") +
                          "void Buffer::Push(int v) {\n" +

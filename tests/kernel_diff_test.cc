@@ -1,5 +1,5 @@
-// Differential kernel-test harness (the proof obligation for the SIMD and
-// block-quantized compute paths).
+// Differential kernel-test harness (the proof obligation for the SIMD
+// compute path).
 //
 // Every compiled micro-kernel instantiation of every variant is swept over a
 // shape grid that exercises full tiles, non-multiple-of-tile edges in each
@@ -8,10 +8,8 @@
 // absolute accumulation-error term of k * 3 * eps plus a ULP term — because
 // the AVX2 kernels use FMA (one rounding per multiply-add) while the scalar
 // kernels round twice, so bitwise equality across variants is not the
-// contract. Quantized paths are compared both against the dequantized-weight
-// GEMM (tight, same fp bound) and against the original weights (analytic
-// per-format bound from MaxAbsErrorBound). Everything is seeded; every path
-// is run twice and must be bitwise identical to itself.
+// contract. Everything is seeded; every variant is run twice and must be
+// bitwise identical to itself.
 //
 // Attention (transformer_ops.h) gets the same treatment against a
 // double-precision two-pass softmax over paged K/V spans at KV block sizes 8,
@@ -35,7 +33,6 @@
 #include "src/kernels/gemm.h"
 #include "src/kernels/kernel_variant.h"
 #include "src/kernels/microkernel.h"
-#include "src/kernels/quant.h"
 #include "src/kernels/transformer_ops.h"
 #include "src/tensor/tensor.h"
 
@@ -201,99 +198,6 @@ TEST(KernelDiffTest, Avx2MatchesScalarWithinUlps) {
   }
 }
 
-// Quantized GEMM vs the dense GEMM over the dequantized weights: this isolates
-// the fused-dequant plumbing from the quantization error itself, so the bound
-// is the same floating-point bound as the fp32 differential.
-TEST(KernelDiffTest, QuantizedGemmMatchesDequantizedReference) {
-  for (KernelVariant variant : AvailableKernelVariants()) {
-    for (WeightFormat format : {WeightFormat::kQ8, WeightFormat::kQ4}) {
-      for (const DiffShape& shape : {DiffShape{37, 48, 80}, DiffShape{8, 16, 32},
-                                     DiffShape{2, 7, 45}, DiffShape{16, 64, 256}}) {
-        Rng rng(0x9A4Dull ^ static_cast<uint64_t>(shape.m + shape.n + shape.k));
-        Tensor a = Tensor::Random(Shape(shape.m, shape.k), rng, 1.0f);
-        Tensor b = Tensor::Random(Shape(shape.k, shape.n), rng, 1.0f);
-        const QuantizedMatrix b_q = QuantizedMatrix::Quantize(b, format);
-
-        // Dense reference over the dequantized weights, in double.
-        Tensor b_deq(Shape(shape.k, shape.n));
-        for (int64_t row = 0; row < shape.k; ++row) {
-          b_q.DequantizeRowRange(row, 0, shape.n, b_deq.data() + row * shape.n,
-                                 KernelVariant::kScalar);
-        }
-        const auto ref = RefGemmDouble(a.data(), b_deq.data(), shape.m, shape.n, shape.k);
-
-        Tensor c = Tensor::Zeros(Shape(shape.m, shape.n));
-        GemmWorkspace workspace;
-        GemmQuantized(a.data(), b_q, c.data(), shape.m, shape.n, shape.k, TileConfig{}, workspace,
-                      variant);
-        ExpectCloseToReference(c.data(), ref, shape.m * shape.n, shape.k, 1.0f,
-                               WeightFormatName(format));
-      }
-    }
-  }
-}
-
-// Quantized GEMM vs the ORIGINAL weights: bounded by the analytic per-format
-// error (sum over k of |a| times half a quantization step) plus fp slack.
-TEST(KernelDiffTest, QuantizedGemmWithinAnalyticFormatBound) {
-  for (KernelVariant variant : AvailableKernelVariants()) {
-    for (WeightFormat format : {WeightFormat::kQ8, WeightFormat::kQ4}) {
-      const int64_t m = 16;
-      const int64_t n = 48;
-      const int64_t k = 160;
-      Rng rng(0xB0DEull + static_cast<uint64_t>(format));
-      Tensor a = Tensor::Random(Shape(m, k), rng, 1.0f);
-      Tensor b = Tensor::Random(Shape(k, n), rng, 1.0f);
-      const QuantizedMatrix b_q = QuantizedMatrix::Quantize(b, format);
-      const auto ref = RefGemmDouble(a.data(), b.data(), m, n, k);
-
-      Tensor c = Tensor::Zeros(Shape(m, n));
-      GemmWorkspace workspace;
-      GemmQuantized(a.data(), b_q, c.data(), m, n, k, TileConfig{}, workspace, variant);
-
-      // |a| <= 1 and every block's max-abs <= 1, so per-element quantization
-      // error is at most k * MaxAbsErrorBound(format, 1).
-      const double bound = static_cast<double>(k) *
-                               static_cast<double>(MaxAbsErrorBound(format, 1.0f)) +
-                           3.0 * static_cast<double>(k) * static_cast<double>(kEps);
-      for (int64_t i = 0; i < m * n; ++i) {
-        ASSERT_LE(std::fabs(static_cast<double>(c.data()[i]) - ref[static_cast<size_t>(i)]),
-                  bound)
-            << WeightFormatName(format) << " element " << i;
-      }
-    }
-  }
-}
-
-// m = 1 must take the register-fused GEMV path and agree with it exactly.
-TEST(KernelDiffTest, DecodeRowDelegatesToFusedGemv) {
-  for (KernelVariant variant : AvailableKernelVariants()) {
-    for (WeightFormat format : {WeightFormat::kQ8, WeightFormat::kQ4}) {
-      const int64_t k = 192;
-      const int64_t n = 70;  // partial trailing block
-      Rng rng(0xDECull);
-      Tensor x = Tensor::Random(Shape(1, k), rng, 1.0f);
-      Tensor b = Tensor::Random(Shape(k, n), rng, 1.0f);
-      const QuantizedMatrix b_q = QuantizedMatrix::Quantize(b, format);
-
-      Tensor y_gemm = Tensor::Zeros(Shape(1, n));
-      Tensor y_gemv = Tensor::Zeros(Shape(1, n));
-      GemmWorkspace workspace;
-      GemmQuantized(x.data(), b_q, y_gemm.data(), 1, n, k, TileConfig{}, workspace, variant);
-      GemvQuantized(x.data(), b_q, y_gemv.data(), variant);
-      EXPECT_EQ(0, std::memcmp(y_gemm.data(), y_gemv.data(),
-                               static_cast<size_t>(n) * sizeof(float)));
-      // And the GEMV itself is within the fp bound of the dequant reference.
-      Tensor b_deq(Shape(k, n));
-      for (int64_t row = 0; row < k; ++row) {
-        b_q.DequantizeRowRange(row, 0, n, b_deq.data() + row * n, KernelVariant::kScalar);
-      }
-      const auto ref = RefGemmDouble(x.data(), b_deq.data(), 1, n, k);
-      ExpectCloseToReference(y_gemv.data(), ref, n, k, 1.0f, "gemv");
-    }
-  }
-}
-
 // A row's GEMM result must not depend on how many rows share the call:
 // continuous batching and servebench's solo re-run compare a row computed in
 // a batch with the same row computed alone. A call of at most mr rows reads B
@@ -337,7 +241,7 @@ TEST(KernelDiffTest, GemmRowsDoNotDependOnTheBPath) {
 }
 
 // Seeded and deterministic: the same call twice is bitwise identical, for
-// every variant and every storage format.
+// every variant.
 TEST(KernelDiffTest, RunTwiceIsBitwiseIdentical) {
   const int64_t m = 33;
   const int64_t n = 49;
@@ -353,15 +257,6 @@ TEST(KernelDiffTest, RunTwiceIsBitwiseIdentical) {
     GemmTiled(a.data(), b.data(), c1.data(), m, n, k, TileConfig{}, workspace, variant);
     GemmTiled(a.data(), b.data(), c2.data(), m, n, k, TileConfig{}, workspace, variant);
     EXPECT_EQ(0, std::memcmp(c1.data(), c2.data(), c_bytes)) << KernelVariantName(variant);
-    for (WeightFormat format : {WeightFormat::kQ8, WeightFormat::kQ4}) {
-      const QuantizedMatrix b_q = QuantizedMatrix::Quantize(b, format);
-      Tensor q1 = Tensor::Zeros(Shape(m, n));
-      Tensor q2 = Tensor::Zeros(Shape(m, n));
-      GemmQuantized(a.data(), b_q, q1.data(), m, n, k, TileConfig{}, workspace, variant);
-      GemmQuantized(a.data(), b_q, q2.data(), m, n, k, TileConfig{}, workspace, variant);
-      EXPECT_EQ(0, std::memcmp(q1.data(), q2.data(), c_bytes))
-          << KernelVariantName(variant) << "/" << WeightFormatName(format);
-    }
   }
 }
 

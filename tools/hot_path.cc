@@ -38,7 +38,8 @@ const std::vector<HotRule>& HotRules() {
                  std::regex("\\bmake_(?:shared|unique)\\s*<")});
     r.push_back({kAlloc, "container growth",
                  std::regex("(?:\\.|->)(?:push_back|emplace_back|emplace|resize|reserve|"
-                            "assign|append|insert)\\s*\\(")});
+                            "assign|append|insert)\\s*\\(|\\bstd::(?:vector|deque|(?:unordered_)?"
+                            "(?:map|set))\\s*<[^;=]*>\\s+\\w+\\s*[({]\\s*[^)}\\s]")});
     r.push_back({kAlloc, "std::string construction",
                  std::regex("\\bstd::(?:to_)?string\\s*[({]|\\bstd::string\\s+\\w+")});
     r.push_back({kAlloc, "stringstream construction",
