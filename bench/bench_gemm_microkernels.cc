@@ -1,5 +1,11 @@
 // Microbenchmarks for the tiled GEMM at LoRA-serving shapes.
 //
+// The register-tile table comes first: every (mr, nr) micro-kernel of every
+// variant alone on L1-resident panels, in GFLOP/s, beside a loop of
+// independent FMA chains that measures the core's peak. A tile whose
+// accumulators stay in registers runs near that peak; one that spills them
+// to the stack shows up at about half of it.
+//
 // The compute-path table prints, per shape, the measured latency of every
 // kernel variant plus its speedup over the scalar baseline. On hosts without
 // AVX2 the table degrades to the scalar row — the binary always runs.
@@ -24,11 +30,74 @@
 #include "src/common/table.h"
 #include "src/kernels/atmm.h"
 #include "src/kernels/gemm.h"
+#include "src/kernels/microkernel.h"
 #include "src/kernels/transformer_ops.h"
 #include "src/tensor/tensor.h"
 
 namespace vlora {
 namespace {
+
+// Best of 7 timings of fn, which performs `flops` floating-point operations,
+// in GFLOP/s, after one warm-up call.
+template <typename Fn>
+double BestGflops(Fn&& fn, double flops) {
+  fn();
+  double best_ms = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 7; ++rep) {
+    Stopwatch timer;
+    fn();
+    best_ms = std::min(best_ms, timer.ElapsedMillis());
+  }
+  return flops / best_ms / 1e6;
+}
+
+// Each micro-kernel's full tile over kc 128 reduction steps, its A and B
+// panels packed and L1-resident (B at ldb = nr), called back to back.
+void PrintRegisterTiles() {
+  constexpr int64_t kKc = 128;
+  constexpr double kFlopsPerRun = 64e6;  // about a millisecond at the FMA peak
+  double peak = 0.0;
+  if (Avx2Available()) {
+    const int64_t steps = static_cast<int64_t>(kFlopsPerRun / kFmaPeakFlopsPerStep);
+    float sink = 0.0f;
+    peak = BestGflops([&] { sink += FmaPeakLoopAvx2(steps); },
+                      static_cast<double>(steps) * kFmaPeakFlopsPerStep);
+    benchmark::DoNotOptimize(sink);
+  }
+  AsciiTable table({"variant", "tile (mr x nr)", "GFLOP/s (best of 7)", "of FMA peak"});
+  for (KernelVariant variant : AvailableKernelVariants()) {
+    for (const MicroKernelEntry& entry : MicroKernelTable(variant)) {
+      Rng rng(23);
+      std::vector<float> a(static_cast<size_t>(kKc * entry.mr));
+      std::vector<float> b(static_cast<size_t>(kKc * entry.nr));
+      for (float& x : a) {
+        x = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+      }
+      for (float& x : b) {
+        x = static_cast<float>(rng.NextUniform(-1.0, 1.0));
+      }
+      std::vector<float> c(static_cast<size_t>(entry.mr * entry.nr), 0.0f);
+      const double flops_per_call = 2.0 * entry.mr * entry.nr * kKc;
+      const int64_t calls = static_cast<int64_t>(kFlopsPerRun / flops_per_call);
+      const double gflops = BestGflops(
+          [&] {
+            for (int64_t i = 0; i < calls; ++i) {
+              entry.full(kKc, a.data(), b.data(), entry.nr, c.data(), entry.nr);
+            }
+          },
+          static_cast<double>(calls) * flops_per_call);
+      benchmark::DoNotOptimize(c.data());
+      table.AddRow({KernelVariantName(variant),
+                    std::to_string(entry.mr) + " x " + std::to_string(entry.nr),
+                    AsciiTable::FormatDouble(gflops, 1),
+                    peak > 0.0 ? AsciiTable::FormatDouble(100.0 * gflops / peak, 0) + "%" : "-"});
+    }
+  }
+  if (peak > 0.0) {
+    table.AddRow({"avx2", "FMA peak (12 chains)", AsciiTable::FormatDouble(peak, 1), "100%"});
+  }
+  table.Print("Register tiles alone: kc 128, L1-resident packed panels");
+}
 
 struct BenchShape {
   const char* label;
@@ -256,6 +325,7 @@ BENCHMARK(BM_GemmNaiveReference)->Arg(16)->Arg(256);
 }  // namespace vlora
 
 int main(int argc, char** argv) {
+  vlora::PrintRegisterTiles();
   vlora::PrintComputePathComparison();
   vlora::PrintPrefillGemmStages();
   vlora::PrintAttentionStages();

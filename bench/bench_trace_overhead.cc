@@ -3,6 +3,11 @@
 // engine workload with tracing off and on, takes the min of several
 // interleaved repetitions (min-of-k rejects scheduler noise in both
 // directions equally), and FAILS (exit 1) if tracing-on costs more than 5%.
+// One serve is 576 TinyConfig requests, at least 50 ms untraced on a shared
+// 4-core AVX2 host, so that a 5% difference is several milliseconds rather
+// than a fraction of one scheduler tick. The traced serve's ring holds every
+// event it emits (about 25k); a run that drops any FAILS, since a wrapping
+// ring overwrites events instead of recording them.
 // The always-on MetricsRegistry has no off switch, so its cost is estimated
 // instead: measured ns per relaxed counter RMW (the `counter` protocol in
 // tools/atomics.toml) times the counter ops one serve performs, held to the
@@ -73,21 +78,27 @@ int Run() {
   bench::PrintHeader("Trace overhead guard — tracing on vs off",
                      "not covered; engineering budget: <= 5% overhead with tracing enabled");
   const ModelConfig config = TinyConfig();
-  const int kRequests = 24;
+  const int kRequests = 576;
   const int kRepetitions = 7;
+  const int64_t kRingCapacity = int64_t{1} << 15;
 
   // Warm-up run (page-in, allocator steady state) before any timing.
   (void)RunWorkloadMs(config, kRequests);
 
   double best_off_ms = 0.0;
   double best_on_ms = 0.0;
+  int64_t events = 0;
+  int64_t dropped = 0;
   for (int rep = 0; rep < kRepetitions; ++rep) {
     // Interleave off/on so drift (thermal, frequency) hits both arms alike.
     const double off_ms = RunWorkloadMs(config, kRequests);
     double on_ms = 0.0;
     {
-      trace::TraceSession session;
+      trace::TraceSession session(trace::TraceOptions{.ring_capacity = kRingCapacity});
       on_ms = RunWorkloadMs(config, kRequests);
+      session.Stop();
+      events = static_cast<int64_t>(session.Collect().size());
+      dropped = std::max(dropped, session.dropped_events());
     }
     best_off_ms = rep == 0 ? off_ms : std::min(best_off_ms, off_ms);
     best_on_ms = rep == 0 ? on_ms : std::min(best_on_ms, on_ms);
@@ -119,7 +130,17 @@ int Run() {
               std::to_string(kRequests) + " requests each; metrics row = " +
               std::to_string(metric_ops) + " counter ops x " +
               AsciiTable::FormatDouble(ns_per_op, 1) + " ns/op");
+  std::printf("traced serve: %lld events kept, %lld dropped (ring of %lld)\n",
+              static_cast<long long>(events), static_cast<long long>(dropped),
+              static_cast<long long>(kRingCapacity));
 
+  // A ring that wraps overwrites events instead of keeping them, so the
+  // traced arm would no longer measure what tracing costs.
+  if (dropped > 0) {
+    std::printf("FAIL: the traced serve dropped %lld events; size the ring to the run\n",
+                static_cast<long long>(dropped));
+    return 1;
+  }
   const double kBudgetPct = 5.0;
   if (overhead_pct > kBudgetPct) {
     std::printf("FAIL: tracing-on overhead %.2f%% exceeds the %.1f%% budget\n", overhead_pct,

@@ -35,7 +35,8 @@ InferenceEngine::InferenceEngine(const ModelConfig& config, const EngineOptions&
       switcher_(&atmm_),
       merge_targets_(model_.MergeTargets()),
       lora_op_(std::make_unique<AtmmLoraOperator>(&atmm_)),
-      kv_spans_(static_cast<size_t>(options.kv_num_blocks)) {
+      kv_spans_(static_cast<size_t>(options.kv_num_blocks)),
+      positions_(config.d_model, config.max_seq_len) {
   // Attention covers num_heads * d_head columns; a remainder would stay zero.
   VLORA_CHECK(config.num_heads > 0 && config.d_model % config.num_heads == 0);
 }
@@ -298,7 +299,7 @@ const float* InferenceEngine::Forward(std::vector<Sequence*>& batch,
         std::memcpy(row, model_.embedding().data() + token * d,
                     static_cast<size_t>(d) * sizeof(float));
       }
-      AddPositionEmbedding(row, d, abs_pos);
+      positions_.Add(row, abs_pos);
     }
   }
 

@@ -223,6 +223,8 @@ class InferenceEngine {
   std::unique_ptr<AtmmLoraOperator> lora_op_;
   // Attention spans over one sequence's KV blocks; pool-sized, never grown.
   std::vector<KvSpan> kv_spans_;
+  // Position rows up to max_seq_len, filled as positions are first reached.
+  PositionEmbeddingTable positions_;
   // Per-step buffers, grown to the largest step seen so that a steady-state
   // step allocates none: Forward's activations (rows x width), the LM head's
   // input rows and logits (one row per sampling sequence), and top-k

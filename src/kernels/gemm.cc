@@ -14,8 +14,10 @@ namespace {
 //
 // a_panel: kc values per micro-row group, laid out [p * MR + i]
 // b:       NR values per reduction step, laid out [p * ldb + j]
-// The accumulator lives entirely in registers for the fixed-size template
-// instantiations below; GCC/Clang vectorise the inner NR loop.
+// The accumulator is an MR x NR array: the baseline ISA's 16 xmm registers
+// hold 64 floats, so the compiler keeps what fits of it in registers and the
+// rest on the stack (a 16 x 16 block needs 256 floats). GCC/Clang vectorise
+// the inner NR loop.
 template <int MR, int NR>
 void MicroKernelFull(int64_t kc, const float* a_panel, const float* b, int64_t ldb, float* c,
                      int64_t ldc) {

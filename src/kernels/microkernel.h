@@ -60,6 +60,13 @@ const MicroKernelEntry* FindMicroKernel(KernelVariant variant, int mr, int nr) V
 // The (mr, nr) instantiation set of a variant, for exhaustive test sweeps.
 std::vector<std::pair<int, int>> MicroKernelShapes(KernelVariant variant);
 
+// The core's FMA peak, for benches to hold the register tiles against: 12
+// independent 8-wide FMA chains advanced `steps` times, kFmaPeakFlopsPerStep
+// FLOPs a step. Returns a value folded from the chains so the loop stays.
+// Requires Avx2Available(); a build without AVX2 support returns 0 at once.
+inline constexpr double kFmaPeakFlopsPerStep = 12 * 8 * 2;
+float FmaPeakLoopAvx2(int64_t steps);
+
 // --- Attention tiles behind Attention (transformer_ops.h) ---
 
 inline constexpr int64_t kAttentionTile = 16;        // keys per tile: two ymm of scores
@@ -90,6 +97,12 @@ struct AttentionTile {
 void AttentionTileScalar(const AttentionTile& tile);
 // Requires Avx2Available(); a build without AVX2 support runs the scalar one.
 void AttentionTileAvx2(const AttentionTile& tile);
+
+// --- SiLU behind SiluInPlace (transformer_ops.h) ---
+
+void SiluScalar(float* x, int64_t n);
+// Requires Avx2Available(); a build without AVX2 support runs the scalar one.
+void SiluAvx2(float* x, int64_t n);
 
 }  // namespace vlora
 

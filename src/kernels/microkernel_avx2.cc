@@ -25,15 +25,22 @@ namespace vlora {
 namespace {
 
 // --- mr x nr register tiles, nr a multiple of 8 (one __m256 per 8 cols) ---
+//
+// Compute is inlined into Full and Edge and every loop over rows and lanes
+// is unrolled, so each acc[i][l] is a register rather than a stack slot that
+// every FMA reads and writes (DESIGN.md §12; any new tile must do the same).
 
 template <int MR, int NR>
 struct Avx2Tile {
   static_assert(NR % 8 == 0, "NR must be a whole number of ymm lanes");
   static constexpr int kLanes = NR / 8;
 
-  static inline void Compute(int64_t kc, const float* a_panel, const float* b_panel,
-                             int64_t ldb, __m256 (&acc)[MR][kLanes]) {
+  [[gnu::always_inline]] static inline void Compute(int64_t kc, const float* a_panel,
+                                                    const float* b_panel, int64_t ldb,
+                                                    __m256 (&acc)[MR][kLanes]) {
+#pragma GCC unroll 16
     for (int i = 0; i < MR; ++i) {
+#pragma GCC unroll 2
       for (int l = 0; l < kLanes; ++l) {
         acc[i][l] = _mm256_setzero_ps();
       }
@@ -47,13 +54,16 @@ struct Avx2Tile {
       const float* b = b_panel + p * ldb;
       __m256 bv0[kLanes];
       __m256 bv1[kLanes];
+#pragma GCC unroll 2
       for (int l = 0; l < kLanes; ++l) {
         bv0[l] = _mm256_loadu_ps(b + 8 * l);
         bv1[l] = _mm256_loadu_ps(b + ldb + 8 * l);
       }
+#pragma GCC unroll 16
       for (int i = 0; i < MR; ++i) {
         const __m256 av0 = _mm256_broadcast_ss(a + i);
         const __m256 av1 = _mm256_broadcast_ss(a + MR + i);
+#pragma GCC unroll 2
         for (int l = 0; l < kLanes; ++l) {
           acc[i][l] = _mm256_fmadd_ps(av0, bv0[l], acc[i][l]);
           acc[i][l] = _mm256_fmadd_ps(av1, bv1[l], acc[i][l]);
@@ -64,11 +74,14 @@ struct Avx2Tile {
       const float* a = a_panel + p * MR;
       const float* b = b_panel + p * ldb;
       __m256 bv[kLanes];
+#pragma GCC unroll 2
       for (int l = 0; l < kLanes; ++l) {
         bv[l] = _mm256_loadu_ps(b + 8 * l);
       }
+#pragma GCC unroll 16
       for (int i = 0; i < MR; ++i) {
         const __m256 av = _mm256_broadcast_ss(a + i);
+#pragma GCC unroll 2
         for (int l = 0; l < kLanes; ++l) {
           acc[i][l] = _mm256_fmadd_ps(av, bv[l], acc[i][l]);
         }
@@ -80,8 +93,10 @@ struct Avx2Tile {
                    int64_t ldc) {
     __m256 acc[MR][kLanes];
     Compute(kc, a_panel, b_panel, ldb, acc);
+#pragma GCC unroll 16
     for (int i = 0; i < MR; ++i) {
       float* c_row = c + i * ldc;
+#pragma GCC unroll 2
       for (int l = 0; l < kLanes; ++l) {
         float* cp = c_row + 8 * l;
         _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), acc[i][l]));
@@ -94,7 +109,9 @@ struct Avx2Tile {
     __m256 acc[MR][kLanes];
     Compute(kc, a_panel, b_panel, ldb, acc);
     alignas(32) float tmp[MR][NR];
+#pragma GCC unroll 16
     for (int i = 0; i < MR; ++i) {
+#pragma GCC unroll 2
       for (int l = 0; l < kLanes; ++l) {
         _mm256_store_ps(&tmp[i][8 * l], acc[i][l]);
       }
@@ -108,18 +125,21 @@ struct Avx2Tile {
   }
 };
 
-// --- mr x 4 register tiles (one xmm per row) ---
+// --- mr x 4 register tiles (one xmm per row), inlined and unrolled alike ---
 
 template <int MR>
 struct Avx2Tile4 {
-  static inline void Compute(int64_t kc, const float* a_panel, const float* b_panel,
-                             int64_t ldb, __m128 (&acc)[MR]) {
+  [[gnu::always_inline]] static inline void Compute(int64_t kc, const float* a_panel,
+                                                    const float* b_panel, int64_t ldb,
+                                                    __m128 (&acc)[MR]) {
+#pragma GCC unroll 16
     for (int i = 0; i < MR; ++i) {
       acc[i] = _mm_setzero_ps();
     }
     for (int64_t p = 0; p < kc; ++p) {
       const float* a = a_panel + p * MR;
       const __m128 bv = _mm_loadu_ps(b_panel + p * ldb);
+#pragma GCC unroll 16
       for (int i = 0; i < MR; ++i) {
         acc[i] = _mm_fmadd_ps(_mm_broadcast_ss(a + i), bv, acc[i]);
       }
@@ -130,6 +150,7 @@ struct Avx2Tile4 {
                    int64_t ldc) {
     __m128 acc[MR];
     Compute(kc, a_panel, b_panel, ldb, acc);
+#pragma GCC unroll 16
     for (int i = 0; i < MR; ++i) {
       float* c_row = c + i * ldc;
       _mm_storeu_ps(c_row, _mm_add_ps(_mm_loadu_ps(c_row), acc[i]));
@@ -141,6 +162,7 @@ struct Avx2Tile4 {
     __m128 acc[MR];
     Compute(kc, a_panel, b_panel, ldb, acc);
     alignas(16) float tmp[MR][4];
+#pragma GCC unroll 16
     for (int i = 0; i < MR; ++i) {
       _mm_store_ps(tmp[i], acc[i]);
     }
@@ -376,6 +398,50 @@ void AttentionTileAvx2(const AttentionTile& t) {
   }
 }
 
+// silu(x) = x / (1 + e^-x) = x * s / (1 + t) with t = e^-|x|, always in
+// ExpNonPositive's range, and s = 1 for x >= 0, t otherwise. The tail of
+// fewer than 8 values runs the same lanes under a mask.
+void SiluAvx2(float* x, int64_t n) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  auto silu = [&](__m256 v) {
+    const __m256 t = ExpNonPositive(_mm256_or_ps(v, sign));
+    // blendv takes x * t in the lanes whose sign bit is set.
+    return _mm256_div_ps(_mm256_blendv_ps(v, _mm256_mul_ps(v, t), v), _mm256_add_ps(one, t));
+  };
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(x + i, silu(_mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const __m256i mask = LaneMask(n - i);
+    _mm256_maskstore_ps(x + i, mask, silu(_mm256_maskload_ps(x + i, mask)));
+  }
+}
+
+float FmaPeakLoopAvx2(int64_t steps) {
+  constexpr int kChains = 12;
+  __m256 acc[kChains];
+  const __m256 a = _mm256_set1_ps(0.999f);
+  const __m256 b = _mm256_set1_ps(1e-3f);
+#pragma GCC unroll 12
+  for (int i = 0; i < kChains; ++i) {
+    acc[i] = _mm256_set1_ps(static_cast<float>(i));
+  }
+  for (int64_t s = 0; s < steps; ++s) {
+#pragma GCC unroll 12
+    for (int i = 0; i < kChains; ++i) {
+      acc[i] = _mm256_fmadd_ps(acc[i], a, b);
+    }
+  }
+  __m256 sum = _mm256_setzero_ps();
+#pragma GCC unroll 12
+  for (int i = 0; i < kChains; ++i) {
+    sum = _mm256_add_ps(sum, acc[i]);
+  }
+  return Reduce(sum, [](__m128 x, __m128 y) { return _mm_add_ps(x, y); });
+}
+
 }  // namespace vlora
 
 #else  // !(__AVX2__ && __FMA__): baseline-ISA build of this file
@@ -388,6 +454,10 @@ const std::vector<MicroKernelEntry>& Avx2MicroKernelTable() {
 }
 
 void AttentionTileAvx2(const AttentionTile& tile) { AttentionTileScalar(tile); }
+
+void SiluAvx2(float* x, int64_t n) { SiluScalar(x, n); }
+
+float FmaPeakLoopAvx2(int64_t) { return 0.0f; }
 
 }  // namespace vlora
 

@@ -76,7 +76,7 @@ TilingSearchResult RunTilingSearch(const TilingSearchOptions& options,
     for (const auto& [n, k] : options.nk_pairs) {
       for (int64_t m = options.m_min; m <= options.m_max; m += step) {
         double best_ms = std::numeric_limits<double>::infinity();
-        TileConfig best = AtmmDispatcher::HeuristicConfig(m, n, k);
+        TileConfig best = AtmmDispatcher::HeuristicConfig(m, n, k, variant);
         for (const TileConfig& config : candidates) {
           if (config.WorkspaceFloats() > options.max_workspace_floats) {
             continue;

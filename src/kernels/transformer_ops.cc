@@ -1,5 +1,6 @@
 #include "src/kernels/transformer_ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -23,9 +24,17 @@ void RmsNormRows(const float* x, const float* gain, float* out, int64_t rows, in
   }
 }
 
-void SiluInPlace(float* x, int64_t n) {
+void SiluScalar(float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
     x[i] = x[i] / (1.0f + std::exp(-x[i]));
+  }
+}
+
+void SiluInPlace(float* x, int64_t n, KernelVariant variant) {
+  if (variant == KernelVariant::kAvx2) {
+    SiluAvx2(x, n);
+  } else {
+    SiluScalar(x, n);
   }
 }
 
@@ -37,6 +46,33 @@ void AddPositionEmbedding(float* row, int64_t d, int64_t position) {
     if (i + 1 < d) {
       row[i + 1] += 0.1f * static_cast<float>(std::cos(angle));
     }
+  }
+}
+
+PositionEmbeddingTable::PositionEmbeddingTable(int64_t d, int64_t max_rows)
+    : d_(d), max_rows_(max_rows) {
+  VLORA_CHECK(d > 0 && max_rows >= 0);
+}
+
+void PositionEmbeddingTable::Add(float* row, int64_t position) {
+  if (position >= max_rows_) {
+    AddPositionEmbedding(row, d_, position);
+    return;
+  }
+  const int64_t filled = filled_rows();
+  if (position >= filled) {
+    // Grow by doubling, capped at max_rows. max_rows itself is not reserved
+    // up front: nothing bounds it (a model config from the wire checks > 0).
+    const int64_t rows = std::min(max_rows_, std::max(2 * filled, position + 1));
+    rows_.reserve(static_cast<size_t>(rows * d_));  // vlora-lint: allow(hot-path-alloc) high-water mark of max_rows rows at most
+    rows_.resize(static_cast<size_t>((position + 1) * d_), 0.0f);  // vlora-lint: allow(hot-path-alloc) within the reservation above
+    for (int64_t p = filled; p <= position; ++p) {
+      AddPositionEmbedding(rows_.data() + p * d_, d_, p);
+    }
+  }
+  const float* embedding = rows_.data() + position * d_;
+  for (int64_t i = 0; i < d_; ++i) {
+    row[i] += embedding[i];
   }
 }
 

@@ -6,6 +6,7 @@
 #define VLORA_SRC_KERNELS_TRANSFORMER_OPS_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/common/annotations.h"
 #include "src/kernels/kernel_variant.h"
@@ -15,11 +16,31 @@ namespace vlora {
 // out[r] = x[r] / sqrt(mean(x[r]^2) + 1e-5) * gain for `rows` rows of width d.
 void RmsNormRows(const float* x, const float* gain, float* out, int64_t rows, int64_t d);
 
-// x = x * sigmoid(x), elementwise over n values.
-void SiluInPlace(float* x, int64_t n);
+// x = x * sigmoid(x), elementwise over n values. The scalar loop
+// (SiluScalar, microkernel.h) defines the semantics; the AVX2 one only rounds
+// apart, except below -87.33, where both results are tiny.
+void SiluInPlace(float* x, int64_t n, KernelVariant variant = ActiveKernelVariant());
 
 // Adds the sinusoidal embedding of absolute `position` to one d-wide row.
 void AddPositionEmbedding(float* row, int64_t d, int64_t position);
+
+// AddPositionEmbedding from a table: each position's row is computed once,
+// by AddPositionEmbedding on a zeroed row, and then added as stored. That is
+// bitwise what AddPositionEmbedding adds, since no stored value is -0 (every
+// angle is >= 0). Rows are filled on first use, up to the highest position
+// reached; positions at or past max_rows call AddPositionEmbedding instead.
+class PositionEmbeddingTable {
+ public:
+  PositionEmbeddingTable(int64_t d, int64_t max_rows);
+
+  void Add(float* row, int64_t position);
+  int64_t filled_rows() const { return static_cast<int64_t>(rows_.size()) / d_; }
+
+ private:
+  int64_t d_;
+  int64_t max_rows_;
+  std::vector<float> rows_;  // the filled rows; capacity at most max_rows rows
+};
 
 // `rows` cached keys and values at consecutive positions, read in place.
 // K is a key panel `panel` keys wide (AttentionArgs::panel, rows <= panel):

@@ -237,9 +237,11 @@ TEST(TilingSearchTest, PrunesOversizedWorkspace) {
   options.candidates = {TileConfig{64, 64, 64, 8, 8}};
   const TilingSearchResult result = RunTilingSearch(options, dispatcher);
   EXPECT_EQ(result.configs_tried, 0);
-  // Falls back to the heuristic but still registers an entry.
+  // Falls back to the searched variant's own heuristic, which is what an
+  // empty table would have served, and still registers an entry.
   EXPECT_EQ(dispatcher.TableSize(), 1);
-  EXPECT_TRUE(dispatcher.Select(32, 32, 64).Valid());
+  EXPECT_EQ(dispatcher.Select(32, 32, 64),
+            AtmmDispatcher::HeuristicConfig(32, 32, 64, ActiveKernelVariant()));
 }
 
 }  // namespace
