@@ -99,10 +99,6 @@ if [[ "${SKIP_STATIC:-0}" != "1" ]]; then
   ./build/tools/vlora_lint --atomics tools/atomics.toml src
   record "atomics pass" "pass"
 
-  echo "=== static-analysis: codec-symmetry pass ==="
-  ./build/tools/vlora_lint --codec-symmetry src/net/messages.cc
-  record "codec-symmetry pass" "pass"
-
   if command -v clang-format >/dev/null 2>&1; then
     echo "=== static-analysis: clang-format (advisory) ==="
     # Report-only: formatting drift prints but never fails verification

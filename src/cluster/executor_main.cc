@@ -85,7 +85,7 @@ int ExecutorMain(int argc, char** argv) {
   }
 
   ReplicaOptions options;
-  options.server = config.value().ToServerOptions();
+  options.server = config.value().server;
   options.queue_capacity = config.value().queue_capacity;
   options.admission = AdmissionPolicy::kBlock;
   ThreadReplica replica(replica_index, config.value().model, options);

@@ -126,8 +126,10 @@ void ProcessReplica::SpawnAndHandshake(const ModelConfig& config, const ServerOp
 
   // The executor's own queue only ever holds the inflight window; the big
   // master-side queue is what StealIngress can still reclaim.
-  const net::ConfigMessage cfg = net::ConfigMessage::FromOptions(
-      config, server, max_inflight_, process.heartbeat_period_ms);
+  const net::ConfigMessage cfg{.model = config,
+                               .server = server,
+                               .queue_capacity = max_inflight_,
+                               .heartbeat_period_ms = process.heartbeat_period_ms};
   VLORA_CHECK(channel_->SendMsg(cfg).ok());
   Result<net::AckMessage> ack = channel_->RecvMsg<net::AckMessage>();
   VLORA_CHECK(ack.ok());

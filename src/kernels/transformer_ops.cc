@@ -64,8 +64,8 @@ void PositionEmbeddingTable::Add(float* row, int64_t position) {
     // Grow by doubling, capped at max_rows. max_rows itself is not reserved
     // up front: nothing bounds it (a model config from the wire checks > 0).
     const int64_t rows = std::min(max_rows_, std::max(2 * filled, position + 1));
-    rows_.reserve(static_cast<size_t>(rows * d_));  // vlora-lint: allow(hot-path-alloc) high-water mark of max_rows rows at most
-    rows_.resize(static_cast<size_t>((position + 1) * d_), 0.0f);  // vlora-lint: allow(hot-path-alloc) within the reservation above
+    rows_.reserve(static_cast<size_t>(rows * d_));
+    rows_.resize(static_cast<size_t>((position + 1) * d_), 0.0f);
     for (int64_t p = filled; p <= position; ++p) {
       AddPositionEmbedding(rows_.data() + p * d_, d_, p);
     }

@@ -12,7 +12,11 @@ Status Channel::Send(MessageType type, const std::string& body) {
 }
 
 Status SendKvHandle(Channel& channel, const KvHandle& handle) {
-  VLORA_RETURN_IF_ERROR(channel.SendMsg(KvHandleMetaMessage::FromHandle(handle)));
+  // KvHandleMetaMessage's field list, run straight over the handle: the
+  // message would hold a copy of every page.
+  WireWriter meta;
+  KvHandleMetaFields(meta, handle);
+  VLORA_RETURN_IF_ERROR(channel.Send(MessageType::kKvHandleMeta, meta.Take()));
   for (size_t i = 0; i < handle.pages.size(); ++i) {
     KvPageMessage page;
     page.request_id = handle.request_id;
@@ -29,9 +33,8 @@ bool KvHandleReceiver::Accept(const Envelope& envelope) {
     if (!meta.ok()) {
       return false;
     }
-    std::shared_ptr<KvHandle>& handle = assembling_[meta.value().request_id];
-    handle = std::make_shared<KvHandle>();
-    meta.value().ToHandle(handle.get());
+    KvHandle& handle = meta.value().handle;
+    assembling_[handle.request_id] = std::make_shared<KvHandle>(std::move(handle));
     return true;
   }
   Result<KvPageMessage> page = DecodeAs<KvPageMessage>(envelope);
@@ -43,7 +46,7 @@ bool KvHandleReceiver::Accept(const Envelope& envelope) {
       page.value().page_index >= static_cast<int64_t>(it->second->pages.size())) {
     return false;
   }
-  // Parse rejects empty pages, so an empty slot is one still missing.
+  // Decoding rejects empty pages, so an empty slot is one still missing.
   std::vector<float>& data = it->second->pages[static_cast<size_t>(page.value().page_index)].data;
   if (!data.empty()) {
     return false;

@@ -43,9 +43,7 @@ class Channel {
 
   template <typename M>
   Status SendMsg(const M& message) VLORA_EXCLUDES(send_mutex_) {
-    WireWriter writer;
-    message.AppendTo(writer);
-    return Send(M::kType, writer.Take());
+    return Send(M::kType, EncodeBody(message));
   }
 
   // Blocks for the next complete frame and decodes its envelope. Single

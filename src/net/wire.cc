@@ -120,6 +120,16 @@ bool WireReader::F32Array(std::vector<float>* out, uint64_t max_count) {
   return true;
 }
 
+bool WireReader::Floats(float* data, size_t count) {
+  uint64_t declared = 0;
+  if (!Varint(&declared) || declared != count || (size_ - pos_) / sizeof(float) < count) {
+    return Fail();
+  }
+  std::memcpy(data, data_ + pos_, count * sizeof(float));
+  pos_ += count * sizeof(float);
+  return true;
+}
+
 std::string FramePayload(const std::string& payload) {
   const uint32_t length = static_cast<uint32_t>(payload.size());
   std::string frame;

@@ -18,12 +18,49 @@
 // allocation, a frame longer than kMaxFrameBytes poisons the assembler with
 // a clean Status (no crash, no unbounded buffering), and WireReader turns
 // any truncated or malformed read into `ok() == false` rather than UB.
+//
+// Field lists. WireWriter and WireReader share a set of field ops with the
+// same names, each taking the field by reference, so a message lists its
+// fields once, as a function template over the direction:
+//
+//   template <typename Io, typename M>
+//   static bool Fields(Io& io, M& m) {
+//     return io.Int(m.id) && io.Text(m.name) && io.Floats(m.data, kMaxFloats);
+//   }
+//
+// WireWriter runs the list to encode (M is const and every op returns true);
+// WireReader runs it to decode, and any op can fail. The order, count and
+// encoding of every field therefore exist in one place. Bounds an op
+// carries are the reader's; the writer ignores them. Each op is one
+// primitive in both classes, and the two definitions sit side by side below
+// the classes:
+//
+//   Int(v[, min, max])   zigzag varint; decoding rejects a value outside
+//                        [min, max] or outside v's type
+//   Size(v, max)         unsigned varint (a dimension)
+//   Bool(v)              u8 0 or 1
+//   Enum(v, max)         u8; decoding rejects a value above max
+//   Fixed(v)             fixed-width scalar: f32, f64, a u64 seed, the
+//                        header's u16 and u8
+//   Text(s)              length-prefixed bytes
+//   Ints(v, max)         length-prefixed i32 array of at most max entries
+//   Floats(v, max)       length-prefixed f32 array of at most max entries
+//   Floats(data, count)  an f32 run whose length prefix must equal count
+//   Repeated(items, max, item_fields)
+//                        a group's length prefix, then item_fields(item)
+//                        for every item; decoding resizes items first
+//   Require(condition)   a decode-side check; the writer ignores it
+//
+// `Io::kDecoding` lets a list do decode-only work that is not an encoding,
+// such as shaping a tensor before its floats are read into it.
 
 #ifndef VLORA_SRC_NET_WIRE_H_
 #define VLORA_SRC_NET_WIRE_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/status.h"
@@ -41,6 +78,28 @@ inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 // frames the result with EncodeFrame / Channel::Send.
 class WireWriter {
  public:
+  static constexpr bool kDecoding = false;
+
+  // Field ops (see the header comment).
+  template <typename T>
+  bool Int(const T& v, int64_t min = std::numeric_limits<T>::min(),
+           int64_t max = std::numeric_limits<T>::max());
+  template <typename T>
+  bool Size(const T& v, uint64_t max);
+  bool Bool(const bool& v);
+  template <typename E>
+  bool Enum(const E& v, E max);
+  template <typename T>
+  bool Fixed(const T& v);
+  bool Text(const std::string& s);
+  bool Ints(const std::vector<int32_t>& v, uint64_t max_count);
+  bool Floats(const std::vector<float>& v, uint64_t max_count);
+  bool Floats(const float* data, size_t count);
+  template <typename C, typename F>
+  bool Repeated(const C& items, uint64_t max_count, F item_fields);
+  bool Require(bool condition);
+
+  // Primitives.
   void U8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
   void U16(uint16_t v) { Fixed(&v, sizeof(v)); }
   void U32(uint32_t v) { Fixed(&v, sizeof(v)); }
@@ -75,6 +134,28 @@ class WireReader {
       : data_(static_cast<const uint8_t*>(data)), size_(size) {}
   explicit WireReader(const std::string& bytes) : WireReader(bytes.data(), bytes.size()) {}
 
+  static constexpr bool kDecoding = true;
+
+  // Field ops (see the header comment).
+  template <typename T>
+  bool Int(T& v, int64_t min = std::numeric_limits<T>::min(),
+           int64_t max = std::numeric_limits<T>::max());
+  template <typename T>
+  bool Size(T& v, uint64_t max);
+  bool Bool(bool& v);
+  template <typename E>
+  bool Enum(E& v, E max);
+  template <typename T>
+  bool Fixed(T& v);
+  bool Text(std::string& s);
+  bool Ints(std::vector<int32_t>& v, uint64_t max_count);
+  bool Floats(std::vector<float>& v, uint64_t max_count);
+  bool Floats(float* data, size_t count);
+  template <typename C, typename F>
+  bool Repeated(C& items, uint64_t max_count, F item_fields);
+  bool Require(bool condition);
+
+  // Primitives.
   bool U8(uint8_t* v);
   bool U16(uint16_t* v);
   bool U32(uint32_t* v);
@@ -105,6 +186,146 @@ class WireReader {
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// ---------------------------------------------------------------------------
+// Field ops, each writer definition next to its reader.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+bool WireWriter::Int(const T& v, int64_t, int64_t) {
+  static_assert(std::is_integral_v<T> && std::is_signed_v<T>);
+  SignedVarint(v);
+  return true;
+}
+template <typename T>
+bool WireReader::Int(T& v, int64_t min, int64_t max) {
+  static_assert(std::is_integral_v<T> && std::is_signed_v<T>);
+  int64_t raw = 0;
+  if (!SignedVarint(&raw)) {
+    return false;
+  }
+  if (raw < min || raw > max || raw < std::numeric_limits<T>::min() ||
+      raw > std::numeric_limits<T>::max()) {
+    return Fail();
+  }
+  v = static_cast<T>(raw);
+  return true;
+}
+
+template <typename T>
+bool WireWriter::Size(const T& v, uint64_t) {
+  static_assert(std::is_integral_v<T>);
+  Varint(static_cast<uint64_t>(v));
+  return true;
+}
+template <typename T>
+bool WireReader::Size(T& v, uint64_t max) {
+  static_assert(std::is_integral_v<T>);
+  uint64_t raw = 0;
+  if (!Varint(&raw)) {
+    return false;
+  }
+  if (raw > max || raw > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+    return Fail();
+  }
+  v = static_cast<T>(raw);
+  return true;
+}
+
+inline bool WireWriter::Bool(const bool& v) {
+  U8(v ? 1 : 0);
+  return true;
+}
+inline bool WireReader::Bool(bool& v) {
+  uint8_t raw = 0;
+  if (!U8(&raw) || raw > 1) {
+    return Fail();
+  }
+  v = raw != 0;
+  return true;
+}
+
+template <typename E>
+bool WireWriter::Enum(const E& v, E) {
+  U8(static_cast<uint8_t>(v));
+  return true;
+}
+template <typename E>
+bool WireReader::Enum(E& v, E max) {
+  uint8_t raw = 0;
+  if (!U8(&raw) || raw > static_cast<uint8_t>(max)) {
+    return Fail();
+  }
+  v = static_cast<E>(raw);
+  return true;
+}
+
+template <typename T>
+bool WireWriter::Fixed(const T& v) {
+  static_assert(std::is_arithmetic_v<T>);
+  Fixed(&v, sizeof(v));
+  return true;
+}
+template <typename T>
+bool WireReader::Fixed(T& v) {
+  static_assert(std::is_arithmetic_v<T>);
+  return Fixed(&v, sizeof(v));
+}
+
+inline bool WireWriter::Text(const std::string& s) {
+  Str(s);
+  return true;
+}
+inline bool WireReader::Text(std::string& s) { return Str(&s); }
+
+inline bool WireWriter::Ints(const std::vector<int32_t>& v, uint64_t) {
+  I32Array(v.data(), v.size());
+  return true;
+}
+inline bool WireReader::Ints(std::vector<int32_t>& v, uint64_t max_count) {
+  return I32Array(&v, max_count);
+}
+
+inline bool WireWriter::Floats(const std::vector<float>& v, uint64_t) {
+  F32Array(v.data(), v.size());
+  return true;
+}
+inline bool WireReader::Floats(std::vector<float>& v, uint64_t max_count) {
+  return F32Array(&v, max_count);
+}
+
+inline bool WireWriter::Floats(const float* data, size_t count) {
+  F32Array(data, count);
+  return true;
+}
+// WireReader::Floats(float*, size_t) is in wire.cc: F32Array's layout into
+// caller-shaped storage.
+
+template <typename C, typename F>
+bool WireWriter::Repeated(const C& items, uint64_t, F item_fields) {
+  Varint(items.size());
+  for (const auto& item : items) {
+    item_fields(item);
+  }
+  return true;
+}
+template <typename C, typename F>
+bool WireReader::Repeated(C& items, uint64_t max_count, F item_fields) {
+  uint64_t count = 0;
+  if (!Varint(&count) || count > max_count) {
+    return Fail();
+  }
+  items.resize(count);
+  for (auto& item : items) {
+    if (!item_fields(item)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+inline bool WireWriter::Require(bool) { return true; }
+inline bool WireReader::Require(bool condition) { return condition || Fail(); }
 
 // Prepends the u32 length prefix to an already-built payload.
 std::string FramePayload(const std::string& payload);

@@ -1,7 +1,6 @@
-// Unit tests for the two analyses built on the call-graph framework: the
-// hot-path purity pass (tools/hot_path.h) and the codec-symmetry pass
-// (tools/codec_symmetry.h), each over synthetic source trees with a bad twin
-// that must be flagged and a good twin that must stay silent. Snippet text is
+// Unit tests for the hot-path purity pass (tools/hot_path.h), built on the
+// call-graph framework, over synthetic source trees with a bad twin that
+// must be flagged and a good twin that must stay silent. Snippet text is
 // assembled from adjacent string literals so the whole-tree per-line scan
 // does not trip on this file's own test data.
 
@@ -11,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "tools/codec_symmetry.h"
 #include "tools/hot_path.h"
 
 namespace vlora {
@@ -136,6 +134,38 @@ TEST(HotPathTest, ViolationsReachThroughCallChainsWithChainInMessage) {
   EXPECT_NE(msgs.find("Engine::Serve -> Buffer::Push"), std::string::npos) << msgs;
 }
 
+TEST(HotPathTest, TypedReceiverResolvesToItsOwnClass) {
+  // `completions` is a Counter whose Add is defined inline in its header, so
+  // the call must not fan out to Table::Add, an unrelated allocating method
+  // of the same name. A call on a pure-virtual method still reaches every
+  // override.
+  const std::string header = std::string("#ifndef HP_H_\n#define HP_H_\n") +
+                             "class Counter {\n public:\n" +
+                             "  void Add(long delta) { value_ += delta; }\n" +
+                             " private:\n  long value_ = 0;\n};\n" +
+                             "class Table {\n public:\n  void Add(float* row);\n};\n" +
+                             "class Base {\n public:\n  void Serve() VLORA_HOT;\n" +
+                             "  virtual void Pump() = 0;\n};\n" +
+                             "class Impl : public Base {\n public:\n  void Pump() override;\n};\n" +
+                             "#endif\n";
+  const std::string cc = std::string("#include \"hp.h\"\n") +
+                         "void Table::Add(float* row) {\n  rows_.push_back(row);\n}\n" +
+                         "void Impl::Pump() {\n  queue_.push_back(1);\n}\n" +
+                         "void Base::Serve() {\n" +
+                         "  static Counter* const completions = Registry::Global().counter(\"x\");\n" +
+                         "  completions->Add(1);\n" +
+                         "  this->Pump();\n" +
+                         "}\n";
+  HotPathConfig config;
+  config.roots["Base::Serve"] = "test root";
+  const std::vector<Finding> findings =
+      CheckHotPaths(config, {{"src/x/hp.h", header}, {"src/x/hp.cc", cc}});
+  const std::string msgs = MessagesFor(findings, "hot-path-alloc");
+  EXPECT_EQ(msgs.find("Table::Add"), std::string::npos) << msgs;
+  EXPECT_NE(msgs.find("Base::Serve -> Impl::Pump"), std::string::npos) << msgs;
+  EXPECT_EQ(CountRule(findings, "hot-path-alloc"), 1) << msgs;
+}
+
 TEST(HotPathTest, BoundariesStopTheTraversal) {
   const std::string cc = std::string("#include \"hp.h\"\n") +
                          "void Buffer::Push(int v) {\n" +
@@ -203,127 +233,6 @@ TEST(HotPathTest, ParseHotPathsReadsBothSections) {
   EXPECT_EQ(config.roots.at("Engine::Serve"), "fast path");
   EXPECT_EQ(config.boundaries.at("Engine::Cold"), "cold by design");
   EXPECT_FALSE(ParseHotPaths("[nope]\nk = v\n", &config, &error));
-}
-
-// --- Codec symmetry -------------------------------------------------------
-
-TEST(CodecSymmetryTest, SymmetricPairStaysQuiet) {
-  const std::string cc = std::string("#include \"wire.h\"\n") +
-                         "void Msg::AppendTo(WireWriter& w) const {\n" +
-                         "  w.Str(name);\n  w.SignedVarint(count);\n  w.F64(score);\n" +
-                         "}\n" +
-                         "bool Msg::Parse(WireReader& r, Msg* out) {\n" +
-                         "  return r.Str(&out->name) && r.SignedVarint(&out->count) &&\n" +
-                         "         r.F64(&out->score);\n" +
-                         "}\n";
-  const std::vector<Finding> findings = CheckCodecSymmetry({{"src/net/m.cc", cc}});
-  EXPECT_TRUE(findings.empty()) << FormatFinding(findings[0]);
-}
-
-TEST(CodecSymmetryTest, FieldOrderDriftIsFlaggedWithPosition) {
-  // Decoder reads count before name: classic silent wire corruption.
-  const std::string cc = std::string("#include \"wire.h\"\n") +
-                         "void Msg::AppendTo(WireWriter& w) const {\n" +
-                         "  w.Str(name);\n  w.SignedVarint(count);\n" +
-                         "}\n" +
-                         "bool Msg::Parse(WireReader& r, Msg* out) {\n" +
-                         "  return r.SignedVarint(&out->count) && r.Str(&out->name);\n" +
-                         "}\n";
-  const std::vector<Finding> findings = CheckCodecSymmetry({{"src/net/m.cc", cc}});
-  ASSERT_TRUE(HasRule(findings, "codec-asymmetry"));
-  const std::string msgs = MessagesFor(findings, "codec-asymmetry");
-  EXPECT_NE(msgs.find("diverge at position 0"), std::string::npos) << msgs;
-}
-
-TEST(CodecSymmetryTest, FieldCountDriftIsFlagged) {
-  // Encoder grew a trailing field the decoder never learned about.
-  const std::string cc = std::string("#include \"wire.h\"\n") +
-                         "void Msg::AppendTo(WireWriter& w) const {\n" +
-                         "  w.Str(name);\n  w.U64(seed);\n" +
-                         "}\n" +
-                         "bool Msg::Parse(WireReader& r, Msg* out) {\n" +
-                         "  return r.Str(&out->name);\n" +
-                         "}\n";
-  const std::vector<Finding> findings = CheckCodecSymmetry({{"src/net/m.cc", cc}});
-  ASSERT_TRUE(HasRule(findings, "codec-asymmetry"));
-  const std::string msgs = MessagesFor(findings, "codec-asymmetry");
-  EXPECT_NE(msgs.find("(2 primitives)"), std::string::npos) << msgs;
-  EXPECT_NE(msgs.find("(1 primitives)"), std::string::npos) << msgs;
-}
-
-TEST(CodecSymmetryTest, HelperCallsSpliceInSourceOrderEvenOnSharedLines) {
-  // The decoder calls its helper on the same physical line as inline wire
-  // ops; the helper's sequence must splice in at its true position, not after
-  // the line's other ops.
-  const std::string cc = std::string("#include \"wire.h\"\n") +
-                         "void AppendHeader(WireWriter& w, const Msg& m) {\n" +
-                         "  w.Str(m.name);\n" +
-                         "}\n" +
-                         "bool ParseHeader(WireReader& r, Msg* m) {\n" +
-                         "  return r.Str(&m->name);\n" +
-                         "}\n" +
-                         "void Msg::AppendTo(WireWriter& w) const {\n" +
-                         "  AppendHeader(w, *this);\n" +
-                         "  w.SignedVarint(count);\n" +
-                         "}\n" +
-                         "bool Msg::Parse(WireReader& r, Msg* out) {\n" +
-                         "  return ParseHeader(r, out) && r.SignedVarint(&out->count);\n" +
-                         "}\n";
-  const std::vector<Finding> findings = CheckCodecSymmetry({{"src/net/m.cc", cc}});
-  EXPECT_TRUE(findings.empty()) << FormatFinding(findings[0]);
-}
-
-TEST(CodecSymmetryTest, UnpairedCodecsAreFlaggedAndDirectivesExempt) {
-  const std::string unpaired = std::string("#include \"wire.h\"\n") +
-                               "void AppendOrphan(WireWriter& w, int v) {\n" +
-                               "  w.SignedVarint(v);\n" +
-                               "}\n";
-  const std::vector<Finding> findings = CheckCodecSymmetry({{"src/net/m.cc", unpaired}});
-  ASSERT_TRUE(HasRule(findings, "codec-unpaired"));
-  EXPECT_NE(MessagesFor(findings, "codec-unpaired").find("expected 'ParseOrphan'"),
-            std::string::npos);
-
-  const std::string wrapped = std::string("// vlora-codec: wrapper(AppendOrphan)\n") + unpaired;
-  EXPECT_FALSE(HasRule(CheckCodecSymmetry({{"src/net/m.cc", wrapped}}), "codec-unpaired"));
-}
-
-TEST(CodecSymmetryTest, PairDirectiveComparesUnconventionalNames) {
-  // Frame(…) and Unwrap(…) fit no naming convention; the directive pairs them
-  // and the comparison still catches drift.
-  const std::string cc = std::string("#include \"wire.h\"\n") +
-                         "// vlora-codec: pair(Frame, Unwrap)\n" +
-                         "void Frame(WireWriter& w) {\n" +
-                         "  w.U16(magic);\n  w.U8(version);\n" +
-                         "}\n" +
-                         "bool Unwrap(WireReader& r) {\n" +
-                         "  return r.U16(&magic) && r.U32(&version);\n" +
-                         "}\n";
-  const std::vector<Finding> findings = CheckCodecSymmetry({{"src/net/m.cc", cc}});
-  ASSERT_TRUE(HasRule(findings, "codec-asymmetry"));
-  EXPECT_NE(MessagesFor(findings, "codec-asymmetry").find("diverge at position 1"),
-            std::string::npos);
-}
-
-TEST(CodecSymmetryTest, WireTouchingFunctionWithNoConventionIsReported) {
-  const std::string cc = std::string("#include \"wire.h\"\n") +
-                         "void Mangle(WireWriter& w) {\n" +
-                         "  w.U8(x);\n" +
-                         "}\n";
-  const std::vector<Finding> findings = CheckCodecSymmetry({{"src/net/m.cc", cc}});
-  ASSERT_TRUE(HasRule(findings, "codec-unpaired"));
-  EXPECT_NE(MessagesFor(findings, "codec-unpaired").find("fits no"), std::string::npos);
-}
-
-TEST(CodecSymmetryTest, PerLineAllowSuppresses) {
-  const std::string cc = std::string("#include \"wire.h\"\n") +
-                         "void Msg::AppendTo(WireWriter& w) const {\n" +
-                         "  // vlora-lint: allow(codec-asymmetry) versioned field, reader gated\n" +
-                         "  w.Str(name);\n  w.U64(extra);\n" +
-                         "}\n" +
-                         "bool Msg::Parse(WireReader& r, Msg* out) {\n" +
-                         "  return r.Str(&out->name);\n" +
-                         "}\n";
-  EXPECT_FALSE(HasRule(CheckCodecSymmetry({{"src/net/m.cc", cc}}), "codec-asymmetry"));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Wire-protocol tests (src/net): codec edge cases, frame reassembly across
 // arbitrary chunk boundaries, rejection of truncated/corrupt/oversized input
 // (always a clean Status or false, never UB), a round trip of every message
-// type — including bit-exact adapter weights — and a Channel smoke test over
-// a real socketpair.
+// type — including bit-exact adapter weights — the exact bytes of a golden
+// frame per message type, and a Channel smoke test over a real socketpair.
 
 #include <gtest/gtest.h>
 
@@ -139,6 +139,24 @@ TEST(WireCodecTest, ArraysRoundTripAndEnforceMaxCount) {
   WireReader bounded(writer.data());
   EXPECT_FALSE(bounded.I32Array(&ints_out, /*max_count=*/3));
   EXPECT_FALSE(bounded.ok());
+}
+
+TEST(WireCodecTest, FloatRunMustMatchTheCallersCount) {
+  const std::vector<float> run = {1.0f, -2.0f, 0.5f};
+  WireWriter writer;
+  writer.Floats(run.data(), run.size());
+
+  std::vector<float> out(3);
+  WireReader exact(writer.data());
+  EXPECT_TRUE(exact.Floats(out.data(), out.size()));
+  EXPECT_TRUE(exact.Done());
+  EXPECT_EQ(out, run);
+
+  WireReader shorter(writer.data());  // caller expects 2 floats, wire says 3
+  EXPECT_FALSE(shorter.Floats(out.data(), 2));
+  WireReader truncated(writer.data().data(), writer.data().size() - 1);
+  EXPECT_FALSE(truncated.Floats(out.data(), out.size()));
+  EXPECT_FALSE(truncated.ok());
 }
 
 TEST(WireCodecTest, MixedFieldsRoundTrip) {
@@ -316,15 +334,15 @@ TEST(MessagesTest, HelloRoundTrips) {
 TEST(MessagesTest, ConfigRoundTripsModelAndTuning) {
   ConfigMessage config;
   config.model = TinyConfig();
-  config.kv_block_size = 8;
-  config.kv_num_blocks = 99;
-  config.engine_seed = 0xC0FFEE;
-  config.theta_ms = 12.5;
-  config.exec_estimate_ms = 3.25;
-  config.switch_ms = 0.75;
-  config.slo_urgency_fraction = 0.4;
-  config.max_batch_size = 3;
-  config.device_pool_bytes = 12345678;
+  config.server.engine.kv_block_size = 8;
+  config.server.engine.kv_num_blocks = 99;
+  config.server.engine.seed = 0xC0FFEE;
+  config.server.alg1.theta_ms = 12.5;
+  config.server.alg1.exec_estimate_ms = 3.25;
+  config.server.alg1.switch_ms = 0.75;
+  config.server.alg1.slo_urgency_fraction = 0.4;
+  config.server.max_batch_size = 3;
+  config.server.device_pool_bytes = 12345678;
   config.queue_capacity = 17;
   config.heartbeat_period_ms = 7.5;
 
@@ -335,15 +353,15 @@ TEST(MessagesTest, ConfigRoundTripsModelAndTuning) {
   EXPECT_EQ(decoded.model.num_layers, config.model.num_layers);
   EXPECT_EQ(decoded.model.d_model, config.model.d_model);
   EXPECT_EQ(decoded.model.vocab_size, config.model.vocab_size);
-  EXPECT_EQ(decoded.kv_block_size, 8);
-  EXPECT_EQ(decoded.kv_num_blocks, 99);
-  EXPECT_EQ(decoded.engine_seed, 0xC0FFEEu);
-  EXPECT_EQ(decoded.theta_ms, 12.5);
-  EXPECT_EQ(decoded.exec_estimate_ms, 3.25);
-  EXPECT_EQ(decoded.switch_ms, 0.75);
-  EXPECT_EQ(decoded.slo_urgency_fraction, 0.4);
-  EXPECT_EQ(decoded.max_batch_size, 3);
-  EXPECT_EQ(decoded.device_pool_bytes, 12345678);
+  EXPECT_EQ(decoded.server.engine.kv_block_size, 8);
+  EXPECT_EQ(decoded.server.engine.kv_num_blocks, 99);
+  EXPECT_EQ(decoded.server.engine.seed, 0xC0FFEEu);
+  EXPECT_EQ(decoded.server.alg1.theta_ms, 12.5);
+  EXPECT_EQ(decoded.server.alg1.exec_estimate_ms, 3.25);
+  EXPECT_EQ(decoded.server.alg1.switch_ms, 0.75);
+  EXPECT_EQ(decoded.server.alg1.slo_urgency_fraction, 0.4);
+  EXPECT_EQ(decoded.server.max_batch_size, 3);
+  EXPECT_EQ(decoded.server.device_pool_bytes, 12345678);
   EXPECT_EQ(decoded.queue_capacity, 17);
   EXPECT_EQ(decoded.heartbeat_period_ms, 7.5);
 }
@@ -496,7 +514,7 @@ TEST(MessagesTest, EveryTruncationOfARequestFailsCleanly) {
     RequestMessage out;
     // Either the parse fails outright or it leaves bytes it cannot explain;
     // both are protocol errors. It must never succeed with Done().
-    EXPECT_FALSE(RequestMessage::Parse(reader, &out) && reader.Done()) << "cut at " << cut;
+    EXPECT_FALSE(RequestMessage::Fields(reader, out) && reader.Done()) << "cut at " << cut;
   }
 }
 
@@ -506,14 +524,14 @@ TEST(MessagesTest, EveryTruncationOfARequestFailsCleanly) {
 // one sampled token, so tokens holds computed + generated entries.
 KvHandleMetaMessage ValidKvMeta() {
   KvHandleMetaMessage meta;
-  meta.request_id = 42;
-  meta.computed = 6;
-  meta.reused = 2;
-  meta.generated = 1;
-  meta.block_size = 4;
-  meta.num_pages = 2;
-  meta.tokens = {1, 2, 3, 4, 5, 6, 7};
-  meta.captured_hidden = {0.5f, -1.25f};
+  meta.handle.request_id = 42;
+  meta.handle.computed = 6;
+  meta.handle.reused = 2;
+  meta.handle.generated = 1;
+  meta.handle.block_size = 4;
+  meta.handle.pages.resize(2);
+  meta.handle.tokens = {1, 2, 3, 4, 5, 6, 7};
+  meta.handle.captured_hidden = {0.5f, -1.25f};
   return meta;
 }
 
@@ -521,26 +539,21 @@ TEST(KvWireTest, HandleMetaRoundTripsAndRebuildsPageSkeleton) {
   const KvHandleMetaMessage meta = ValidKvMeta();
   Result<KvHandleMetaMessage> out = RoundTrip(meta);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out.value().request_id, 42);
-  EXPECT_EQ(out.value().computed, 6);
-  EXPECT_EQ(out.value().reused, 2);
-  EXPECT_EQ(out.value().generated, 1);
-  EXPECT_EQ(out.value().block_size, 4);
-  EXPECT_EQ(out.value().num_pages, 2);
-  EXPECT_EQ(out.value().tokens, meta.tokens);
-  EXPECT_EQ(out.value().captured_hidden, meta.captured_hidden);
-
-  KvHandle handle;
-  out.value().ToHandle(&handle);
+  const KvHandle& handle = out.value().handle;
   EXPECT_EQ(handle.request_id, 42);
-  EXPECT_EQ(handle.tokens, meta.tokens);
+  EXPECT_EQ(handle.computed, 6);
+  EXPECT_EQ(handle.reused, 2);
+  EXPECT_EQ(handle.generated, 1);
+  EXPECT_EQ(handle.block_size, 4);
+  EXPECT_EQ(handle.tokens, meta.handle.tokens);
+  EXPECT_EQ(handle.captured_hidden, meta.handle.captured_hidden);
   ASSERT_EQ(handle.pages.size(), 2u);
   EXPECT_EQ(handle.pages[0].index, 0);
   EXPECT_EQ(handle.pages[1].index, 1);
   EXPECT_TRUE(handle.pages[0].data.empty());  // KvPage frames fill these in
 }
 
-TEST(KvWireTest, HandleMetaFromHandleSurvivesTheWire) {
+TEST(KvWireTest, HandleMetaOfAHandleSurvivesTheWire) {
   KvHandle handle;
   handle.request_id = 9;
   handle.tokens = {10, 11, 12, 13, 14};
@@ -553,10 +566,9 @@ TEST(KvWireTest, HandleMetaFromHandleSurvivesTheWire) {
   handle.pages[0].data = {3.0f, 4.0f};
   handle.captured_hidden = {7.0f};
 
-  Result<KvHandleMetaMessage> out = RoundTrip(KvHandleMetaMessage::FromHandle(handle));
+  Result<KvHandleMetaMessage> out = RoundTrip(KvHandleMetaMessage{handle});
   ASSERT_TRUE(out.ok());
-  KvHandle back;
-  out.value().ToHandle(&back);
+  const KvHandle& back = out.value().handle;
   EXPECT_EQ(back.request_id, handle.request_id);
   EXPECT_EQ(back.tokens, handle.tokens);
   EXPECT_EQ(back.computed, handle.computed);
@@ -575,38 +587,36 @@ TEST(KvWireTest, HandleMetaRejectsStructuralCorruption) {
   };
 
   KvHandleMetaMessage meta = ValidKvMeta();
-  meta.num_pages += 1;
+  meta.handle.pages.emplace_back();
   reject(meta, "page count disagrees with computed/block_size");
 
   meta = ValidKvMeta();
-  meta.tokens.pop_back();
+  meta.handle.tokens.pop_back();
   reject(meta, "token count disagrees with computed + generated");
 
   meta = ValidKvMeta();
-  meta.computed = 0;
+  meta.handle.computed = 0;
   reject(meta, "no computed tokens");
 
   meta = ValidKvMeta();
-  meta.reused = meta.computed + 1;
+  meta.handle.reused = meta.handle.computed + 1;
   reject(meta, "reused exceeds computed");
 
   meta = ValidKvMeta();
-  meta.block_size = 0;
+  meta.handle.block_size = 0;
   reject(meta, "zero block size");
 
   meta = ValidKvMeta();
-  meta.generated = 0;
+  meta.handle.generated = 0;
   reject(meta, "no sampled token");
 }
 
 TEST(KvWireTest, EveryTruncationOfAHandleMetaFailsCleanly) {
-  WireWriter writer;
-  ValidKvMeta().AppendTo(writer);
-  const std::string body = writer.Take();
+  const std::string body = EncodeBody(ValidKvMeta());
   for (size_t cut = 0; cut < body.size(); ++cut) {
     WireReader reader(body.data(), cut);
     KvHandleMetaMessage out;
-    EXPECT_FALSE(KvHandleMetaMessage::Parse(reader, &out) && reader.Done()) << "cut at " << cut;
+    EXPECT_FALSE(KvHandleMetaMessage::Fields(reader, out) && reader.Done()) << "cut at " << cut;
   }
 }
 
@@ -651,9 +661,7 @@ TEST(KvWireTest, PageRejectsEmptyNegativeAndOversized) {
 
 template <typename M>
 Envelope EnvelopeOf(const M& message) {
-  WireWriter writer;
-  message.AppendTo(writer);
-  return Envelope{M::kType, writer.Take()};
+  return Envelope{M::kType, EncodeBody(message)};
 }
 
 KvPageMessage KvPageOf(int64_t page_index, std::vector<float> data) {
@@ -681,7 +689,7 @@ TEST(KvWireTest, ReceiverEnforcesFrameRulesAndAssemblesBitExact) {
   const std::shared_ptr<KvHandle> handle = receiver.Take(42);
   ASSERT_NE(handle, nullptr);
   EXPECT_EQ(handle->request_id, 42);
-  EXPECT_EQ(handle->tokens, ValidKvMeta().tokens);
+  EXPECT_EQ(handle->tokens, ValidKvMeta().handle.tokens);
   ASSERT_EQ(handle->pages.size(), 2u);
   ASSERT_EQ(handle->pages[0].data.size(), page0.size());
   EXPECT_EQ(std::memcmp(handle->pages[0].data.data(), page0.data(), sizeof(float) * 3), 0);
@@ -845,6 +853,301 @@ TEST(AdapterWireTest, ImplausibleDimensionsAreRejected) {
   negative.Varint(1);
   WireReader negative_reader(negative.data());
   EXPECT_FALSE(ParseAdapter(negative_reader).ok());
+}
+
+// --- Golden frames ----------------------------------------------------------
+
+// Round trips pass on any symmetric format. These pin the format itself: the
+// exact bytes of one frame per message type, and of a plain and a
+// task-headed adapter, each built from fixed inputs. A change that moves,
+// widens or re-encodes a field fails here.
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0xF];
+  }
+  return out;
+}
+
+ModelConfig GoldenModel() {
+  ModelConfig model;
+  model.name = "golden";
+  model.num_layers = 2;
+  model.d_model = 32;
+  model.num_heads = 4;
+  model.d_ff = 64;
+  model.vocab_size = 300;
+  model.max_seq_len = 128;
+  model.visual_tokens_per_image = 16;
+  model.vision_encoder_params_b = 0.25;
+  return model;
+}
+
+ConfigMessage GoldenConfig() {
+  ConfigMessage config;
+  config.model = GoldenModel();
+  config.server.engine.kv_block_size = 8;
+  config.server.engine.kv_num_blocks = 99;
+  config.server.engine.seed = 0xC0FFEE;
+  config.server.alg1.theta_ms = 12.5;
+  config.server.alg1.exec_estimate_ms = 3.25;
+  config.server.alg1.switch_ms = 0.75;
+  config.server.alg1.slo_urgency_fraction = 0.4;
+  config.server.max_batch_size = 3;
+  config.server.device_pool_bytes = 12345678;
+  config.queue_capacity = 17;
+  config.heartbeat_period_ms = 7.5;
+  return config;
+}
+
+KvHandleMetaMessage GoldenKvMeta() {
+  KvHandle handle;
+  handle.request_id = 42;
+  handle.tokens = {1, 2, 3, 4, 5, 6, 7};
+  handle.computed = 6;
+  handle.reused = 2;
+  handle.generated = 1;
+  handle.block_size = 4;
+  handle.captured_hidden = {0.5f, -1.25f};
+  handle.pages.resize(2);
+  return KvHandleMetaMessage{handle};
+}
+
+// One rank-1 layer of width 2 per target, with every factor written out.
+LoraAdapter GoldenAdapter(const std::string& name, std::vector<LoraTarget> targets) {
+  Rng rng(1);
+  LoraAdapter adapter = LoraAdapter::Random(name, 1, 2, 1, rng, 0.0f, std::move(targets));
+  float value = 0.5f;
+  for (LoraTarget target : adapter.targets()) {
+    LoraLayerWeights& weights = adapter.layer(target, 0);
+    for (Tensor* factor : {&weights.down, &weights.up}) {
+      for (int64_t i = 0; i < factor->NumElements(); ++i) {
+        factor->data()[i] = value;
+        value = -2.0f * value;
+      }
+    }
+  }
+  return adapter;
+}
+
+std::string AdapterFrame(const LoraAdapter& adapter) {
+  WireWriter writer;
+  AppendAdapter(writer, adapter);
+  return EncodeFrame(MessageType::kLoadAdapter, writer.Take());
+}
+
+TEST(GoldenFrameTest, SetupAndControlFramesKeepTheirBytes) {
+  HelloMessage hello;
+  hello.replica = 3;
+  hello.pid = 40000;
+  EXPECT_EQ(Hex(EncodeMessageFrame(hello)), "080000004c5601010680f104");
+
+  EXPECT_EQ(Hex(EncodeMessageFrame(GoldenConfig())),
+            "560000004c56010206676f6c64656e0440088001d804800220000000000000d03f10c601eeffc0000000"
+            "000000000000000029400000000000000a40000000000000e83f9a9999999999d93f069c85e30b220000"
+            "000000001e40");
+
+  AckMessage ack;
+  ack.value = 7;
+  ack.code = StatusCode::kInvalidArgument;
+  ack.message = "nope";
+  EXPECT_EQ(Hex(EncodeMessageFrame(ack)), "0b0000004c5601040e01046e6f7065");
+
+  PrewarmMessage prewarm;
+  prewarm.adapter_ids = {0, 3, 1};
+  EXPECT_EQ(Hex(EncodeMessageFrame(prewarm)), "110000004c56010503000000000300000001000000");
+
+  EXPECT_EQ(Hex(EncodeMessageFrame(StartMessage{})), "040000004c560106");
+  EXPECT_EQ(Hex(EncodeMessageFrame(StopMessage{})), "040000004c56010b");
+  EXPECT_EQ(Hex(EncodeMessageFrame(GoodbyeMessage{})), "040000004c56010c");
+
+  HeartbeatMessage heartbeat;
+  heartbeat.worker_ms = 1234.5;
+  EXPECT_EQ(Hex(EncodeMessageFrame(heartbeat)), "0c0000004c56010a00000000004a9340");
+}
+
+TEST(GoldenFrameTest, ServingFramesKeepTheirBytes) {
+  RequestMessage request;
+  request.request.id = -7;
+  request.request.prompt_tokens = {1, 2, 300};
+  request.request.adapter_id = -1;
+  request.request.max_new_tokens = 5;
+  request.request.use_task_head = true;
+  request.request.eos_token = 2;
+  request.request.sampling.temperature = 0.5f;
+  request.request.sampling.top_k = 40;
+  request.request.sampling.seed = 0xFACE;
+  request.request.capture_final_hidden = true;
+  InjectedEmbeddings injected;
+  injected.position = 1;
+  injected.embeddings = Tensor(Shape(2, 3));
+  for (int64_t i = 0; i < injected.embeddings.NumElements(); ++i) {
+    injected.embeddings.data()[i] = 0.25f * static_cast<float>(i);
+  }
+  request.request.injected.push_back(injected);
+  request.request.prefill_only = true;
+  EXPECT_EQ(Hex(EncodeMessageFrame(request)),
+            "430000004c5601070d010a01040000003f50cefa000000000000010301000000020000002c0100000102"
+            "020306000000000000803e0000003f0000403f0000803f0000a03f0100");
+
+  RequestMessage resume;
+  resume.request.id = 8;
+  resume.request.prompt_tokens = {5};
+  resume.request.resume_handle = std::make_shared<KvHandle>();
+  EXPECT_EQ(Hex(EncodeMessageFrame(resume)),
+            "1f0000004c560107100110000200000000500000000000000000000105000000000001");
+
+  ResultMessage result;
+  result.result.request_id = 9;
+  result.result.output_tokens = {4, 5, 6};
+  result.result.head_option = 2;
+  result.result.prefill_tokens = 12;
+  result.result.reused_tokens = 4;
+  result.result.decode_steps = 3;
+  result.result.final_hidden = {1.0f, -2.0f};
+  result.result.handle = std::make_shared<KvHandle>();
+  EXPECT_EQ(Hex(EncodeMessageFrame(result)),
+            "200000004c560108120304000000050000000600000004180806020000803f000000c001");
+
+  FailureMessage failure;
+  failure.request_id = 11;
+  failure.code = StatusCode::kUnavailable;
+  failure.message = "executor lost";
+  EXPECT_EQ(Hex(EncodeMessageFrame(failure)), "140000004c560109160a0d6578656375746f72206c6f7374");
+}
+
+TEST(GoldenFrameTest, KvHandoffFramesKeepTheirBytes) {
+  EXPECT_EQ(Hex(EncodeMessageFrame(GoldenKvMeta())),
+            "300000004c56010d540c0402080407010000000200000003000000040000000500000006000000070000"
+            "00020000003f0000a0bf");
+
+  KvPageMessage page;
+  page.request_id = 42;
+  page.page_index = 1;
+  page.data = {1.0f, -0.0f, 3.5f};
+  EXPECT_EQ(Hex(EncodeMessageFrame(page)), "130000004c56010e5402030000803f0000008000006040");
+}
+
+TEST(GoldenFrameTest, AdapterFramesKeepTheirBytes) {
+  LoraAdapter plain = GoldenAdapter("plain", {LoraTarget::kWq, LoraTarget::kWv, LoraTarget::kWo});
+  plain.AddFusedDomain("medical");
+  EXPECT_EQ(Hex(AdapterFrame(plain)),
+            "550000004c56010305706c61696e0204020000803f0300020000003f000080bf0200000040000080c001"
+            "0200000041000080c10200000042000080c2020200000043000080c30200000044000080c40001076d65"
+            "646963616c");
+
+  LoraAdapter headed = GoldenAdapter("headed", {LoraTarget::kWq, LoraTarget::kWo});
+  headed.set_scaling(0.75f);
+  VisionTaskHead head;
+  head.task = VisionTask::kObjectDetection;
+  head.weight = Tensor(Shape(2, 3));
+  for (int64_t i = 0; i < head.weight.NumElements(); ++i) {
+    head.weight.data()[i] = 1.5f - static_cast<float>(i);
+  }
+  headed.SetTaskHead(std::move(head));
+  headed.AddFusedDomain("traffic");
+  EXPECT_EQ(Hex(AdapterFrame(headed)),
+            "5e0000004c560103066865616465640204020000403f0200020000003f000080bf0200000040000080c0"
+            "020200000041000080c10200000042000080c2010106060000c03f0000003f000000bf0000c0bf000020"
+            "c0000060c0010774726166666963");
+}
+
+// --- Narrowed integers ------------------------------------------------------
+
+// Re-encodes the zigzag varint at `offset` of a valid body with `value`, so a
+// test can put a number on the wire that the message's C++ field cannot hold.
+std::string WithVarintAt(const std::string& body, size_t offset, int64_t value) {
+  WireReader old_field(body.data() + offset, body.size() - offset);
+  int64_t old_value = 0;
+  EXPECT_TRUE(old_field.SignedVarint(&old_value));
+  const size_t old_size = body.size() - offset - old_field.remaining();
+  WireWriter field;
+  field.SignedVarint(value);
+  return body.substr(0, offset) + field.data() + body.substr(offset + old_size);
+}
+
+template <typename M>
+std::string BodyOf(const M& message) {
+  const std::string payload = PayloadOf(EncodeMessageFrame(message));
+  return DecodeEnvelope(payload).value().body;
+}
+
+template <typename M>
+bool Decodes(const std::string& body) {
+  return DecodeAs<M>(Envelope{M::kType, body}).ok();
+}
+
+// Every field the codec narrows to 32 bits must reject a value outside the
+// field's type instead of truncating it: adapter_id = 2^32 + 1 would
+// otherwise serve adapter 1.
+TEST(MessagesTest, IntegersOutsideTheirFieldTypeAreRejected) {
+  const int64_t kWide[] = {(int64_t{1} << 32) + 1, int64_t{1} << 31, -(int64_t{1} << 31) - 1};
+
+  // One-byte id, adapter_id, max_new_tokens, use_task_head and eos_token put
+  // the narrowed request fields at fixed offsets: adapter_id 1,
+  // max_new_tokens 2, eos_token 4 and, after the f32 temperature, top_k 9.
+  RequestMessage request;
+  request.request.id = 1;
+  request.request.adapter_id = 0;
+  request.request.max_new_tokens = 4;
+  request.request.eos_token = 1;
+  request.request.sampling.top_k = 0;
+  const std::string request_body = BodyOf(request);
+
+  ResultMessage result;  // one-byte request_id and an empty token array
+  result.result.request_id = 1;
+  result.result.head_option = 0;
+  const std::string result_body = BodyOf(result);
+
+  HelloMessage hello;
+  hello.replica = 0;
+  hello.pid = 1;
+  const std::string hello_body = BodyOf(hello);
+
+  AckMessage ack;
+  const std::string ack_body = BodyOf(ack);
+
+  struct Field {
+    const char* name;
+    bool (*decodes)(const std::string&);
+    const std::string* body;
+    size_t offset;
+  };
+  const Field fields[] = {
+      {"Request.adapter_id", &Decodes<RequestMessage>, &request_body, 1},
+      {"Request.max_new_tokens", &Decodes<RequestMessage>, &request_body, 2},
+      {"Request.eos_token", &Decodes<RequestMessage>, &request_body, 4},
+      {"Request.top_k", &Decodes<RequestMessage>, &request_body, 9},
+      {"Result.head_option", &Decodes<ResultMessage>, &result_body, 2},
+      {"Hello.replica", &Decodes<HelloMessage>, &hello_body, 0},
+      {"Ack.value", &Decodes<AckMessage>, &ack_body, 0},
+  };
+  for (const Field& field : fields) {
+    SCOPED_TRACE(field.name);
+    // The splice itself is sound: the widest values the field holds decode.
+    EXPECT_TRUE(field.decodes(WithVarintAt(*field.body, field.offset, (int64_t{1} << 31) - 1)));
+    EXPECT_TRUE(field.decodes(WithVarintAt(*field.body, field.offset, -(int64_t{1} << 31))));
+    for (const int64_t wide : kWide) {
+      EXPECT_FALSE(field.decodes(WithVarintAt(*field.body, field.offset, wide))) << wide;
+    }
+  }
+}
+
+// A flag is one byte holding 0 or 1; any other value is a corrupt frame.
+TEST(MessagesTest, FlagBytesOtherThanZeroOrOneAreRejected) {
+  RequestMessage request;  // one-byte id, adapter_id and max_new_tokens
+  request.request.id = 1;
+  std::string body = BodyOf(request);
+  const size_t use_task_head = 3;
+  ASSERT_EQ(body[use_task_head], 0);
+  body[use_task_head] = 1;
+  EXPECT_TRUE(Decodes<RequestMessage>(body));
+  body[use_task_head] = 2;
+  EXPECT_FALSE(Decodes<RequestMessage>(body));
 }
 
 // --- Channel over a real socketpair ----------------------------------------

@@ -101,7 +101,14 @@ const std::regex& LambdaOpenRe() {
 }
 
 const std::regex& TypedLocalRe() {
-  static const std::regex re("(?:^|[(\\s])(?:const\\s+)?([A-Z]\\w*)\\s*[*&]\\s*(\\w+)\\s*[=:]");
+  // `Foo* p = ...`, `const Foo& r = ...`, `static Foo* const p = ...`.
+  static const std::regex re(
+      "(?:^|[(\\s])(?:const\\s+)?([A-Z]\\w*)\\s*[*&]\\s*(?:const\\s+)?(\\w+)\\s*[=:]");
+  return re;
+}
+
+const std::regex& CallNameRe() {
+  static const std::regex re("([A-Za-z_]\\w*)\\s*\\(");
   return re;
 }
 
@@ -208,12 +215,14 @@ void ScanFileDeclarations(const SourceFile& file, const ScanOptions& options, Co
   std::string pending_class;
   std::string decl_buf;
   int decl_buf_line = 0;
+  int decl_buf_depth = 0;
   const std::vector<std::string> raw_lines = SplitLines(file.content);
   for (size_t i = 0; i < raw_lines.size(); ++i) {
     const std::string& raw = raw_lines[i];
     const std::string code = BlankStrings(StripComments(raw, &in_block));
     const int line_no = static_cast<int>(i) + 1;
     const std::string current_class = stack.empty() ? "" : stack.back().name;
+    const int class_depth = stack.empty() ? -1 : stack.back().depth;
 
     if (on_decl_line) {
       on_decl_line(current_class, code, raw, file.path, line_no);
@@ -252,14 +261,24 @@ void ScanFileDeclarations(const SourceFile& file, const ScanOptions& options, Co
       }
     }
 
-    // Annotated function declarations (logical-line buffered).
-    if (decl_buf.empty()) {
+    // Annotated function declarations and in-class bodies (logical-line
+    // buffered; a lone closing brace ends the previous logical line).
+    if (decl_buf.find_first_not_of(" }") == std::string::npos) {
+      decl_buf.clear();
       decl_buf_line = line_no;
+      decl_buf_depth = depth;
     }
     decl_buf += code;
     decl_buf += ' ';
     if (code.find(';') != std::string::npos || code.find('{') != std::string::npos) {
       std::smatch sm;
+      const size_t brace = decl_buf.find('{');
+      if (!current_class.empty() && decl_buf_depth == class_depth + 1 &&
+          brace < decl_buf.find(';') && decl_buf.find("virtual") == std::string::npos &&
+          std::regex_search(decl_buf, sm, CallNameRe()) &&
+          static_cast<size_t>(sm.position(0)) < brace && !IsKeyword(sm[1].str())) {
+        index->inline_bodies.insert(current_class + "::" + sm[1].str());
+      }
       if (std::regex_search(decl_buf, sm, AnnotatedSigRe())) {
         const std::string fname = sm[1].str();
         const std::string qual = current_class.empty() ? fname : current_class + "::" + fname;
@@ -400,9 +419,11 @@ void BodyWalker::EmitCallsFor(const std::string& text, const std::string& raw, i
   }
   std::smatch m;
 
-  // Member calls. A typed receiver wins; an unresolved receiver falls back to
-  // a uniquely named method; over_approximate_unresolved additionally fans
-  // anything still unresolved out to every class defining the method.
+  // Member calls. A typed receiver wins when its class has a body for the
+  // method, in a .cc or inline in the class; an unresolved receiver falls
+  // back to a uniquely named method; over_approximate_unresolved
+  // additionally fans anything still unresolved (a pure-virtual or
+  // inherited method included) out to every class defining the method.
   std::string rest = text;
   while (std::regex_search(rest, m, MemberCallRe())) {
     const std::string receiver = m[1].str();
@@ -415,7 +436,8 @@ void BodyWalker::EmitCallsFor(const std::string& text, const std::string& raw, i
       }
     }
     bool emitted = false;
-    if (!cls.empty() && index_->known_funcs.count(cls + "::" + method)) {
+    if (!cls.empty() && (index_->known_funcs.count(cls + "::" + method) ||
+                         index_->inline_bodies.count(cls + "::" + method))) {
       client_->OnCall(*this, cls + "::" + method, raw, line_no);
       emitted = true;
     }

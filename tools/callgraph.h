@@ -101,6 +101,10 @@ struct CodeIndex {
   std::set<std::string> known_funcs;
   // Method name -> every class that declares/defines it.
   std::map<std::string, std::set<std::string>> method_classes;
+  // "Class::Method" whose body is written inside its class (a header-inline
+  // method), virtual ones excepted. A call on a receiver typed to the class
+  // resolves there instead of fanning out to every class defining the name.
+  std::set<std::string> inline_bodies;
   // Free functions (namespace scope), bare names.
   std::set<std::string> free_funcs;
   // Qualified function -> its VLORA_* annotations, in declaration order.

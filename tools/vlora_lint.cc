@@ -4,15 +4,14 @@
 //        vlora_lint --lock-order <hierarchy.toml> <file-or-dir>...
 //        vlora_lint --hot-path <hot_paths.toml> <file-or-dir>...
 //        vlora_lint --atomics <atomics.toml> <file-or-dir>...
-//        vlora_lint --codec-symmetry <file-or-dir>...
 //
 // The first form runs the per-line rules (tools/lint_rules.h). The others
 // run the whole-tree file-graph passes built on tools/callgraph.h: the
 // lock-order pass (tools/lock_order.h) against tools/lock_hierarchy.toml,
 // the hot-path purity pass (tools/hot_path.h) against tools/hot_paths.toml,
-// the atomics-discipline pass (tools/atomics.h) against tools/atomics.toml,
-// and the wire-codec symmetry pass (tools/codec_symmetry.h). Directories are
-// walked recursively for .h/.cc/.cpp sources; every finding prints as
+// and the atomics-discipline pass (tools/atomics.h) against
+// tools/atomics.toml. Directories are walked recursively for .h/.cc/.cpp
+// sources; every finding prints as
 // "file:line: [rule] message" and a non-empty report exits 1, so the binary
 // slots straight into ctest / CI.
 
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "tools/atomics.h"
-#include "tools/codec_symmetry.h"
 #include "tools/hot_path.h"
 #include "tools/lint_rules.h"
 #include "tools/lock_order.h"
@@ -70,9 +68,8 @@ int main(int argc, char** argv) {
                  "usage: %s <file-or-dir>...\n"
                  "       %s --lock-order <hierarchy.toml> <file-or-dir>...\n"
                  "       %s --hot-path <hot_paths.toml> <file-or-dir>...\n"
-                 "       %s --atomics <atomics.toml> <file-or-dir>...\n"
-                 "       %s --codec-symmetry <file-or-dir>...\n",
-                 argv[0], argv[0], argv[0], argv[0], argv[0]);
+                 "       %s --atomics <atomics.toml> <file-or-dir>...\n",
+                 argv[0], argv[0], argv[0], argv[0]);
     return 2;
   }
   const std::string mode = argv[1];
@@ -93,17 +90,6 @@ int main(int argc, char** argv) {
       return ReportPass("atomics", vlora::lint::CheckAtomicsOverTree(argv[2], roots));
     }
     return ReportPass("hot-path", vlora::lint::CheckHotPathsOverTree(argv[2], roots));
-  }
-  if (mode == "--codec-symmetry") {
-    if (argc < 3) {
-      std::fprintf(stderr, "usage: %s --codec-symmetry <file-or-dir>...\n", argv[0]);
-      return 2;
-    }
-    std::vector<std::string> roots;
-    for (int i = 2; i < argc; ++i) {
-      roots.push_back(argv[i]);
-    }
-    return ReportPass("codec-symmetry", vlora::lint::CheckCodecSymmetryOverTree(roots));
   }
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
