@@ -5,8 +5,8 @@
 # scalar kernel variant, the servebench self-test (bench-smoke), the
 # static-analysis stage (vlora_lint, Clang thread-safety build, clang-tidy),
 # then the concurrency-labelled tests (cluster, fault
-# injection, thread pool, ATMM dispatch) and the kernels-labelled tests
-# (differential micro-kernel harness) under both
+# injection, thread pool, parallel GEMM) and the kernels-labelled tests
+# (differential micro-kernel harness, ATMM dispatcher) under both
 # ThreadSanitizer and AddressSanitizer+UBSan. The ASan tree also runs the
 # e2e_process suites, so real executor SIGKILL recovery is exercised under
 # ASan; the TSan tree deliberately does not (fork + threads is unsupported
@@ -24,14 +24,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CONCURRENCY_TARGETS=(cluster_test disaggregated_test fault_injection_test thread_pool_test
-                     trace_test atmm_test kernel_dispatch_test)
+                     trace_test kernel_dispatch_test)
 # e2e_process targets run under ASan but not TSan (fork + threads). The
 # process_cluster_test target pulls in vlora_executor via add_dependencies.
 E2E_PROCESS_TARGETS=(net_test process_cluster_test)
-# The kernels label: the differential micro-kernel harness. Run under both
-# sanitizer trees — ASan/UBSan proves the packing and the in-place B reads
-# stay in bounds, TSan re-checks GemmTiledParallel determinism.
-KERNEL_TARGETS=(kernel_diff_test)
+# The kernels label: the differential micro-kernel harness and the ATMM
+# dispatcher tests. Run under both sanitizer trees — ASan/UBSan proves the
+# packing and the in-place B reads stay in bounds, TSan re-checks
+# GemmTiledParallel determinism.
+KERNEL_TARGETS=(kernel_diff_test atmm_test)
 
 # Builds and the tier-1 ctest pass an explicit job count: with the Unix
 # Makefiles generator a bare `-j` means `make -j`, with no job limit, and
@@ -88,7 +89,7 @@ if [[ "${SKIP_STATIC:-0}" != "1" ]]; then
   record "vlora_lint" "pass"
 
   echo "=== static-analysis: lock-order pass ==="
-  ./build/tools/vlora_lint --lock-order tools/lock_hierarchy.toml src
+  ./build/tools/vlora_lint --lock-order src
   record "lock-order pass" "pass"
 
   echo "=== static-analysis: hot-path purity pass ==="

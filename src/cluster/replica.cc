@@ -102,7 +102,7 @@ void Replica::TakeIngressLocked(int64_t max_in_service, std::vector<EngineReques
   depth_.store(DepthLocked(), std::memory_order_relaxed);
 }
 
-int64_t Replica::Complete(std::span<EngineResult> results) {
+int64_t Replica::Complete(std::span<EngineResult> results, const ServerStats* server_stats) {
   static Counter* const completions = MetricsRegistry::Global().counter("replica.completions");
   const double now_ms = clock_.ElapsedMillis();
   completed_ids_.clear();
@@ -126,6 +126,9 @@ int64_t Replica::Complete(std::span<EngineResult> results) {
       }
     }
     served = completed_ + handoffs_;
+    if (server_stats != nullptr) {
+      server_stats_ = *server_stats;
+    }
     depth_.store(DepthLocked(), std::memory_order_relaxed);
     if (DepthLocked() == 0) {
       drained_cv_.NotifyAll();
@@ -285,8 +288,6 @@ ReplicaSnapshot Replica::Snapshot() {
   ReplicaSnapshot snapshot;
   snapshot.index = index_;
   snapshot.backend = backend_;
-  // Taken before mutex_: a backend may serialise it against its step loop.
-  snapshot.server = ServerStatsForSnapshot();
   MutexLock lock(&mutex_);
   snapshot.dead = dead();
   snapshot.submitted = submitted_;
@@ -299,6 +300,7 @@ ReplicaSnapshot Replica::Snapshot() {
   snapshot.handoffs = handoffs_;
   snapshot.peak_depth = peak_depth_;
   snapshot.latency = latency_;
+  snapshot.server = server_stats_;
   return snapshot;
 }
 
@@ -328,11 +330,6 @@ void ThreadReplica::Start(ThreadPool* pool) {
   VLORA_CHECK(pool != nullptr);
   BeginServing();
   pool->Post([this] { WorkerLoop(); });
-}
-
-ServerStats ThreadReplica::ServerStatsForSnapshot() {
-  MutexLock step_lock(&step_mutex_);
-  return server_.stats();
 }
 
 void ThreadReplica::WorkerLoop() {
@@ -383,11 +380,8 @@ void ThreadReplica::WorkerLoop() {
         server_.Submit(std::move(request));
       }
     }
-    {
-      MutexLock step_lock(&step_mutex_);
-      finished = server_.StepOnce();
-    }
-    served = Complete(finished);
+    finished = server_.StepOnce();
+    served = Complete(finished, &server_.stats());
     Beat();
   }
 }

@@ -21,7 +21,9 @@
 // into service and reports their outcome through Complete / FailInService /
 // FailOver; the supervisor reads the health signals and calls StealIngress
 // on quarantine. All front-end state sits under one mutex. Completion,
-// failure and handoff handlers run with no replica lock held.
+// failure and handoff handlers run with no replica lock held. The backend's
+// own state (ThreadReplica's VloraServer) belongs to the service thread
+// alone; it reaches the front end only through Complete.
 //
 // Backpressure: `queue_capacity` bounds *outstanding* requests (queued + in
 // service). kBlock makes Enqueue wait for space — the caller slows to the
@@ -196,8 +198,6 @@ class Replica {
   virtual void PumpIngress() = 0;
   // After RequestStop cancelled the queue: wind the service side down.
   virtual void OnStopRequested() = 0;
-  // Engine stats for Snapshot; only an in-process engine has them.
-  virtual ServerStats ServerStatsForSnapshot() { return {}; }
 
   // Setup/lifecycle checks: CHECK-fails once the replica started serving.
   void CheckSetupPhase() VLORA_EXCLUDES(mutex_);
@@ -212,8 +212,12 @@ class Replica {
   // handler when one is set (a KV handoff is not a completion); every other
   // result is a terminal completion, buffered for TakeResults. Results whose
   // request is no longer in service (a late duplicate after a fail-over) are
-  // dropped. Returns completions + handoffs so far, the fault scripts' key.
-  int64_t Complete(std::span<EngineResult> results) VLORA_EXCLUDES(mutex_);
+  // dropped. `server_stats` (an in-process engine's counters, else null)
+  // becomes Snapshot's copy in the same critical section, so it is final by
+  // the time WaitDrained returns. Returns completions + handoffs so far, the
+  // fault scripts' key.
+  int64_t Complete(std::span<EngineResult> results, const ServerStats* server_stats = nullptr)
+      VLORA_EXCLUDES(mutex_);
   // Takes one in-service request out as failed and reports it.
   void FailInService(int64_t request_id, const Status& status) VLORA_EXCLUDES(mutex_);
   // The fail-over path: the service side is gone. Unless a stop was
@@ -275,6 +279,7 @@ class Replica {
   int64_t peak_depth_ VLORA_GUARDED_BY(mutex_) = 0;
   std::vector<EngineResult> results_ VLORA_GUARDED_BY(mutex_);
   LatencyRecorder latency_ VLORA_GUARDED_BY(mutex_);
+  ServerStats server_stats_ VLORA_GUARDED_BY(mutex_);  // as of the last Complete
 
   // tools/atomics.toml: depth_/heartbeat_ms_ are `counter`s (monitoring
   // reads, nothing ordered through them); dead_ is a `flag` — the release
@@ -287,8 +292,8 @@ class Replica {
 // The in-process backend: a worker loop steps a VloraServer over the
 // requests it takes from the front end, consulting an optional
 // FaultInjector each iteration (gate, kill, stall, per-request failure).
-// The server is single-threaded apart from its staged Submit; its stats
-// snapshot serialises against StepOnce through the step mutex.
+// Once started, only the worker touches the server; it hands the server's
+// stats to the front end through Complete each iteration.
 class ThreadReplica : public Replica {
  public:
   ThreadReplica(int index, const ModelConfig& config, const ReplicaOptions& options);
@@ -301,17 +306,10 @@ class ThreadReplica : public Replica {
  private:
   void PumpIngress() override { work_cv_.NotifyOne(); }
   void OnStopRequested() override { work_cv_.NotifyAll(); }
-  ServerStats ServerStatsForSnapshot() override VLORA_EXCLUDES(step_mutex_);
-  void WorkerLoop() VLORA_EXCLUDES(mutex_, step_mutex_) VLORA_HOT;
+  void WorkerLoop() VLORA_EXCLUDES(mutex_) VLORA_HOT;
 
-  VloraServer server_;
-  CondVar work_cv_;  // wakes the worker
-
-  // Serialises StepOnce vs Snapshot's server-stats copy. Lock order: always
-  // taken before mutex_ (Snapshot), never the other way around — the rank
-  // (kReplicaStep > kReplicaIngress) enforces it at runtime in debug builds.
-  Mutex step_mutex_ VLORA_ACQUIRED_BEFORE(mutex_){Rank::kReplicaStep,
-                                                  "ThreadReplica::step_mutex_"};
+  VloraServer server_;  // worker thread only, after Start
+  CondVar work_cv_;     // wakes the worker
 };
 
 }  // namespace vlora

@@ -35,10 +35,6 @@
 // pointer itself may be read freely, e.g. set once at construction).
 #define VLORA_PT_GUARDED_BY(x) VLORA_THREAD_ANNOTATION_ATTRIBUTE(pt_guarded_by(x))
 
-// Lock-ordering declarations, checked under -Wthread-safety-beta.
-#define VLORA_ACQUIRED_BEFORE(...) VLORA_THREAD_ANNOTATION_ATTRIBUTE(acquired_before(__VA_ARGS__))
-#define VLORA_ACQUIRED_AFTER(...) VLORA_THREAD_ANNOTATION_ATTRIBUTE(acquired_after(__VA_ARGS__))
-
 // The function must be called with the capabilities held (and does not
 // release them): the _Locked private-helper convention.
 #define VLORA_REQUIRES(...) \

@@ -7,8 +7,10 @@
 // annotations.h, so every guarded member and every REQUIRES-taking helper in
 // the concurrent subsystems is checked at compile time under
 // -Werror=thread-safety, and (2) a mandatory lock *rank* from the repo's lock
-// hierarchy (tools/lock_hierarchy.toml is the canonical table; the Rank enum
-// below mirrors it and the vlora_lint lock-order pass verifies they agree).
+// hierarchy. The Rank enum below plus each Mutex's declaration are the only
+// statement of that hierarchy: the runtime checker reads the ranks from the
+// Mutex objects, and the vlora_lint lock-order pass reads the enum and the
+// declarations from the source.
 //
 // Rank discipline (debug / sanitizer builds, -DVLORA_LOCK_RANK_CHECKS):
 //   * A thread may only acquire a mutex whose rank is strictly LOWER than
@@ -58,20 +60,17 @@
 
 namespace vlora {
 
-// The lock hierarchy, highest-first: a thread acquires ranks in strictly
-// decreasing order. Canonical table (names, values and the lock -> rank map):
-// tools/lock_hierarchy.toml; the vlora_lint lock-order pass fails the build
-// when this enum and the table disagree. Values leave gaps so a future layer
-// can slot in without renumbering.
+// The lock hierarchy: a thread acquires ranks in strictly decreasing order.
+// Only state that two threads share takes a lock; DESIGN.md §9 lists each
+// lock with the threads that take it. Values leave gaps so a future layer can
+// slot in without renumbering.
 enum class Rank : int {
-  kLogging = 0,         // logging g_emit_mutex; any thread may log under any lock
-  kTrace = 5,           // tracer/metrics registries; cold paths of src/common/trace.h
-  kLeaf = 10,           // terminal locks that never call out (fault injector, ATMM table)
-  kPool = 20,           // ThreadPool::mutex_
-  kServerStage = 30,    // VloraServer::submit_mutex_ (staging buffer)
-  kReplicaIngress = 40, // Replica::mutex_ (ingress queue, worker state)
-  kReplicaStep = 50,    // Replica::step_mutex_ (StepOnce vs Snapshot)
-  kCluster = 60,        // ClusterServer::mutex_ (routing, pending table)
+  kLogging = 0,          // logging g_emit_mutex; any thread may log under any lock
+  kTrace = 5,            // tracer/metrics registries; cold paths of src/common/trace.h
+  kLeaf = 10,            // terminal locks that never call out (fault, channel, child)
+  kPool = 20,            // ThreadPool::mutex_
+  kReplicaIngress = 40,  // Replica::mutex_ (ingress queue, worker state)
+  kCluster = 60,         // ClusterServer::mutex_ (routing, pending table)
 };
 
 constexpr const char* RankName(Rank rank) {
@@ -84,12 +83,8 @@ constexpr const char* RankName(Rank rank) {
       return "kLeaf";
     case Rank::kPool:
       return "kPool";
-    case Rank::kServerStage:
-      return "kServerStage";
     case Rank::kReplicaIngress:
       return "kReplicaIngress";
-    case Rank::kReplicaStep:
-      return "kReplicaStep";
     case Rank::kCluster:
       return "kCluster";
   }
@@ -284,7 +279,7 @@ class CondVar {
   // comment). The adopt/release dance hands the already-held mutex to the
   // std wait call and takes it back without a second lock round-trip.
   void Wait(Mutex& mu) VLORA_REQUIRES(mu) {
-    VLORA_BLOCKING_REGION(&mu, "CondVar::Wait");
+    VLORA_BLOCKING_REGION(&mu, "CondVar::Wait");  // vlora-lint: allow(hot-path-blocking) this is the wait; each hot caller justifies its own Wait call
     std::unique_lock<std::mutex> lock(mu.native_handle(), std::adopt_lock);
     cv_.wait(lock);
     lock.release();

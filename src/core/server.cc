@@ -53,22 +53,9 @@ const LoraAdapter& VloraServer::adapter(int id) const {
 }
 
 void VloraServer::Submit(EngineRequest request) {
-  MutexLock lock(&submit_mutex_);
-  staged_.push_back(std::move(request));
-  queue_depth_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void VloraServer::AdmitStaged() {
-  std::vector<EngineRequest> staged;
-  {
-    MutexLock lock(&submit_mutex_);
-    staged.swap(staged_);
-  }
-  for (EngineRequest& request : staged) {
-    VLORA_CHECK(!submit_ms_.contains(request.id));
-    submit_ms_[request.id] = logical_clock_ms_;
-    engine_.Submit(std::move(request));
-  }
+  VLORA_CHECK(!submit_ms_.contains(request.id));
+  submit_ms_[request.id] = logical_clock_ms_;
+  engine_.Submit(std::move(request));
 }
 
 void VloraServer::PrewarmAdapter(int adapter_id) {
@@ -77,7 +64,6 @@ void VloraServer::PrewarmAdapter(int adapter_id) {
 }
 
 std::vector<EngineResult> VloraServer::StepOnce() {
-  AdmitStaged();
   // Build the Algorithm-1 queue view from the engine's live sequences. The
   // logical clock advances by the estimated iteration time, which is what the
   // credit term measures against θ.
@@ -168,7 +154,6 @@ std::vector<EngineResult> VloraServer::StepOnce() {
   for (const EngineResult& result : finished) {
     submit_ms_.erase(result.request_id);
     last_service_ms_.erase(result.request_id);
-    queue_depth_.fetch_sub(1, std::memory_order_relaxed);
   }
   step_span.set_completed(static_cast<int64_t>(finished.size()));
   return finished;
@@ -176,7 +161,7 @@ std::vector<EngineResult> VloraServer::StepOnce() {
 
 std::vector<EngineResult> VloraServer::RunAll() {
   std::vector<EngineResult> all;
-  while (QueueDepth() > 0) {
+  while (engine_.HasWork()) {
     std::vector<EngineResult> finished = StepOnce();
     all.insert(all.end(), std::make_move_iterator(finished.begin()),
                std::make_move_iterator(finished.end()));

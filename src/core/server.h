@@ -6,16 +6,17 @@
 // orchestrator applies Algorithm 1 every engine iteration — choosing the
 // batch, the inference mode and the merged adapter — and drives the engine's
 // swift mode switcher accordingly.
+//
+// A server has one owner thread, which submits and steps: a replica's worker
+// loop, or whoever calls RunAll. It takes no lock.
 
 #ifndef VLORA_SRC_CORE_SERVER_H_
 #define VLORA_SRC_CORE_SERVER_H_
 
-#include <atomic>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/sync.h"
 #include "src/core/generator.h"
 #include "src/core/scheduler.h"
 #include "src/engine/engine.h"
@@ -63,15 +64,9 @@ class VloraServer {
   InferenceEngine& engine() { return engine_; }
   const AdapterManager& adapter_manager() const { return adapter_manager_; }
 
-  // Enqueues a request (EngineRequest::id must be unique). Thread-safe with
-  // respect to a concurrent StepOnce: the request lands in a staging buffer
-  // and joins the engine at the start of the next iteration. Everything else
-  // on this class must be called from the serving thread.
-  void Submit(EngineRequest request) VLORA_EXCLUDES(submit_mutex_);
-
-  // Requests accepted but not yet finished (staged + in-engine). Thread-safe;
-  // this is the load signal the cluster router reads.
-  int64_t QueueDepth() const { return queue_depth_.load(std::memory_order_relaxed); }
+  // Enqueues a request (EngineRequest::id must be unique), stamping its
+  // logical enqueue time; it joins the next StepOnce.
+  void Submit(EngineRequest request);
 
   // Forces an adapter onto the device outside the serving path (placement
   // warm-up); does not count toward swap statistics. Serving thread only, or
@@ -88,18 +83,11 @@ class VloraServer {
   const ServerStats& stats() const { return stats_; }
 
  private:
-  // Moves staged requests into the engine, stamping their logical enqueue
-  // time. Serving thread only.
-  void AdmitStaged() VLORA_EXCLUDES(submit_mutex_);
-
   ServerOptions options_;
   InferenceEngine engine_;
   UnifiedMemoryPool pool_;
   AdapterManager adapter_manager_;
   std::vector<std::unique_ptr<LoraAdapter>> adapters_;
-  Mutex submit_mutex_{Rank::kServerStage, "VloraServer::submit_mutex_"};
-  std::vector<EngineRequest> staged_ VLORA_GUARDED_BY(submit_mutex_);
-  std::atomic<int64_t> queue_depth_{0};  // `counter` protocol (tools/atomics.toml)
   std::unordered_map<int64_t, double> submit_ms_;        // id -> logical enqueue time
   std::unordered_map<int64_t, double> last_service_ms_;  // id -> last scheduled time
   double logical_clock_ms_ = 0.0;

@@ -13,7 +13,6 @@ void AtmmDispatcher::Register(const ShapeKey& key, const TileConfig& config) {
 void AtmmDispatcher::Register(const ShapeKey& key, const TileConfig& config,
                               KernelVariant variant) {
   VLORA_CHECK(config.Valid());
-  MutexLock lock(&mutex_);
   tables_[static_cast<size_t>(variant)][key] = config;
 }
 
@@ -58,7 +57,6 @@ TileConfig AtmmDispatcher::Select(int64_t m, int64_t n, int64_t k) const {
 }
 
 TileConfig AtmmDispatcher::Select(int64_t m, int64_t n, int64_t k, KernelVariant variant) const {
-  MutexLock lock(&mutex_);
   const ShapeTable& table = tables_[static_cast<size_t>(variant)];
   // Exact hit first.
   auto it = table.find(ShapeKey{m, n, k});
@@ -99,7 +97,6 @@ void AtmmDispatcher::Execute(const Tensor& a, const Tensor& b, Tensor& c) {
 }
 
 int64_t AtmmDispatcher::TableSize() const {
-  MutexLock lock(&mutex_);
   int64_t total = 0;
   for (const ShapeTable& table : tables_) {
     total += static_cast<int64_t>(table.size());
@@ -108,7 +105,6 @@ int64_t AtmmDispatcher::TableSize() const {
 }
 
 int64_t AtmmDispatcher::TableSize(KernelVariant variant) const {
-  MutexLock lock(&mutex_);
   return static_cast<int64_t>(tables_[static_cast<size_t>(variant)].size());
 }
 

@@ -20,7 +20,7 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "src/common/sync.h"
+#include "src/common/annotations.h"
 #include "src/kernels/gemm.h"
 #include "src/kernels/kernel_variant.h"
 #include "src/kernels/tile_config.h"
@@ -53,29 +53,26 @@ struct ShapeKeyHash {
   }
 };
 
-// Thread-safety: the shape -> config tables are guarded, so a tiling search
-// may Register entries concurrently (e.g. profiling shards on a ThreadPool)
-// while other threads Select. Execute is NOT concurrency-safe on a shared
-// dispatcher — the packed-panel workspace is reused across calls — so each
-// execution thread (each replica engine) owns its own dispatcher.
+// Thread-safety: a dispatcher has one owner thread and takes no lock.
+// RunTilingSearch registers serially, and Execute reuses one packed-panel
+// workspace across calls, so each execution thread (each replica engine,
+// vision tower, trainer call and bench) builds its own dispatcher.
 class AtmmDispatcher {
  public:
   AtmmDispatcher() = default;
 
   // Registers the optimal config for a profiled shape (called by the search).
   // The two-argument form registers for the active variant.
-  void Register(const ShapeKey& key, const TileConfig& config) VLORA_EXCLUDES(mutex_);
-  void Register(const ShapeKey& key, const TileConfig& config, KernelVariant variant)
-      VLORA_EXCLUDES(mutex_);
+  void Register(const ShapeKey& key, const TileConfig& config);
+  void Register(const ShapeKey& key, const TileConfig& config, KernelVariant variant);
 
   // Picks the config for a runtime shape: exact hit, else nearest registered
   // bucket (snapping m to the profiling grid), else the heuristic fallback.
   // Only the variant's table is consulted — entries profiled for a different
   // variant are never served. The three-argument form reads the active
   // variant's table.
-  TileConfig Select(int64_t m, int64_t n, int64_t k) const VLORA_EXCLUDES(mutex_);
-  TileConfig Select(int64_t m, int64_t n, int64_t k, KernelVariant variant) const
-      VLORA_EXCLUDES(mutex_);
+  TileConfig Select(int64_t m, int64_t n, int64_t k) const;
+  TileConfig Select(int64_t m, int64_t n, int64_t k, KernelVariant variant) const;
 
   // Shape-driven fallback used when the table has no suitable entry. The
   // variant-aware form biases the register tile for the kernel ISA (the AVX2
@@ -85,16 +82,15 @@ class AtmmDispatcher {
   static TileConfig HeuristicConfig(int64_t m, int64_t n, int64_t k, KernelVariant variant);
 
   // C += A * B with the adaptively selected configuration, on the active
-  // kernel variant. Calling thread must own this dispatcher's execution (see
-  // class comment).
+  // kernel variant.
   void Execute(const float* a, const float* b, float* c, int64_t m, int64_t n,
                int64_t k) VLORA_HOT;
   void Execute(const Tensor& a, const Tensor& b, Tensor& c);
 
   // Number of registered entries across every variant's table, or in one
   // variant's table.
-  int64_t TableSize() const VLORA_EXCLUDES(mutex_);
-  int64_t TableSize(KernelVariant variant) const VLORA_EXCLUDES(mutex_);
+  int64_t TableSize() const;
+  int64_t TableSize(KernelVariant variant) const;
 
   // Grid step used to bucket the m (token-count) dimension. Matches the step
   // the search profiles with; §4.3.2 uses 32 for the same reason.
@@ -103,9 +99,8 @@ class AtmmDispatcher {
  private:
   using ShapeTable = std::unordered_map<ShapeKey, TileConfig, ShapeKeyHash>;
 
-  mutable Mutex mutex_{Rank::kLeaf, "AtmmDispatcher::mutex_"};
-  std::array<ShapeTable, kNumKernelVariants> tables_ VLORA_GUARDED_BY(mutex_);  // by variant
-  GemmWorkspace workspace_;  // execution-thread-only; see class comment
+  std::array<ShapeTable, kNumKernelVariants> tables_;  // by variant
+  GemmWorkspace workspace_;
 };
 
 }  // namespace vlora

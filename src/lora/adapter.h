@@ -60,8 +60,21 @@ struct LoraLayerWeights {
   Tensor up;    // r x d
 };
 
+// One target's factors, layer by layer.
+struct LoraTargetWeights {
+  LoraTarget target = LoraTarget::kWq;
+  std::vector<LoraLayerWeights> layers;
+};
+
 class LoraAdapter {
  public:
+  // Builds an adapter from its factors, taking them over. CHECK-fails unless
+  // the dimensions are positive, the targets are non-empty and unique, and
+  // each target has `num_layers` pairs of d_model x rank / rank x d_model
+  // factors. The target order is the adapter's targets() order.
+  static LoraAdapter FromFactors(std::string name, int num_layers, int64_t d_model, int64_t rank,
+                                 std::vector<LoraTargetWeights> targets);
+
   // Builds an adapter with random factors for every (target, layer) pair.
   // `init_scale` controls factor magnitude (kept small so merged weights stay
   // well-conditioned in the toy engine).

@@ -12,17 +12,20 @@ Status Channel::Send(MessageType type, const std::string& body) {
 }
 
 Status SendKvHandle(Channel& channel, const KvHandle& handle) {
-  // KvHandleMetaMessage's field list, run straight over the handle: the
-  // message would hold a copy of every page.
+  // Each message's field list, run straight over the handle: the messages
+  // would hold a copy of every page.
   WireWriter meta;
   KvHandleMetaFields(meta, handle);
   VLORA_RETURN_IF_ERROR(channel.Send(MessageType::kKvHandleMeta, meta.Take()));
   for (size_t i = 0; i < handle.pages.size(); ++i) {
-    KvPageMessage page;
-    page.request_id = handle.request_id;
-    page.page_index = static_cast<int64_t>(i);
-    page.data = handle.pages[i].data;
-    VLORA_RETURN_IF_ERROR(channel.SendMsg(page));
+    const struct {
+      int64_t request_id;
+      int64_t page_index;
+      const std::vector<float>& data;
+    } page{handle.request_id, static_cast<int64_t>(i), handle.pages[i].data};
+    WireWriter writer;
+    KvPageMessage::Fields(writer, page);
+    VLORA_RETURN_IF_ERROR(channel.Send(MessageType::kKvPage, writer.Take()));
   }
   return Status::Ok();
 }

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/common/rng.h"
 #include "src/common/vision_task.h"
 
 namespace vlora {
@@ -23,20 +22,15 @@ bool HeaderFields(Io& io, H& header) {
 }
 
 // An adapter as it crosses the wire. A LoraAdapter is built whole from its
-// dimensions and targets, so decoding fills this first. Tensors share
+// factors, so decoding fills this first and then moves them in. Tensors share
 // storage, so filling it from an adapter copies no weights.
 struct WireAdapter {
-  struct Target {
-    LoraTarget target = LoraTarget::kWq;
-    std::vector<LoraLayerWeights> layers;
-  };
-
   std::string name;
   int64_t num_layers = 0;
   int64_t d_model = 0;
   int64_t rank = 0;
   float scaling = 1.0f;
-  std::vector<Target> targets;
+  std::vector<LoraTargetWeights> targets;
   bool has_head = false;
   VisionTaskHead head;
   std::vector<std::string> fused_domains;
@@ -123,7 +117,7 @@ void AppendAdapter(WireWriter& w, const LoraAdapter& adapter) {
   a.rank = adapter.rank();
   a.scaling = adapter.scaling();
   for (LoraTarget target : adapter.targets()) {
-    WireAdapter::Target& wire_target = a.targets.emplace_back();
+    LoraTargetWeights& wire_target = a.targets.emplace_back();
     wire_target.target = target;
     for (int layer = 0; layer < adapter.num_layers(); ++layer) {
       wire_target.layers.push_back(adapter.layer(target, layer));
@@ -142,21 +136,12 @@ Result<LoraAdapter> ParseAdapter(WireReader& r) {
   if (!AdapterFields(r, a)) {
     return Status::InvalidArgument("malformed adapter message");
   }
-  std::vector<LoraTarget> targets;
-  for (const WireAdapter::Target& target : a.targets) {
-    targets.push_back(target.target);
-  }
-  // Build through Random so the adapter's invariants are established in one
-  // place, then overwrite the factors with the decoded ones.
-  Rng scratch_rng(0);
-  LoraAdapter adapter = LoraAdapter::Random(a.name, static_cast<int>(a.num_layers), a.d_model,
-                                            a.rank, scratch_rng, 0.0f, targets);
+  // Decoding bounded every dimension and shaped every factor, and listed each
+  // target once, so the factory's checks hold.
+  LoraAdapter adapter =
+      LoraAdapter::FromFactors(std::move(a.name), static_cast<int>(a.num_layers), a.d_model,
+                               a.rank, std::move(a.targets));
   adapter.set_scaling(a.scaling);
-  for (WireAdapter::Target& target : a.targets) {
-    for (size_t layer = 0; layer < target.layers.size(); ++layer) {
-      adapter.layer(target.target, static_cast<int>(layer)) = std::move(target.layers[layer]);
-    }
-  }
   if (a.has_head) {
     adapter.SetTaskHead(std::move(a.head));
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/thread_pool.h"
 #include "src/kernels/atmm.h"
 #include "src/kernels/tiling_search.h"
 #include "src/tensor/tensor.h"
@@ -154,32 +153,6 @@ TEST(AtmmDispatcherTest, ScalarEntriesNeverLeakToAvx2) {
   mirror.Register(ShapeKey{64, 64, 256}, avx2_only, KernelVariant::kAvx2);
   EXPECT_EQ(mirror.Select(64, 64, 256, KernelVariant::kScalar),
             AtmmDispatcher::HeuristicConfig(64, 64, 256));
-}
-
-// Concurrent Register (profiling shards) and Select (serving threads) on a
-// shared dispatcher must be race-free — this is the TSan-labelled test.
-TEST(AtmmDispatcherTest, ConcurrentRegisterAndSelect) {
-  AtmmDispatcher dispatcher;
-  ThreadPool pool(4);
-  const TileConfig config{32, 32, 64, 8, 8};
-  constexpr int64_t kIterations = 256;
-  pool.ParallelFor(0, kIterations, [&](int64_t i) {
-    const KernelVariant variant =
-        (i % 4 < 2) ? KernelVariant::kScalar : KernelVariant::kAvx2;
-    if (i % 3 == 0) {
-      dispatcher.Register(ShapeKey{32 * (i / 3 + 1), 64, 256}, config, variant);
-    } else {
-      const TileConfig selected = dispatcher.Select(32 * (i % 16 + 1), 64, 256, variant);
-      ASSERT_TRUE(selected.Valid());
-    }
-  });
-  // Every registration landed in some variant's table.
-  int64_t per_variant_total = 0;
-  for (int v = 0; v < kNumKernelVariants; ++v) {
-    per_variant_total += dispatcher.TableSize(static_cast<KernelVariant>(v));
-  }
-  EXPECT_EQ(per_variant_total, dispatcher.TableSize());
-  EXPECT_GT(dispatcher.TableSize(), 0);
 }
 
 // Searching multiple variants populates separate tables, one winner per

@@ -306,6 +306,32 @@ TEST_F(ClusterTest, RoundRobinSpreadsWorkAcrossReplicas) {
   }
 }
 
+// A worker hands its server's counters to the front end inside the
+// completion that can signal drained, so one Stats() right after Drain()
+// already counts every step: each non-empty StepOnce adds one to its
+// replica's `iterations` and one to the process-wide engine.batch_steps.
+TEST_F(ClusterTest, ServerCountersAreFinalWhenDrainReturns) {
+  const std::vector<Request> trace = SkewedTrace(6, 0.6, 25.0, 2.0, 23);
+  ASSERT_GT(trace.size(), 10u);
+  Counter* const steps = MetricsRegistry::Global().counter("engine.batch_steps");
+  auto cluster = MakeCluster(2, RoutePolicy::kRoundRobin, trace);
+  const int64_t steps_before = steps->value();
+  for (const Request& request : trace) {
+    ASSERT_TRUE(cluster->Submit(EngineRequestFromTrace(request, config_, SmallMap())));
+  }
+  EXPECT_EQ(cluster->Drain().size(), trace.size());
+  const ClusterStats stats = cluster->Stats();
+  const int64_t steps_run = steps->value() - steps_before;
+
+  ASSERT_EQ(stats.replicas.size(), 2u);
+  int64_t iterations = 0;
+  for (const ReplicaSnapshot& replica : stats.replicas) {
+    EXPECT_GT(replica.server.iterations, 0) << "replica " << replica.index;
+    iterations += replica.server.iterations;
+  }
+  EXPECT_EQ(iterations, steps_run);
+}
+
 TEST_F(ClusterTest, BackpressureRejectsAtTheConfiguredBound) {
   // The start gate parks every worker before it touches its queue, so the
   // admission outcome depends only on the fixed routing sequence — exact

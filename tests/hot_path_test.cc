@@ -166,6 +166,40 @@ TEST(HotPathTest, TypedReceiverResolvesToItsOwnClass) {
   EXPECT_EQ(CountRule(findings, "hot-path-alloc"), 1) << msgs;
 }
 
+// A base whose hot root calls a pure-virtual Pump, and an Impl that writes
+// Pump's body inside its class in the header.
+std::string InlinePumpHeader(const std::string& pump_body) {
+  return std::string("#ifndef HP_H_\n#define HP_H_\n") +
+         "class Base {\n public:\n  void Serve() VLORA_HOT;\n" +
+         "  virtual void Pump() = 0;\n};\n" +
+         "class Impl : public Base {\n private:\n  void Pump() override {\n    " + pump_body +
+         "\n  }\n};\n#endif\n";
+}
+
+const char kServeCallsPump[] = "#include \"hp.h\"\nvoid Base::Serve() {\n  this->Pump();\n}\n";
+
+TEST(HotPathTest, AllocatingInClassBodyInAHeaderIsFlagged) {
+  HotPathConfig config;
+  config.roots["Base::Serve"] = "test root";
+  const std::vector<Finding> findings = CheckHotPaths(
+      config, {{"src/x/hp.h", InlinePumpHeader("scratch_.push_back(1);")},
+               {"src/x/hp.cc", kServeCallsPump}});
+  const std::string msgs = MessagesFor(findings, "hot-path-alloc");
+  ASSERT_EQ(CountRule(findings, "hot-path-alloc"), 1) << msgs;
+  EXPECT_EQ(findings.size(), 1u);
+  EXPECT_NE(msgs.find("src/x/hp.h:11"), std::string::npos) << msgs;
+  EXPECT_NE(msgs.find("Base::Serve -> Impl::Pump"), std::string::npos) << msgs;
+}
+
+TEST(HotPathTest, NonAllocatingInClassBodyInAHeaderStaysQuiet) {
+  HotPathConfig config;
+  config.roots["Base::Serve"] = "test root";
+  const std::vector<Finding> findings = CheckHotPaths(
+      config, {{"src/x/hp.h", InlinePumpHeader("cv_.NotifyOne();")},
+               {"src/x/hp.cc", kServeCallsPump}});
+  EXPECT_TRUE(findings.empty()) << FormatFinding(findings[0]);
+}
+
 TEST(HotPathTest, BoundariesStopTheTraversal) {
   const std::string cc = std::string("#include \"hp.h\"\n") +
                          "void Buffer::Push(int v) {\n" +

@@ -1,9 +1,9 @@
 // Unit tests for the vlora_lint lock-order pass (tools/lock_order.h): the
-// TOML hierarchy parser, the declaration/table cross-checks, and the
-// acquisition-edge analysis over synthetic source trees — each violation has
-// a good twin that must stay silent. Snippet text is assembled from adjacent
-// string literals so the whole-tree per-line scan does not trip on this
-// file's own test data.
+// acquisition-edge analysis over synthetic source trees, each carrying a
+// synthetic src/common/sync.h whose Rank enum is the hierarchy — each
+// violation has a good twin that must stay silent. Snippet text is assembled
+// from adjacent string literals so the whole-tree per-line scan does not trip
+// on this file's own test data.
 
 #include <gtest/gtest.h>
 
@@ -32,11 +32,11 @@ std::string MessagesFor(const std::vector<Finding>& findings, const std::string&
   return out;
 }
 
-LockHierarchy TwoLevelHierarchy() {
-  LockHierarchy h;
-  h.ranks = {{"kHigh", 20}, {"kLow", 10}};
-  h.locks = {{"Outer::mu_", "kHigh"}, {"Inner::mu_", "kLow"}};
-  return h;
+// The synthetic hierarchy: a sync.h whose Rank enum lists `enumerators`.
+SourceFile SyncHeader(const std::string& enumerators = "kHigh = 20,\n  kLow = 10,") {
+  return {"src/common/sync.h", std::string("#ifndef SYNC_H_\n#define SYNC_H_\n") +
+                                   "enum class Rank" " : int {\n  " + enumerators +
+                                   "\n};\n#endif\n"};
 }
 
 // A header declaring one high-ranked and one low-ranked lock.
@@ -48,31 +48,6 @@ std::string TwinHeader() {
          " private:\n  Mutex" " mu_{Rank" "::kLow, \"Inner::mu_\"};\n};\n#endif\n";
 }
 
-TEST(ParseLockHierarchyTest, ParsesRanksAndLocks) {
-  const std::string toml =
-      "# comment\n[ranks]\nkHigh = 20\nkLow = 10\n\n[locks]\n"
-      "\"Outer::mu_\" = \"kHigh\"\n\"Inner::mu_\" = \"kLow\"\n";
-  LockHierarchy h;
-  std::string error;
-  ASSERT_TRUE(ParseLockHierarchy(toml, &h, &error)) << error;
-  EXPECT_EQ(h.ranks.at("kHigh"), 20);
-  EXPECT_EQ(h.ranks.at("kLow"), 10);
-  EXPECT_EQ(h.locks.at("Outer::mu_"), "kHigh");
-  EXPECT_EQ(h.locks.at("Inner::mu_"), "kLow");
-}
-
-TEST(ParseLockHierarchyTest, RejectsMalformedInput) {
-  LockHierarchy h;
-  std::string error;
-  EXPECT_FALSE(ParseLockHierarchy("[ranks]\nkHigh = banana\n", &h, &error));
-  EXPECT_FALSE(ParseLockHierarchy("keyless line\n", &h, &error));
-  EXPECT_FALSE(ParseLockHierarchy("[mystery]\nx = 1\n", &h, &error));
-  // A lock referencing an undeclared rank is an error, not a silent pass.
-  EXPECT_FALSE(ParseLockHierarchy("[ranks]\nkHigh = 20\n[locks]\n\"A::m_\" = \"kGhost\"\n",
-                                  &h, &error));
-  EXPECT_NE(error.find("kGhost"), std::string::npos);
-}
-
 TEST(LockOrderTest, CorrectNestingIsSilent) {
   const std::string good_cc =
       std::string("#include \"t.h\"\n") +
@@ -82,11 +57,9 @@ TEST(LockOrderTest, CorrectNestingIsSilent) {
       "    Mutex" "Lock inner_lock(&inner_.mu_);\n"  // low under high: legal
       "  }\n"
       "}\n";
-  const std::vector<Finding> findings = CheckLockOrder(
-      TwoLevelHierarchy(), {{"src/t.h", TwinHeader()}, {"src/t.cc", good_cc}});
+  const std::vector<Finding> findings =
+      CheckLockOrder({SyncHeader(), {"src/t.h", TwinHeader()}, {"src/t.cc", good_cc}});
   EXPECT_FALSE(HasRule(findings, "lock-order")) << MessagesFor(findings, "lock-order");
-  EXPECT_FALSE(HasRule(findings, "lock-decl-mismatch"))
-      << MessagesFor(findings, "lock-decl-mismatch");
   EXPECT_FALSE(HasRule(findings, "lock-unranked"));
 }
 
@@ -100,8 +73,8 @@ TEST(LockOrderTest, InvertedNestingIsFlaggedWithBothNames) {
       "  Mutex" "Lock inner_lock(&inner_.mu_);\n"
       "  Mutex" "Lock lock(&mu_);\n"  // high acquired under low: inversion
       "}\n";
-  const std::vector<Finding> findings = CheckLockOrder(
-      TwoLevelHierarchy(), {{"src/t.h", TwinHeader()}, {"src/t.cc", bad_cc}});
+  const std::vector<Finding> findings =
+      CheckLockOrder({SyncHeader(), {"src/t.h", TwinHeader()}, {"src/t.cc", bad_cc}});
   ASSERT_TRUE(HasRule(findings, "lock-order"));
   const std::string report = MessagesFor(findings, "lock-order");
   EXPECT_NE(report.find("Outer::mu_"), std::string::npos) << report;
@@ -110,9 +83,6 @@ TEST(LockOrderTest, InvertedNestingIsFlaggedWithBothNames) {
 }
 
 TEST(LockOrderTest, SameRankNestingIsFlagged) {
-  LockHierarchy h;
-  h.ranks = {{"kSame", 10}};
-  h.locks = {{"A::left_", "kSame"}, {"A::right_", "kSame"}};
   const std::string header =
       std::string("#ifndef S_H_\n#define S_H_\nclass A {\n") +
       "  Mutex" " left_{Rank" "::kSame, \"A::left_\"};\n" +
@@ -120,7 +90,7 @@ TEST(LockOrderTest, SameRankNestingIsFlagged) {
   const std::string body =
       std::string("void A::F() {\n  Mutex" "Lock l(&left_);\n  Mutex" "Lock r(&right_);\n}\n");
   const std::vector<Finding> findings =
-      CheckLockOrder(h, {{"src/s.h", header}, {"src/s.cc", body}});
+      CheckLockOrder({SyncHeader("kSame = 10,"), {"src/s.h", header}, {"src/s.cc", body}});
   EXPECT_TRUE(HasRule(findings, "lock-order")) << "same-rank nesting must be rejected";
 }
 
@@ -130,8 +100,8 @@ TEST(LockOrderTest, RequiresAnnotationSeedsTheHeldSet) {
   // twin requires the LOW lock and acquires the high one: violation.
   const std::string good_cc =
       std::string("void Outer::Helper() {\n  Mutex" "Lock lock(&inner_.mu_);\n}\n");
-  const std::vector<Finding> good = CheckLockOrder(
-      TwoLevelHierarchy(), {{"src/t.h", TwinHeader()}, {"src/t.cc", good_cc}});
+  const std::vector<Finding> good =
+      CheckLockOrder({SyncHeader(), {"src/t.h", TwinHeader()}, {"src/t.cc", good_cc}});
   EXPECT_FALSE(HasRule(good, "lock-order")) << MessagesFor(good, "lock-order");
 
   const std::string bad_header =
@@ -142,8 +112,8 @@ TEST(LockOrderTest, RequiresAnnotationSeedsTheHeldSet) {
       "  friend class Inner;\n};\n#endif\n";
   const std::string bad_cc =
       std::string("void Inner::Helper() {\n  Mutex" "Lock lock(&outer_.mu_);\n}\n");
-  const std::vector<Finding> bad = CheckLockOrder(
-      TwoLevelHierarchy(), {{"src/b.h", bad_header}, {"src/b.cc", bad_cc}});
+  const std::vector<Finding> bad =
+      CheckLockOrder({SyncHeader(), {"src/b.h", bad_header}, {"src/b.cc", bad_cc}});
   EXPECT_TRUE(HasRule(bad, "lock-order"));
 }
 
@@ -151,9 +121,6 @@ TEST(LockOrderTest, CallGraphEdgeThroughAnnotatedCalleeIsFlagged) {
   // Inner::Grab EXCLUDES (i.e. acquires) the high lock; calling it while
   // holding the low lock is an inversion even though no MutexLock of the high
   // lock appears in the caller.
-  LockHierarchy h;
-  h.ranks = {{"kHigh", 20}, {"kLow", 10}};
-  h.locks = {{"Holder::low_", "kLow"}, {"Target::high_", "kHigh"}};
   const std::string header =
       std::string("#ifndef C_H_\n#define C_H_\n") +
       "class Target {\n public:\n  void Grab() VLORA_EXCLUDES(high_);\n" +
@@ -166,7 +133,7 @@ TEST(LockOrderTest, CallGraphEdgeThroughAnnotatedCalleeIsFlagged) {
       "  target_.Grab();\n}\n" +
       "void Target::Grab() {\n  Mutex" "Lock lock(&high_);\n}\n";
   const std::vector<Finding> findings =
-      CheckLockOrder(h, {{"src/c.h", header}, {"src/c.cc", body}});
+      CheckLockOrder({SyncHeader(), {"src/c.h", header}, {"src/c.cc", body}});
   ASSERT_TRUE(HasRule(findings, "lock-order"));
   const std::string report = MessagesFor(findings, "lock-order");
   EXPECT_NE(report.find("Target::Grab"), std::string::npos) << report;
@@ -176,9 +143,6 @@ TEST(LockOrderTest, CycleAcrossTwoFilesReportsThePath) {
   // Two classes each take their own lock then the other's: a real AB/BA
   // deadlock. Whichever direction the rank table blesses, the other edge
   // violates, and the report spells out the cycle path.
-  LockHierarchy h;
-  h.ranks = {{"kHigh", 20}, {"kLow", 10}};
-  h.locks = {{"Ping::mu_", "kHigh"}, {"Pong::mu_", "kLow"}};
   const std::string header =
       std::string("#ifndef P_H_\n#define P_H_\n") +
       "class Pong;\n" +
@@ -193,7 +157,7 @@ TEST(LockOrderTest, CycleAcrossTwoFilesReportsThePath) {
       std::string("void Pong::Go(Ping* ping) {\n") +
       "  Mutex" "Lock lock(&mu_);\n  Mutex" "Lock other(&ping->mu_);\n}\n";
   const std::vector<Finding> findings = CheckLockOrder(
-      h, {{"src/p.h", header}, {"src/ping.cc", ping_cc}, {"src/pong.cc", pong_cc}});
+      {SyncHeader(), {"src/p.h", header}, {"src/ping.cc", ping_cc}, {"src/pong.cc", pong_cc}});
   ASSERT_TRUE(HasRule(findings, "lock-order"));
   const std::string report = MessagesFor(findings, "lock-order");
   // The violating edge is Pong::mu_ -> Ping::mu_ (low before high); the
@@ -202,40 +166,35 @@ TEST(LockOrderTest, CycleAcrossTwoFilesReportsThePath) {
   EXPECT_NE(report.find("src/pong.cc"), std::string::npos) << report;
 }
 
-TEST(LockOrderTest, DeclMismatchAndStaleEntryAreFlagged) {
-  LockHierarchy h;
-  h.ranks = {{"kHigh", 20}, {"kLow", 10}};
-  h.locks = {{"A::mu_", "kHigh"}, {"Gone::mu_", "kLow"}};
-  const std::string header =
-      std::string("#ifndef M_H_\n#define M_H_\nclass A {\n") +
-      "  Mutex" " mu_{Rank" "::kLow, \"A::mu_\"};\n};\n#endif\n";
-  const std::vector<Finding> findings = CheckLockOrder(h, {{"src/m.h", header}});
-  const std::string report = MessagesFor(findings, "lock-decl-mismatch");
-  EXPECT_NE(report.find("A::mu_"), std::string::npos) << report;     // rank disagrees
-  EXPECT_NE(report.find("Gone::mu_"), std::string::npos) << report;  // stale entry
-}
-
 TEST(LockOrderTest, UnrankedMutexUnderSrcIsFlagged) {
   const std::string header =
       std::string("#ifndef U_H_\n#define U_H_\nclass A {\n") +
       "  Mutex" " mu_;\n};\n#endif\n";
-  LockHierarchy h;
-  h.ranks = {{"kLow", 10}};
-  const std::vector<Finding> findings = CheckLockOrder(h, {{"src/u.h", header}});
+  const std::vector<Finding> findings =
+      CheckLockOrder({SyncHeader("kLow = 10,"), {"src/u.h", header}});
   ASSERT_TRUE(HasRule(findings, "lock-unranked"));
   EXPECT_EQ(findings[0].line, 4);
 }
 
-TEST(LockOrderTest, RankEnumDriftAgainstSyncHeaderIsFlagged) {
-  LockHierarchy h;
-  h.ranks = {{"kHigh", 20}, {"kLow", 10}};
-  const std::string sync =
-      std::string("#ifndef SYNC_H_\n#define SYNC_H_\n") +
-      "enum class Rank" " : int {\n  kLow = 10,\n  kHigh = 25,\n  kExtra = 30,\n};\n#endif\n";
-  const std::vector<Finding> findings = CheckLockOrder(h, {{"src/common/sync.h", sync}});
-  const std::string report = MessagesFor(findings, "rank-enum-drift");
-  EXPECT_NE(report.find("kHigh"), std::string::npos) << report;   // value drift 25 vs 20
-  EXPECT_NE(report.find("kExtra"), std::string::npos) << report;  // enum-only rank
+TEST(LockOrderTest, TreeWithoutRankEnumIsReported) {
+  // Without the enum no lock has a rank value, so the inversion below could
+  // not be seen; the pass must say so instead of passing the tree.
+  const std::string bad_cc =
+      std::string("#include \"t.h\"\n") +
+      "void Outer::Run() {\n"
+      "  Mutex" "Lock inner_lock(&inner_.mu_);\n"
+      "  Mutex" "Lock lock(&mu_);\n"
+      "}\n";
+  const std::vector<Finding> findings =
+      CheckLockOrder({{"src/t.h", TwinHeader()}, {"src/t.cc", bad_cc}});
+  ASSERT_EQ(findings.size(), 1u) << MessagesFor(findings, "lock-unranked");
+  EXPECT_EQ(findings[0].rule, "lock-unranked");
+  EXPECT_NE(findings[0].message.find("enum class Rank"), std::string::npos)
+      << FormatFinding(findings[0]);
+  // The same tree with the enum present reports the inversion instead.
+  EXPECT_TRUE(HasRule(
+      CheckLockOrder({SyncHeader(), {"src/t.h", TwinHeader()}, {"src/t.cc", bad_cc}}),
+      "lock-order"));
 }
 
 TEST(LockOrderTest, SuppressionCommentSilencesTheEdge) {
@@ -245,8 +204,8 @@ TEST(LockOrderTest, SuppressionCommentSilencesTheEdge) {
       "  Mutex" "Lock inner_lock(&inner_.mu_);\n"
       "  Mutex" "Lock lock(&mu_);  // vlora-lint: " "allow(lock-order)\n"
       "}\n";
-  const std::vector<Finding> findings = CheckLockOrder(
-      TwoLevelHierarchy(), {{"src/t.h", TwinHeader()}, {"src/t.cc", bad_cc}});
+  const std::vector<Finding> findings =
+      CheckLockOrder({SyncHeader(), {"src/t.h", TwinHeader()}, {"src/t.cc", bad_cc}});
   EXPECT_FALSE(HasRule(findings, "lock-order")) << MessagesFor(findings, "lock-order");
 }
 
@@ -262,8 +221,8 @@ TEST(LockOrderTest, LambdaBodyIsASeparateContext) {
       "    Mutex" "Lock again(&mu_);\n"
       "  });\n"
       "}\n";
-  const std::vector<Finding> findings = CheckLockOrder(
-      TwoLevelHierarchy(), {{"src/t.h", TwinHeader()}, {"src/t.cc", body_cc}});
+  const std::vector<Finding> findings =
+      CheckLockOrder({SyncHeader(), {"src/t.h", TwinHeader()}, {"src/t.cc", body_cc}});
   EXPECT_FALSE(HasRule(findings, "lock-order")) << MessagesFor(findings, "lock-order");
 }
 

@@ -25,7 +25,7 @@ class LockRankTest : public ::testing::Test {
 
 TEST_F(LockRankTest, CorrectDecreasingNestingIsSilent) {
   Mutex outer(Rank::kCluster, "test::outer");
-  Mutex middle(Rank::kReplicaStep, "test::middle");
+  Mutex middle(Rank::kReplicaIngress, "test::middle");
   Mutex inner(Rank::kLeaf, "test::inner");
   {
     MutexLock a(&outer);
@@ -88,11 +88,11 @@ TEST_F(LockRankTest, TryLockJoinsTheHeldStack) {
   EXPECT_DEATH(
       {
         Mutex low(Rank::kLeaf, "test::low");
-        Mutex high(Rank::kReplicaStep, "test::high");
+        Mutex high(Rank::kReplicaIngress, "test::high");
         ASSERT_TRUE(low.TryLock());
         MutexLock b(&high);
       },
-      "acquiring 'test::high' \\(kReplicaStep/50\\) while holding "
+      "acquiring 'test::high' \\(kReplicaIngress/40\\) while holding "
       "'test::low' \\(kLeaf/10\\)");
 }
 
@@ -103,7 +103,7 @@ TEST_F(LockRankTest, DiagnosticListsTheFullHeldStack) {
         Mutex inner(Rank::kPool, "test::inner");
         MutexLock a(&outer);
         MutexLock b(&inner);
-        Mutex bad(Rank::kReplicaStep, "test::bad");
+        Mutex bad(Rank::kReplicaIngress, "test::bad");
         MutexLock c(&bad);
       },
       "held locks \\(oldest first\\):\n  0: 'test::outer' \\(kCluster/60\\)\n"
@@ -152,8 +152,8 @@ TEST_F(LockRankTest, RaisedBlockingThresholdPermitsTheWait) {
 }
 
 TEST_F(LockRankTest, RankAndNameAccessorsSurvive) {
-  Mutex mu(Rank::kServerStage, "test::named");
-  EXPECT_EQ(mu.rank(), Rank::kServerStage);
+  Mutex mu(Rank::kTrace, "test::named");
+  EXPECT_EQ(mu.rank(), Rank::kTrace);
   EXPECT_STREQ(mu.name(), "test::named");
   Mutex anonymous(Rank::kLeaf);
   EXPECT_STREQ(anonymous.name(), "kLeaf");

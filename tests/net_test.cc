@@ -1184,6 +1184,64 @@ TEST(ChannelTest, MessagesCrossASocketPairBothWays) {
   EXPECT_EQ(decoded.value().name(), "channel-adapter");
 }
 
+// SendKvHandle writes the meta frame and one frame per page straight from
+// the handle; each must carry exactly the bytes of the equivalent message.
+TEST(ChannelTest, KvHandleCrossesASocketPairAsItsMessageFrames) {
+  Result<std::pair<Fd, Fd>> pair = MakeSocketPair();
+  ASSERT_TRUE(pair.ok());
+  Channel sender(std::move(pair.value().first));
+  Channel receiving(std::move(pair.value().second));
+
+  KvHandle handle;  // 9 computed tokens in blocks of 4: three pages
+  handle.request_id = 42;
+  handle.tokens = {5, 6, 7, 8, 9, 10, 11, 12, 13, 14};
+  handle.computed = 9;
+  handle.reused = 4;
+  handle.generated = 1;
+  handle.block_size = 4;
+  handle.captured_hidden = {0.25f, -3.0f};
+  handle.pages.resize(3);
+  for (size_t i = 0; i < handle.pages.size(); ++i) {
+    const float base = static_cast<float>(i);
+    handle.pages[i].index = static_cast<int64_t>(i);
+    handle.pages[i].data = {base + 0.5f, -0.0f, 1e-30f * (base + 1.0f), -base - 2.0f};
+  }
+  ASSERT_TRUE(SendKvHandle(sender, handle).ok());
+
+  KvHandleReceiver receiver;
+  Result<Envelope> meta = receiving.Recv();
+  ASSERT_TRUE(meta.ok());
+  EXPECT_EQ(EncodeFrame(meta.value().type, meta.value().body),
+            EncodeMessageFrame(KvHandleMetaMessage{handle}));
+  ASSERT_TRUE(receiver.Accept(meta.value()));
+  for (size_t i = 0; i < handle.pages.size(); ++i) {
+    Result<Envelope> page = receiving.Recv();
+    ASSERT_TRUE(page.ok()) << "page " << i;
+    EXPECT_EQ(EncodeFrame(page.value().type, page.value().body),
+              EncodeMessageFrame(KvPageOf(static_cast<int64_t>(i), handle.pages[i].data)))
+        << "page " << i;
+    ASSERT_TRUE(receiver.Accept(page.value())) << "page " << i;
+  }
+
+  const std::shared_ptr<KvHandle> back = receiver.Take(42);
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->tokens, handle.tokens);
+  EXPECT_EQ(back->computed, handle.computed);
+  EXPECT_EQ(back->reused, handle.reused);
+  EXPECT_EQ(back->generated, handle.generated);
+  EXPECT_EQ(back->block_size, handle.block_size);
+  EXPECT_EQ(back->captured_hidden, handle.captured_hidden);
+  ASSERT_EQ(back->pages.size(), handle.pages.size());
+  for (size_t i = 0; i < handle.pages.size(); ++i) {
+    EXPECT_EQ(back->pages[i].index, handle.pages[i].index);
+    ASSERT_EQ(back->pages[i].data.size(), handle.pages[i].data.size());
+    EXPECT_EQ(std::memcmp(back->pages[i].data.data(), handle.pages[i].data.data(),
+                          sizeof(float) * handle.pages[i].data.size()),
+              0)
+        << "page " << i;
+  }
+}
+
 TEST(ChannelTest, PeerCloseSurfacesAsUnavailable) {
   Result<std::pair<Fd, Fd>> pair = MakeSocketPair();
   ASSERT_TRUE(pair.ok());

@@ -142,7 +142,6 @@ struct ScanResult {
   std::vector<AtomicDecl> decls;
   std::vector<AtomicOp> ops;
   std::vector<PlainUse> plain;
-  std::set<std::string> inline_methods;  // "Class::Method" defined in-class
 };
 
 const std::regex& AtomicDeclRe() {
@@ -390,9 +389,6 @@ class AtomicScanner {
     }
     fn_class_ = cls;
     fn_qual_ = cls.empty() ? name : cls + "::" + name;
-    if (!cls.empty() && !classes_.empty()) {
-      out_->inline_methods.insert(fn_qual_);
-    }
     in_func_ = true;
     // Column of the body '{' within the current line (the signature was
     // extended with " " + text, so the line is the buffer's tail).
@@ -797,24 +793,18 @@ std::vector<Finding> CheckAtomics(const AtomicsConfig& config, const HotPathConf
     scanner.ScanFile(file, &scan);
   }
 
-  // Pass 2: the call graph, in the wide hot-path posture, plus the in-class
-  // inline methods the scanner found so edges into header-defined accessors
-  // (Counter::Add and friends) resolve.
+  // Pass 2: the call graph, in the wide hot-path posture, in-class methods
+  // indexed so edges into header-defined accessors (Counter::Add and friends)
+  // resolve.
   ScanOptions options;
   options.index_free_functions = true;
   options.inline_lambdas = true;
   options.over_approximate_unresolved = true;
   options.chained_calls = true;
+  options.index_inline_bodies = true;
 
   CodeIndex index;
   BuildCodeIndex(files, options, &index, nullptr);
-  for (const std::string& qual : scan.inline_methods) {
-    index.known_funcs.insert(qual);
-    const size_t pos = qual.rfind("::");
-    if (pos != std::string::npos) {
-      index.method_classes[qual.substr(pos + 2)].insert(qual.substr(0, pos));
-    }
-  }
   for (const SourceFile& file : files) {
     if (PathEndsWith(file.path, ".cc") || PathEndsWith(file.path, ".cpp")) {
       IndexDefinitions(file, options, &index);

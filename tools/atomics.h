@@ -57,8 +57,8 @@
 // Every finding honors the per-line `vlora-lint: allow(<rule>)` suppression.
 // The call graph reuses the wide hot-path posture from tools/callgraph.h
 // (lambdas inline, free functions tracked, unresolved member calls fanned
-// out) and additionally indexes in-class inline method definitions so edges
-// into header-defined accessors like Counter::Add resolve. DESIGN.md §14
+// out, in-class inline method definitions indexed) so edges into
+// header-defined accessors like Counter::Add resolve. DESIGN.md §14
 // documents the registry; §13 documents the framework.
 
 #ifndef VLORA_TOOLS_ATOMICS_H_

@@ -18,7 +18,9 @@ const char kIoError[] = "io-error";
 // per-line scan never trips over this file's own source.
 
 const std::regex& ClassStartRe() {
-  static const std::regex re("\\b(class|struct)\\s+(?:\\[\\[\\w+\\]\\]\\s+)?([A-Za-z_]\\w*)");
+  // An attribute (`[[nodiscard]]`, `VLORA_CAPABILITY("mutex")`) may precede the name.
+  static const std::regex re(
+      "\\b(class|struct)\\s+(?:\\[\\[\\w+\\]\\]\\s+|VLORA_\\w+\\s*(?:\\([^)]*\\))?\\s+)?([A-Za-z_]\\w*)");
   return re;
 }
 
@@ -121,6 +123,18 @@ bool FileIndexed(const ScanOptions& options, const std::string& path) {
   return !options.index_file || options.index_file(path);
 }
 
+// Names an in-class definition as its class's method ("void Pump() override"
+// -> "void Impl::Pump() override"); false when the text declares no function
+// (a brace-initialised member, a nested type).
+bool QualifyInClass(const std::string& cls, std::string* sig) {
+  std::smatch m;
+  if (!std::regex_search(*sig, m, CallNameRe()) || IsKeyword(m[1].str())) {
+    return false;
+  }
+  sig->insert(static_cast<size_t>(m.position(1)), cls + "::");
+  return true;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -205,14 +219,9 @@ namespace {
 
 void ScanFileDeclarations(const SourceFile& file, const ScanOptions& options, CodeIndex* index,
                           const DeclLineFn& on_decl_line) {
-  struct ClassFrame {
-    std::string name;
-    int depth;
-  };
-  std::vector<ClassFrame> stack;
+  ClassScopes classes;
   int depth = 0;
   bool in_block = false;
-  std::string pending_class;
   std::string decl_buf;
   int decl_buf_line = 0;
   int decl_buf_depth = 0;
@@ -221,34 +230,13 @@ void ScanFileDeclarations(const SourceFile& file, const ScanOptions& options, Co
     const std::string& raw = raw_lines[i];
     const std::string code = BlankStrings(StripComments(raw, &in_block));
     const int line_no = static_cast<int>(i) + 1;
-    const std::string current_class = stack.empty() ? "" : stack.back().name;
-    const int class_depth = stack.empty() ? -1 : stack.back().depth;
+    const std::string current_class = classes.current();
+    const int class_depth = classes.depth();
 
     if (on_decl_line) {
       on_decl_line(current_class, code, raw, file.path, line_no);
     }
-
-    // Class/struct tracking (enum class is not a class scope).
-    std::smatch cm;
-    if (code.find("enum") == std::string::npos && std::regex_search(code, cm, ClassStartRe())) {
-      const size_t after = static_cast<size_t>(cm.position(0) + cm.length(0));
-      const size_t brace = code.find('{', after);
-      const size_t semi = code.find(';', after);
-      if (brace != std::string::npos && (semi == std::string::npos || brace < semi)) {
-        stack.push_back({cm[2].str(), depth});
-      } else if (semi == std::string::npos) {
-        pending_class = cm[2].str();
-      }
-    } else if (!pending_class.empty()) {
-      const size_t brace = code.find('{');
-      const size_t semi = code.find(';');
-      if (brace != std::string::npos && (semi == std::string::npos || brace < semi)) {
-        stack.push_back({pending_class, depth});
-        pending_class.clear();
-      } else if (semi != std::string::npos) {
-        pending_class.clear();
-      }
-    }
+    classes.Enter(code, depth);
 
     // Member types for call-receiver resolution.
     if (!current_class.empty()) {
@@ -274,10 +262,16 @@ void ScanFileDeclarations(const SourceFile& file, const ScanOptions& options, Co
       std::smatch sm;
       const size_t brace = decl_buf.find('{');
       if (!current_class.empty() && decl_buf_depth == class_depth + 1 &&
-          brace < decl_buf.find(';') && decl_buf.find("virtual") == std::string::npos &&
-          std::regex_search(decl_buf, sm, CallNameRe()) &&
+          brace < decl_buf.find(';') && std::regex_search(decl_buf, sm, CallNameRe()) &&
           static_cast<size_t>(sm.position(0)) < brace && !IsKeyword(sm[1].str())) {
-        index->inline_bodies.insert(current_class + "::" + sm[1].str());
+        const std::string qual = current_class + "::" + sm[1].str();
+        if (decl_buf.find("virtual") == std::string::npos) {
+          index->inline_bodies.insert(qual);
+        }
+        if (options.index_inline_bodies) {
+          index->known_funcs.insert(qual);
+          index->method_classes[sm[1].str()].insert(current_class);
+        }
       }
       if (std::regex_search(decl_buf, sm, AnnotatedSigRe())) {
         const std::string fname = sm[1].str();
@@ -302,13 +296,40 @@ void ScanFileDeclarations(const SourceFile& file, const ScanOptions& options, Co
     }
 
     depth += CountChar(code, '{') - CountChar(code, '}');
-    while (!stack.empty() && depth <= stack.back().depth) {
-      stack.pop_back();
-    }
+    classes.Leave(depth);
   }
 }
 
 }  // namespace
+
+void ClassScopes::Enter(const std::string& code, int depth) {
+  std::smatch cm;
+  if (code.find("enum") == std::string::npos && std::regex_search(code, cm, ClassStartRe())) {
+    const size_t after = static_cast<size_t>(cm.position(0) + cm.length(0));
+    const size_t brace = code.find('{', after);
+    const size_t semi = code.find(';', after);
+    if (brace != std::string::npos && (semi == std::string::npos || brace < semi)) {
+      stack_.push_back({cm[2].str(), depth});
+    } else if (semi == std::string::npos) {
+      pending_ = cm[2].str();
+    }
+  } else if (!pending_.empty()) {
+    const size_t brace = code.find('{');
+    const size_t semi = code.find(';');
+    if (brace != std::string::npos && (semi == std::string::npos || brace < semi)) {
+      stack_.push_back({pending_, depth});
+      pending_.clear();
+    } else if (semi != std::string::npos) {
+      pending_.clear();
+    }
+  }
+}
+
+void ClassScopes::Leave(int depth) {
+  while (!stack_.empty() && depth <= stack_.back().depth) {
+    stack_.pop_back();
+  }
+}
 
 void BuildCodeIndex(const std::vector<SourceFile>& files, const ScanOptions& options,
                     CodeIndex* index, const DeclLineFn& on_decl_line) {
@@ -351,6 +372,8 @@ BodyWalker::BodyWalker(const CodeIndex* index, const ScanOptions* options, BodyC
 
 void BodyWalker::ScanFile(const SourceFile& file) {
   path_ = file.path;
+  header_ = PathEndsWith(file.path, ".h");
+  classes_ = ClassScopes();
   depth_ = 0;
   in_block_ = false;
   in_func_ = false;
@@ -360,6 +383,7 @@ void BodyWalker::ScanFile(const SourceFile& file) {
   const std::vector<std::string> raw_lines = SplitLines(file.content);
   for (size_t i = 0; i < raw_lines.size(); ++i) {
     ProcessLine(raw_lines[i], static_cast<int>(i) + 1);
+    classes_.Leave(depth_);
   }
 }
 
@@ -586,9 +610,18 @@ void BodyWalker::ProcessLine(const std::string& raw, int line_no) {
   }
 
   if (!in_func_) {
+    // In a header, a definition is a logical line that starts directly in a
+    // class body.
+    const std::string cls = classes_.current();
     const bool def_start =
-        std::regex_search(code, DefStartRe()) ||
-        (options_->index_free_functions && std::regex_search(code, FreeDefStartRe()));
+        header_ ? !cls.empty() && depth_before == classes_.depth() + 1 &&
+                      !TrimText(code).empty() && TrimText(code)[0] != '#'
+                : std::regex_search(code, DefStartRe()) ||
+                      (options_->index_free_functions &&
+                       std::regex_search(code, FreeDefStartRe()));
+    if (header_) {
+      classes_.Enter(code, depth_before);
+    }
     if (!collecting_sig_ && def_start) {
       collecting_sig_ = true;
       sig_buf_.clear();
@@ -599,7 +632,10 @@ void BodyWalker::ProcessLine(const std::string& raw, int line_no) {
       const size_t brace = sig_buf_.find('{');
       const size_t semi = sig_buf_.find(';');
       if (brace != std::string::npos && (semi == std::string::npos || brace < semi)) {
-        EnterFunction(sig_buf_.substr(0, brace), depth_before);
+        std::string sig = sig_buf_.substr(0, brace);
+        if (!header_ || QualifyInClass(cls, &sig)) {
+          EnterFunction(sig, depth_before);
+        }
         collecting_sig_ = false;
         // Anything after the body-open brace on this line is body text
         // (one-line definitions like `A::~A() { Stop(); }`).

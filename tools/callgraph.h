@@ -9,14 +9,16 @@
 //   * CodeIndex        — class member types, known functions ("Class::Method"
 //                        and free functions), method-name -> defining-classes,
 //                        and every VLORA_* annotation attached to a signature
-//   * BodyWalker       — a line-oriented scanner over .cc function bodies
-//                        that tracks brace depth, signatures spanning lines,
-//                        typed locals and parameters, lambda contexts, and
-//                        reports resolved call edges to a client
+//   * BodyWalker       — a line-oriented scanner over function bodies (in a
+//                        .cc every definition, in a header the bodies
+//                        written inside their class) that tracks brace
+//                        depth, signatures spanning lines, typed locals and
+//                        parameters, lambda contexts, and reports resolved
+//                        call edges to a client
 //   * graph helpers    — transitive-attribute fixpoint (MayAcquire-style),
 //                        reachability with parent chains for reporting
 //   * ParseTomlTables  — the minimal TOML subset shared by
-//                        tools/lock_hierarchy.toml and tools/hot_paths.toml
+//                        tools/hot_paths.toml and tools/atomics.toml
 //   * LoadSourceTree   — filesystem walking into SourceFile lists
 //
 // The analysis posture is inherited from the lock-order pass: a heuristic
@@ -25,10 +27,11 @@
 // typed member / local receiver, or a method name defined by exactly one
 // class). ScanOptions widens this per pass: the hot-path pass inlines lambda
 // bodies into their enclosing function (they run on the calling thread),
-// tracks free functions, and over-approximates virtual calls by fanning an
-// unresolved method name out to every class that defines it. The lock-order
-// pass keeps the original narrow settings: lambdas are separate contexts and
-// unresolved calls are skipped, trading recall for zero false positives.
+// tracks free functions, walks methods defined inside their class, and
+// over-approximates virtual calls by fanning an unresolved method name out to
+// every class that defines it. The lock-order pass keeps the original narrow
+// settings: lambdas are separate contexts and unresolved calls are skipped,
+// trading recall for zero false positives.
 //
 // DESIGN.md §13 documents the framework and how to add a new pass.
 
@@ -134,6 +137,10 @@ struct ScanOptions {
   // Also resolve chained calls (`Registry::Global().counter(...)`) by method
   // name, so singleton-accessor idioms produce edges.
   bool chained_calls = false;
+  // Index methods whose body is written inside their class (virtual ones
+  // included) as known functions, so calls resolve to them (the hot-path and
+  // atomics postures); a walk over the header then scans their bodies.
+  bool index_inline_bodies = false;
   // Files for which declarations/definitions are indexed and scanned; the
   // default accepts everything. (The lock-order pass excludes sync.h: it
   // defines the lock primitives themselves.)
@@ -150,6 +157,26 @@ void BuildCodeIndex(const std::vector<SourceFile>& files, const ScanOptions& opt
 // column 0 when index_free_functions) from one file to the index. Run over
 // every .cc before body scanning so cross-file calls resolve.
 void IndexDefinitions(const SourceFile& file, const ScanOptions& options, CodeIndex* index);
+
+// The innermost class or struct around a line (an enum class is not a class
+// scope). Call Enter with each line's code and the brace depth before it,
+// then Leave with the depth after it.
+class ClassScopes {
+ public:
+  void Enter(const std::string& code, int depth);
+  void Leave(int depth);
+  // "" and -1 outside every class.
+  std::string current() const { return stack_.empty() ? "" : stack_.back().name; }
+  int depth() const { return stack_.empty() ? -1 : stack_.back().depth; }
+
+ private:
+  struct Frame {
+    std::string name;
+    int depth;
+  };
+  std::vector<Frame> stack_;
+  std::string pending_;  // `class X` seen, its brace not yet
+};
 
 // ---------------------------------------------------------------------------
 // Pass 2: the body walker.
@@ -193,7 +220,9 @@ class BodyClient {
   virtual void OnFunctionExit(const BodyWalker& walker) { (void)walker; }
 };
 
-// Walks one file's function bodies line by line. Construct once per file.
+// Walks one file's function bodies line by line. Construct once per file. A
+// header (.h) is walked for the bodies written inside their class only, each
+// named as its class's method.
 class BodyWalker {
  public:
   BodyWalker(const CodeIndex* index, const ScanOptions* options, BodyClient* client);
@@ -222,6 +251,8 @@ class BodyWalker {
   const ScanOptions* options_;
   BodyClient* client_;
   std::string path_;
+  bool header_ = false;
+  ClassScopes classes_;  // headers only
   int depth_ = 0;
   bool in_block_ = false;
   bool in_func_ = false;

@@ -151,13 +151,15 @@ std::vector<Finding> CheckHotPaths(const HotPathConfig& config,
 
   // The hot-path posture widens everything the lock-order pass keeps narrow:
   // fast-path lambdas run on the calling thread, free functions matter
-  // (kernels, trace emitters), and an unresolved virtual call must be assumed
-  // to reach every implementation.
+  // (kernels, trace emitters), a method written inside its class is as much
+  // a function as one defined in a .cc, and an unresolved virtual call must
+  // be assumed to reach every implementation.
   ScanOptions options;
   options.index_free_functions = true;
   options.inline_lambdas = true;
   options.over_approximate_unresolved = true;
   options.chained_calls = true;
+  options.index_inline_bodies = true;
 
   CodeIndex index;
   BuildCodeIndex(files, options, &index, nullptr);
@@ -169,10 +171,8 @@ std::vector<Finding> CheckHotPaths(const HotPathConfig& config,
 
   HotBodyClient client;
   for (const SourceFile& file : files) {
-    if (PathEndsWith(file.path, ".cc") || PathEndsWith(file.path, ".cpp")) {
-      BodyWalker walker(&index, &options, &client);
-      walker.ScanFile(file);
-    }
+    BodyWalker walker(&index, &options, &client);
+    walker.ScanFile(file);
   }
 
   // Cross-check VLORA_HOT annotations against the [roots] registry, both

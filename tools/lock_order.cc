@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <fstream>
+#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -16,10 +16,7 @@ namespace {
 // Rule names assembled the same way lint_rules.cc does, so the whole-tree
 // per-line scan never trips over this file's own pattern text.
 const char kLockOrder[] = "lock-order";
-const char kDeclMismatch[] = "lock-decl-mismatch";
 const char kUnranked[] = "lock-unranked";
-const char kEnumDrift[] = "rank-enum-drift";
-const char kIoError[] = "io-error";
 
 bool IsSyncHeader(const std::string& path) {
   return PathEndsWith(path, "src/common/sync.h") || path == "sync.h";
@@ -64,7 +61,6 @@ struct Analysis {
   std::map<std::string, LockDecl> decls;  // "Class::mu_" or global name
   std::map<std::string, int> rank_enum;   // from sync.h
   bool saw_rank_enum = false;
-  std::string sync_path;
   std::map<std::string, FuncFacts> facts;  // "Class::Method"
   std::vector<AcqEvent> acq_events;
   std::vector<CallEvent> call_events;
@@ -72,15 +68,13 @@ struct Analysis {
 };
 
 const std::regex& RankedMutexRe() {
-  // `Mutex name VLORA_...(...) {Rank::kX, ...}` — the annotation macro between
-  // the member name and the initializer brace is optional (ACQUIRED_BEFORE).
-  static const std::regex re(
-      "\\bMutex\\s+(\\w+)\\s*(?:VLORA_\\w+\\s*\\([^)]*\\)\\s*)*\\{\\s*Rank\\s*::\\s*(\\w+)");
+  // `Mutex name{Rank::kX, ...}`.
+  static const std::regex re("\\bMutex\\s+(\\w+)\\s*\\{\\s*Rank\\s*::\\s*(\\w+)");
   return re;
 }
 
 const std::regex& AnyMutexDeclRe() {
-  static const std::regex re("\\bMutex\\s+(\\w+)\\s*(?:VLORA_\\w+\\s*\\([^)]*\\)\\s*)*[;{(=]");
+  static const std::regex re("\\bMutex\\s+(\\w+)\\s*[;{(=]");
   return re;
 }
 
@@ -94,7 +88,6 @@ const std::regex& MutexLockUseRe() {
 // ---------------------------------------------------------------------------
 
 void ScanRankEnum(const SourceFile& file, Analysis* a) {
-  a->sync_path = file.path;
   bool in_block = false;
   bool in_enum = false;
   static const std::regex enum_start("enum\\s+class\\s+Rank\\b");
@@ -135,7 +128,7 @@ void ScanMutexDeclLine(Analysis* a, const std::string& current_class, const std:
       a->findings.push_back(
           {kUnranked, path, line_no,
            "Mutex '" + qual + "' declared without a Rank; every mutex under src/ must "
-           "carry one (see tools/lock_hierarchy.toml)"});
+           "carry one (see enum class Rank in src/common/sync.h)"});
     }
   }
 }
@@ -295,79 +288,20 @@ struct Edge {
   bool suppressed = false;
 };
 
-int RankOf(const LockHierarchy& h, const Analysis& a, const std::string& lock,
-           std::string* rank_name) {
-  auto in_table = h.locks.find(lock);
-  std::string name;
-  if (in_table != h.locks.end()) {
-    name = in_table->second;
-  } else {
-    auto decl = a.decls.find(lock);
-    if (decl == a.decls.end()) {
-      return -1;
-    }
-    name = decl->second.rank_name;
-  }
-  auto rank = h.ranks.find(name);
-  if (rank == h.ranks.end()) {
+int RankOf(const Analysis& a, const std::string& lock, std::string* rank_name) {
+  auto decl = a.decls.find(lock);
+  if (decl == a.decls.end()) {
     return -1;
   }
-  *rank_name = name;
+  auto rank = a.rank_enum.find(decl->second.rank_name);
+  if (rank == a.rank_enum.end()) {
+    return -1;
+  }
+  *rank_name = rank->first;
   return rank->second;
 }
 
-void CheckDeclarations(const LockHierarchy& h, Analysis* a) {
-  for (const auto& [qual, decl] : a->decls) {
-    auto in_table = h.locks.find(qual);
-    if (in_table == h.locks.end()) {
-      a->findings.push_back({kDeclMismatch, decl.file, decl.line,
-                             "ranked lock '" + qual + "' (" + decl.rank_name +
-                                 ") is missing from [locks] in tools/lock_hierarchy.toml"});
-    } else if (in_table->second != decl.rank_name) {
-      a->findings.push_back({kDeclMismatch, decl.file, decl.line,
-                             "lock '" + qual + "' declared with rank " + decl.rank_name +
-                                 " but tools/lock_hierarchy.toml says " + in_table->second});
-    }
-    if (h.ranks.find(decl.rank_name) == h.ranks.end()) {
-      a->findings.push_back({kDeclMismatch, decl.file, decl.line,
-                             "lock '" + qual + "' uses rank " + decl.rank_name +
-                                 " which is not a [ranks] entry"});
-    }
-  }
-  for (const auto& [lock, rank] : h.locks) {
-    (void)rank;
-    if (a->decls.find(lock) == a->decls.end()) {
-      a->findings.push_back({kDeclMismatch, "tools/lock_hierarchy.toml", 0,
-                             "stale [locks] entry '" + lock +
-                                 "': no ranked Mutex declaration found for it"});
-    }
-  }
-  if (a->saw_rank_enum) {
-    for (const auto& [name, value] : h.ranks) {
-      auto in_enum = a->rank_enum.find(name);
-      if (in_enum == a->rank_enum.end()) {
-        a->findings.push_back({kEnumDrift, a->sync_path, 0,
-                               "rank " + name + " is in tools/lock_hierarchy.toml but not in "
-                               "enum class Rank (src/common/sync.h)"});
-      } else if (in_enum->second != value) {
-        a->findings.push_back({kEnumDrift, a->sync_path, 0,
-                               "rank " + name + " is " + std::to_string(in_enum->second) +
-                                   " in enum class Rank but " + std::to_string(value) +
-                                   " in tools/lock_hierarchy.toml"});
-      }
-    }
-    for (const auto& [name, value] : a->rank_enum) {
-      (void)value;
-      if (h.ranks.find(name) == h.ranks.end()) {
-        a->findings.push_back({kEnumDrift, a->sync_path, 0,
-                               "rank " + name + " is in enum class Rank (src/common/sync.h) "
-                               "but not in tools/lock_hierarchy.toml"});
-      }
-    }
-  }
-}
-
-void CheckEdges(const LockHierarchy& h, Analysis* a) {
+void CheckEdges(Analysis* a) {
   // Transitive may-acquire sets over the call graph (fixpoint).
   std::map<std::string, std::set<std::string>> may_acquire;
   std::map<std::string, std::set<std::string>> callees;
@@ -412,10 +346,10 @@ void CheckEdges(const LockHierarchy& h, Analysis* a) {
   std::set<std::string> reported;  // "from|to"
   for (const Edge& e : edges) {
     std::string from_rank, to_rank;
-    const int from_value = RankOf(h, *a, e.from, &from_rank);
-    const int to_value = RankOf(h, *a, e.to, &to_rank);
+    const int from_value = RankOf(*a, e.from, &from_rank);
+    const int to_value = RankOf(*a, e.to, &to_rank);
     if (from_value < 0 || to_value < 0) {
-      continue;  // unranked operand already reported by the decl checks
+      continue;  // unranked: reported at its declaration (an unknown rank does not compile)
     }
     if (to_value < from_value) {
       continue;  // strictly decreasing: legal
@@ -479,42 +413,7 @@ void CheckEdges(const LockHierarchy& h, Analysis* a) {
 
 }  // namespace
 
-bool ParseLockHierarchy(const std::string& content, LockHierarchy* out, std::string* error) {
-  out->ranks.clear();
-  out->locks.clear();
-  std::vector<TomlEntry> entries;
-  if (!ParseTomlTables(content, {"ranks", "locks"}, &entries, error)) {
-    return false;
-  }
-  for (const TomlEntry& entry : entries) {
-    if (entry.section == "ranks") {
-      try {
-        size_t used = 0;
-        const int parsed = std::stoi(entry.value, &used);
-        if (used != entry.value.size()) {
-          throw std::invalid_argument(entry.value);
-        }
-        out->ranks[entry.key] = parsed;
-      } catch (const std::exception&) {
-        *error = "line " + std::to_string(entry.line) + ": rank value for " + entry.key +
-                 " is not an integer";
-        return false;
-      }
-    } else {
-      out->locks[entry.key] = entry.value;
-    }
-  }
-  for (const auto& [lock, rank] : out->locks) {
-    if (out->ranks.find(rank) == out->ranks.end()) {
-      *error = "lock \"" + lock + "\" references undeclared rank " + rank;
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<Finding> CheckLockOrder(const LockHierarchy& hierarchy,
-                                    const std::vector<SourceFile>& files) {
+std::vector<Finding> CheckLockOrder(const std::vector<SourceFile>& files) {
   Analysis a;
   // The lock-order pass keeps the original narrow posture: lambdas are
   // separate contexts, unresolved calls are skipped, free functions are not
@@ -547,8 +446,13 @@ std::vector<Finding> CheckLockOrder(const LockHierarchy& hierarchy,
       walker.ScanFile(file);
     }
   }
-  CheckDeclarations(hierarchy, &a);
-  CheckEdges(hierarchy, &a);
+  if (a.saw_rank_enum) {
+    CheckEdges(&a);
+  } else {
+    a.findings.push_back({kUnranked, "src/common/sync.h", 0,
+                          "no enum class Rank found: the lock hierarchy has no ranks, so no "
+                          "acquisition can be checked"});
+  }
   std::sort(a.findings.begin(), a.findings.end(), [](const Finding& x, const Finding& y) {
     if (x.file != y.file) {
       return x.file < y.file;
@@ -561,22 +465,10 @@ std::vector<Finding> CheckLockOrder(const LockHierarchy& hierarchy,
   return a.findings;
 }
 
-std::vector<Finding> CheckLockOrderOverTree(const std::string& toml_path,
-                                            const std::vector<std::string>& roots) {
-  std::ifstream toml_stream(toml_path);
-  if (!toml_stream) {
-    return {{kIoError, toml_path, 0, "cannot open lock hierarchy file"}};
-  }
-  std::ostringstream toml_buf;
-  toml_buf << toml_stream.rdbuf();
-  LockHierarchy hierarchy;
-  std::string error;
-  if (!ParseLockHierarchy(toml_buf.str(), &hierarchy, &error)) {
-    return {{kIoError, toml_path, 0, "malformed lock hierarchy: " + error}};
-  }
+std::vector<Finding> CheckLockOrderOverTree(const std::vector<std::string>& roots) {
   std::vector<Finding> findings;
   const std::vector<SourceFile> files = LoadSourceTree(roots, &findings);
-  std::vector<Finding> analysis = CheckLockOrder(hierarchy, files);
+  std::vector<Finding> analysis = CheckLockOrder(files);
   findings.insert(findings.end(), analysis.begin(), analysis.end());
   return findings;
 }

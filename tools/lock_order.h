@@ -1,26 +1,24 @@
 // Whole-tree lock-order analysis behind vlora_lint --lock-order.
 //
 // Unlike the per-line rules in lint_rules.h this is a file-graph pass: it
-// parses every ranked vlora::Mutex declaration, the REQUIRES / ACQUIRE /
-// EXCLUDES thread-safety annotations, and the MutexLock nesting inside .cc
-// function bodies, then checks that every implied acquisition edge strictly
-// decreases in rank. Because the declared ranks are a total order, rank
-// consistency is exactly the DAG property — any violating edge is reported
-// together with the conflicting chain that closes the cycle when one exists.
+// reads the rank values from `enum class Rank` in src/common/sync.h, parses
+// every ranked vlora::Mutex declaration, the REQUIRES / ACQUIRE / EXCLUDES
+// thread-safety annotations, and the MutexLock nesting inside .cc function
+// bodies, then checks that every implied acquisition edge strictly decreases
+// in rank. Because the declared ranks are a total order, rank consistency is
+// exactly the DAG property — any violating edge is reported together with the
+// conflicting chain that closes the cycle when one exists.
 //
-// The canonical hierarchy lives in tools/lock_hierarchy.toml, which is also
-// what DESIGN.md §9 documents and what the runtime checker in
-// src/common/sync.h enforces in VLORA_LOCK_RANK_CHECKS builds. This pass
-// cross-checks all three views:
+// The hierarchy is stated once, in code: the enum gives each rank its value
+// and each Mutex declaration names its rank. The runtime checker in
+// src/common/sync.h enforces the same ranks in VLORA_LOCK_RANK_CHECKS builds,
+// and DESIGN.md §9 documents them. Rules:
 //
-//   lock-order          an acquisition edge that does not strictly decrease
-//                       in rank (same rank counts: two same-rank locks taken
-//                       in opposite orders by two threads deadlock)
-//   lock-decl-mismatch  a Mutex declaration whose rank disagrees with the
-//                       [locks] table, a ranked lock missing from the table,
-//                       or a stale table entry with no declaration behind it
-//   lock-unranked       a Mutex under src/ declared without a Rank
-//   rank-enum-drift     enum class Rank in sync.h and [ranks] diverged
+//   lock-order     an acquisition edge that does not strictly decrease in
+//                  rank (same rank counts: two same-rank locks taken in
+//                  opposite orders by two threads deadlock)
+//   lock-unranked  a Mutex under src/ declared without a Rank, or a tree
+//                  with no Rank enum
 //
 // The analysis is a heuristic over comment-stripped source (no real C++
 // parse): lambda bodies are analysed as separate contexts with an empty held
@@ -34,7 +32,6 @@
 #ifndef VLORA_TOOLS_LOCK_ORDER_H_
 #define VLORA_TOOLS_LOCK_ORDER_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -44,29 +41,15 @@
 namespace vlora {
 namespace lint {
 
-struct LockHierarchy {
-  // Rank name -> numeric value, e.g. "kCluster" -> 60.
-  std::map<std::string, int> ranks;
-  // Qualified lock name -> rank name, e.g. "Replica::mutex_" -> "kReplicaIngress".
-  std::map<std::string, std::string> locks;
-};
+// Runs the lock-order analysis over the given files; the rank enum is read
+// from the file whose path ends in src/common/sync.h. (SourceFile is the
+// framework type from tools/callgraph.h.)
+std::vector<Finding> CheckLockOrder(const std::vector<SourceFile>& files);
 
-// Parses the minimal TOML subset used by tools/lock_hierarchy.toml:
-// [section] headers, `key = value` with optionally quoted keys and values,
-// integer or string values, and # comments. Returns false and fills *error
-// on malformed input or on a lock referencing an undeclared rank.
-bool ParseLockHierarchy(const std::string& content, LockHierarchy* out, std::string* error);
-
-// Runs the lock-order analysis over the given files against the hierarchy.
-// (SourceFile is the framework type from tools/callgraph.h.)
-std::vector<Finding> CheckLockOrder(const LockHierarchy& hierarchy,
-                                    const std::vector<SourceFile>& files);
-
-// Filesystem wrapper: loads `toml_path`, recursively collects .h/.cc/.cpp
-// files under each root, and runs CheckLockOrder. IO problems surface as
-// io-error findings instead of crashes.
-std::vector<Finding> CheckLockOrderOverTree(const std::string& toml_path,
-                                            const std::vector<std::string>& roots);
+// Filesystem wrapper: recursively collects .h/.cc/.cpp files under each root
+// and runs CheckLockOrder. IO problems surface as io-error findings instead
+// of crashes.
+std::vector<Finding> CheckLockOrderOverTree(const std::vector<std::string>& roots);
 
 }  // namespace lint
 }  // namespace vlora

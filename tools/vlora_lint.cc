@@ -1,16 +1,16 @@
 // vlora_lint: repo-local static checks that clang/gcc do not cover.
 //
 // Usage: vlora_lint <file-or-dir>...
-//        vlora_lint --lock-order <hierarchy.toml> <file-or-dir>...
+//        vlora_lint --lock-order <file-or-dir>...
 //        vlora_lint --hot-path <hot_paths.toml> <file-or-dir>...
 //        vlora_lint --atomics <atomics.toml> <file-or-dir>...
 //
 // The first form runs the per-line rules (tools/lint_rules.h). The others
 // run the whole-tree file-graph passes built on tools/callgraph.h: the
-// lock-order pass (tools/lock_order.h) against tools/lock_hierarchy.toml,
-// the hot-path purity pass (tools/hot_path.h) against tools/hot_paths.toml,
-// and the atomics-discipline pass (tools/atomics.h) against
-// tools/atomics.toml. Directories are walked recursively for .h/.cc/.cpp
+// lock-order pass (tools/lock_order.h) against the Rank enum in the scanned
+// src/common/sync.h, the hot-path purity pass (tools/hot_path.h) against
+// tools/hot_paths.toml, and the atomics-discipline pass (tools/atomics.h)
+// against tools/atomics.toml. Directories are walked recursively for .h/.cc/.cpp
 // sources; every finding prints as
 // "file:line: [rule] message" and a non-empty report exits 1, so the binary
 // slots straight into ctest / CI.
@@ -66,26 +66,28 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s <file-or-dir>...\n"
-                 "       %s --lock-order <hierarchy.toml> <file-or-dir>...\n"
+                 "       %s --lock-order <file-or-dir>...\n"
                  "       %s --hot-path <hot_paths.toml> <file-or-dir>...\n"
                  "       %s --atomics <atomics.toml> <file-or-dir>...\n",
                  argv[0], argv[0], argv[0], argv[0]);
     return 2;
   }
   const std::string mode = argv[1];
-  if (mode == "--lock-order" || mode == "--hot-path" || mode == "--atomics") {
+  if (mode == "--lock-order") {
+    if (argc < 3) {
+      std::fprintf(stderr, "usage: %s --lock-order <file-or-dir>...\n", argv[0]);
+      return 2;
+    }
+    const std::vector<std::string> roots(argv + 2, argv + argc);
+    return ReportPass("lock-order", vlora::lint::CheckLockOrderOverTree(roots));
+  }
+  if (mode == "--hot-path" || mode == "--atomics") {
     if (argc < 4) {
       std::fprintf(stderr, "usage: %s %s <config.toml> <file-or-dir>...\n", argv[0],
                    mode.c_str());
       return 2;
     }
-    std::vector<std::string> roots;
-    for (int i = 3; i < argc; ++i) {
-      roots.push_back(argv[i]);
-    }
-    if (mode == "--lock-order") {
-      return ReportPass("lock-order", vlora::lint::CheckLockOrderOverTree(argv[2], roots));
-    }
+    const std::vector<std::string> roots(argv + 3, argv + argc);
     if (mode == "--atomics") {
       return ReportPass("atomics", vlora::lint::CheckAtomicsOverTree(argv[2], roots));
     }
