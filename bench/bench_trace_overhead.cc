@@ -11,9 +11,9 @@
 // traced serve's ring holds every event it emits; a run that drops any
 // FAILS, since a wrapping ring overwrites events instead of recording them.
 // The always-on MetricsRegistry has no off switch, so its cost is estimated
-// instead: measured ns per relaxed counter RMW (the `counter` protocol in
-// tools/atomics.toml) times the counter ops one serve performs, held to the
-// same 5% budget. scripts/verify.sh and CI run this as a gate.
+// instead: measured ns per relaxed counter RMW (Counter's RelaxedAtomic)
+// times the counter ops one serve performs, held to the same 5% budget.
+// scripts/verify.sh and CI run this as a gate.
 
 #include <algorithm>
 #include <cstdio>
@@ -120,7 +120,7 @@ int Run() {
 
   // Always-on metrics: count the counter increments one serve performs (the
   // snapshot delta) and price them at the measured per-op cost of a relaxed
-  // fetch_add. Gauge sets are the same single relaxed op and far rarer.
+  // fetch_add.
   const MetricsRegistry::Snapshot before = MetricsRegistry::Global().Snap();
   (void)RunWorkloadMs(config, kRequests);
   const MetricsRegistry::Snapshot after = MetricsRegistry::Global().Snap();

@@ -90,9 +90,6 @@ inline void PrintTraceArtifacts(const std::vector<trace::TraceEvent>& events,
   for (const auto& [name, value] : snapshot.counters) {
     metrics.AddRow({name, std::to_string(value)});
   }
-  for (const auto& [name, value] : snapshot.gauges) {
-    metrics.AddRow({name, AsciiTable::FormatDouble(value, 3)});
-  }
   metrics.Print("Metrics registry snapshot");
 }
 

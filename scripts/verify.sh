@@ -96,10 +96,6 @@ if [[ "${SKIP_STATIC:-0}" != "1" ]]; then
   ./build/tools/vlora_lint --hot-path tools/hot_paths.toml src
   record "hot-path pass" "pass"
 
-  echo "=== static-analysis: atomics-discipline pass ==="
-  ./build/tools/vlora_lint --atomics tools/atomics.toml src
-  record "atomics pass" "pass"
-
   if command -v clang-format >/dev/null 2>&1; then
     echo "=== static-analysis: clang-format (advisory) ==="
     # Report-only: formatting drift prints but never fails verification

@@ -204,8 +204,9 @@ class ClusterServer {
   // afterwards.
   void Shutdown() VLORA_EXCLUDES(mutex_);
 
-  // Aggregated counters; cheap and safe while serving (snapshots serialise
-  // against each replica's step loop).
+  // Aggregated counters; cheap and safe while serving. Each replica's
+  // snapshot takes only Replica::mutex_ and reads the engine stats its worker
+  // handed over in the last Complete, so it never waits for a step.
   [[nodiscard]] ClusterStats Stats() VLORA_EXCLUDES(mutex_);
 
   Replica& replica(int index) { return *replicas_[static_cast<size_t>(index)]; }

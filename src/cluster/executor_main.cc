@@ -19,7 +19,6 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -28,6 +27,7 @@
 
 #include "src/cluster/replica.h"
 #include "src/common/status.h"
+#include "src/common/sync.h"
 #include "src/common/thread_pool.h"
 #include "src/net/channel.h"
 #include "src/net/fd.h"
@@ -163,11 +163,11 @@ int ExecutorMain(int argc, char** argv) {
   // Forward the worker's liveness stamp every period; when the worker stalls
   // or the engine wedges, worker_ms freezes, the master stops beating and its
   // stall detector fires exactly as it would in-process.
-  std::atomic<bool> heartbeat_stop{false};  // `flag` protocol (tools/atomics.toml)
+  PublishedAtomic<bool> heartbeat_stop{false};
   std::thread heartbeat([&] {
     const auto period =
         std::chrono::duration<double, std::milli>(config.value().heartbeat_period_ms);
-    while (!heartbeat_stop.load(std::memory_order_acquire)) {
+    while (!heartbeat_stop.Load()) {
       std::this_thread::sleep_for(period);
       net::HeartbeatMessage hb;
       hb.worker_ms = replica.HeartbeatMs();
@@ -230,7 +230,7 @@ int ExecutorMain(int argc, char** argv) {
     break;
   }
 
-  heartbeat_stop.store(true, std::memory_order_release);
+  heartbeat_stop.Publish(true);
   heartbeat.join();
   if (exit_code != 0) {
     replica.RequestStop();

@@ -17,8 +17,8 @@ namespace {
 
 // Distinguishes the unix socket files of replicas created back-to-back (a
 // destroyed replica's path may not be unlinked yet when its successor binds).
-// `counter` protocol (tools/atomics.toml): only uniqueness matters.
-std::atomic<int64_t> g_socket_sequence{0};
+// Only uniqueness matters.
+constinit RelaxedAtomic<int64_t> g_socket_sequence{0};
 
 constexpr double kConnectTimeoutMs = 15000.0;  // executor dial-back after fork
 constexpr double kStopGraceMs = 2000.0;        // wait for Goodbye before SIGKILL
@@ -85,8 +85,7 @@ void ProcessReplica::SpawnAndHandshake(const ModelConfig& config, const ServerOp
   if (process.transport == net::Transport::kUnix) {
     socket_path_ = "/tmp/vlora-exec-" + std::to_string(::getpid()) + "-" +
                    std::to_string(index_) + "-" +
-                   std::to_string(g_socket_sequence.fetch_add(
-                       1, std::memory_order_relaxed)) +
+                   std::to_string(g_socket_sequence.FetchAdd(1)) +
                    ".sock";
     address = net::SocketAddress::Unix(socket_path_);
   } else {
@@ -143,7 +142,7 @@ ProcessReplica::~ProcessReplica() {
     // stop grace (SO_RCVTIMEO armed in OnStopRequested) plus SIGKILL
     // escalation.
     VLORA_BLOCKING_REGION(nullptr, "ProcessReplica::~ProcessReplica");
-    while (!reader_done_.load(std::memory_order_acquire)) {
+    while (!reader_done_.Load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
@@ -219,7 +218,7 @@ void ProcessReplica::ReaderLoop() {
     if (!envelope.ok()) {
       // EOF, a broken socket, or the stop grace elapsing without a Goodbye.
       HandleConnectionLost();
-      reader_done_.store(true, std::memory_order_release);
+      reader_done_.Publish(true);
       return;
     }
     switch (envelope.value().type) {
@@ -286,7 +285,7 @@ void ProcessReplica::ReaderLoop() {
     }
     // Undecodable or unexpected frame: the connection is no longer trusted.
     HandleConnectionLost();
-    reader_done_.store(true, std::memory_order_release);
+    reader_done_.Publish(true);
     return;
   }
 }

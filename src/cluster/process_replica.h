@@ -41,7 +41,6 @@
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -120,9 +119,8 @@ class ProcessReplica : public Replica {
   pid_t pid_ = -1;
   bool child_reaped_ VLORA_GUARDED_BY(child_mutex_) = false;
 
-  // tools/atomics.toml: reader_done_ is a `flag` whose release store
-  // publishes the reader thread's final drain before the master joins it.
-  std::atomic<bool> reader_done_{false};
+  // The reader thread publishes its final drain here before it exits.
+  PublishedAtomic<bool> reader_done_{false};
 };
 
 }  // namespace vlora

@@ -78,7 +78,7 @@ EnqueueResult Replica::Enqueue(EngineRequest request, bool never_block) {
     ++submitted_;
     const int64_t new_depth = DepthLocked();
     peak_depth_ = std::max(peak_depth_, new_depth);
-    depth_.store(new_depth, std::memory_order_relaxed);
+    depth_.Store(new_depth);
   }
   // Both enqueue events fire before the service side can see this request,
   // so a decode-stage completion can never precede its kDecodeEnqueued.
@@ -99,7 +99,7 @@ void Replica::TakeIngressLocked(int64_t max_in_service, std::vector<EngineReques
     out->push_back(std::move(item.request));  // vlora-lint: allow(hot-path-alloc) amortized: caller's scratch capacity is hoisted out of its loop
     ingress_.pop_front();
   }
-  depth_.store(DepthLocked(), std::memory_order_relaxed);
+  depth_.Store(DepthLocked());
 }
 
 int64_t Replica::Complete(std::span<EngineResult> results, const ServerStats* server_stats) {
@@ -129,7 +129,7 @@ int64_t Replica::Complete(std::span<EngineResult> results, const ServerStats* se
     if (server_stats != nullptr) {
       server_stats_ = *server_stats;
     }
-    depth_.store(DepthLocked(), std::memory_order_relaxed);
+    depth_.Store(DepthLocked());
     if (DepthLocked() == 0) {
       drained_cv_.NotifyAll();
     }
@@ -165,7 +165,7 @@ void Replica::FailInService(int64_t request_id, const Status& status) {
       return;  // already failed over
     }
     ++failed_;
-    depth_.store(DepthLocked(), std::memory_order_relaxed);
+    depth_.Store(DepthLocked());
     if (DepthLocked() == 0) {
       drained_cv_.NotifyAll();
     }
@@ -188,7 +188,7 @@ void Replica::FailOver(const char* reason) {
     stopping = stop_requested_;
     if (!stopping) {
       // A clean shutdown is not a death: dead() stays false.
-      dead_.store(true, std::memory_order_release);
+      dead_.Publish(true);
     }
     for (Ingress& item : ingress_) {
       ids.push_back(item.request.id);
@@ -200,7 +200,7 @@ void Replica::FailOver(const char* reason) {
     }
     in_service_.clear();
     (stopping ? cancelled_ : failed_) += static_cast<int64_t>(ids.size());
-    depth_.store(0, std::memory_order_relaxed);
+    depth_.Store(0);
   }
   space_cv_.NotifyAll();
   drained_cv_.NotifyAll();
@@ -229,7 +229,7 @@ std::vector<EngineRequest> Replica::StealIngress() {
     }
     ingress_.clear();
     stolen_ += static_cast<int64_t>(stolen.size());
-    depth_.store(DepthLocked(), std::memory_order_relaxed);
+    depth_.Store(DepthLocked());
     if (DepthLocked() == 0) {
       drained_cv_.NotifyAll();
     }
@@ -266,7 +266,7 @@ void Replica::RequestStop() {
     }
     ingress_.clear();
     cancelled_ += static_cast<int64_t>(ids.size());
-    depth_.store(DepthLocked(), std::memory_order_relaxed);
+    depth_.Store(DepthLocked());
   }
   space_cv_.NotifyAll();
   drained_cv_.NotifyAll();

@@ -44,7 +44,6 @@
 #ifndef VLORA_SRC_CLUSTER_REPLICA_H_
 #define VLORA_SRC_CLUSTER_REPLICA_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -162,16 +161,16 @@ class Replica {
 
   // Outstanding requests (queued + in service). Lock-free; the router's load
   // signal.
-  int64_t Depth() const { return depth_.load(std::memory_order_relaxed); }
+  int64_t Depth() const { return depth_.Load(); }
 
   // True once the replica is permanently gone (injected kill, executor
   // death); it accepts nothing more. A clean stop is not a death.
-  bool dead() const { return dead_.load(std::memory_order_acquire); }
+  bool dead() const { return dead_.Load(); }
 
   // Service-loop liveness stamp. Advances while the replica makes progress;
   // stops during a stall and after death. Paired with Depth() it is the
   // health checker's stall signal.
-  double HeartbeatMs() const { return heartbeat_ms_.load(std::memory_order_relaxed); }
+  double HeartbeatMs() const { return heartbeat_ms_.Load(); }
 
   // Reclaims queued-but-unstarted requests (quarantine spill); the caller
   // re-routes them. Requests already in service cannot be reclaimed. A
@@ -226,7 +225,7 @@ class Replica {
   // <i> <reason>"), or Cancelled when stopping. Runs at most once.
   void FailOver(const char* reason) VLORA_EXCLUDES(mutex_);
   // Stamps the liveness heartbeat.
-  void Beat() { heartbeat_ms_.store(clock_.ElapsedMillis(), std::memory_order_relaxed); }
+  void Beat() { heartbeat_ms_.Store(clock_.ElapsedMillis()); }
 
   int64_t DepthLocked() const VLORA_REQUIRES(mutex_) {
     return static_cast<int64_t>(ingress_.size() + in_service_.size());
@@ -281,12 +280,11 @@ class Replica {
   LatencyRecorder latency_ VLORA_GUARDED_BY(mutex_);
   ServerStats server_stats_ VLORA_GUARDED_BY(mutex_);  // as of the last Complete
 
-  // tools/atomics.toml: depth_/heartbeat_ms_ are `counter`s (monitoring
-  // reads, nothing ordered through them); dead_ is a `flag` — the release
-  // store in FailOver publishes the final counters before the master acts.
-  std::atomic<int64_t> depth_{0};
-  std::atomic<bool> dead_{false};
-  std::atomic<double> heartbeat_ms_{0.0};
+  // depth_ and heartbeat_ms_ are monitoring reads with nothing ordered
+  // through them; FailOver publishes dead_ after the final counters.
+  RelaxedAtomic<int64_t> depth_{0};
+  PublishedAtomic<bool> dead_{false};
+  RelaxedAtomic<double> heartbeat_ms_{0.0};
 };
 
 // The in-process backend: a worker loop steps a VloraServer over the

@@ -1,6 +1,5 @@
 #include "src/common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 
@@ -9,7 +8,7 @@
 namespace vlora {
 
 namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarning)};  // `counter` protocol
+constinit RelaxedAtomic<int> g_level{static_cast<int>(LogLevel::kWarning)};
 // Serialises stderr writes so lines never interleave. kLogging ranks below
 // everything: any thread may log while holding any lock.
 Mutex g_emit_mutex{Rank::kLogging, "g_emit_mutex"};
@@ -34,11 +33,8 @@ const char* Basename(const char* path) {
 }
 }  // namespace
 
-// g_level only filters; no other data is ordered through it (the `counter`
-// protocol in tools/atomics.toml), so every access is explicitly relaxed.
-void SetLogLevel(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
+// g_level only filters; no other data is ordered through it.
+void SetLogLevel(LogLevel level) { g_level.Store(static_cast<int>(level)); }
 
 namespace internal {
 
@@ -47,7 +43,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(leve
 }
 
 LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) < g_level.load(std::memory_order_relaxed)) {
+  if (static_cast<int>(level_) < g_level.Load()) {
     return;
   }
   MutexLock lock(&g_emit_mutex);

@@ -1,6 +1,7 @@
-// Annotated, rank-checked synchronization primitives — the only place in the
-// repo allowed to touch <mutex> / <condition_variable> directly (vlora_lint
-// enforces it).
+// Annotated, rank-checked synchronization primitives and the two atomic
+// types — the only place under src/ allowed to touch <mutex> /
+// <condition_variable> / <atomic> directly (vlora_lint's raw-mutex and
+// raw-atomic rules enforce it).
 //
 // vlora::Mutex, MutexLock and CondVar are thin wrappers over the std
 // primitives that carry (1) the Clang thread-safety attributes from
@@ -40,12 +41,12 @@
 #ifndef VLORA_SRC_COMMON_SYNC_H_
 #define VLORA_SRC_COMMON_SYNC_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 
 #if defined(VLORA_LOCK_RANK_CHECKS)
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #if defined(__has_include)
@@ -59,6 +60,52 @@
 #include "src/common/annotations.h"
 
 namespace vlora {
+
+// The two atomic types. Each fixes its memory order in its type, so a call
+// site cannot pick one and no operation is seq_cst:
+//
+//   RelaxedAtomic<T>    every operation is relaxed: statistics, tuning knobs
+//                       and sequence numbers that order nothing around them.
+//   PublishedAtomic<T>  Publish and FetchAdd are release, Load is acquire: a
+//                       thread that loads a value another thread published
+//                       also sees every write the publisher made before it.
+//
+// Neither converts to or from T, has operators or copies. The constructor is
+// constexpr, so a namespace-scope instance declared constinit is initialized
+// before any static initializer can read it. DESIGN.md §14 lists every
+// atomic under src/ with the threads that publish and read it.
+template <typename T>
+class RelaxedAtomic {
+ public:
+  constexpr explicit RelaxedAtomic(T initial) noexcept : value_(initial) {}
+
+  RelaxedAtomic(const RelaxedAtomic&) = delete;
+  RelaxedAtomic& operator=(const RelaxedAtomic&) = delete;
+
+  T Load() const { return value_.load(std::memory_order_relaxed); }
+  void Store(T value) { value_.store(value, std::memory_order_relaxed); }
+  T FetchAdd(T delta) { return value_.fetch_add(delta, std::memory_order_relaxed); }
+  T Exchange(T value) { return value_.exchange(value, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<T> value_;
+};
+
+template <typename T>
+class PublishedAtomic {
+ public:
+  constexpr explicit PublishedAtomic(T initial) noexcept : value_(initial) {}
+
+  PublishedAtomic(const PublishedAtomic&) = delete;
+  PublishedAtomic& operator=(const PublishedAtomic&) = delete;
+
+  T Load() const { return value_.load(std::memory_order_acquire); }
+  void Publish(T value) { value_.store(value, std::memory_order_release); }
+  T FetchAdd(T delta) { return value_.fetch_add(delta, std::memory_order_release); }
+
+ private:
+  std::atomic<T> value_;
+};
 
 // The lock hierarchy: a thread acquires ranks in strictly decreasing order.
 // Only state that two threads share takes a lock; DESIGN.md §9 lists each
@@ -117,13 +164,12 @@ inline thread_local HeldStack g_held;
 
 // Blocking while holding any OTHER lock with rank > this aborts. Default: a
 // thread must hold nothing but the waited mutex (and at most the logging
-// leaf) when it blocks. `counter` protocol (tools/atomics.toml): the value
-// only tunes a debug check, it publishes nothing.
-inline std::atomic<int> g_max_blocking_held_rank{static_cast<int>(Rank::kLogging)};
+// leaf) when it blocks. The value only tunes a debug check; it publishes
+// nothing.
+inline constinit RelaxedAtomic<int> g_max_blocking_held_rank{static_cast<int>(Rank::kLogging)};
 
 inline Rank SetMaxBlockingHeldRank(Rank rank) {
-  return static_cast<Rank>(
-      g_max_blocking_held_rank.exchange(static_cast<int>(rank), std::memory_order_relaxed));
+  return static_cast<Rank>(g_max_blocking_held_rank.Exchange(static_cast<int>(rank)));
 }
 
 inline int HeldCount() { return g_held.depth; }
@@ -180,7 +226,7 @@ inline void OnRelease(const void* mu) {
 // `waited` is the mutex the blocking primitive atomically releases (null for
 // blocking entry points that take no lock of their own yet).
 inline void OnBlock(const void* waited, const char* what) {
-  const int limit = g_max_blocking_held_rank.load(std::memory_order_relaxed);
+  const int limit = g_max_blocking_held_rank.Load();
   for (int i = 0; i < g_held.depth; ++i) {
     const HeldEntry& held = g_held.entries[i];
     if (held.mu != waited && held.rank > limit) {

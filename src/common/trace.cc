@@ -43,15 +43,15 @@ Tracer& Tracer::Global() {
 
 void Tracer::Start(int64_t ring_capacity) {
   VLORA_CHECK(ring_capacity >= 1);
-  ring_capacity_.store(ring_capacity, std::memory_order_relaxed);
-  origin_ns_.store(NowNs(), std::memory_order_relaxed);
+  ring_capacity_.Store(ring_capacity);
+  origin_ns_.Store(NowNs());
   // Bumping the epoch logically clears every buffer: emitters lazily reset
   // their ring on the first emit of the new epoch, Collect skips stale ones.
-  epoch_.fetch_add(1, std::memory_order_release);
-  enabled_.store(true, std::memory_order_release);
+  epoch_.FetchAdd(1);
+  enabled_.Publish(true);
 }
 
-void Tracer::Stop() { enabled_.store(false, std::memory_order_release); }
+void Tracer::Stop() { enabled_.Publish(false); }
 
 Tracer::ThreadBuffer* Tracer::GetThreadBuffer() {
   // The shared_ptr keeps the buffer alive past thread exit (the registry
@@ -60,7 +60,7 @@ Tracer::ThreadBuffer* Tracer::GetThreadBuffer() {
   thread_local std::shared_ptr<ThreadBuffer> t_buffer;
   if (t_buffer == nullptr) {
     auto fresh = std::make_shared<ThreadBuffer>(  // vlora-lint: allow(hot-path-alloc) one-time per-thread ring registration
-        ring_capacity_.load(std::memory_order_relaxed));
+        ring_capacity_.Load());
     {
       MutexLock lock(&mutex_);
       buffers_.push_back(fresh);  // vlora-lint: allow(hot-path-alloc) one-time per-thread ring registration
@@ -71,39 +71,39 @@ Tracer::ThreadBuffer* Tracer::GetThreadBuffer() {
 }
 
 void Tracer::Emit(TraceEvent event) {
-  if (!enabled_.load(std::memory_order_acquire)) {
+  if (!enabled_.Load()) {
     return;
   }
   ThreadBuffer* buffer = GetThreadBuffer();
-  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
-  if (buffer->epoch.load(std::memory_order_relaxed) != epoch) {
+  const uint64_t epoch = epoch_.Load();
+  if (buffer->epoch.Load() != epoch) {
     // First emit of a new session on this thread: adopt the session's ring
     // capacity and restart the ring. Owner-thread-only writes; Collect skips
     // the buffer until the epoch store below publishes them.
-    const auto capacity = static_cast<size_t>(ring_capacity_.load(std::memory_order_relaxed));
+    const auto capacity = static_cast<size_t>(ring_capacity_.Load());
     if (buffer->ring.size() != capacity) {
       buffer->ring.assign(capacity, TraceEvent{});  // vlora-lint: allow(hot-path-alloc) once per thread per trace session (epoch adoption)
     }
-    buffer->head.store(0, std::memory_order_relaxed);
-    buffer->epoch.store(epoch, std::memory_order_release);
+    buffer->head.Publish(0);
+    buffer->epoch.Publish(epoch);
   }
-  event.when_ms = static_cast<double>(NowNs() - origin_ns_.load(std::memory_order_relaxed)) / 1e6;
+  event.when_ms = static_cast<double>(NowNs() - origin_ns_.Load()) / 1e6;
   const auto capacity = static_cast<int64_t>(buffer->ring.size());
-  const int64_t head = buffer->head.load(std::memory_order_relaxed);
+  const int64_t head = buffer->head.Load();
   buffer->ring[static_cast<size_t>(head % capacity)] = event;
-  buffer->head.store(head + 1, std::memory_order_release);
+  buffer->head.Publish(head + 1);
 }
 
 std::vector<TraceEvent> Tracer::Collect() const {
   std::vector<TraceEvent> out;
-  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
+  const uint64_t epoch = epoch_.Load();
   {
     MutexLock lock(&mutex_);
     for (const auto& buffer : buffers_) {
-      if (buffer->epoch.load(std::memory_order_acquire) != epoch) {
+      if (buffer->epoch.Load() != epoch) {
         continue;  // never emitted in this session
       }
-      const int64_t head = buffer->head.load(std::memory_order_acquire);
+      const int64_t head = buffer->head.Load();
       const auto capacity = static_cast<int64_t>(buffer->ring.size());
       for (int64_t i = std::max<int64_t>(0, head - capacity); i < head; ++i) {
         out.push_back(buffer->ring[static_cast<size_t>(i % capacity)]);
@@ -117,13 +117,13 @@ std::vector<TraceEvent> Tracer::Collect() const {
 
 int64_t Tracer::dropped_events() const {
   int64_t dropped = 0;
-  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
+  const uint64_t epoch = epoch_.Load();
   MutexLock lock(&mutex_);
   for (const auto& buffer : buffers_) {
-    if (buffer->epoch.load(std::memory_order_acquire) != epoch) {
+    if (buffer->epoch.Load() != epoch) {
       continue;
     }
-    const int64_t head = buffer->head.load(std::memory_order_acquire);
+    const int64_t head = buffer->head.Load();
     dropped += std::max<int64_t>(0, head - static_cast<int64_t>(buffer->ring.size()));
   }
   return dropped;
@@ -742,35 +742,13 @@ Counter* MetricsRegistry::counter(const std::string& name) {
   return slot.get();
 }
 
-Gauge* MetricsRegistry::gauge(const std::string& name) {
-  MutexLock lock(&mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Gauge>();
-  }
-  return slot.get();
-}
-
 MetricsRegistry::Snapshot MetricsRegistry::Snap() const {
   Snapshot snapshot;
   MutexLock lock(&mutex_);
   for (const auto& entry : counters_) {
     snapshot.counters[entry.first] = entry.second->value();
   }
-  for (const auto& entry : gauges_) {
-    snapshot.gauges[entry.first] = entry.second->value();
-  }
   return snapshot;
-}
-
-void MetricsRegistry::Reset() {
-  MutexLock lock(&mutex_);
-  for (auto& entry : counters_) {
-    entry.second->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& entry : gauges_) {
-    entry.second->value_.store(0.0, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace vlora

@@ -28,7 +28,6 @@
 #ifndef VLORA_SRC_COMMON_TRACE_H_
 #define VLORA_SRC_COMMON_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -151,7 +150,7 @@ class Tracer {
   // enables emission. `ring_capacity` is per emitting thread, in events.
   void Start(int64_t ring_capacity) VLORA_EXCLUDES(mutex_);
   void Stop();
-  bool enabled() const { return enabled_.load(std::memory_order_acquire); }
+  bool enabled() const { return enabled_.Load(); }
 
   // Hot path. Fills event.when_ms; no-op when disabled.
   void Emit(TraceEvent event) VLORA_HOT;
@@ -164,27 +163,24 @@ class Tracer {
   int64_t dropped_events() const VLORA_EXCLUDES(mutex_);
 
  private:
-  // Both atomics follow the `epoch-seqlock` protocol in tools/atomics.toml:
-  // the owning thread mutates them relaxed, publishes with release, and
-  // Collect reads with acquire.
+  // Only the owning thread writes a buffer; each write of `head` and `epoch`
+  // publishes the ring slots and reset before it to Collect.
   struct ThreadBuffer {
     explicit ThreadBuffer(int64_t capacity) : ring(static_cast<size_t>(capacity)) {}
     std::vector<TraceEvent> ring;
-    std::atomic<int64_t> head{0};     // events emitted this epoch
-    std::atomic<uint64_t> epoch{0};   // the epoch `head`/`ring` belong to
+    PublishedAtomic<int64_t> head{0};    // events emitted this epoch
+    PublishedAtomic<uint64_t> epoch{0};  // the epoch `head`/`ring` belong to
   };
 
   Tracer() = default;
   ThreadBuffer* GetThreadBuffer() VLORA_EXCLUDES(mutex_);
 
-  // Memory-ordering protocols are registered in tools/atomics.toml and
-  // checked by `vlora_lint --atomics`: enabled_ is a `flag`, epoch_ is a
-  // `published-value` (Start publishes capacity/origin before bumping it),
-  // and the two plain parameters below are `counter`s.
-  std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> epoch_{0};
-  std::atomic<int64_t> ring_capacity_{1 << 14};
-  std::atomic<int64_t> origin_ns_{0};  // session clock origin (steady_clock)
+  // Start stores the two session parameters, then publishes them through
+  // epoch_ and enabled_.
+  PublishedAtomic<bool> enabled_{false};
+  PublishedAtomic<uint64_t> epoch_{0};
+  RelaxedAtomic<int64_t> ring_capacity_{1 << 14};
+  RelaxedAtomic<int64_t> origin_ns_{0};  // session clock origin (steady_clock)
 
   mutable Mutex mutex_{Rank::kTrace, "Tracer::mutex_"};
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_ VLORA_GUARDED_BY(mutex_);
@@ -297,33 +293,21 @@ AsciiTable RequestSpanTable(const std::vector<RequestSpan>& spans, size_t max_ro
 }  // namespace trace
 
 // ---------------------------------------------------------------------------
-// MetricsRegistry: named monotonic counters and last-value gauges, always on
-// (independent of the tracer), snapshotable at any time. Counter/Gauge
-// handles are stable for the registry's lifetime — look them up once and
-// cache the pointer; Add/Set are single relaxed atomic operations.
+// MetricsRegistry: named monotonic counters, always on (independent of the
+// tracer), snapshotable at any time. Counter handles are stable for the
+// registry's lifetime — look them up once and cache the pointer; Add is a
+// single relaxed atomic operation.
 
-// Counter/Gauge values are pure `counter`-protocol atomics (tools/atomics.toml):
-// every operation is explicitly relaxed — they order nothing and publish
-// nothing, so readers of Snap() see recent-but-not-synchronised values.
+// Counter values order nothing and publish nothing, so readers of Snap() see
+// recent-but-not-synchronised values.
 class Counter {
  public:
   void Increment() { Add(1); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Add(int64_t delta) { value_.FetchAdd(delta); }
+  int64_t value() const { return value_.Load(); }
 
  private:
-  friend class MetricsRegistry;
-  std::atomic<int64_t> value_{0};
-};
-
-class Gauge {
- public:
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  friend class MetricsRegistry;
-  std::atomic<double> value_{0.0};
+  RelaxedAtomic<int64_t> value_{0};
 };
 
 class MetricsRegistry {
@@ -334,23 +318,17 @@ class MetricsRegistry {
   // lifetime. Rank::kTrace lock — callable under any real lock, but cache the
   // result rather than looking up per event.
   Counter* counter(const std::string& name) VLORA_EXCLUDES(mutex_);
-  Gauge* gauge(const std::string& name) VLORA_EXCLUDES(mutex_);
 
   struct Snapshot {
     std::map<std::string, int64_t> counters;
-    std::map<std::string, double> gauges;
   };
   [[nodiscard]] Snapshot Snap() const VLORA_EXCLUDES(mutex_);
-
-  // Zeroes every value (names and handles survive); for test isolation.
-  void Reset() VLORA_EXCLUDES(mutex_);
 
  private:
   MetricsRegistry() = default;
 
   mutable Mutex mutex_{Rank::kTrace, "MetricsRegistry::mutex_"};
   std::map<std::string, std::unique_ptr<Counter>> counters_ VLORA_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_ VLORA_GUARDED_BY(mutex_);
 };
 
 }  // namespace vlora

@@ -1,9 +1,9 @@
 #include "src/kernels/kernel_variant.h"
 
-#include <atomic>
 #include <cstdlib>
 
 #include "src/common/logging.h"
+#include "src/common/sync.h"
 #include "src/kernels/microkernel.h"
 
 namespace vlora {
@@ -18,11 +18,12 @@ bool CpuSupportsAvx2Fma() {
 #endif
 }
 
-// -1 = not yet resolved; otherwise a KernelVariant value. `published-value`
-// protocol (tools/atomics.toml): RefreshKernelVariantFromEnv release-stores
-// it, ActiveKernelVariant acquire-loads — readers must see the resolved
-// variant, not a torn in-progress pick.
-std::atomic<int> g_active{-1};
+// -1 = not yet resolved; otherwise a KernelVariant value.
+// RefreshKernelVariantFromEnv publishes it and ActiveKernelVariant loads it,
+// so readers see the resolved variant, not a torn in-progress pick. constinit:
+// another TU's static initializer may call ActiveKernelVariant before this
+// TU's initializers run.
+constinit PublishedAtomic<int> g_active{-1};
 
 KernelVariant ResolveFromEnv() {
   const char* env = std::getenv("VLORA_KERNEL_VARIANT");
@@ -88,7 +89,7 @@ namespace {
 }  // namespace
 
 KernelVariant ActiveKernelVariant() {
-  const int cached = g_active.load(std::memory_order_acquire);
+  const int cached = g_active.Load();
   if (cached >= 0) {
     return static_cast<KernelVariant>(cached);
   }
@@ -99,7 +100,7 @@ KernelVariant ActiveKernelVariant() {
 }
 
 void RefreshKernelVariantFromEnv() {
-  g_active.store(static_cast<int>(ResolveFromEnv()), std::memory_order_release);
+  g_active.Publish(static_cast<int>(ResolveFromEnv()));
 }
 
 std::vector<KernelVariant> AvailableKernelVariants() {

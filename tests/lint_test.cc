@@ -66,6 +66,33 @@ TEST(LintRulesTest, RawMutexInCommentDoesNotFire) {
   EXPECT_FALSE(HasRule(LintContent("src/a.cc", commented), "raw-mutex"));
 }
 
+TEST(LintRulesTest, RawAtomicFiresUnderSrc) {
+  const std::string bad = std::string("#include <") + "atomic>\n" +
+                          "std" "::atomic<bool> stop_{false};\n" +
+                          "int plain = 0;\n" +
+                          "std" "::atomic_thread_fence(std" "::memory" "_order_acquire);\n";
+  const std::vector<Finding> findings = LintContent("src/cluster/foo.cc", bad);
+  EXPECT_EQ(RulesAt(findings, 1), std::vector<std::string>{"raw-atomic"});
+  EXPECT_EQ(RulesAt(findings, 2), std::vector<std::string>{"raw-atomic"});
+  EXPECT_EQ(RulesAt(findings, 3), std::vector<std::string>{});
+  EXPECT_EQ(RulesAt(findings, 4), std::vector<std::string>{"raw-atomic"});
+}
+
+TEST(LintRulesTest, RawAtomicGoodTwinsStayQuiet) {
+  const std::string body = std::string("#include <") + "atomic>\n" +
+                           "std" "::atomic<int> value_{0};\n";
+  // The wrappers' own header, and every tree outside src/.
+  EXPECT_FALSE(HasRule(LintContent("src/common/sync.h", body), "raw-atomic"));
+  EXPECT_FALSE(HasRule(LintContent("tests/foo_test.cc", body), "raw-atomic"));
+  EXPECT_FALSE(HasRule(LintContent("tools/probe.cc", body), "raw-atomic"));
+  const std::string wrapped = std::string("PublishedAtomic<bool> stop_{false};\n") +
+                              "// not std" "::atomic: the type fixes the order\n";
+  EXPECT_FALSE(HasRule(LintContent("src/cluster/foo.cc", wrapped), "raw-atomic"));
+  const std::string suppressed =
+      std::string("std" "::atomic<int> value_{0};  // vlora-lint: allow(raw-atomic)\n");
+  EXPECT_FALSE(HasRule(LintContent("src/cluster/foo.cc", suppressed), "raw-atomic"));
+}
+
 TEST(LintRulesTest, StatusClassWithoutNodiscardFires) {
   const std::string bad = std::string("class ") + "Status {\n public:\n};\n";
   const std::vector<Finding> findings = LintContent("src/common/s.cc", bad);
@@ -422,9 +449,10 @@ TEST(LintRulesTest, VolatileThreadingGoodTwinsStayQuiet) {
 
 TEST(LintRulesTest, RuleNamesAreStable) {
   const std::vector<std::string> names = RuleNames();
-  EXPECT_EQ(names.size(), 13u);
+  EXPECT_EQ(names.size(), 14u);
   EXPECT_NE(std::find(names.begin(), names.end(), "vola" "tile-threading"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "raw-mutex"), names.end());
+  EXPECT_NE(std::find(names.begin(), names.end(), "raw-atomic"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "missing-include-guard"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "mutexlock-temporary"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "status-switch-exhaustive"), names.end());

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
+#include <type_traits>
 
+#include "src/common/sync.h"
 #include "src/common/thread_pool.h"
 #include "src/kernels/gemm.h"
 #include "src/tensor/tensor.h"
@@ -64,6 +67,60 @@ TEST(ThreadPoolTest, SequentialParallelForsReuseWorkers) {
 TEST(ThreadPoolTest, DefaultUsesHardwareConcurrency) {
   ThreadPool pool;
   EXPECT_GE(pool.num_threads(), 1);
+}
+
+// The atomic wrappers in src/common/sync.h: the memory order lives in the
+// type, so no conversion, assignment or copy may reach the std::atomic
+// inside, and the wrapper costs no space over it.
+static_assert(!std::is_convertible_v<int64_t, RelaxedAtomic<int64_t>>);
+static_assert(!std::is_convertible_v<RelaxedAtomic<int64_t>, int64_t>);
+static_assert(!std::is_assignable_v<RelaxedAtomic<int64_t>&, int64_t>);
+static_assert(!std::is_copy_constructible_v<RelaxedAtomic<int64_t>>);
+static_assert(!std::is_copy_assignable_v<RelaxedAtomic<int64_t>>);
+static_assert(sizeof(RelaxedAtomic<int64_t>) == sizeof(std::atomic<int64_t>));
+static_assert(!std::is_convertible_v<bool, PublishedAtomic<bool>>);
+static_assert(!std::is_convertible_v<PublishedAtomic<bool>, bool>);
+static_assert(!std::is_assignable_v<PublishedAtomic<bool>&, bool>);
+static_assert(!std::is_copy_constructible_v<PublishedAtomic<bool>>);
+static_assert(!std::is_copy_assignable_v<PublishedAtomic<bool>>);
+static_assert(sizeof(PublishedAtomic<bool>) == sizeof(std::atomic<bool>));
+
+// Namespace-scope instances initialized before any static initializer runs,
+// as g_level, g_active and g_socket_sequence are.
+constinit RelaxedAtomic<int64_t> g_relaxed_probe{7};
+constinit PublishedAtomic<int> g_published_probe{-1};
+
+TEST(AtomicWrapperTest, OperationsReturnWhatStdAtomicReturns) {
+  EXPECT_EQ(g_relaxed_probe.Load(), 7);
+  EXPECT_EQ(g_relaxed_probe.FetchAdd(3), 7);
+  EXPECT_EQ(g_relaxed_probe.Exchange(20), 10);
+  g_relaxed_probe.Store(5);
+  EXPECT_EQ(g_relaxed_probe.Load(), 5);
+
+  EXPECT_EQ(g_published_probe.Load(), -1);
+  g_published_probe.Publish(4);
+  EXPECT_EQ(g_published_probe.FetchAdd(2), 4);
+  EXPECT_EQ(g_published_probe.Load(), 6);
+}
+
+// A writer fills a plain payload, then publishes a flag; the reader spins on
+// the flag and reads the payload before joining. Only Publish's release and
+// Load's acquire order the two accesses: with a relaxed publish TSan reports
+// the payload read as a race.
+TEST(AtomicWrapperTest, PublishOrdersThePayloadBeforeTheFlag) {
+  for (int round = 0; round < 100; ++round) {
+    int64_t payload = 0;
+    PublishedAtomic<bool> ready{false};
+    std::thread writer([&payload, &ready, round] {
+      payload = 1000 + round;
+      ready.Publish(true);
+    });
+    while (!ready.Load()) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(payload, 1000 + round);
+    writer.join();
+  }
 }
 
 TEST(GemmParallelTest, BitwiseMatchesSerial) {

@@ -17,8 +17,7 @@
 //                        call edges to a client
 //   * graph helpers    — transitive-attribute fixpoint (MayAcquire-style),
 //                        reachability with parent chains for reporting
-//   * ParseTomlTables  — the minimal TOML subset shared by
-//                        tools/hot_paths.toml and tools/atomics.toml
+//   * ParseTomlTables  — the minimal TOML subset of tools/hot_paths.toml
 //   * LoadSourceTree   — filesystem walking into SourceFile lists
 //
 // The analysis posture is inherited from the lock-order pass: a heuristic
@@ -138,8 +137,8 @@ struct ScanOptions {
   // name, so singleton-accessor idioms produce edges.
   bool chained_calls = false;
   // Index methods whose body is written inside their class (virtual ones
-  // included) as known functions, so calls resolve to them (the hot-path and
-  // atomics postures); a walk over the header then scans their bodies.
+  // included) as known functions, so calls resolve to them (the hot-path
+  // posture); a walk over the header then scans their bodies.
   bool index_inline_bodies = false;
   // Files for which declarations/definitions are indexed and scanned; the
   // default accepts everything. (The lock-order pass excludes sync.h: it
@@ -234,7 +233,6 @@ class BodyWalker {
   const std::string& fn_class() const { return fn_class_; }
   const std::string& fn_qual() const { return fn_qual_; }
   const std::string& path() const { return path_; }
-  bool in_func() const { return in_func_; }
 
   // Resolves the class a call receiver refers to ("this", a typed local or
   // parameter, or a member of the current class); empty when unknown.

@@ -14,6 +14,7 @@ namespace {
 // whole tree (the scanner sees `std::" "mutex`, never `std::mutex`).
 
 const char kRawMutex[] = "raw-mutex";
+const char kRawAtomic[] = "raw-atomic";
 const char kStatusNodiscard[] = "status-not-nodiscard";
 const char kSleepInTest[] = "sleep-in-test";
 const char kNakedNew[] = "naked-new";
@@ -32,10 +33,6 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-bool IsSyncHeader(const std::string& path) {
-  return EndsWith(path, "src/common/sync.h") || path == "sync.h";
-}
-
 bool IsTestFile(const std::string& path) {
   return path.find("tests/") != std::string::npos;
 }
@@ -51,6 +48,10 @@ bool IsKernelFile(const std::string& path) {
 bool IsHeader(const std::string& path) { return EndsWith(path, ".h"); }
 
 }  // namespace
+
+bool IsSyncHeader(const std::string& path) {
+  return EndsWith(path, "src/common/sync.h") || path == "sync.h";
+}
 
 // Strips // and /* */ comments for matching, preserving column positions is
 // unnecessary — rules are line-granular. `in_block` carries /* state across
@@ -119,6 +120,14 @@ const std::regex& RawMutexRe() {
       "(std" "::" "(mutex|timed_mutex|recursive_mutex|shared_mutex|"
       "condition_variable(_any)?|lock_guard|unique_lock|scoped_lock|shared_lock)\\b)"
       "|(#\\s*include\\s*<(mutex|condition_variable|shared_mutex)>)");
+  return re;
+}
+
+const std::regex& RawAtomicRe() {
+  // std::atomic and its relatives (atomic_ref, atomic_thread_fence), any
+  // explicit memory order, and the <atomic> include.
+  static const std::regex re("(std" "::" "atomic)|(\\bmemory" "_order)|"
+                             "(#\\s*include\\s*<" "atomic>)");
   return re;
 }
 
@@ -281,6 +290,13 @@ void CheckLine(const std::string& path, int line_no, const std::string& raw,
                          "vlora::MutexLock / vlora::CondVar from src/common/sync.h so the "
                          "thread-safety annotations see the lock"});
   }
+  if (path.find("src/") != std::string::npos && !IsSyncHeader(path) &&
+      std::regex_search(code, RawAtomicRe()) && !Suppressed(raw, kRawAtomic)) {
+    findings->push_back({kRawAtomic, path, line_no,
+                         "raw standard-library atomic under src/; use vlora::RelaxedAtomic or "
+                         "vlora::PublishedAtomic from src/common/sync.h so the type fixes the "
+                         "memory order"});
+  }
   std::smatch m;
   if (std::regex_search(code, m, StatusClassRe()) &&
       code.find("nodiscard") == std::string::npos && !Suppressed(raw, kStatusNodiscard)) {
@@ -328,8 +344,8 @@ void CheckLine(const std::string& path, int line_no, const std::string& raw,
       !Suppressed(raw, kVolatileThreading)) {
     findings->push_back({kVolatileThreading, path, line_no,
                          std::string("vola") + "tile under src/: it does not order or "
-                         "publish anything between threads; use std::atomic with an "
-                         "explicit memory order, registered in tools/atomics.toml"});
+                         "publish anything between threads; use vlora::RelaxedAtomic or "
+                         "vlora::PublishedAtomic from src/common/sync.h"});
   }
 }
 
@@ -540,11 +556,11 @@ void CheckIncludeGuard(const std::string& path, const std::vector<std::string>& 
 }  // namespace
 
 std::vector<std::string> RuleNames() {
-  return {kRawMutex,      kStatusNodiscard,     kSleepInTest,
-          kNakedNew,      kThreadDetach,        kMissingGuard,
-          kMutexLockTemporary, kStatusSwitch,   kTraceSpan,
-          kRawSocketFd,   kRawSimd,             kGetenvOutsideInit,
-          kVolatileThreading};
+  return {kRawMutex,      kRawAtomic,           kStatusNodiscard,
+          kSleepInTest,   kNakedNew,            kThreadDetach,
+          kMissingGuard,  kMutexLockTemporary,  kStatusSwitch,
+          kTraceSpan,     kRawSocketFd,         kRawSimd,
+          kGetenvOutsideInit, kVolatileThreading};
 }
 
 std::vector<Finding> LintContent(const std::string& path, const std::string& content) {

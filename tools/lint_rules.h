@@ -8,6 +8,10 @@
 //   raw-mutex             std::mutex / std::condition_variable / std::lock_*
 //                         outside src/common/sync.h (use vlora::Mutex, which
 //                         carries the thread-safety annotations)
+//   raw-atomic            std::atomic*, memory_order or <atomic> under src/
+//                         outside src/common/sync.h (use vlora::RelaxedAtomic
+//                         or vlora::PublishedAtomic, whose type fixes the
+//                         memory order)
 //   status-not-nodiscard  class Status / class Result declared without
 //                         [[nodiscard]] (class-level nodiscard is what makes
 //                         every ignored Status return a compile error)
@@ -41,8 +45,8 @@
 //                         the single source of truth for semantics
 //   volatile-threading    the volatile keyword under src/ — volatile neither
 //                         orders nor publishes anything between threads; the
-//                         sanctioned idiom is std::atomic with an explicit
-//                         memory order, registered in tools/atomics.toml
+//                         sanctioned idiom is vlora::RelaxedAtomic or
+//                         vlora::PublishedAtomic (src/common/sync.h)
 //   getenv-outside-init   getenv under src/ in a function whose name does not
 //                         say init-time (Init* / *FromEnv / main) — the
 //                         environment is configuration, read once at startup
@@ -77,6 +81,11 @@ struct Finding {
 
 // Names of every rule, in report order.
 std::vector<std::string> RuleNames();
+
+// True for src/common/sync.h, the one file that may use the standard mutex,
+// condition-variable and atomic types (raw-mutex, raw-atomic, and the
+// lock-order pass, which reads the lock primitives' own definitions there).
+bool IsSyncHeader(const std::string& path);
 
 // Runs every applicable rule over one file's content. `path` decides
 // applicability (tests/ rules, header rules, the sync.h exemption); it is

@@ -18,10 +18,6 @@ namespace {
 const char kLockOrder[] = "lock-order";
 const char kUnranked[] = "lock-unranked";
 
-bool IsSyncHeader(const std::string& path) {
-  return PathEndsWith(path, "src/common/sync.h") || path == "sync.h";
-}
-
 bool IsUnderSrc(const std::string& path) {
   return path.rfind("src/", 0) == 0 || path.find("/src/") != std::string::npos;
 }

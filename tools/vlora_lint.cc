@@ -3,14 +3,12 @@
 // Usage: vlora_lint <file-or-dir>...
 //        vlora_lint --lock-order <file-or-dir>...
 //        vlora_lint --hot-path <hot_paths.toml> <file-or-dir>...
-//        vlora_lint --atomics <atomics.toml> <file-or-dir>...
 //
 // The first form runs the per-line rules (tools/lint_rules.h). The others
 // run the whole-tree file-graph passes built on tools/callgraph.h: the
 // lock-order pass (tools/lock_order.h) against the Rank enum in the scanned
-// src/common/sync.h, the hot-path purity pass (tools/hot_path.h) against
-// tools/hot_paths.toml, and the atomics-discipline pass (tools/atomics.h)
-// against tools/atomics.toml. Directories are walked recursively for .h/.cc/.cpp
+// src/common/sync.h, and the hot-path purity pass (tools/hot_path.h) against
+// tools/hot_paths.toml. Directories are walked recursively for .h/.cc/.cpp
 // sources; every finding prints as
 // "file:line: [rule] message" and a non-empty report exits 1, so the binary
 // slots straight into ctest / CI.
@@ -21,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "tools/atomics.h"
 #include "tools/hot_path.h"
 #include "tools/lint_rules.h"
 #include "tools/lock_order.h"
@@ -67,9 +64,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s <file-or-dir>...\n"
                  "       %s --lock-order <file-or-dir>...\n"
-                 "       %s --hot-path <hot_paths.toml> <file-or-dir>...\n"
-                 "       %s --atomics <atomics.toml> <file-or-dir>...\n",
-                 argv[0], argv[0], argv[0], argv[0]);
+                 "       %s --hot-path <hot_paths.toml> <file-or-dir>...\n",
+                 argv[0], argv[0], argv[0]);
     return 2;
   }
   const std::string mode = argv[1];
@@ -81,16 +77,12 @@ int main(int argc, char** argv) {
     const std::vector<std::string> roots(argv + 2, argv + argc);
     return ReportPass("lock-order", vlora::lint::CheckLockOrderOverTree(roots));
   }
-  if (mode == "--hot-path" || mode == "--atomics") {
+  if (mode == "--hot-path") {
     if (argc < 4) {
-      std::fprintf(stderr, "usage: %s %s <config.toml> <file-or-dir>...\n", argv[0],
-                   mode.c_str());
+      std::fprintf(stderr, "usage: %s --hot-path <hot_paths.toml> <file-or-dir>...\n", argv[0]);
       return 2;
     }
     const std::vector<std::string> roots(argv + 3, argv + argc);
-    if (mode == "--atomics") {
-      return ReportPass("atomics", vlora::lint::CheckAtomicsOverTree(argv[2], roots));
-    }
     return ReportPass("hot-path", vlora::lint::CheckHotPathsOverTree(argv[2], roots));
   }
   std::vector<std::string> files;
