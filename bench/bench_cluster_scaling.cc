@@ -60,8 +60,8 @@ void Run() {
                       AsciiTable::FormatDouble(trace_options.rate_rps, 0),
                       AsciiTable::FormatDouble(stats.throughput_rps, 1),
                       AsciiTable::FormatDouble(stats.throughput_rps / sustained_base, 2) + "x",
-                      AsciiTable::FormatDouble(stats.latency.P50Ms(), 1),
-                      AsciiTable::FormatDouble(stats.latency.P99Ms(), 1)});
+                      AsciiTable::FormatDouble(stats.latency.Percentile(50.0), 1),
+                      AsciiTable::FormatDouble(stats.latency.Percentile(99.0), 1)});
   }
   sustained.Print("Sustained throughput, offered load ∝ replicas (paced arrivals)");
 
@@ -87,8 +87,8 @@ void Run() {
     capacity.AddRow({std::to_string(replicas),
                      AsciiTable::FormatDouble(stats.throughput_rps, 1),
                      AsciiTable::FormatDouble(stats.throughput_rps / base, 2) + "x",
-                     AsciiTable::FormatDouble(stats.latency.P50Ms(), 1),
-                     AsciiTable::FormatDouble(stats.latency.P99Ms(), 1),
+                     AsciiTable::FormatDouble(stats.latency.Percentile(50.0), 1),
+                     AsciiTable::FormatDouble(stats.latency.Percentile(99.0), 1),
                      std::to_string(stats.adapter_swap_ins)});
   }
   capacity.Print("Saturated capacity (replica workers share this host's cores)");
@@ -133,7 +133,7 @@ void Run() {
         run.num_adapters = saturating.num_adapters;
         run.backend = backend;
         const ClusterStats stats = bench::RunClusterTrace(config, trace, run);
-        const double p50 = stats.latency.P50Ms();
+        const double p50 = stats.latency.Percentile(50.0);
         std::string overhead = "-";
         if (backend == ReplicaBackend::kThread) {
           thread_p50 = p50;
@@ -143,8 +143,8 @@ void Run() {
         backends.AddRow({std::to_string(replicas), ReplicaBackendName(backend),
                          AsciiTable::FormatDouble(stats.throughput_rps, 1),
                          AsciiTable::FormatDouble(p50, 2),
-                         AsciiTable::FormatDouble(stats.latency.PercentileMs(95.0), 2),
-                         AsciiTable::FormatDouble(stats.latency.P99Ms(), 2), overhead});
+                         AsciiTable::FormatDouble(stats.latency.Percentile(95.0), 2),
+                         AsciiTable::FormatDouble(stats.latency.Percentile(99.0), 2), overhead});
       }
     }
     backends.Print("Thread vs process backend (saturated trace; overhead = wire protocol IPC)");

@@ -10,9 +10,6 @@
 // On a shared 4-core AVX2 host the median reads 3.1-4.5% run to run. The
 // traced serve's ring holds every event it emits; a run that drops any
 // FAILS, since a wrapping ring overwrites events instead of recording them.
-// The always-on MetricsRegistry has no off switch, so its cost is estimated
-// instead: measured ns per relaxed counter RMW (Counter's RelaxedAtomic)
-// times the counter ops one serve performs, held to the same 5% budget.
 // scripts/verify.sh and CI run this as a gate.
 
 #include <algorithm>
@@ -60,23 +57,6 @@ double RunWorkloadMs(const ModelConfig& config, int num_requests) {
   return elapsed_ms;
 }
 
-// Direct cost of one Counter::Increment (a single explicitly relaxed
-// fetch_add), min of a few tight loops.
-double CounterNsPerOp() {
-  Counter* const scratch = MetricsRegistry::Global().counter("bench.trace.scratch");
-  constexpr int64_t kOps = 2000000;
-  double best_ns = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    Stopwatch timer;
-    for (int64_t i = 0; i < kOps; ++i) {
-      scratch->Increment();
-    }
-    const double ns = timer.ElapsedMillis() * 1e6 / static_cast<double>(kOps);
-    best_ns = rep == 0 ? ns : std::min(best_ns, ns);
-  }
-  return best_ns;
-}
-
 int Run() {
   bench::PrintHeader("Trace overhead guard — tracing on vs off",
                      "not covered; engineering budget: <= 5% overhead with tracing enabled");
@@ -118,21 +98,6 @@ int Run() {
     overhead_pct.Add(100.0 * (on - off) / off);
   }
 
-  // Always-on metrics: count the counter increments one serve performs (the
-  // snapshot delta) and price them at the measured per-op cost of a relaxed
-  // fetch_add.
-  const MetricsRegistry::Snapshot before = MetricsRegistry::Global().Snap();
-  (void)RunWorkloadMs(config, kRequests);
-  const MetricsRegistry::Snapshot after = MetricsRegistry::Global().Snap();
-  int64_t metric_ops = 0;
-  for (const auto& [name, value] : after.counters) {
-    const auto it = before.counters.find(name);
-    metric_ops += value - (it == before.counters.end() ? 0 : it->second);
-  }
-  const double ns_per_op = CounterNsPerOp();
-  const double metrics_ms = static_cast<double>(metric_ops) * ns_per_op / 1e6;
-  const double metrics_pct = 100.0 * metrics_ms / off_ms.Median();
-
   const double overhead = overhead_pct.Median();
   AsciiTable table({"config", "median ms", "overhead"});
   table.AddRow({"tracing off", AsciiTable::FormatDouble(off_ms.Median(), 3), "-"});
@@ -140,13 +105,9 @@ int Run() {
                 AsciiTable::FormatDouble(overhead, 2) + "% (pairs p25 " +
                     AsciiTable::FormatDouble(overhead_pct.Percentile(25.0), 2) + "%, p75 " +
                     AsciiTable::FormatDouble(overhead_pct.Percentile(75.0), 2) + "%)"});
-  table.AddRow({"always-on metrics (est.)", AsciiTable::FormatDouble(metrics_ms, 3),
-                AsciiTable::FormatDouble(metrics_pct, 2) + "%"});
   table.Print("Median of " + std::to_string(kPairs) +
               " back-to-back off/on pairs (alternating order), " + std::to_string(kRequests) +
-              " requests per serve; overhead = median per-pair (on - off) / off; metrics row = " +
-              std::to_string(metric_ops) + " counter ops x " +
-              AsciiTable::FormatDouble(ns_per_op, 1) + " ns/op");
+              " requests per serve; overhead = median per-pair (on - off) / off");
   std::printf("traced serve: %lld events kept, %lld dropped (ring of %lld)\n",
               static_cast<long long>(events), static_cast<long long>(dropped),
               static_cast<long long>(kRingCapacity));
@@ -164,13 +125,8 @@ int Run() {
                 kBudgetPct);
     return 1;
   }
-  if (metrics_pct > kBudgetPct) {
-    std::printf("FAIL: always-on metrics cost %.2f%% exceeds the %.1f%% budget\n", metrics_pct,
-                kBudgetPct);
-    return 1;
-  }
-  std::printf("OK: tracing-on overhead %.2f%% and metrics cost %.2f%% within the %.1f%% budget\n",
-              overhead, metrics_pct, kBudgetPct);
+  std::printf("OK: tracing-on overhead %.2f%% within the %.1f%% budget\n", overhead,
+              kBudgetPct);
   return 0;
 }
 

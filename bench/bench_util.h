@@ -62,9 +62,8 @@ inline double PercentReduction(double ours, double baseline) {
 }
 
 // Prints the observability artifacts of a traced run: the per-request span
-// table (slowest first), a chrome://tracing-loadable JSON file, and the
-// process-wide metrics snapshot. Call after the traced cluster/server has
-// shut down so the collected stream is complete.
+// table (slowest first) and a chrome://tracing-loadable JSON file. Call after
+// the traced cluster/server has shut down so the collected stream is complete.
 inline void PrintTraceArtifacts(const std::vector<trace::TraceEvent>& events,
                                 const std::string& json_path, int64_t dropped_events = 0,
                                 size_t max_rows = 12) {
@@ -85,12 +84,6 @@ inline void PrintTraceArtifacts(const std::vector<trace::TraceEvent>& events,
   } else {
     std::printf("trace: failed to write %s\n", json_path.c_str());
   }
-  const MetricsRegistry::Snapshot snapshot = MetricsRegistry::Global().Snap();
-  AsciiTable metrics({"metric", "value"});
-  for (const auto& [name, value] : snapshot.counters) {
-    metrics.AddRow({name, std::to_string(value)});
-  }
-  metrics.Print("Metrics registry snapshot");
 }
 
 }  // namespace bench

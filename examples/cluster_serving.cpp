@@ -65,8 +65,8 @@ int main() {
               trace.size());
   std::printf("Completed %zu requests in %.0f ms (%.1f rps aggregate)\n", results.size(),
               stats.wall_ms, stats.throughput_rps);
-  std::printf("Latency p50/p95/p99: %.1f / %.1f / %.1f ms\n", stats.latency.P50Ms(),
-              stats.latency.P95Ms(), stats.latency.P99Ms());
+  std::printf("Latency p50/p95/p99: %.1f / %.1f / %.1f ms\n", stats.latency.Percentile(50.0),
+              stats.latency.Percentile(95.0), stats.latency.Percentile(99.0));
   std::printf("Affinity hits %ld, spills %ld, swap-ins %ld, evictions %ld\n",
               static_cast<long>(stats.affinity_hits), static_cast<long>(stats.affinity_spills),
               static_cast<long>(stats.adapter_swap_ins),
@@ -74,12 +74,12 @@ int main() {
   for (const ReplicaSnapshot& replica : stats.replicas) {
     std::printf(
         "  replica %d: %ld done, peak depth %ld, %ld iterations "
-        "(%ld merged / %ld unmerged / %ld mixture), p95 %.1f ms\n",
+        "(%ld merged / %ld unmerged / %ld mixture)\n",
         replica.index, static_cast<long>(replica.completed),
         static_cast<long>(replica.peak_depth), static_cast<long>(replica.server.iterations),
         static_cast<long>(replica.server.merged_iterations),
         static_cast<long>(replica.server.unmerged_iterations),
-        static_cast<long>(replica.server.mixture_iterations), replica.latency.P95Ms());
+        static_cast<long>(replica.server.mixture_iterations));
   }
   return 0;
 }

@@ -160,22 +160,21 @@ bool ClusterServer::Submit(EngineRequest request) {
         }
       }
       if (min_depth >= threshold) {  // also covers "no live prefill replica"
-        ++rejected_;
+        ++stats_.rejected;
         return false;
       }
     }
     Pending pending;
     pending.request = request;
+    pending.submit_ms = clock_.ElapsedMillis();
     pending.deadline_ms = options_.recovery.request_deadline_ms > 0.0
-                              ? clock_.ElapsedMillis() + options_.recovery.request_deadline_ms
+                              ? pending.submit_ms + options_.recovery.request_deadline_ms
                               : std::numeric_limits<double>::infinity();
     const bool inserted =
         pending_.emplace(id, std::move(pending)).second;  // vlora-lint: allow(hot-path-alloc) recovery map bounded by in-flight budget; arena planned with ROADMAP item 5
     VLORA_CHECK(inserted);  // recovery tracking needs unique request ids
   }
   trace::EmitRequestAdmitted(id, request.adapter_id);
-  static Counter* const submitted = MetricsRegistry::Global().counter("cluster.submitted");
-  submitted->Increment();
   if (options_.disagg.enabled) {
     request.prefill_only = true;  // stage 1 of the two-stage lifecycle
   }
@@ -199,7 +198,7 @@ bool ClusterServer::Submit(EngineRequest request) {
         drained = pending_.empty();
       }
     }
-    ++rejected_;
+    ++stats_.rejected;
   }
   if (drained) {
     drained_cv_.NotifyAll();
@@ -243,10 +242,10 @@ ClusterServer::RouteOutcome ClusterServer::RouteAndEnqueue(EngineRequest request
         spilled = decision.spilled;
         if (first_dispatch && round == 0) {
           if (decision.affinity_hit) {
-            ++affinity_hits_;
+            ++stats_.affinity_hits;
           }
           if (decision.spilled) {
-            ++affinity_spills_;
+            ++stats_.affinity_spills;
           }
         }
       } else {
@@ -355,9 +354,7 @@ void ClusterServer::SupervisorLoop() {
         if (pending.state == PendingState::kWaitingRetry && now >= pending.retry_due_ms) {
           pending.state = PendingState::kEnqueued;
           ++pending.attempts;
-          ++retries_;
-          static Counter* const retries = MetricsRegistry::Global().counter("cluster.retries");
-          retries->Increment();
+          ++stats_.retries;
           trace::EmitRetry(entry.first, pending.request.adapter_id, pending.attempts);
           to_dispatch.push_back(BuildDispatchRequestLocked(pending));
         }
@@ -410,7 +407,7 @@ void ClusterServer::HealthCheck(double now_ms) {
           // routing to it and give its orphaned adapters new homes.
           health.death_handled = true;
           health.quarantined = false;
-          ++replica_deaths_;
+          ++stats_.replica_deaths;
           health_event = true;
           pool.router->SetReplicaAlive(slot.local, false);
           pool.placement.Rebalance(slot.local);
@@ -420,11 +417,8 @@ void ClusterServer::HealthCheck(double now_ms) {
             now_ms - health.last_change_ms > options_.recovery.stall_quarantine_ms) {
           health.quarantined = true;
           health.heartbeat_at_quarantine = heartbeat;
-          ++quarantines_;
+          ++stats_.quarantines;
           health_event = true;
-          static Counter* const quarantines =
-              MetricsRegistry::Global().counter("cluster.quarantines");
-          quarantines->Increment();
           trace::EmitQuarantine(r);
           pool.router->SetReplicaAlive(slot.local, false);
           steal = true;
@@ -433,7 +427,7 @@ void ClusterServer::HealthCheck(double now_ms) {
         // The worker moved again: readmit. Whatever it still holds in-engine
         // it will finish itself; new traffic may route to it immediately.
         health.quarantined = false;
-        ++readmissions_;
+        ++stats_.readmissions;
         health_event = true;
         trace::EmitReadmit(r);
         pool.router->SetReplicaAlive(slot.local, true);
@@ -460,19 +454,18 @@ void ClusterServer::OnReplicaComplete(int replica, int64_t request_id) {
   std::function<void(int64_t, double)> observer;
   {
     MutexLock lock(&mutex_);
+    now = clock_.ElapsedMillis();
     auto it = pending_.find(request_id);
     if (it != pending_.end()) {
+      stats_.latency.Add(now - it->second.submit_ms);
       if (it->second.handle != nullptr) {
-        ++handles_released_;  // decode finished; the KV pages die with the entry
+        ++stats_.handles_released;  // decode finished; the KV pages die with the entry
       }
       pending_.erase(it);
     }
     drained = pending_.empty();
-    now = clock_.ElapsedMillis();
     observer = completion_observer_;
   }
-  static Counter* const completed = MetricsRegistry::Global().counter("cluster.completed");
-  completed->Increment();
   if (observer) {
     observer(request_id, now);
   }
@@ -542,7 +535,7 @@ void ClusterServer::OnReplicaHandoff(int replica, EngineResult result) {
     }
     trace::EmitKvHandoff(result.request_id, pending.request.adapter_id, replica,
                          static_cast<int64_t>(handle->pages.size()), handle->TotalFloats());
-    ++handoffs_;
+    ++stats_.handoffs;
     pending.handle = std::move(handle);
     pending.state = PendingState::kEnqueued;
     to_dispatch = BuildDispatchRequestLocked(pending);
@@ -559,16 +552,16 @@ bool ClusterServer::FinalizeFailureLocked(std::unordered_map<int64_t, Pending>::
   // finishing replica's worker, so the two never double-report.
   trace::EmitCompleted(it->first, it->second.request.adapter_id, /*replica=*/-1, status.code());
   if (it->second.handle != nullptr) {
-    ++handles_released_;  // give up the KV pages along with the request
+    ++stats_.handles_released;  // give up the KV pages along with the request
   }
   failures_.push_back(FailedRequest{it->first, status, it->second.attempts});
   if (status.code() == StatusCode::kCancelled) {
-    ++cancelled_;
+    ++stats_.cancelled;
   } else {
-    ++failed_;
+    ++stats_.failed;
   }
   if (deadline) {
-    ++deadline_failures_;
+    ++stats_.deadline_failures;
   }
   pending_.erase(it);
   return pending_.empty();
@@ -591,7 +584,7 @@ std::vector<EngineResult> ClusterServer::Drain() {
   }
   {
     MutexLock lock(&mutex_);
-    wall_ms_ = wall_.ElapsedMillis();
+    stats_.wall_ms = wall_.ElapsedMillis();
   }
   for (auto& replica : replicas_) {
     std::vector<EngineResult> part = replica->TakeResults();
@@ -620,7 +613,7 @@ bool ClusterServer::WaitForHealthCounts(int64_t readmissions, int64_t deaths,
                                         double timeout_ms) {
   const double deadline_ms = clock_.ElapsedMillis() + timeout_ms;
   MutexLock lock(&mutex_);
-  while (readmissions_ < readmissions || replica_deaths_ < deaths) {
+  while (stats_.readmissions < readmissions || stats_.replica_deaths < deaths) {
     const double remaining_ms = deadline_ms - clock_.ElapsedMillis();
     if (remaining_ms <= 0.0) {
       return false;
@@ -669,35 +662,31 @@ void ClusterServer::Shutdown() {
 }
 
 ClusterStats ClusterServer::Stats() {
-  ClusterStats stats;
+  // Replicas first, then the cluster block: a quarantine is counted before
+  // its steal, so `rerouted` never runs ahead of `quarantines`.
+  std::vector<ReplicaSnapshot> replicas;
   for (auto& replica : replicas_) {
-    ReplicaSnapshot snapshot = replica->Snapshot();
+    replicas.push_back(replica->Snapshot());
+  }
+  ClusterStats stats;
+  {
+    MutexLock lock(&mutex_);
+    stats = stats_;
+    if (stats.wall_ms == 0.0 && wall_started_) {
+      stats.wall_ms = wall_.ElapsedMillis();  // not drained yet: the wall clock so far
+    }
+  }
+  for (const ReplicaSnapshot& snapshot : replicas) {
     stats.submitted += snapshot.submitted;
     stats.completed += snapshot.completed;
     stats.adapter_swap_ins += snapshot.server.adapter_swap_ins;
     stats.adapter_evictions += snapshot.server.adapter_evictions;
     stats.visible_swap_ms += snapshot.server.visible_swap_ms;
     stats.rerouted += snapshot.stolen;  // only the health checker steals
-    stats.latency.Merge(snapshot.latency);
-    stats.replicas.push_back(std::move(snapshot));
   }
-  MutexLock lock(&mutex_);
-  stats.rejected = rejected_;
-  stats.affinity_hits = affinity_hits_;
-  stats.affinity_spills = affinity_spills_;
-  stats.retries = retries_;
-  stats.failed = failed_;
-  stats.cancelled = cancelled_;
-  stats.deadline_failures = deadline_failures_;
-  stats.replica_deaths = replica_deaths_;
-  stats.quarantines = quarantines_;
-  stats.readmissions = readmissions_;
-  stats.handoffs = handoffs_;
-  stats.handles_released = handles_released_;
-  const double wall_ms = wall_ms_ > 0.0 ? wall_ms_ : (wall_started_ ? wall_.ElapsedMillis() : 0.0);
-  stats.wall_ms = wall_ms;
-  if (wall_ms > 0.0) {
-    stats.throughput_rps = static_cast<double>(stats.completed) / (wall_ms / 1e3);
+  stats.replicas = std::move(replicas);
+  if (stats.wall_ms > 0.0) {
+    stats.throughput_rps = static_cast<double>(stats.completed) / (stats.wall_ms / 1e3);
   }
   return stats;
 }

@@ -36,6 +36,7 @@
 #include "src/cluster/replica.h"
 #include "src/cluster/router.h"
 #include "src/common/fault.h"
+#include "src/common/stats.h"
 #include "src/common/sync.h"
 #include "src/workload/request.h"
 
@@ -107,6 +108,10 @@ struct FailedRequest {
   int attempts = 0;
 };
 
+// The cluster's counters. ClusterServer counts its own fields into one of
+// these under its mutex; Stats() copies it, then adds the per-replica parts
+// (`replicas`, `submitted`, `completed`, the swap sums, `rerouted`) and the
+// wall clock.
 struct ClusterStats {
   std::vector<ReplicaSnapshot> replicas;
   int64_t submitted = 0;
@@ -119,7 +124,7 @@ struct ClusterStats {
   double visible_swap_ms = 0.0;     // summed over replicas
   double wall_ms = 0.0;             // first Submit -> last Drain
   double throughput_rps = 0.0;      // completed / wall
-  LatencyRecorder latency;          // wall-clock submit -> completion, merged
+  SampleStats latency;              // submit -> completion, one sample per completed request
   // Recovery counters (cluster-level; per-replica views in `replicas`).
   int64_t retries = 0;            // failed requests re-dispatched
   int64_t rerouted = 0;           // queued requests stolen off a quarantined replica
@@ -224,6 +229,7 @@ class ClusterServer {
     // same handle; released (counted) when the pending entry dies.
     std::shared_ptr<KvHandle> handle;
     int attempts = 1;
+    double submit_ms = 0.0;     // cluster clock at Submit: the latency origin
     double deadline_ms = 0.0;   // cluster clock; +inf when disabled
     double retry_due_ms = 0.0;  // kWaitingRetry only
   };
@@ -312,7 +318,6 @@ class ClusterServer {
   bool shut_down_ VLORA_GUARDED_BY(mutex_) = false;
   Stopwatch wall_ VLORA_GUARDED_BY(mutex_);
   bool wall_started_ VLORA_GUARDED_BY(mutex_) = false;
-  double wall_ms_ VLORA_GUARDED_BY(mutex_) = 0.0;
   bool supervisor_stop_ VLORA_GUARDED_BY(mutex_) = false;
   // One pool in unified mode, two in disaggregated mode. Sized once in the
   // ctor, before any router takes the address of its pool's placement;
@@ -322,18 +327,9 @@ class ClusterServer {
   std::vector<HealthState> health_ VLORA_GUARDED_BY(mutex_);
   std::vector<FailedRequest> failures_ VLORA_GUARDED_BY(mutex_);
   std::function<void(int64_t, double)> completion_observer_ VLORA_GUARDED_BY(mutex_);
-  int64_t affinity_hits_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t affinity_spills_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t rejected_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t retries_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t failed_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t cancelled_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t deadline_failures_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t replica_deaths_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t quarantines_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t readmissions_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t handoffs_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t handles_released_ VLORA_GUARDED_BY(mutex_) = 0;
+  // The cluster-level counters, the latency samples and, once Drain
+  // returned, the wall clock; the per-replica sums stay zero here.
+  ClusterStats stats_ VLORA_GUARDED_BY(mutex_);
 };
 
 // Maps a synthetic workload request onto the mini engine: a deterministic

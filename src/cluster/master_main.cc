@@ -109,21 +109,23 @@ int MasterMain(int argc, char** argv) {
   cluster.Shutdown();
 
   const ClusterStats stats = cluster.Stats();
-  std::printf("backend=%s replicas=%d requests=%d completed=%zu wall_ms=%.1f rps=%.1f\n",
+  std::printf("backend=%s replicas=%d requests=%d completed=%zu wall_ms=%.1f rps=%.1f "
+              "p50_ms=%.2f p99_ms=%.2f\n",
               ReplicaBackendName(backend), replicas, requests, results.size(), stats.wall_ms,
-              stats.throughput_rps);
+              stats.throughput_rps, stats.latency.Percentile(50.0),
+              stats.latency.Percentile(99.0));
   if (prefill > 0) {
     std::printf("disaggregated: %d prefill / %d decode, handoffs=%lld (handles released=%lld)\n",
                 prefill, replicas - prefill, static_cast<long long>(stats.handoffs),
                 static_cast<long long>(stats.handles_released));
   }
-  std::printf("%-8s %-8s %-10s %-10s %-8s %-10s\n", "replica", "backend", "submitted",
-              "completed", "failed", "p50_ms");
+  std::printf("%-8s %-8s %-10s %-10s %-8s\n", "replica", "backend", "submitted", "completed",
+              "failed");
   for (const ReplicaSnapshot& snapshot : stats.replicas) {
-    std::printf("%-8d %-8s %-10lld %-10lld %-8lld %-10.2f\n", snapshot.index, snapshot.backend,
+    std::printf("%-8d %-8s %-10lld %-10lld %-8lld\n", snapshot.index, snapshot.backend,
                 static_cast<long long>(snapshot.submitted),
                 static_cast<long long>(snapshot.completed),
-                static_cast<long long>(snapshot.failed), snapshot.latency.P50Ms());
+                static_cast<long long>(snapshot.failed));
   }
   return 0;
 }

@@ -14,9 +14,10 @@ Replica::Replica(int index, ReplicaBackend backend, const ReplicaOptions& option
     : index_(index),
       queue_capacity_(options.queue_capacity),
       fault_(options.fault),
-      backend_(ReplicaBackendName(backend)),
       admission_(options.admission) {
   VLORA_CHECK(queue_capacity_ >= 1);
+  stats_.index = index;
+  stats_.backend = ReplicaBackendName(backend);
 }
 
 void Replica::CheckSetupPhase() {
@@ -61,7 +62,7 @@ EnqueueResult Replica::Enqueue(EngineRequest request, bool never_block) {
     if (admission_ == AdmissionPolicy::kReject || never_block) {
       if (DepthLocked() >= queue_capacity_) {
         if (admission_ == AdmissionPolicy::kReject) {
-          ++rejected_;
+          ++stats_.rejected;
         }
         return EnqueueResult::kFull;
       }
@@ -73,11 +74,10 @@ EnqueueResult Replica::Enqueue(EngineRequest request, bool never_block) {
         return EnqueueResult::kRefused;
       }
     }
-    ingress_.push_back(  // vlora-lint: allow(hot-path-alloc) deque growth bounded by queue_capacity_; reaches steady state
-        Ingress{std::move(request), clock_.ElapsedMillis()});
-    ++submitted_;
+    ingress_.push_back(std::move(request));  // vlora-lint: allow(hot-path-alloc) deque growth bounded by queue_capacity_; reaches steady state
+    ++stats_.submitted;
     const int64_t new_depth = DepthLocked();
-    peak_depth_ = std::max(peak_depth_, new_depth);
+    stats_.peak_depth = std::max(stats_.peak_depth, new_depth);
     depth_.Store(new_depth);
   }
   // Both enqueue events fire before the service side can see this request,
@@ -94,40 +94,34 @@ EnqueueResult Replica::Enqueue(EngineRequest request, bool never_block) {
 
 void Replica::TakeIngressLocked(int64_t max_in_service, std::vector<EngineRequest>* out) {
   while (!ingress_.empty() && static_cast<int64_t>(in_service_.size()) < max_in_service) {
-    Ingress& item = ingress_.front();
-    in_service_.emplace(item.request.id, item.enqueue_ms);  // vlora-lint: allow(hot-path-alloc) one node per outstanding request; bounded by queue_capacity_
-    out->push_back(std::move(item.request));  // vlora-lint: allow(hot-path-alloc) amortized: caller's scratch capacity is hoisted out of its loop
+    in_service_.insert(ingress_.front().id);  // vlora-lint: allow(hot-path-alloc) one node per outstanding request; bounded by queue_capacity_
+    out->push_back(std::move(ingress_.front()));  // vlora-lint: allow(hot-path-alloc) amortized: caller's scratch capacity is hoisted out of its loop
     ingress_.pop_front();
   }
   depth_.Store(DepthLocked());
 }
 
 int64_t Replica::Complete(std::span<EngineResult> results, const ServerStats* server_stats) {
-  static Counter* const completions = MetricsRegistry::Global().counter("replica.completions");
-  const double now_ms = clock_.ElapsedMillis();
   completed_ids_.clear();
   int64_t served = 0;
   {
     MutexLock lock(&mutex_);
     for (EngineResult& result : results) {
-      auto it = in_service_.find(result.request_id);
-      if (it == in_service_.end()) {
+      if (in_service_.erase(result.request_id) == 0) {
         result.handle.reset();  // late duplicate after a fail-over; the retry owns it now
         continue;
       }
-      latency_.Record(now_ms - it->second);  // a handoff records its prefill-stage latency
-      in_service_.erase(it);
       if (result.handle != nullptr && on_handoff_) {
-        ++handoffs_;  // the request's life continues on a decode replica
+        ++stats_.handoffs;  // the request's life continues on a decode replica
       } else {
-        ++completed_;
+        ++stats_.completed;
         completed_ids_.push_back(result.request_id);  // vlora-lint: allow(hot-path-alloc) amortized: service-thread scratch keeps its capacity across calls
         results_.push_back(std::move(result));  // vlora-lint: allow(hot-path-alloc) completion accumulator drained by TakeResults; bounded by in-flight budget
       }
     }
-    served = completed_ + handoffs_;
+    served = stats_.completed + stats_.handoffs;
     if (server_stats != nullptr) {
-      server_stats_ = *server_stats;
+      stats_.server = *server_stats;
     }
     depth_.Store(DepthLocked());
     if (DepthLocked() == 0) {
@@ -138,7 +132,6 @@ int64_t Replica::Complete(std::span<EngineResult> results, const ServerStats* se
     space_cv_.NotifyAll();
   }
   if (!completed_ids_.empty()) {
-    completions->Add(static_cast<int64_t>(completed_ids_.size()));
     for (int64_t id : completed_ids_) {
       trace::EmitCompleted(id, /*adapter=*/-1, index_, StatusCode::kOk);
     }
@@ -164,7 +157,7 @@ void Replica::FailInService(int64_t request_id, const Status& status) {
     if (in_service_.erase(request_id) == 0) {
       return;  // already failed over
     }
-    ++failed_;
+    ++stats_.failed;
     depth_.Store(DepthLocked());
     if (DepthLocked() == 0) {
       drained_cv_.NotifyAll();
@@ -190,16 +183,13 @@ void Replica::FailOver(const char* reason) {
       // A clean shutdown is not a death: dead() stays false.
       dead_.Publish(true);
     }
-    for (Ingress& item : ingress_) {
-      ids.push_back(item.request.id);
+    for (const EngineRequest& request : ingress_) {
+      ids.push_back(request.id);
     }
     ingress_.clear();
-    for (const auto& [id, enqueue_ms] : in_service_) {
-      (void)enqueue_ms;
-      ids.push_back(id);
-    }
+    ids.insert(ids.end(), in_service_.begin(), in_service_.end());
     in_service_.clear();
-    (stopping ? cancelled_ : failed_) += static_cast<int64_t>(ids.size());
+    (stopping ? stats_.cancelled : stats_.failed) += static_cast<int64_t>(ids.size());
     depth_.Store(0);
   }
   space_cv_.NotifyAll();
@@ -224,11 +214,11 @@ std::vector<EngineRequest> Replica::StealIngress() {
   bool convict = false;
   {
     MutexLock lock(&mutex_);
-    for (Ingress& item : ingress_) {
-      stolen.push_back(std::move(item.request));
+    for (EngineRequest& request : ingress_) {
+      stolen.push_back(std::move(request));
     }
     ingress_.clear();
-    stolen_ += static_cast<int64_t>(stolen.size());
+    stats_.stolen += static_cast<int64_t>(stolen.size());
     depth_.Store(DepthLocked());
     if (DepthLocked() == 0) {
       drained_cv_.NotifyAll();
@@ -261,11 +251,11 @@ void Replica::RequestStop() {
       return;  // idempotent: the destructor calls it again after Shutdown
     }
     stop_requested_ = true;
-    for (Ingress& item : ingress_) {
-      ids.push_back(item.request.id);
+    for (const EngineRequest& request : ingress_) {
+      ids.push_back(request.id);
     }
     ingress_.clear();
-    cancelled_ += static_cast<int64_t>(ids.size());
+    stats_.cancelled += static_cast<int64_t>(ids.size());
     depth_.Store(DepthLocked());
   }
   space_cv_.NotifyAll();
@@ -285,22 +275,9 @@ std::vector<EngineResult> Replica::TakeResults() {
 }
 
 ReplicaSnapshot Replica::Snapshot() {
-  ReplicaSnapshot snapshot;
-  snapshot.index = index_;
-  snapshot.backend = backend_;
   MutexLock lock(&mutex_);
+  ReplicaSnapshot snapshot = stats_;
   snapshot.dead = dead();
-  snapshot.submitted = submitted_;
-  snapshot.completed = completed_;
-  snapshot.rejected = rejected_;
-  snapshot.cancelled = cancelled_;
-  snapshot.failed = failed_;
-  snapshot.stolen = stolen_;
-  snapshot.stalls = stalls_;
-  snapshot.handoffs = handoffs_;
-  snapshot.peak_depth = peak_depth_;
-  snapshot.latency = latency_;
-  snapshot.server = server_stats_;
   return snapshot;
 }
 
@@ -353,7 +330,7 @@ void ThreadReplica::WorkerLoop() {
       if (fault.stall_ms > 0.0) {
         {
           MutexLock lock(&mutex_);
-          ++stalls_;
+          ++stats_.stalls;
         }
         std::this_thread::sleep_for(  // vlora-lint: allow(hot-path-blocking) test-only injected stall; fault_ is null in production
             std::chrono::duration<double, std::milli>(fault.stall_ms));

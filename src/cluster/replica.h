@@ -2,11 +2,10 @@
 //
 // `Replica` is the surface the ClusterServer drives, and it implements the
 // whole front end once: admission (kBlock/kReject, `never_block`), the
-// ingress queue, the in-service table (request id -> enqueue time), the
-// Depth/dead/HeartbeatMs health signals, the counters, latency recorder and
-// results buffer, StealIngress, WaitDrained, TakeResults, Snapshot, one
-// completion path and one fail-over path. A backend only decides how a
-// dequeued request runs:
+// ingress queue, the in-service set, the Depth/dead/HeartbeatMs health
+// signals, the counters and results buffer, StealIngress, WaitDrained,
+// TakeResults, Snapshot, one completion path and one fail-over path. A
+// backend only decides how a dequeued request runs:
 //
 //   ThreadReplica   (here)      a VloraServer stepped by a worker loop in
 //                               this process — the default and the test
@@ -47,12 +46,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <set>
 #include <span>
 #include <vector>
 
 #include "src/common/fault.h"
-#include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/stopwatch.h"
 #include "src/common/sync.h"
@@ -96,6 +94,8 @@ struct ReplicaOptions {
   FaultInjector* fault = nullptr;  // not owned; consulted by the service side
 };
 
+// A replica's counters. The replica counts into one of these under its
+// mutex, and Snapshot returns a copy of it.
 struct ReplicaSnapshot {
   int index = 0;
   const char* backend = "thread";
@@ -109,8 +109,7 @@ struct ReplicaSnapshot {
   int64_t stalls = 0;     // injected worker stalls served
   int64_t handoffs = 0;   // prefill-only results diverted to the handoff handler
   int64_t peak_depth = 0;
-  ServerStats server;        // Alg-1 iteration and swap counters (thread backend only)
-  LatencyRecorder latency;   // wall-clock enqueue -> completion
+  ServerStats server;  // Alg-1 iteration and swap counters (thread backend only)
 };
 
 // A replica driven by the ClusterServer. All public methods are called from
@@ -202,19 +201,19 @@ class Replica {
   void CheckSetupPhase() VLORA_EXCLUDES(mutex_);
   void BeginServing() VLORA_EXCLUDES(mutex_);
 
-  // Service side. Moves queued requests into the in-service table, oldest
+  // Service side. Moves queued requests into the in-service set, oldest
   // first, until `max_in_service` are in service; appends them to `out`.
   void TakeIngressLocked(int64_t max_in_service, std::vector<EngineRequest>* out)
       VLORA_REQUIRES(mutex_);
-  // The completion path: takes each result's request out of service and
-  // records its latency. A handle-carrying result goes to the handoff
-  // handler when one is set (a KV handoff is not a completion); every other
-  // result is a terminal completion, buffered for TakeResults. Results whose
-  // request is no longer in service (a late duplicate after a fail-over) are
-  // dropped. `server_stats` (an in-process engine's counters, else null)
-  // becomes Snapshot's copy in the same critical section, so it is final by
-  // the time WaitDrained returns. Returns completions + handoffs so far, the
-  // fault scripts' key.
+  // The completion path: takes each result's request out of service. A
+  // handle-carrying result goes to the handoff handler when one is set (a
+  // KV handoff is not a completion); every other result is a terminal
+  // completion, buffered for TakeResults. Results whose request is no longer
+  // in service (a late duplicate after a fail-over) are dropped.
+  // `server_stats` (an in-process engine's counters, else null) becomes
+  // Snapshot's copy in the same critical section, so it is final by the time
+  // WaitDrained returns. Returns completions + handoffs so far, the fault
+  // scripts' key.
   int64_t Complete(std::span<EngineResult> results, const ServerStats* server_stats = nullptr)
       VLORA_EXCLUDES(mutex_);
   // Takes one in-service request out as failed and reports it.
@@ -243,18 +242,14 @@ class Replica {
   // but the replica is not yet convicted: Enqueue refuses, and the next
   // StealIngress convicts.
   bool lost_ VLORA_GUARDED_BY(mutex_) = false;
-  int64_t stalls_ VLORA_GUARDED_BY(mutex_) = 0;
+  // Every counter; `server` as of the last Complete. `dead` is read from
+  // dead_ at Snapshot time.
+  ReplicaSnapshot stats_ VLORA_GUARDED_BY(mutex_);
 
  private:
-  struct Ingress {
-    EngineRequest request;
-    double enqueue_ms;
-  };
-
   // Reports `ids` through the failure handler in ascending order.
   void ReportFailures(std::vector<int64_t> ids, const Status& status);
 
-  const char* const backend_;
   const AdmissionPolicy admission_;
   Stopwatch clock_;
   CompletionHandler on_complete_;
@@ -265,20 +260,9 @@ class Replica {
   std::vector<int64_t> completed_ids_;
 
   CondVar drained_cv_;  // wakes WaitDrained
-  std::deque<Ingress> ingress_ VLORA_GUARDED_BY(mutex_);
-  // Requests the service side runs: id -> enqueue time (latency origin).
-  std::map<int64_t, double> in_service_ VLORA_GUARDED_BY(mutex_);
-  int64_t submitted_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t completed_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t rejected_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t cancelled_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t failed_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t stolen_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t handoffs_ VLORA_GUARDED_BY(mutex_) = 0;
-  int64_t peak_depth_ VLORA_GUARDED_BY(mutex_) = 0;
+  std::deque<EngineRequest> ingress_ VLORA_GUARDED_BY(mutex_);
+  std::set<int64_t> in_service_ VLORA_GUARDED_BY(mutex_);  // ids the service side runs
   std::vector<EngineResult> results_ VLORA_GUARDED_BY(mutex_);
-  LatencyRecorder latency_ VLORA_GUARDED_BY(mutex_);
-  ServerStats server_stats_ VLORA_GUARDED_BY(mutex_);  // as of the last Complete
 
   // depth_ and heartbeat_ms_ are monitoring reads with nothing ordered
   // through them; FailOver publishes dead_ after the final counters.

@@ -11,8 +11,6 @@ void SampleStats::Add(double value) {
   samples_.push_back(value);  // vlora-lint: allow(hot-path-alloc) exact-percentile reservoir is unbounded by design
 }
 
-void SampleStats::Clear() { samples_.clear(); }
-
 double SampleStats::Sum() const {
   double sum = 0.0;
   for (double s : samples_) {
@@ -65,12 +63,6 @@ double SampleStats::Percentile(double p) const {
   const size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-void LatencyRecorder::Merge(const LatencyRecorder& other) {
-  for (double s : other.samples_.samples()) {
-    samples_.Add(s);
-  }
 }
 
 }  // namespace vlora

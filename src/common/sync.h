@@ -113,7 +113,7 @@ class PublishedAtomic {
 // slot in without renumbering.
 enum class Rank : int {
   kLogging = 0,          // logging g_emit_mutex; any thread may log under any lock
-  kTrace = 5,            // tracer/metrics registries; cold paths of src/common/trace.h
+  kTrace = 5,            // Tracer::mutex_; cold paths of src/common/trace.h
   kLeaf = 10,            // terminal locks that never call out (fault, channel, child)
   kPool = 20,            // ThreadPool::mutex_
   kReplicaIngress = 40,  // Replica::mutex_ (ingress queue, worker state)

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 namespace vlora {
@@ -724,31 +725,4 @@ AsciiTable RequestSpanTable(const std::vector<RequestSpan>& spans, size_t max_ro
 }
 
 }  // namespace trace
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry.
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-Counter* MetricsRegistry::counter(const std::string& name) {
-  MutexLock lock(&mutex_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
-  }
-  return slot.get();
-}
-
-MetricsRegistry::Snapshot MetricsRegistry::Snap() const {
-  Snapshot snapshot;
-  MutexLock lock(&mutex_);
-  for (const auto& entry : counters_) {
-    snapshot.counters[entry.first] = entry.second->value();
-  }
-  return snapshot;
-}
-
 }  // namespace vlora

@@ -1,4 +1,4 @@
-// Request-lifecycle tracing and a process-wide metrics registry.
+// Request-lifecycle tracing.
 //
 // The tracer records typed structured events (admission, routing, enqueue,
 // batch steps, ATMM kernel dispatch, recovery actions, completion) into
@@ -29,7 +29,6 @@
 #define VLORA_SRC_COMMON_TRACE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -291,46 +290,6 @@ std::vector<RequestSpan> BuildRequestSpans(const std::vector<TraceEvent>& events
 AsciiTable RequestSpanTable(const std::vector<RequestSpan>& spans, size_t max_rows);
 
 }  // namespace trace
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry: named monotonic counters, always on (independent of the
-// tracer), snapshotable at any time. Counter handles are stable for the
-// registry's lifetime — look them up once and cache the pointer; Add is a
-// single relaxed atomic operation.
-
-// Counter values order nothing and publish nothing, so readers of Snap() see
-// recent-but-not-synchronised values.
-class Counter {
- public:
-  void Increment() { Add(1); }
-  void Add(int64_t delta) { value_.FetchAdd(delta); }
-  int64_t value() const { return value_.Load(); }
-
- private:
-  RelaxedAtomic<int64_t> value_{0};
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global();
-
-  // Get-or-create; the returned pointer stays valid for the registry's
-  // lifetime. Rank::kTrace lock — callable under any real lock, but cache the
-  // result rather than looking up per event.
-  Counter* counter(const std::string& name) VLORA_EXCLUDES(mutex_);
-
-  struct Snapshot {
-    std::map<std::string, int64_t> counters;
-  };
-  [[nodiscard]] Snapshot Snap() const VLORA_EXCLUDES(mutex_);
-
- private:
-  MetricsRegistry() = default;
-
-  mutable Mutex mutex_{Rank::kTrace, "MetricsRegistry::mutex_"};
-  std::map<std::string, std::unique_ptr<Counter>> counters_ VLORA_GUARDED_BY(mutex_);
-};
-
 }  // namespace vlora
 
 #endif  // VLORA_SRC_COMMON_TRACE_H_

@@ -103,8 +103,6 @@ std::vector<EngineResult> VloraServer::StepOnce() {
   // RAII span (Begin here, End on every return path); tid comes from the
   // calling thread's replica attribution.
   trace::BatchStepSpan step_span(static_cast<int64_t>(plan.selected.size()));
-  static Counter* const batch_steps = MetricsRegistry::Global().counter("engine.batch_steps");
-  batch_steps->Increment();
 
   // Residency: every adapter the batch touches must be on the device; the
   // asynchronous prefetch window is the previous iteration's estimated time.

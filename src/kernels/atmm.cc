@@ -83,8 +83,6 @@ void AtmmDispatcher::Execute(const float* a, const float* b, float* c, int64_t m
                              int64_t k) {
   const KernelVariant variant = ActiveKernelVariant();
   const TileConfig config = Select(m, n, k, variant);
-  static Counter* const dispatches = MetricsRegistry::Global().counter("atmm.dispatches");
-  dispatches->Increment();
   trace::EmitKernelDispatch(m, n, k, config.mc, config.nc, config.kc, config.mr, config.nr);
   GemmTiled(a, b, c, m, n, k, config, workspace_, variant);
 }

@@ -221,8 +221,8 @@ TEST_F(ClusterTest, ResultsIdenticalAcrossReplicaCounts) {
     EXPECT_EQ(stats.completed, static_cast<int64_t>(trace.size()));
     EXPECT_EQ(stats.rejected, 0);
     EXPECT_EQ(stats.latency.count(), static_cast<int64_t>(trace.size()));
-    EXPECT_GT(stats.latency.P99Ms(), 0.0);
-    EXPECT_GE(stats.latency.P99Ms(), stats.latency.P50Ms());
+    EXPECT_GT(stats.latency.Percentile(99.0), 0.0);
+    EXPECT_GE(stats.latency.Percentile(99.0), stats.latency.Percentile(50.0));
   }
 }
 
@@ -309,19 +309,20 @@ TEST_F(ClusterTest, RoundRobinSpreadsWorkAcrossReplicas) {
 // A worker hands its server's counters to the front end inside the
 // completion that can signal drained, so one Stats() right after Drain()
 // already counts every step: each non-empty StepOnce adds one to its
-// replica's `iterations` and one to the process-wide engine.batch_steps.
+// replica's `iterations` and emits one BatchStepBegin.
 TEST_F(ClusterTest, ServerCountersAreFinalWhenDrainReturns) {
   const std::vector<Request> trace = SkewedTrace(6, 0.6, 25.0, 2.0, 23);
   ASSERT_GT(trace.size(), 10u);
-  Counter* const steps = MetricsRegistry::Global().counter("engine.batch_steps");
+  TraceSession session;
   auto cluster = MakeCluster(2, RoutePolicy::kRoundRobin, trace);
-  const int64_t steps_before = steps->value();
   for (const Request& request : trace) {
     ASSERT_TRUE(cluster->Submit(EngineRequestFromTrace(request, config_, SmallMap())));
   }
   EXPECT_EQ(cluster->Drain().size(), trace.size());
   const ClusterStats stats = cluster->Stats();
-  const int64_t steps_run = steps->value() - steps_before;
+  session.Stop();
+  EXPECT_EQ(session.dropped_events(), 0);
+  const int64_t steps_run = TraceMatcher(session.Collect()).Count(TraceEventKind::kBatchStepBegin);
 
   ASSERT_EQ(stats.replicas.size(), 2u);
   int64_t iterations = 0;

@@ -248,24 +248,6 @@ TEST(SampleStatsTest, OutOfRangePercentileClamps) {
   EXPECT_DOUBLE_EQ(stats.Percentile(250.0), 9.0);
 }
 
-TEST(LatencyRecorderTest, EmptyRecorderReportsZeros) {
-  LatencyRecorder recorder;
-  EXPECT_TRUE(recorder.empty());
-  EXPECT_DOUBLE_EQ(recorder.MeanMs(), 0.0);
-  EXPECT_DOUBLE_EQ(recorder.MaxMs(), 0.0);
-  EXPECT_DOUBLE_EQ(recorder.P50Ms(), 0.0);
-  EXPECT_DOUBLE_EQ(recorder.P95Ms(), 0.0);
-  EXPECT_DOUBLE_EQ(recorder.P99Ms(), 0.0);
-}
-
-TEST(LatencyRecorderTest, SingleRecordDefinesAllPercentiles) {
-  LatencyRecorder recorder;
-  recorder.Record(12.0);
-  EXPECT_DOUBLE_EQ(recorder.P50Ms(), 12.0);
-  EXPECT_DOUBLE_EQ(recorder.P95Ms(), 12.0);
-  EXPECT_DOUBLE_EQ(recorder.P99Ms(), 12.0);
-}
-
 TEST(AsciiTableTest, AlignsColumns) {
   AsciiTable table({"system", "latency"});
   table.AddRow({"V-LoRA", "1.0"});

@@ -174,6 +174,27 @@ TEST(DisaggregatedTest, TwoStageLifecycleIsFullyTraced) {
   }
 }
 
+// --- Latency: one sample per request, handoff or not ------------------------
+
+// The cluster records one submit -> completion latency sample per completed
+// request. A KV handoff is not a completion, so a request that runs on a
+// prefill and then a decode replica still adds exactly one sample.
+TEST(DisaggregatedTest, LatencyIsOneSamplePerCompletedRequest) {
+  const ModelConfig config = TinyConfig();
+  const std::vector<Request> trace = SmallTrace(6, 40.0, 1.0, 67);
+  ASSERT_GE(trace.size(), 20u);
+
+  auto cluster = MakeDisaggCluster(config, /*replicas=*/3, /*num_prefill=*/1, trace);
+  for (size_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(cluster->Submit(EngineRequestFromTrace(trace[i], config, SmallMap())));
+  }
+  EXPECT_EQ(cluster->Drain().size(), 20u);
+  const ClusterStats stats = cluster->Stats();
+  EXPECT_EQ(stats.completed, 20);
+  EXPECT_GT(stats.handoffs, 0);
+  EXPECT_EQ(stats.latency.count(), stats.completed);
+}
+
 // --- Decode-pool death: no routing to the lost replica ----------------------
 
 TEST(DisaggregatedTest, DeadDecodeReplicaIsNeverTargetedAgain) {

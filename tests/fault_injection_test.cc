@@ -483,6 +483,44 @@ TEST(FaultInjectionTest, DeadlineBoundsRecoveryBeforeRetriesBurnAttempts) {
   EXPECT_EQ(stats.retries, 0);
 }
 
+// --- Scenario 4b: a retried request's latency includes its backoff ----------
+
+// ClusterStats::latency runs from Submit to the completion the caller sees,
+// so a request that completes only on a retry carries the backoff it waited
+// out in its one sample.
+TEST(FaultInjectionTest, RetriedRequestLatencyIncludesTheBackoff) {
+  const ModelConfig config = TinyConfig();
+  const std::vector<Request> trace = SmallTrace(6, 40.0, 1.0, 59);
+  ASSERT_GE(trace.size(), 20u);
+
+  FaultInjector fault(0x5eedu);
+  fault.FailRequests(0.25);
+  RecoveryOptions recovery;
+  recovery.max_attempts = 4;
+  recovery.backoff_base_ms = 60.0;
+  recovery.stall_quarantine_ms = 0.0;
+  auto cluster = MakeCluster(config, /*replicas=*/2, trace, &fault, recovery);
+  for (size_t i = 0; i < 20; ++i) {
+    EXPECT_TRUE(cluster->Submit(EngineRequestFromTrace(trace[i], config, SmallMap())));
+  }
+  const std::vector<EngineResult> results = cluster->Drain();
+  const ClusterStats stats = cluster->Stats();
+
+  // Precondition: some request failed an attempt and still completed.
+  std::set<int64_t> failed_once;
+  for (const FaultEvent& event : fault.Events()) {
+    if (event.kind == FaultKind::kFailRequest) {
+      failed_once.insert(event.request_id);
+    }
+  }
+  ASSERT_TRUE(std::any_of(results.begin(), results.end(), [&](const EngineResult& result) {
+    return failed_once.count(result.request_id) > 0;
+  }));
+  EXPECT_GT(stats.retries, 0);
+  EXPECT_EQ(stats.latency.count(), stats.completed);
+  EXPECT_GE(stats.latency.Max(), recovery.backoff_base_ms);
+}
+
 // --- Scenario 5: disaggregated pools under faults ----------------------------
 //
 // The two-stage lifecycle must survive losing either pool's replica: a dead

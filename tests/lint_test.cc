@@ -434,17 +434,34 @@ TEST(LintRulesTest, VolatileThreadingFiresUnderSrc) {
 }
 
 TEST(LintRulesTest, VolatileThreadingGoodTwinsStayQuiet) {
-  const std::string good = std::string("#include <atomic>\n") +
-                           "std::atomic<bool> stop_{false};\n" +
+  // The sanctioned idiom passes every rule, not just this one.
+  const std::string good = std::string("#include \"src/common/sync.h\"\n") +
+                           "RelaxedAtomic<bool> stop_{false};\n" +
                            "// vola" "tile is banned; this comment does not fire\n" +
                            "int vola" "tileness = 0;  // longer identifier, no match\n" +
                            "(void)vola" "tileness;\n";
-  EXPECT_FALSE(HasRule(LintContent("src/cluster/foo.cc", good), "vola" "tile-threading"));
+  EXPECT_TRUE(LintContent("src/cluster/foo.cc", good).empty());
   const std::string suppressed =
       std::string("vola" "tile uint32_t* mmio = MapDevice();  "
                   "// vlora-lint: allow(vola" "tile-threading) device register\n");
   EXPECT_FALSE(HasRule(LintContent("src/cluster/foo.cc", suppressed),
                        "vola" "tile-threading"));
+}
+
+// Scopes are decided on the path from the repository root, so a checkout
+// under a directory that happens to be named src/ lints like the repository.
+TEST(LintRulesTest, ScopesFollowTheRepositoryRoot) {
+  const std::string checkout = "/home/dev/src/checkout/";
+  EXPECT_TRUE(InRepoDir(checkout + "tests/foo_test.cc", "tests/"));
+  EXPECT_FALSE(InRepoDir(checkout + "tests/foo_test.cc", "src/"));
+  EXPECT_TRUE(InRepoDir(checkout + "src/net/fd.h", "src/net/"));
+  EXPECT_FALSE(InRepoDir(checkout + "tools/vlora_lint.cc", "src/"));
+  EXPECT_TRUE(InRepoDir("src/kernels/gemm.cc", "src/kernels/"));
+  EXPECT_FALSE(InRepoDir("sync.h", "src/"));
+  const std::string body = std::string("#include <") + "atomic>\n" +
+                           "std" "::atomic<int> value_{0};\n";
+  EXPECT_TRUE(LintContent(checkout + "tests/foo_test.cc", body).empty());
+  EXPECT_TRUE(HasRule(LintContent(checkout + "src/cluster/foo.cc", body), "raw-atomic"));
 }
 
 TEST(LintRulesTest, RuleNamesAreStable) {

@@ -128,17 +128,13 @@ ResultMap ResultKey(const std::vector<EngineResult>& results) {
   return key;
 }
 
-int64_t ReplicaCompletions() {
-  return MetricsRegistry::Global().counter("replica.completions")->value();
-}
-
-// Both backends count the same way: `replica.completions` moves by the
-// terminal completions only (a KV handoff is not one), and every request a
-// replica accepted ends in exactly one of its outcome counters.
-void ExpectOneAccounting(const ClusterStats& stats, int64_t completions_delta,
-                         size_t requests) {
-  EXPECT_EQ(completions_delta, stats.completed);
+// Both backends count the same way: replicas count terminal completions only
+// (a KV handoff is not one), the cluster records one submit -> completion
+// latency sample per completed request, and every request a replica accepted
+// ends in exactly one of its outcome counters.
+void ExpectOneAccounting(const ClusterStats& stats, size_t requests) {
   EXPECT_EQ(stats.completed, static_cast<int64_t>(requests));
+  EXPECT_EQ(stats.latency.count(), stats.completed);
   for (const ReplicaSnapshot& snapshot : stats.replicas) {
     EXPECT_EQ(snapshot.completed + snapshot.handoffs + snapshot.failed + snapshot.cancelled +
                   snapshot.stolen,
@@ -199,7 +195,6 @@ TEST(ProcessClusterTest, ThreadAndProcessBackendsProduceIdenticalResults) {
   ResultMap reference;
   for (ReplicaBackend backend : {ReplicaBackend::kThread, ReplicaBackend::kProcess}) {
     auto cluster = MakeProcessCluster(config, /*replicas=*/2, trace, nullptr, backend);
-    const int64_t completions_before = ReplicaCompletions();
     for (const Request& request : trace) {
       // The headed adapter's requests answer through its task head, so the
       // head, the request flag and head_option all cross the wire.
@@ -210,8 +205,7 @@ TEST(ProcessClusterTest, ThreadAndProcessBackendsProduceIdenticalResults) {
     const std::vector<EngineResult> results = cluster->Drain();
     EXPECT_EQ(results.size(), trace.size());
     cluster->Shutdown();
-    ExpectOneAccounting(cluster->Stats(), ReplicaCompletions() - completions_before,
-                        trace.size());
+    ExpectOneAccounting(cluster->Stats(), trace.size());
     const auto key = ResultKey(results);
     EXPECT_EQ(key.size(), trace.size());
     const auto headed = std::count_if(results.begin(), results.end(),
@@ -248,7 +242,6 @@ TEST(ProcessClusterTest, DisaggregatedProcessBackendMatchesUnifiedResults) {
   for (const Leg& leg : legs) {
     auto cluster = MakeProcessCluster(config, /*replicas=*/3, trace, nullptr, leg.backend,
                                       /*max_inflight=*/4, leg.num_prefill);
-    const int64_t completions_before = ReplicaCompletions();
     for (const Request& request : trace) {
       EXPECT_TRUE(cluster->Submit(EngineRequestFromTrace(request, config, SmallMap())));
     }
@@ -258,7 +251,7 @@ TEST(ProcessClusterTest, DisaggregatedProcessBackendMatchesUnifiedResults) {
     cluster->Shutdown();
 
     const ClusterStats stats = cluster->Stats();
-    ExpectOneAccounting(stats, ReplicaCompletions() - completions_before, trace.size());
+    ExpectOneAccounting(stats, trace.size());
     if (leg.num_prefill > 0) {
       EXPECT_GT(stats.handoffs, 0) << "disaggregated run never handed off KV";
       EXPECT_EQ(stats.handles_released, stats.handoffs);

@@ -114,19 +114,16 @@ TEST(TraceTest, ConcurrentEmissionFromManyThreads) {
 
 // The adversarial twin of the test above, for the race detector: a toggler
 // thread bumps the epoch with Start/Stop while emitter threads run the Emit
-// fast path and hammer MetricsRegistry counters. This drives every atomic in
-// the tracer and the registry; TSan (ctest label "concurrency" under
-// scripts/verify.sh) checks the orders their types fix. Ring capacity stays
-// constant across Starts so per-thread rings are allocated once and only
-// epochs race.
-TEST(TraceTest, ConcurrentEpochBumpsRacingEmittersAndMetrics) {
+// fast path. This drives every atomic in the tracer; TSan (ctest label
+// "concurrency" under scripts/verify.sh) checks the orders their types fix.
+// Ring capacity stays constant across Starts so per-thread rings are
+// allocated once and only epochs race.
+TEST(TraceTest, ConcurrentEpochBumpsRacingEmitters) {
   constexpr int kEmitters = 4;
   constexpr int kPerThread = 2000;
   constexpr int kToggles = 200;
   constexpr int64_t kCapacity = 1 << 12;
   trace::Tracer& tracer = trace::Tracer::Global();
-  Counter* const stress = MetricsRegistry::Global().counter("test.trace.stress");
-  const int64_t stress_before = stress->value();
 
   tracer.Start(kCapacity);
   std::vector<std::thread> threads;
@@ -139,11 +136,10 @@ TEST(TraceTest, ConcurrentEpochBumpsRacingEmittersAndMetrics) {
     }
   });
   for (int t = 0; t < kEmitters; ++t) {
-    threads.emplace_back([t, stress] {
+    threads.emplace_back([t] {
       for (int i = 0; i < kPerThread; ++i) {
         trace::EmitEnqueued(/*request_id=*/int64_t{t} * kPerThread + i, /*adapter=*/t,
                             /*replica=*/t);
-        stress->Increment();
       }
     });
   }
@@ -152,10 +148,8 @@ TEST(TraceTest, ConcurrentEpochBumpsRacingEmittersAndMetrics) {
   }
   tracer.Stop();
 
-  // Counters are exact regardless of the racing epochs (relaxed RMW is still
-  // one atomic add per call); the trace keeps a subset — whatever landed in
-  // the final epoch — and every kept event is well-formed.
-  EXPECT_EQ(stress->value() - stress_before, int64_t{kEmitters} * kPerThread);
+  // The trace keeps a subset — whatever landed in the final epoch — and every
+  // kept event is well-formed.
   const std::vector<TraceEvent> events = tracer.Collect();
   EXPECT_LE(events.size(), static_cast<size_t>(kEmitters) * kPerThread);
   EXPECT_GE(tracer.dropped_events(), 0);
@@ -213,18 +207,13 @@ TEST(TraceTest, ValidateChromeTraceJsonRejectsMalformedInput) {
 }
 
 // Full single-server path: batch-step spans and kernel dispatches appear,
-// Begin/End pair up, and the metrics registry advances alongside.
+// Begin/End pair up, and the server counts one iteration per span.
 TEST(TraceTest, EngineRunIsTracedEndToEnd) {
   const ModelConfig config = TinyConfig();
   VloraServer server(config);
   Rng rng(17);
   server.AddAdapter(std::make_unique<LoraAdapter>(
       LoraAdapter::Random("trace-a", config.num_layers, config.d_model, 4, rng)));
-
-  Counter* const steps = MetricsRegistry::Global().counter("engine.batch_steps");
-  Counter* const dispatches = MetricsRegistry::Global().counter("atmm.dispatches");
-  const int64_t steps_before = steps->value();
-  const int64_t dispatches_before = dispatches->value();
 
   TraceSession session;
   server.Submit(MakeRequest(1, 0, 6));
@@ -249,8 +238,7 @@ TEST(TraceTest, EngineRunIsTracedEndToEnd) {
   // Standalone server: no replica attribution.
   EXPECT_EQ(matcher.CountForReplica(TraceEventKind::kBatchStepBegin, -1),
             matcher.Count(TraceEventKind::kBatchStepBegin));
-  EXPECT_EQ(steps->value() - steps_before, begins);
-  EXPECT_GT(dispatches->value() - dispatches_before, 0);
+  EXPECT_EQ(server.stats().iterations, begins);
 }
 
 TEST(TraceTest, RequestSpanRollupAndTable) {
@@ -279,17 +267,6 @@ TEST(TraceTest, RequestSpanRollupAndTable) {
   const std::string table = trace::RequestSpanTable(spans, /*max_rows=*/10).ToString();
   EXPECT_NE(table.find("11"), std::string::npos);
   EXPECT_NE(table.find("all (2)"), std::string::npos);
-}
-
-TEST(TraceTest, MetricsRegistryCountersAndSnapshot) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  Counter* const counter = registry.counter("test.trace.counter");
-  EXPECT_EQ(counter, registry.counter("test.trace.counter"));  // stable handle
-  counter->Increment();
-  counter->Add(4);
-
-  const MetricsRegistry::Snapshot snapshot = registry.Snap();
-  EXPECT_EQ(snapshot.counters.at("test.trace.counter"), 5);
 }
 
 TEST(TraceTest, TraceMatcherSequenceCountsAndOrdering) {

@@ -89,7 +89,7 @@ const std::regex& NamespaceCallRe() {
 
 const std::regex& ChainedCallRe() {
   // `...).method(` — a call on the result of another call, e.g. the
-  // `Registry::Global().counter(...)` singleton idiom. The receiver type is
+  // `Tracer::Global().Emit(...)` singleton idiom. The receiver type is
   // unknowable here; resolution is by method name.
   static const std::regex re("\\)\\s*(?:\\.|->)\\s*([A-Za-z_]\\w*)\\s*\\(");
   return re;

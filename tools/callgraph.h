@@ -133,7 +133,7 @@ struct ScanOptions {
   // not resolve (or resolves to a class without that method) fans out to
   // every class defining the method, instead of only a unique definer.
   bool over_approximate_unresolved = false;
-  // Also resolve chained calls (`Registry::Global().counter(...)`) by method
+  // Also resolve chained calls (`Tracer::Global().Emit(...)`) by method
   // name, so singleton-accessor idioms produce edges.
   bool chained_calls = false;
   // Index methods whose body is written inside their class (virtual ones

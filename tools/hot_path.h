@@ -25,7 +25,7 @@
 // lambdas are scanned as part of the enclosing function (they run on the
 // calling thread), free functions are tracked, unresolved member calls fan
 // out to every class defining the method, and chained singleton calls
-// (`Registry::Global().counter(...)`) resolve by method name. False
+// (`Tracer::Global().Emit(...)`) resolve by method name. False
 // positives are expected to be silenced per line with
 // `vlora-lint: allow(<rule>)` plus a one-line justification, or stopped
 // wholesale with a [boundaries] entry.

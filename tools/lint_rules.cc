@@ -1,5 +1,6 @@
 #include "tools/lint_rules.h"
 
+#include <algorithm>
 #include <fstream>
 #include <regex>
 #include <set>
@@ -33,24 +34,27 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-bool IsTestFile(const std::string& path) {
-  return path.find("tests/") != std::string::npos;
-}
-
-bool IsNetFile(const std::string& path) {
-  return path.find("src/net/") != std::string::npos;
-}
-
-bool IsKernelFile(const std::string& path) {
-  return path.find("src/kernels/") != std::string::npos;
-}
-
 bool IsHeader(const std::string& path) { return EndsWith(path, ".h"); }
 
 }  // namespace
 
 bool IsSyncHeader(const std::string& path) {
   return EndsWith(path, "src/common/sync.h") || path == "sync.h";
+}
+
+bool InRepoDir(const std::string& path, const std::string& dir) {
+  // The root sits above the last component naming a top-level directory; no
+  // such name recurs inside the tree.
+  const std::string slashed = "/" + path;
+  size_t root = 0;
+  for (const char* top :
+       {"/src/", "/tests/", "/tools/", "/bench/", "/examples/", "/servebench/"}) {
+    const size_t at = slashed.rfind(top);
+    if (at != std::string::npos) {
+      root = std::max(root, at + 1);
+    }
+  }
+  return slashed.compare(root, dir.size(), dir) == 0;
 }
 
 // Strips // and /* */ comments for matching, preserving column positions is
@@ -290,8 +294,8 @@ void CheckLine(const std::string& path, int line_no, const std::string& raw,
                          "vlora::MutexLock / vlora::CondVar from src/common/sync.h so the "
                          "thread-safety annotations see the lock"});
   }
-  if (path.find("src/") != std::string::npos && !IsSyncHeader(path) &&
-      std::regex_search(code, RawAtomicRe()) && !Suppressed(raw, kRawAtomic)) {
+  if (InRepoDir(path, "src/") && !IsSyncHeader(path) && std::regex_search(code, RawAtomicRe()) &&
+      !Suppressed(raw, kRawAtomic)) {
     findings->push_back({kRawAtomic, path, line_no,
                          "raw standard-library atomic under src/; use vlora::RelaxedAtomic or "
                          "vlora::PublishedAtomic from src/common/sync.h so the type fixes the "
@@ -305,7 +309,8 @@ void CheckLine(const std::string& path, int line_no, const std::string& raw,
                              " must be declared [[nodiscard]] so ignored error returns "
                              "fail the build"});
   }
-  if (IsTestFile(path) && std::regex_search(code, SleepRe()) && !Suppressed(raw, kSleepInTest)) {
+  if (InRepoDir(path, "tests/") && std::regex_search(code, SleepRe()) &&
+      !Suppressed(raw, kSleepInTest)) {
     findings->push_back({kSleepInTest, path, line_no,
                          "sleeping in a test hides races and slows the suite; wait on a "
                          "condition (e.g. ClusterServer::WaitForReadmissions) instead"});
@@ -326,21 +331,21 @@ void CheckLine(const std::string& path, int line_no, const std::string& raw,
                          "Mutex" "Lock temporary unlocks at the end of this statement and "
                          "guards nothing; name it: Mutex" "Lock lock(&mu)"});
   }
-  if (!IsNetFile(path) && std::regex_search(code, RawSocketRe()) &&
+  if (!InRepoDir(path, "src/net/") && std::regex_search(code, RawSocketRe()) &&
       !Suppressed(raw, kRawSocketFd)) {
     findings->push_back({kRawSocketFd, path, line_no,
                          "raw POSIX soc" "ket/descriptor call outside src/net/; descriptors "
                          "must be owned by the RAII net::Fd wrapper (src/net/fd.h) so no "
                          "error path can leak a connection"});
   }
-  if (!IsKernelFile(path) && std::regex_search(code, RawSimdRe()) &&
+  if (!InRepoDir(path, "src/kernels/") && std::regex_search(code, RawSimdRe()) &&
       !Suppressed(raw, kRawSimd)) {
     findings->push_back({kRawSimd, path, line_no,
                          "raw SIMD intrinsic outside src/kernels/; add a micro-kernel to the "
                          "variant tables (src/kernels/microkernel.h) instead so dispatch, the "
                          "scalar fallback, and the differential tests keep covering it"});
   }
-  if (path.find("src/") != std::string::npos && std::regex_search(code, VolatileRe()) &&
+  if (InRepoDir(path, "src/") && std::regex_search(code, VolatileRe()) &&
       !Suppressed(raw, kVolatileThreading)) {
     findings->push_back({kVolatileThreading, path, line_no,
                          std::string("vola") + "tile under src/: it does not order or "
@@ -357,7 +362,7 @@ void CheckLine(const std::string& path, int line_no, const std::string& raw,
 void CheckGetenv(const std::string& path, const std::vector<std::string>& raw_lines,
                  const std::vector<std::string>& code_lines,
                  std::vector<Finding>* findings) {
-  if (path.find("src/") == std::string::npos) {
+  if (!InRepoDir(path, "src/")) {
     return;
   }
   for (size_t i = 0; i < code_lines.size(); ++i) {
@@ -473,7 +478,7 @@ void CheckStatusSwitches(const std::string& path, const std::vector<std::string>
 void CheckTraceSpans(const std::string& path, const std::vector<std::string>& raw_lines,
                      const std::vector<std::string>& code_lines,
                      std::vector<Finding>* findings) {
-  if (IsTestFile(path)) {
+  if (InRepoDir(path, "tests/")) {
     return;
   }
   const std::string end_token = std::string("BatchStep") + "End";

@@ -87,9 +87,15 @@ std::vector<std::string> RuleNames();
 // lock-order pass, which reads the lock primitives' own definitions there).
 bool IsSyncHeader(const std::string& path);
 
+// True when `path`, taken from the repository root, lies under `dir` (e.g.
+// "src/", "src/net/", "tests/"). The root is found from the path itself, so
+// absolute and relative paths behave the same, and so does a checkout under
+// a directory that is itself named src/ or tests/. Every directory scope of
+// the per-line rules and the lock-order pass is decided here.
+bool InRepoDir(const std::string& path, const std::string& dir);
+
 // Runs every applicable rule over one file's content. `path` decides
-// applicability (tests/ rules, header rules, the sync.h exemption); it is
-// matched on suffix so absolute and relative paths behave the same.
+// applicability (InRepoDir scopes, header rules, the sync.h exemption).
 std::vector<Finding> LintContent(const std::string& path, const std::string& content);
 
 // Reads `path` and lints it. Missing/unreadable files yield a single

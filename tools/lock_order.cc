@@ -18,10 +18,6 @@ namespace {
 const char kLockOrder[] = "lock-order";
 const char kUnranked[] = "lock-unranked";
 
-bool IsUnderSrc(const std::string& path) {
-  return path.rfind("src/", 0) == 0 || path.find("/src/") != std::string::npos;
-}
-
 struct LockDecl {
   std::string rank_name;
   std::string file;
@@ -118,7 +114,7 @@ void ScanMutexDeclLine(Analysis* a, const std::string& current_class, const std:
         current_class.empty() ? mm[1].str() : current_class + "::" + mm[1].str();
     a->decls[qual] = LockDecl{mm[2].str(), path, line_no};
   } else if (std::regex_search(code, mm, AnyMutexDeclRe())) {
-    if (IsUnderSrc(path) && !IsSuppressed(raw, kUnranked)) {
+    if (InRepoDir(path, "src/") && !IsSuppressed(raw, kUnranked)) {
       const std::string qual =
           current_class.empty() ? mm[1].str() : current_class + "::" + mm[1].str();
       a->findings.push_back(

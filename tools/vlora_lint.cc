@@ -60,7 +60,9 @@ int ReportPass(const char* pass_name, const std::vector<vlora::lint::Finding>& f
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const std::string mode = argc < 2 ? "" : argv[1];
+  const bool known_mode = mode == "--lock-order" || mode == "--hot-path";
+  if (argc < 2 || (mode.rfind("--", 0) == 0 && !known_mode)) {  // an unknown --flag is no path
     std::fprintf(stderr,
                  "usage: %s <file-or-dir>...\n"
                  "       %s --lock-order <file-or-dir>...\n"
@@ -68,7 +70,6 @@ int main(int argc, char** argv) {
                  argv[0], argv[0], argv[0]);
     return 2;
   }
-  const std::string mode = argv[1];
   if (mode == "--lock-order") {
     if (argc < 3) {
       std::fprintf(stderr, "usage: %s --lock-order <file-or-dir>...\n", argv[0]);
