@@ -1,14 +1,15 @@
 // Microbenchmarks for the tiled GEMM at LoRA-serving shapes.
 //
 // The register-tile table comes first: every (mr, nr) micro-kernel of every
-// variant alone on L1-resident panels, in GFLOP/s, beside a loop of
-// independent FMA chains that measures the core's peak. A tile whose
-// accumulators stay in registers runs near that peak; one that spills them
-// to the stack shows up at about half of it.
+// variant alone on L1-resident panels, in GFLOP/s, beside loops of
+// independent FMA chains that measure the core's peak at each vector width
+// (ymm, and zmm on AVX-512 hosts). A tile whose accumulators stay in
+// registers runs near its width's peak; one that spills them to the stack
+// shows up at about half of it.
 //
 // The compute-path table prints, per shape, the measured latency of every
 // kernel variant plus its speedup over the scalar baseline. On hosts without
-// AVX2 the table degrades to the scalar row — the binary always runs.
+// AVX2 or AVX-512 the table drops those rows — the binary always runs.
 //
 // Two stage tables follow, each a median over repeated timings so they can
 // be compared across commits: prefill-shape GEMMs (whether B is read in
@@ -52,18 +53,24 @@ double BestGflops(Fn&& fn, double flops) {
 }
 
 // Each micro-kernel's full tile over kc 128 reduction steps, its A and B
-// panels packed and L1-resident (B at ldb = nr), called back to back.
+// panels packed and L1-resident (B at ldb = nr), called back to back. Each
+// row is held against the FMA peak of its own vector width: the AVX-512
+// table's nr = 16 tiles run on zmm, the rest against the ymm peak.
 void PrintRegisterTiles() {
   constexpr int64_t kKc = 128;
   constexpr double kFlopsPerRun = 64e6;  // about a millisecond at the FMA peak
-  double peak = 0.0;
-  if (Avx2Available()) {
-    const int64_t steps = static_cast<int64_t>(kFlopsPerRun / kFmaPeakFlopsPerStep);
+  // GFLOP/s of 12 independent FMA chains `lanes` wide.
+  auto peak_of = [&](float (*loop)(int64_t), int lanes) {
+    const double flops_per_step = kFmaPeakChains * lanes * 2.0;
+    const int64_t steps = static_cast<int64_t>(kFlopsPerRun / flops_per_step);
     float sink = 0.0f;
-    peak = BestGflops([&] { sink += FmaPeakLoopAvx2(steps); },
-                      static_cast<double>(steps) * kFmaPeakFlopsPerStep);
+    const double gflops =
+        BestGflops([&] { sink += loop(steps); }, static_cast<double>(steps) * flops_per_step);
     benchmark::DoNotOptimize(sink);
-  }
+    return gflops;
+  };
+  const double ymm_peak = Avx2Available() ? peak_of(FmaPeakLoopAvx2, 8) : 0.0;
+  const double zmm_peak = Avx512Available() ? peak_of(FmaPeakLoopAvx512, 16) : 0.0;
   AsciiTable table({"variant", "tile (mr x nr)", "GFLOP/s (best of 7)", "of FMA peak"});
   for (KernelVariant variant : AvailableKernelVariants()) {
     for (const MicroKernelEntry& entry : MicroKernelTable(variant)) {
@@ -87,14 +94,21 @@ void PrintRegisterTiles() {
           },
           static_cast<double>(calls) * flops_per_call);
       benchmark::DoNotOptimize(c.data());
+      const double peak =
+          variant == KernelVariant::kAvx512 && entry.nr == 16 ? zmm_peak : ymm_peak;
       table.AddRow({KernelVariantName(variant),
                     std::to_string(entry.mr) + " x " + std::to_string(entry.nr),
                     AsciiTable::FormatDouble(gflops, 1),
                     peak > 0.0 ? AsciiTable::FormatDouble(100.0 * gflops / peak, 0) + "%" : "-"});
     }
   }
-  if (peak > 0.0) {
-    table.AddRow({"avx2", "FMA peak (12 chains)", AsciiTable::FormatDouble(peak, 1), "100%"});
+  if (ymm_peak > 0.0) {
+    table.AddRow({"avx2", "FMA peak (12 ymm chains)", AsciiTable::FormatDouble(ymm_peak, 1),
+                  "100%"});
+  }
+  if (zmm_peak > 0.0) {
+    table.AddRow({"avx512", "FMA peak (12 zmm chains)", AsciiTable::FormatDouble(zmm_peak, 1),
+                  "100%"});
   }
   table.Print("Register tiles alone: kc 128, L1-resident packed panels");
 }

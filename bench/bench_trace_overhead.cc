@@ -7,7 +7,8 @@
 // seconds of the host and read the drift as overhead. A pair's two serves
 // run within about 10 ms of each other and see one speed; the median over
 // 201 pairs ignores the pairs that a speed change or a preemption split.
-// On a shared 4-core AVX2 host the median reads 3.1-4.5% run to run. The
+// On a shared 4-core AVX-512 host, where the avx512 kernels serve the 48
+// requests in about 3.2 ms, the median reads 2.5-4.0% run to run. The
 // traced serve's ring holds every event it emits; a run that drops any
 // FAILS, since a wrapping ring overwrites events instead of recording them.
 // scripts/verify.sh and CI run this as a gate.

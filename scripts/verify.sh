@@ -2,7 +2,8 @@
 # Repo verification: tier-1 build + full test suite (plus an explicit
 # `ctest -L e2e_process` pass over the forked-executor suites), the kernels
 # label, the engine, KV cache, vision tower and trainer tests rerun on the
-# scalar kernel variant, the servebench self-test (bench-smoke), the
+# scalar kernel variant and again pinned to AVX2, the servebench self-test
+# (bench-smoke), the
 # static-analysis stage (vlora_lint, Clang thread-safety build, clang-tidy),
 # then the concurrency-labelled tests (cluster, fault
 # injection, thread pool, parallel GEMM) and the kernels-labelled tests
@@ -71,6 +72,16 @@ VLORA_KERNEL_VARIANT=scalar ctest --test-dir build --output-on-failure -L kernel
 VLORA_KERNEL_VARIANT=scalar ctest --test-dir build --output-on-failure \
   -R '^(engine_test|engine_edge_test|kv_cache_test|vision_tower_test|lora_trainer_test)$'
 record "scalar-variant tests" "pass"
+
+echo "=== avx2 variant: kernels label + engine tests pinned to AVX2 ==="
+# Auto selection picks avx512 on an AVX-512 host, so there the AVX2 tiles and
+# attention tile otherwise run only inside kernel_diff_test's cross-variant
+# sweeps. On a host without AVX-512 this repeats the default run (the
+# AVX-512 cases skip); on one without AVX2 it falls back to scalar.
+VLORA_KERNEL_VARIANT=avx2 ctest --test-dir build --output-on-failure -L kernels
+VLORA_KERNEL_VARIANT=avx2 ctest --test-dir build --output-on-failure \
+  -R '^(engine_test|engine_edge_test|kv_cache_test|vision_tower_test|lora_trainer_test)$'
+record "avx2-variant tests" "pass"
 
 echo "=== trace-overhead guard (fails above 5%) ==="
 ./build/bench/bench_trace_overhead

@@ -9,6 +9,10 @@
 #include <map>
 #include <sstream>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 namespace vlora {
 namespace trace {
 namespace {
@@ -18,6 +22,20 @@ int64_t NowNs() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+#if defined(__x86_64__) || defined(__i386__)
+// An invariant TSC (CPUID 0x80000007, EDX bit 8) ticks at one rate whatever
+// the core's frequency or sleep state, so ticks convert to time linearly.
+bool InvariantTsc() {
+  unsigned regs[4] = {};
+  return __get_cpuid(0x80000007, &regs[0], &regs[1], &regs[2], &regs[3]) != 0 &&
+         (regs[3] & (1u << 8)) != 0;
+}
+int64_t ReadTsc() { return static_cast<int64_t>(__builtin_ia32_rdtsc()); }
+#else
+bool InvariantTsc() { return false; }
+int64_t ReadTsc() { return 0; }  // never called: tsc_ stays false
+#endif
 
 thread_local int t_current_replica = -1;
 
@@ -45,7 +63,9 @@ Tracer& Tracer::Global() {
 void Tracer::Start(int64_t ring_capacity) {
   VLORA_CHECK(ring_capacity >= 1);
   ring_capacity_.Store(ring_capacity);
+  tsc_.Store(InvariantTsc());
   origin_ns_.Store(NowNs());
+  origin_ticks_.Store(Ticks());
   // Bumping the epoch logically clears every buffer: emitters lazily reset
   // their ring on the first emit of the new epoch, Collect skips stale ones.
   epoch_.FetchAdd(1);
@@ -54,24 +74,22 @@ void Tracer::Start(int64_t ring_capacity) {
 
 void Tracer::Stop() { enabled_.Publish(false); }
 
+thread_local Tracer::ThreadBuffer* Tracer::t_buffer_ = nullptr;
+
 Tracer::ThreadBuffer* Tracer::GetThreadBuffer() {
-  // The shared_ptr keeps the buffer alive past thread exit (the registry
-  // holds the other reference), so events from joined threads survive until
-  // Collect.
-  thread_local std::shared_ptr<ThreadBuffer> t_buffer;
-  if (t_buffer == nullptr) {
-    auto fresh = std::make_shared<ThreadBuffer>(  // vlora-lint: allow(hot-path-alloc) one-time per-thread ring registration
+  if (t_buffer_ == nullptr) {
+    auto fresh = std::make_unique<ThreadBuffer>(  // vlora-lint: allow(hot-path-alloc) one-time per-thread ring registration
         ring_capacity_.Load());
-    {
-      MutexLock lock(&mutex_);
-      buffers_.push_back(fresh);  // vlora-lint: allow(hot-path-alloc) one-time per-thread ring registration
-    }
-    t_buffer = std::move(fresh);
+    t_buffer_ = fresh.get();
+    MutexLock lock(&mutex_);
+    buffers_.push_back(std::move(fresh));  // vlora-lint: allow(hot-path-alloc) one-time per-thread ring registration
   }
-  return t_buffer.get();
+  return t_buffer_;
 }
 
-void Tracer::Emit(TraceEvent event) {
+int64_t Tracer::Ticks() const { return tsc_.Load() ? ReadTsc() : NowNs(); }
+
+void Tracer::Emit(const TraceEvent& event) {
   if (!enabled_.Load()) {
     return;
   }
@@ -88,16 +106,23 @@ void Tracer::Emit(TraceEvent event) {
     buffer->head.Publish(0);
     buffer->epoch.Publish(epoch);
   }
-  event.when_ms = static_cast<double>(NowNs() - origin_ns_.Load()) / 1e6;
   const auto capacity = static_cast<int64_t>(buffer->ring.size());
   const int64_t head = buffer->head.Load();
-  buffer->ring[static_cast<size_t>(head % capacity)] = event;
+  TraceEvent& slot = buffer->ring[static_cast<size_t>(head % capacity)];
+  slot = event;
+  slot.when_ms = static_cast<double>(Ticks() - origin_ticks_.Load());  // Collect scales it
   buffer->head.Publish(head + 1);
 }
 
 std::vector<TraceEvent> Tracer::Collect() const {
   std::vector<TraceEvent> out;
   const uint64_t epoch = epoch_.Load();
+  // The session clock's rate, measured over the session so far.
+  const int64_t elapsed_ns = NowNs() - origin_ns_.Load();
+  const double ticks_per_ms =
+      tsc_.Load() ? static_cast<double>(Ticks() - origin_ticks_.Load()) /
+                        (static_cast<double>(std::max<int64_t>(elapsed_ns, 1)) / 1e6)
+                  : 1e6;
   {
     MutexLock lock(&mutex_);
     for (const auto& buffer : buffers_) {
@@ -108,6 +133,7 @@ std::vector<TraceEvent> Tracer::Collect() const {
       const auto capacity = static_cast<int64_t>(buffer->ring.size());
       for (int64_t i = std::max<int64_t>(0, head - capacity); i < head; ++i) {
         out.push_back(buffer->ring[static_cast<size_t>(i % capacity)]);
+        out.back().when_ms /= ticks_per_ms;
       }
     }
   }
@@ -146,140 +172,78 @@ int64_t TraceSession::dropped_events() const { return Tracer::Global().dropped_e
 // Emission helpers.
 
 void EmitRequestAdmitted(int64_t request_id, int adapter) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kRequestAdmitted;
-  event.request_id = request_id;
-  event.adapter = adapter;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit(
+      {.kind = TraceEventKind::kRequestAdmitted, .adapter = adapter, .request_id = request_id});
 }
 
 void EmitRouted(int64_t request_id, int adapter, int replica, bool affinity_hit, bool spilled) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kRouted;
-  event.request_id = request_id;
-  event.adapter = adapter;
-  event.replica = replica;
-  event.n = affinity_hit ? 1 : 0;
-  event.k = spilled ? 1 : 0;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit({.kind = TraceEventKind::kRouted, .replica = replica, .adapter = adapter,
+                         .request_id = request_id, .n = affinity_hit ? 1 : 0,
+                         .k = spilled ? 1 : 0});
 }
 
 void EmitEnqueued(int64_t request_id, int adapter, int replica) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kEnqueued;
-  event.request_id = request_id;
-  event.adapter = adapter;
-  event.replica = replica;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit({.kind = TraceEventKind::kEnqueued, .replica = replica, .adapter = adapter,
+                         .request_id = request_id});
 }
 
 void EmitBatchStepBegin(int replica, int64_t batch_size) {  // vlora-lint: allow(trace-span-unclosed)
-  TraceEvent event;
-  event.kind = TraceEventKind::kBatchStepBegin;  // vlora-lint: allow(trace-span-unclosed)
-  event.replica = replica;
-  event.m = batch_size;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit({.kind = TraceEventKind::kBatchStepBegin,  // vlora-lint: allow(trace-span-unclosed)
+                         .replica = replica, .m = batch_size});
 }
 
 void EmitBatchStepEnd(int replica, int64_t completed_count) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kBatchStepEnd;
-  event.replica = replica;
-  event.m = completed_count;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit(
+      {.kind = TraceEventKind::kBatchStepEnd, .replica = replica, .m = completed_count});
 }
 
 void EmitKernelDispatch(int64_t m, int64_t n, int64_t k, int tile_mc, int tile_nc, int tile_kc,
                         int tile_mr, int tile_nr) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kKernelDispatch;
-  event.replica = t_current_replica;
-  event.m = m;
-  event.n = n;
-  event.k = k;
-  event.tile_mc = tile_mc;
-  event.tile_nc = tile_nc;
-  event.tile_kc = tile_kc;
-  event.tile_mr = tile_mr;
-  event.tile_nr = tile_nr;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit({.kind = TraceEventKind::kKernelDispatch, .replica = t_current_replica,
+                         .m = m, .n = n, .k = k, .tile_mc = tile_mc, .tile_nc = tile_nc,
+                         .tile_kc = tile_kc, .tile_mr = tile_mr, .tile_nr = tile_nr});
 }
 
 void EmitRetry(int64_t request_id, int adapter, int attempt) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kRetry;
-  event.request_id = request_id;
-  event.adapter = adapter;
-  event.m = attempt;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit(
+      {.kind = TraceEventKind::kRetry, .adapter = adapter, .request_id = request_id, .m = attempt});
 }
 
 void EmitQuarantine(int replica) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kQuarantine;
-  event.replica = replica;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit({.kind = TraceEventKind::kQuarantine, .replica = replica});
 }
 
 void EmitReadmit(int replica) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kReadmit;
-  event.replica = replica;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit({.kind = TraceEventKind::kReadmit, .replica = replica});
 }
 
 void EmitCompleted(int64_t request_id, int adapter, int replica, StatusCode status) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kCompleted;
-  event.request_id = request_id;
-  event.adapter = adapter;
-  event.replica = replica;
-  event.status = status;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit({.kind = TraceEventKind::kCompleted, .status = status, .replica = replica,
+                         .adapter = adapter, .request_id = request_id});
 }
 
 void EmitPrefillDone(int64_t request_id, int adapter, int64_t prefill_tokens,
                      int64_t reused_tokens) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kPrefillDone;
-  event.request_id = request_id;
-  event.adapter = adapter;
-  event.replica = t_current_replica;
-  event.m = prefill_tokens;
-  event.n = reused_tokens;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit({.kind = TraceEventKind::kPrefillDone, .replica = t_current_replica,
+                         .adapter = adapter, .request_id = request_id, .m = prefill_tokens,
+                         .n = reused_tokens});
 }
 
 void EmitKvHandoff(int64_t request_id, int adapter, int replica, int64_t pages, int64_t floats) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kKvHandoff;
-  event.request_id = request_id;
-  event.adapter = adapter;
-  event.replica = replica;
-  event.m = pages;
-  event.n = floats;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit({.kind = TraceEventKind::kKvHandoff, .replica = replica, .adapter = adapter,
+                         .request_id = request_id, .m = pages, .n = floats});
 }
 
 void EmitDecodeRouted(int64_t request_id, int adapter, int replica, bool affinity_hit,
                       bool spilled) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kDecodeRouted;
-  event.request_id = request_id;
-  event.adapter = adapter;
-  event.replica = replica;
-  event.n = affinity_hit ? 1 : 0;
-  event.k = spilled ? 1 : 0;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit({.kind = TraceEventKind::kDecodeRouted, .replica = replica,
+                         .adapter = adapter, .request_id = request_id, .n = affinity_hit ? 1 : 0,
+                         .k = spilled ? 1 : 0});
 }
 
 void EmitDecodeEnqueued(int64_t request_id, int adapter, int replica) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kDecodeEnqueued;
-  event.request_id = request_id;
-  event.adapter = adapter;
-  event.replica = replica;
-  Tracer::Global().Emit(event);
+  Tracer::Global().Emit({.kind = TraceEventKind::kDecodeEnqueued, .replica = replica,
+                         .adapter = adapter, .request_id = request_id});
 }
 
 void SetCurrentReplica(int replica) { t_current_replica = replica; }

@@ -3,13 +3,17 @@
 // The tracer records typed structured events (admission, routing, enqueue,
 // batch steps, ATMM kernel dispatch, recovery actions, completion) into
 // per-thread ring buffers. The hot path is lock-free and rank-free: emitting
-// an event is an atomic enabled check, a thread-local buffer lookup, a plain
-// slot write and one release store — no vlora::Mutex is acquired, so it is
-// safe to emit while holding any lock in the hierarchy (emission happens
-// under ClusterServer::mutex_ and Replica::mutex_ among others). The only
-// locks in this file are cold-path (first emit per thread registers its
-// buffer; Collect copies them out) and sit at Rank::kTrace, below every real
-// lock.
+// an event is an atomic enabled check, a thread-local buffer lookup, a tick
+// count, a plain slot write and one release store — no vlora::Mutex is
+// acquired, so it is safe to emit while holding any lock in the hierarchy
+// (emission happens under ClusterServer::mutex_ and Replica::mutex_ among
+// others). The only locks in this file are cold-path (first emit per thread
+// registers its buffer; Collect copies them out) and sit at Rank::kTrace,
+// below every real lock.
+//
+// Timestamps: events read the TSC where it is invariant (steady_clock's vDSO
+// read waits for every earlier instruction to retire), else steady_clock ns;
+// Collect converts ticks to ms at the rate measured over the session.
 //
 // Ring semantics: each buffer holds the most recent `ring_capacity` events of
 // its thread; wraparound overwrites the oldest and counts it in
@@ -151,8 +155,9 @@ class Tracer {
   void Stop();
   bool enabled() const { return enabled_.Load(); }
 
-  // Hot path. Fills event.when_ms; no-op when disabled.
-  void Emit(TraceEvent event) VLORA_HOT;
+  // Hot path. Records `event` stamped with the session clock (its when_ms
+  // is ignored); no-op when disabled.
+  void Emit(const TraceEvent& event) VLORA_HOT;
 
   // Snapshot of every buffer from the current epoch, sorted by timestamp.
   // See the header comment for the quiescence contract.
@@ -163,7 +168,8 @@ class Tracer {
 
  private:
   // Only the owning thread writes a buffer; each write of `head` and `epoch`
-  // publishes the ring slots and reset before it to Collect.
+  // publishes the ring slots and reset before it to Collect. A slot's
+  // when_ms holds ticks since the session origin until Collect scales it.
   struct ThreadBuffer {
     explicit ThreadBuffer(int64_t capacity) : ring(static_cast<size_t>(capacity)) {}
     std::vector<TraceEvent> ring;
@@ -173,16 +179,22 @@ class Tracer {
 
   Tracer() = default;
   ThreadBuffer* GetThreadBuffer() VLORA_EXCLUDES(mutex_);
+  int64_t Ticks() const;  // the session clock: TSC or steady_clock ns
 
-  // Start stores the two session parameters, then publishes them through
-  // epoch_ and enabled_.
+  // Start stores the session parameters, then publishes them through epoch_
+  // and enabled_.
   PublishedAtomic<bool> enabled_{false};
   PublishedAtomic<uint64_t> epoch_{0};
   RelaxedAtomic<int64_t> ring_capacity_{1 << 14};
-  RelaxedAtomic<int64_t> origin_ns_{0};  // session clock origin (steady_clock)
+  RelaxedAtomic<bool> tsc_{false};          // ticks are TSC cycles, not ns
+  RelaxedAtomic<int64_t> origin_ns_{0};     // session origin on steady_clock
+  RelaxedAtomic<int64_t> origin_ticks_{0};  // ... and on the session clock
 
   mutable Mutex mutex_{Rank::kTrace, "Tracer::mutex_"};
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers_ VLORA_GUARDED_BY(mutex_);
+  // Buffers live as long as the tracer, so events from joined threads survive
+  // until Collect and t_buffer_ never dangles.
+  std::vector<std::unique_ptr<ThreadBuffer>> buffers_ VLORA_GUARDED_BY(mutex_);
+  static thread_local ThreadBuffer* t_buffer_;  // this thread's entry of buffers_
 };
 
 struct TraceOptions {

@@ -34,9 +34,11 @@ TileConfig AtmmDispatcher::HeuristicConfig(int64_t m, int64_t n, int64_t k,
     return r;
   };
   config.nr = n >= 8 ? 8 : 4;
-  if (variant == KernelVariant::kAvx2 && n >= 16) {
+  if (variant != KernelVariant::kScalar && n >= 16) {
     // The FMA kernel pays one scalar broadcast per A element; nr = 16 feeds
-    // two vector FMAs per broadcast instead of one.
+    // two ymm FMAs per broadcast instead of one. AVX-512 takes AVX2's config
+    // unchanged: the same kc fixes each output's summation order, so the
+    // bits and ReadsBInPlace's decisions match AVX2's.
     config.nr = 16;
   }
   // 5-8 rows take one 8-row micro-panel rather than two 4-row ones, so a

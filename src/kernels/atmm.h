@@ -75,9 +75,9 @@ class AtmmDispatcher {
   TileConfig Select(int64_t m, int64_t n, int64_t k, KernelVariant variant) const;
 
   // Shape-driven fallback used when the table has no suitable entry. The
-  // variant-aware form biases the register tile for the kernel ISA (the AVX2
-  // FMA kernel amortises its scalar broadcast over a wider nr); the
-  // three-argument form is the portable scalar-kernel heuristic.
+  // variant-aware form biases the register tile for the kernel ISA (the FMA
+  // kernels amortise their scalar broadcast over a wider nr; AVX-512 gets
+  // AVX2's config, for AVX2's bits); the three-argument form is scalar's.
   static TileConfig HeuristicConfig(int64_t m, int64_t n, int64_t k);
   static TileConfig HeuristicConfig(int64_t m, int64_t n, int64_t k, KernelVariant variant);
 

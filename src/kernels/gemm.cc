@@ -1,6 +1,7 @@
 #include "src/kernels/gemm.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <utility>
 
@@ -63,33 +64,33 @@ void MicroKernelEdge(int64_t kc, const float* a_panel, const float* b, int64_t l
   }
 }
 
-}  // namespace
-
 // The pre-compiled scalar kernel set — the CPU analog of the executable CUDA
 // kernels ATMM compiles offline for each tiling configuration (§4.3.2). The
-// AVX2 table (microkernel_avx2.cc) mirrors this (mr, nr) set exactly.
-const std::vector<MicroKernelEntry>& ScalarMicroKernelTable() {
-  static const std::vector<MicroKernelEntry> table = {
-      {4, 4, KernelVariant::kScalar, MicroKernelFull<4, 4>, MicroKernelEdge<4, 4>},
-      {4, 8, KernelVariant::kScalar, MicroKernelFull<4, 8>, MicroKernelEdge<4, 8>},
-      {4, 16, KernelVariant::kScalar, MicroKernelFull<4, 16>, MicroKernelEdge<4, 16>},
-      {8, 4, KernelVariant::kScalar, MicroKernelFull<8, 4>, MicroKernelEdge<8, 4>},
-      {8, 8, KernelVariant::kScalar, MicroKernelFull<8, 8>, MicroKernelEdge<8, 8>},
-      {8, 16, KernelVariant::kScalar, MicroKernelFull<8, 16>, MicroKernelEdge<8, 16>},
-      {16, 8, KernelVariant::kScalar, MicroKernelFull<16, 8>, MicroKernelEdge<16, 8>},
-      {16, 16, KernelVariant::kScalar, MicroKernelFull<16, 16>, MicroKernelEdge<16, 16>},
-  };
-  return table;
-}
+// SIMD tables (microkernel_avx2.cc, microkernel_avx512.cc) mirror this
+// (mr, nr) set exactly.
+constexpr std::array<MicroKernelEntry, 8> kScalarTable = {{
+    {4, 4, KernelVariant::kScalar, MicroKernelFull<4, 4>, MicroKernelEdge<4, 4>},
+    {4, 8, KernelVariant::kScalar, MicroKernelFull<4, 8>, MicroKernelEdge<4, 8>},
+    {4, 16, KernelVariant::kScalar, MicroKernelFull<4, 16>, MicroKernelEdge<4, 16>},
+    {8, 4, KernelVariant::kScalar, MicroKernelFull<8, 4>, MicroKernelEdge<8, 4>},
+    {8, 8, KernelVariant::kScalar, MicroKernelFull<8, 8>, MicroKernelEdge<8, 8>},
+    {8, 16, KernelVariant::kScalar, MicroKernelFull<8, 16>, MicroKernelEdge<8, 16>},
+    {16, 8, KernelVariant::kScalar, MicroKernelFull<16, 8>, MicroKernelEdge<16, 8>},
+    {16, 16, KernelVariant::kScalar, MicroKernelFull<16, 16>, MicroKernelEdge<16, 16>},
+}};
 
-const std::vector<MicroKernelEntry>& MicroKernelTable(KernelVariant variant) {
+}  // namespace
+
+std::span<const MicroKernelEntry> MicroKernelTable(KernelVariant variant) {
   switch (variant) {
     case KernelVariant::kScalar:
-      return ScalarMicroKernelTable();
+      return kScalarTable;
     case KernelVariant::kAvx2:
       return Avx2MicroKernelTable();
+    case KernelVariant::kAvx512:
+      return Avx512MicroKernelTable();
   }
-  return ScalarMicroKernelTable();
+  return kScalarTable;
 }
 
 const MicroKernelEntry* FindMicroKernel(KernelVariant variant, int mr, int nr) {
@@ -112,12 +113,8 @@ std::vector<std::pair<int, int>> MicroKernelShapes(KernelVariant variant) {
   return shapes;
 }
 
-namespace {
-
-// Packs an mc_eff x kc_eff block of A (row-major, stride lda) into micro-row
-// panels: layout [ir][p][i] with i < mr, zero-padded to full mr.
-void PackAPanels(const float* a, int64_t lda, int64_t mc_eff, int64_t kc_eff, int mr,
-                 float* packed) {
+void PackAPanelsScalar(const float* a, int64_t lda, int64_t mc_eff, int64_t kc_eff, int mr,
+                       float* packed) {
   for (int64_t ir = 0; ir < mc_eff; ir += mr) {
     const int rows = static_cast<int>(std::min<int64_t>(mr, mc_eff - ir));
     for (int64_t p = 0; p < kc_eff; ++p) {
@@ -131,6 +128,8 @@ void PackAPanels(const float* a, int64_t lda, int64_t mc_eff, int64_t kc_eff, in
     }
   }
 }
+
+namespace {
 
 // Packs a kc_eff x nc_eff block of B (row-major, stride ldb) into micro-col
 // panels: layout [jr][p][j] with j < nr, zero-padded to full nr.
@@ -151,8 +150,19 @@ void PackBPanels(const float* b, int64_t ldb, int64_t kc_eff, int64_t nc_eff, in
   }
 }
 
+// The SIMD variants pack A through vector transposes, the scalar one with a
+// gather; both write the same bytes.
+void PackAPanels(const MicroKernelEntry& kernel, const float* a, int64_t lda, int64_t mc_eff,
+                 int64_t kc_eff, float* packed) {
+  if (kernel.variant == KernelVariant::kScalar) {
+    PackAPanelsScalar(a, lda, mc_eff, kc_eff, kernel.mr, packed);
+  } else {
+    PackAPanelsAvx2(a, lda, mc_eff, kc_eff, kernel.mr, packed);
+  }
+}
+
 // Sweeps `kernel` over an mc_eff x nc_eff block of C (row stride ldc) from A
-// packed by PackAPanels and kc_eff rows of B. B's column panel jr starts at
+// packed by PackAPanels* and kc_eff rows of B. B's column panel jr starts at
 // b + jr * panel_step and is read at stride ldb: packed panels (PackBPanels)
 // have panel_step = kc_eff and ldb = nr, B read in place has panel_step = 1
 // and ldb = n.
@@ -225,7 +235,7 @@ void GemmTiled(const float* a, const float* b, float* c, int64_t m, int64_t n, i
       }
       for (int64_t ic = 0; ic < m; ic += mc) {
         const int64_t mc_eff = std::min(mc, m - ic);
-        PackAPanels(a + ic * k + pc, k, mc_eff, kc_eff, config.mr, pack_a);
+        PackAPanels(*kernel, a + ic * k + pc, k, mc_eff, kc_eff, pack_a);
         RunMicroKernels(*kernel, pack_a, mc_eff, in_place ? b_block : pack_b,
                         in_place ? 1 : kc_eff, in_place ? n : config.nr, nc_eff, kc_eff,
                         c + ic * n + jc, n);
@@ -278,7 +288,7 @@ void GemmTiledParallel(const float* a, const float* b, float* c, int64_t m, int6
         const int64_t ic = block * mc;
         const int64_t mc_eff = std::min(mc, m - ic);
         float* pack_a = pack_a_all + block * mc * kc;
-        PackAPanels(a + ic * k + pc, k, mc_eff, kc_eff, config.mr, pack_a);
+        PackAPanels(*kernel, a + ic * k + pc, k, mc_eff, kc_eff, pack_a);
         RunMicroKernels(*kernel, pack_a, mc_eff, in_place ? b_block : pack_b,
                         in_place ? 1 : kc_eff, in_place ? n : config.nr, nc_eff, kc_eff,
                         c + ic * n + jc, n);

@@ -10,13 +10,17 @@ namespace vlora {
 
 namespace {
 
-bool CpuSupportsAvx2Fma() {
+// libgcc answers from CPUID and XCR0, so a yes also means the OS saves the
+// vector state (for AVX-512F, the zmm and opmask registers).
 #if defined(__x86_64__) || defined(__i386__)
+bool CpuSupportsAvx2Fma() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
 }
+bool CpuSupportsAvx512() { return __builtin_cpu_supports("avx512f"); }
+#else
+bool CpuSupportsAvx2Fma() { return false; }
+bool CpuSupportsAvx512() { return false; }
+#endif
 
 // -1 = not yet resolved; otherwise a KernelVariant value.
 // RefreshKernelVariantFromEnv publishes it and ActiveKernelVariant loads it,
@@ -54,6 +58,8 @@ const char* KernelVariantName(KernelVariant variant) {
       return "scalar";
     case KernelVariant::kAvx2:
       return "avx2";
+    case KernelVariant::kAvx512:
+      return "avx512";
   }
   return "?";
 }
@@ -72,7 +78,14 @@ bool ParseKernelVariant(const std::string& text, KernelVariant* out) {
 
 bool Avx2Available() { return CpuSupportsAvx2Fma() && !Avx2MicroKernelTable().empty(); }
 
+bool Avx512Available() {
+  return Avx2Available() && CpuSupportsAvx512() && !Avx512MicroKernelTable().empty();
+}
+
 KernelVariant DetectBestKernelVariant() {
+  if (Avx512Available()) {
+    return KernelVariant::kAvx512;
+  }
   return Avx2Available() ? KernelVariant::kAvx2 : KernelVariant::kScalar;
 }
 
@@ -107,6 +120,9 @@ std::vector<KernelVariant> AvailableKernelVariants() {
   std::vector<KernelVariant> variants{KernelVariant::kScalar};
   if (Avx2Available()) {
     variants.push_back(KernelVariant::kAvx2);
+  }
+  if (Avx512Available()) {
+    variants.push_back(KernelVariant::kAvx512);
   }
   return variants;
 }

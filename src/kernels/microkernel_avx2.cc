@@ -1,17 +1,17 @@
-// AVX2+FMA micro-kernels and attention tile. This is the ONLY translation
-// unit in the tree compiled with -mavx2 -mfma (per-file flags in
-// src/kernels/CMakeLists.txt); everything else stays at the baseline ISA so
-// the binary runs on any host and only routes here after the runtime probe
+// AVX2+FMA micro-kernels, A-panel packer, attention tile and SiLU, built with
+// -mavx2 -mfma -ffp-contract=off (src/kernels/CMakeLists.txt); everything
+// but this file and microkernel_avx512.cc stays at the baseline ISA so the
+// binary runs on any host and only routes here after the runtime probe
 // (kernel_variant.cc). When the toolchain cannot target AVX2 the file
-// degrades to an empty table and the scalar attention tile, and dispatch
-// stays scalar.
+// degrades to an empty table and the scalar kernels, and dispatch stays
+// scalar.
 //
 // Layout contract matches the scalar kernels in gemm.cc exactly: a packed A
 // panel [p * mr + i], B rows [p * ldb + j] (a packed panel or B in place),
 // accumulate-into-C semantics, identical summation order over p — so the
 // only numerical difference from scalar is FMA's single rounding per
 // multiply-add, which the differential harness bounds in ULPs
-// (tests/kernel_diff_test.cc).
+// (tests/kernel_diff_test.cc). Every FMA is written out (contraction is off).
 
 #include "src/kernels/microkernel.h"
 
@@ -19,7 +19,9 @@
 
 #include <immintrin.h>
 
+#include <array>
 #include <cmath>
+#include <type_traits>
 
 namespace vlora {
 namespace {
@@ -174,6 +176,24 @@ struct Avx2Tile4 {
     }
   }
 };
+
+template <int MR, int NR>
+using Avx2TileFor = std::conditional_t<NR == 4, Avx2Tile4<MR>, Avx2Tile<MR, NR>>;
+
+// --- A panels: 4 rows x 8 columns of A per transpose ---
+
+// r[i] holds 8 consecutive values of row i; afterwards the low half of r[q]
+// is column q of the four rows, and the high half column q + 4.
+inline void Transpose4x8(__m256 (&r)[4]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  r[0] = _mm256_shuffle_ps(t0, t2, 0x44);
+  r[1] = _mm256_shuffle_ps(t0, t2, 0xEE);
+  r[2] = _mm256_shuffle_ps(t1, t3, 0x44);
+  r[3] = _mm256_shuffle_ps(t1, t3, 0xEE);
+}
 
 // --- attention tile (microkernel.h): every per-row step is lane-wise or a
 // fixed reduction tree, so rows sharing a tile never affect each other ---
@@ -338,21 +358,43 @@ inline void FoldValues(const AttentionTile& t, int64_t r, const float (*w)[kAtte
 
 }  // namespace
 
-const std::vector<MicroKernelEntry>& Avx2MicroKernelTable() {
-  // Same (mr, nr) set as the scalar table in gemm.cc — keep in sync; the
-  // differential harness sweeps both tables and fails on drift.
-  static const std::vector<MicroKernelEntry> table = {
-      {4, 4, KernelVariant::kAvx2, Avx2Tile4<4>::Full, Avx2Tile4<4>::Edge},
-      {4, 8, KernelVariant::kAvx2, Avx2Tile<4, 8>::Full, Avx2Tile<4, 8>::Edge},
-      {4, 16, KernelVariant::kAvx2, Avx2Tile<4, 16>::Full, Avx2Tile<4, 16>::Edge},
-      {8, 4, KernelVariant::kAvx2, Avx2Tile4<8>::Full, Avx2Tile4<8>::Edge},
-      {8, 8, KernelVariant::kAvx2, Avx2Tile<8, 8>::Full, Avx2Tile<8, 8>::Edge},
-      {8, 16, KernelVariant::kAvx2, Avx2Tile<8, 16>::Full, Avx2Tile<8, 16>::Edge},
-      {16, 8, KernelVariant::kAvx2, Avx2Tile<16, 8>::Full, Avx2Tile<16, 8>::Edge},
-      {16, 16, KernelVariant::kAvx2, Avx2Tile<16, 16>::Full, Avx2Tile<16, 16>::Edge},
-  };
-  return table;
+template <int MR, int NR>
+void Avx2Tiles<MR, NR>::Full(int64_t kc, const float* a_panel, const float* b, int64_t ldb,
+                             float* c, int64_t ldc) {
+  Avx2TileFor<MR, NR>::Full(kc, a_panel, b, ldb, c, ldc);
 }
+
+template <int MR, int NR>
+void Avx2Tiles<MR, NR>::Edge(int64_t kc, const float* a_panel, const float* b, int64_t ldb,
+                             float* c, int64_t ldc, int m_eff, int n_eff) {
+  Avx2TileFor<MR, NR>::Edge(kc, a_panel, b, ldb, c, ldc, m_eff, n_eff);
+}
+
+// The tiles the AVX-512 table points at.
+template struct Avx2Tiles<4, 4>;
+template struct Avx2Tiles<4, 8>;
+template struct Avx2Tiles<8, 4>;
+template struct Avx2Tiles<8, 8>;
+template struct Avx2Tiles<16, 8>;
+
+namespace {
+
+// Same (mr, nr) set as the scalar table in gemm.cc — keep in sync; the
+// differential harness sweeps every table and fails on drift.
+constexpr std::array<MicroKernelEntry, 8> kTable = {{
+    {4, 4, KernelVariant::kAvx2, Avx2Tiles<4, 4>::Full, Avx2Tiles<4, 4>::Edge},
+    {4, 8, KernelVariant::kAvx2, Avx2Tiles<4, 8>::Full, Avx2Tiles<4, 8>::Edge},
+    {4, 16, KernelVariant::kAvx2, Avx2Tiles<4, 16>::Full, Avx2Tiles<4, 16>::Edge},
+    {8, 4, KernelVariant::kAvx2, Avx2Tiles<8, 4>::Full, Avx2Tiles<8, 4>::Edge},
+    {8, 8, KernelVariant::kAvx2, Avx2Tiles<8, 8>::Full, Avx2Tiles<8, 8>::Edge},
+    {8, 16, KernelVariant::kAvx2, Avx2Tiles<8, 16>::Full, Avx2Tiles<8, 16>::Edge},
+    {16, 8, KernelVariant::kAvx2, Avx2Tiles<16, 8>::Full, Avx2Tiles<16, 8>::Edge},
+    {16, 16, KernelVariant::kAvx2, Avx2Tiles<16, 16>::Full, Avx2Tiles<16, 16>::Edge},
+}};
+
+}  // namespace
+
+std::span<const MicroKernelEntry> Avx2MicroKernelTable() { return kTable; }
 
 void AttentionTileAvx2(const AttentionTile& t) {
   alignas(32) float w[kAttentionQueryBlock][kAttentionTile];  // scores, then weights
@@ -383,8 +425,9 @@ void AttentionTileAvx2(const AttentionTile& t) {
     const __m256 w_hi = _mm256_and_ps(ExpNonPositive(_mm256_sub_ps(s_hi, shift)), keep_hi);
     _mm256_store_ps(w[r], w_lo);
     _mm256_store_ps(w[r] + 8, w_hi);
-    t.l[r] = t.l[r] * alpha[r] +
-             Reduce(_mm256_add_ps(w_lo, w_hi), [](__m128 a, __m128 b) { return _mm_add_ps(a, b); });
+    t.l[r] = std::fma(t.l[r], alpha[r],
+                      Reduce(_mm256_add_ps(w_lo, w_hi),
+                             [](__m128 a, __m128 b) { return _mm_add_ps(a, b); }));
     t.m[r] = m_new;
   }
 
@@ -395,6 +438,37 @@ void AttentionTileAvx2(const AttentionTile& t) {
   }
   if (r < t.rows) {
     FoldValues<1>(t, r, w, alpha);
+  }
+}
+
+// Each group of four rows and eight columns goes through one transpose;
+// rows past a ragged panel's last load as zeros, and the columns past the
+// last multiple of 8 take the scalar packer's loop.
+void PackAPanelsAvx2(const float* a, int64_t lda, int64_t mc_eff, int64_t kc_eff, int mr,
+                     float* packed) {
+  for (int64_t ir = 0; ir < mc_eff; ir += mr) {
+    const int64_t rows = std::min<int64_t>(mr, mc_eff - ir);
+    float* panel = packed + ir * kc_eff;
+    int64_t p = 0;
+    for (; p + 8 <= kc_eff; p += 8) {
+      for (int i = 0; i < mr; i += 4) {
+        __m256 r[4];
+        for (int q = 0; q < 4; ++q) {
+          r[q] = i + q < rows ? _mm256_loadu_ps(a + (ir + i + q) * lda + p) : _mm256_setzero_ps();
+        }
+        Transpose4x8(r);
+        float* dst = panel + p * mr + i;
+        for (int q = 0; q < 4; ++q) {
+          _mm_storeu_ps(dst + q * mr, _mm256_castps256_ps128(r[q]));
+          _mm_storeu_ps(dst + (q + 4) * mr, _mm256_extractf128_ps(r[q], 1));
+        }
+      }
+    }
+    for (; p < kc_eff; ++p) {
+      for (int i = 0; i < mr; ++i) {
+        panel[p * mr + i] = i < rows ? a[(ir + i) * lda + p] : 0.0f;
+      }
+    }
   }
 }
 
@@ -420,23 +494,22 @@ void SiluAvx2(float* x, int64_t n) {
 }
 
 float FmaPeakLoopAvx2(int64_t steps) {
-  constexpr int kChains = 12;
-  __m256 acc[kChains];
+  __m256 acc[kFmaPeakChains];
   const __m256 a = _mm256_set1_ps(0.999f);
   const __m256 b = _mm256_set1_ps(1e-3f);
 #pragma GCC unroll 12
-  for (int i = 0; i < kChains; ++i) {
+  for (int i = 0; i < kFmaPeakChains; ++i) {
     acc[i] = _mm256_set1_ps(static_cast<float>(i));
   }
   for (int64_t s = 0; s < steps; ++s) {
 #pragma GCC unroll 12
-    for (int i = 0; i < kChains; ++i) {
+    for (int i = 0; i < kFmaPeakChains; ++i) {
       acc[i] = _mm256_fmadd_ps(acc[i], a, b);
     }
   }
   __m256 sum = _mm256_setzero_ps();
 #pragma GCC unroll 12
-  for (int i = 0; i < kChains; ++i) {
+  for (int i = 0; i < kFmaPeakChains; ++i) {
     sum = _mm256_add_ps(sum, acc[i]);
   }
   return Reduce(sum, [](__m128 x, __m128 y) { return _mm_add_ps(x, y); });
@@ -448,9 +521,11 @@ float FmaPeakLoopAvx2(int64_t steps) {
 
 namespace vlora {
 
-const std::vector<MicroKernelEntry>& Avx2MicroKernelTable() {
-  static const std::vector<MicroKernelEntry> empty;
-  return empty;
+std::span<const MicroKernelEntry> Avx2MicroKernelTable() { return {}; }
+
+void PackAPanelsAvx2(const float* a, int64_t lda, int64_t mc_eff, int64_t kc_eff, int mr,
+                     float* packed) {
+  PackAPanelsScalar(a, lda, mc_eff, kc_eff, mr, packed);
 }
 
 void AttentionTileAvx2(const AttentionTile& tile) { AttentionTileScalar(tile); }

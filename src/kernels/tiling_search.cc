@@ -67,9 +67,11 @@ TilingSearchResult RunTilingSearch(const TilingSearchOptions& options,
   }
 
   const int64_t step = AtmmDispatcher::kMStep * std::max<int64_t>(1, options.m_stride_multiplier);
+  const std::vector<KernelVariant> available = AvailableKernelVariants();
   for (KernelVariant variant : variants) {
-    if (variant == KernelVariant::kAvx2 && !Avx2Available()) {
-      VLORA_LOG(Warning) << "tiling search: skipping avx2 pass, host cannot execute it";
+    if (std::find(available.begin(), available.end(), variant) == available.end()) {
+      VLORA_LOG(Warning) << "tiling search: skipping " << KernelVariantName(variant)
+                         << " pass, host cannot execute it";
       continue;
     }
     ++result.variants_profiled;

@@ -31,7 +31,7 @@ void SiluScalar(float* x, int64_t n) {
 }
 
 void SiluInPlace(float* x, int64_t n, KernelVariant variant) {
-  if (variant == KernelVariant::kAvx2) {
+  if (variant != KernelVariant::kScalar) {  // AVX-512 keeps the AVX2 loop
     SiluAvx2(x, n);
   } else {
     SiluScalar(x, n);
@@ -149,7 +149,9 @@ void Attention(const AttentionArgs& a, KernelVariant variant) {
           tile.keys = std::min(kAttentionTile, span.rows - t0);
           // Causal row r sits at block_pos + r and sees the keys up to itself.
           tile.row_offset = a.causal ? block_pos - span_pos - t0 + 1 : kAttentionTile;
-          if (variant == KernelVariant::kAvx2) {
+          if (variant == KernelVariant::kAvx512) {
+            AttentionTileAvx512(tile);
+          } else if (variant == KernelVariant::kAvx2) {
             AttentionTileAvx2(tile);
           } else {
             AttentionTileScalar(tile);

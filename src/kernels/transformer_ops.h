@@ -17,8 +17,9 @@ namespace vlora {
 void RmsNormRows(const float* x, const float* gain, float* out, int64_t rows, int64_t d);
 
 // x = x * sigmoid(x), elementwise over n values. The scalar loop
-// (SiluScalar, microkernel.h) defines the semantics; the AVX2 one only rounds
-// apart, except below -87.33, where both results are tiny.
+// (SiluScalar, microkernel.h) defines the semantics; the AVX2 one, which the
+// AVX-512 variant runs too, only rounds apart, except below -87.33, where
+// both results are tiny.
 void SiluInPlace(float* x, int64_t n, KernelVariant variant = ActiveKernelVariant());
 
 // Adds the sinusoidal embedding of absolute `position` to one d-wide row.
@@ -83,7 +84,8 @@ struct AttentionArgs {
 // Multi-head softmax(q kᵀ / sqrt(d_head)) v, an online softmax over 16-key
 // tiles of the spans; writes num_heads * d_head columns per row, each a
 // function of the row's position and the keys only. The scalar tile kernel
-// defines the semantics; the AVX2 one (microkernel_avx2.cc) only rounds apart.
+// defines the semantics; the AVX2 one (microkernel_avx2.cc) only rounds
+// apart, and the AVX-512 one (microkernel_avx512.cc) is bitwise the AVX2 one.
 void Attention(const AttentionArgs& args, KernelVariant variant = ActiveKernelVariant()) VLORA_HOT;
 
 }  // namespace vlora

@@ -53,6 +53,10 @@ TEST(AtmmDispatcherTest, HeuristicAlwaysValid) {
             AtmmDispatcher::HeuristicConfig(m, n, k, KernelVariant::kAvx2);
         EXPECT_TRUE(avx2.Valid()) << m << "x" << n << "x" << k << " -> " << avx2.ToString();
         EXPECT_TRUE(HasMicroKernel(avx2.mr, avx2.nr)) << avx2.ToString();
+        // AVX-512 runs AVX2's config: the same kc keeps its outputs bitwise
+        // AVX2's, and the same (mr, nr) its ReadsBInPlace decisions.
+        EXPECT_EQ(AtmmDispatcher::HeuristicConfig(m, n, k, KernelVariant::kAvx512), avx2)
+            << m << "x" << n << "x" << k;
       }
     }
   }
@@ -114,22 +118,36 @@ TEST(TilingSearchTest, RegisteredConfigIsUsedAtRuntime) {
 }
 
 // The per-variant tables are isolated: an entry registered for one variant
-// is never served to another, in either direction.
+// is never served to another, in any direction.
 TEST(AtmmDispatcherTest, PerVariantTablesAreIsolated) {
   AtmmDispatcher dispatcher;
   const ShapeKey key{128, 64, 256};
   const TileConfig scalar_cfg{16, 16, 32, 4, 4};
   const TileConfig avx2_cfg{32, 64, 64, 16, 16};
+  const TileConfig avx512_cfg{64, 64, 128, 8, 16};
   dispatcher.Register(key, scalar_cfg, KernelVariant::kScalar);
   dispatcher.Register(key, avx2_cfg, KernelVariant::kAvx2);
+  dispatcher.Register(key, avx512_cfg, KernelVariant::kAvx512);
 
   // Each variant sees exactly its own entry.
   EXPECT_EQ(dispatcher.Select(128, 64, 256, KernelVariant::kScalar), scalar_cfg);
   EXPECT_EQ(dispatcher.Select(128, 64, 256, KernelVariant::kAvx2), avx2_cfg);
+  EXPECT_EQ(dispatcher.Select(128, 64, 256, KernelVariant::kAvx512), avx512_cfg);
 
-  EXPECT_EQ(dispatcher.TableSize(), 2);
+  EXPECT_EQ(dispatcher.TableSize(), 3);
   EXPECT_EQ(dispatcher.TableSize(KernelVariant::kScalar), 1);
   EXPECT_EQ(dispatcher.TableSize(KernelVariant::kAvx2), 1);
+  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kAvx512), 1);
+
+  // An entry in one table alone is invisible to the other two, which fall
+  // through to their own heuristic.
+  AtmmDispatcher avx512_only;
+  avx512_only.Register(key, avx512_cfg, KernelVariant::kAvx512);
+  for (KernelVariant variant : {KernelVariant::kScalar, KernelVariant::kAvx2}) {
+    EXPECT_EQ(avx512_only.Select(128, 64, 256, variant),
+              AtmmDispatcher::HeuristicConfig(128, 64, 256, variant))
+        << KernelVariantName(variant);
+  }
 }
 
 // Scalar-profiled configs are never served to AVX2 selections and vice versa,
@@ -178,11 +196,11 @@ TEST(TilingSearchTest, PerVariantSearchPopulatesSeparateTables) {
   }
 }
 
-// Requesting AVX2 on a host that cannot run it is skipped with a warning —
-// the table never contains entries for a variant the host cannot execute.
+// Requesting a variant the host cannot run is skipped with a warning — the
+// table never contains entries for a variant the host cannot execute.
 TEST(TilingSearchTest, SkipsUnavailableVariants) {
-  if (Avx2Available()) {
-    GTEST_SKIP() << "host executes AVX2; the skip path is unreachable";
+  if (Avx512Available()) {
+    GTEST_SKIP() << "host executes every variant; the skip path is unreachable";
   }
   AtmmDispatcher dispatcher;
   TilingSearchOptions options;
@@ -192,9 +210,10 @@ TEST(TilingSearchTest, SkipsUnavailableVariants) {
   options.m_stride_multiplier = 1;
   options.repetitions = 1;
   options.candidates = {TileConfig{16, 16, 32, 4, 4}};
-  options.variants = {KernelVariant::kScalar, KernelVariant::kAvx2};
+  options.variants = {KernelVariant::kScalar, KernelVariant::kAvx2, KernelVariant::kAvx512};
   RunTilingSearch(options, dispatcher);
-  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kAvx2), 0);
+  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kAvx512), 0);
+  EXPECT_EQ(dispatcher.TableSize(KernelVariant::kAvx2), Avx2Available() ? 1 : 0);
   EXPECT_EQ(dispatcher.TableSize(KernelVariant::kScalar), 1);
 }
 

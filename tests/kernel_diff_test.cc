@@ -9,7 +9,10 @@
 // the AVX2 kernels use FMA (one rounding per multiply-add) while the scalar
 // kernels round twice, so bitwise equality across variants is not the
 // contract. Everything is seeded; every variant is run twice and must be
-// bitwise identical to itself.
+// bitwise identical to itself. AVX-512 is the exception in the other
+// direction: it keeps AVX2's FMA order, tile configs and reduction trees, so
+// it must equal AVX2 bitwise, GEMM and attention alike, and the vector A
+// packer must write the scalar packer's bytes.
 //
 // Attention (transformer_ops.h) gets the same treatment against a
 // double-precision two-pass softmax over paged K/V spans at KV block sizes 8,
@@ -27,10 +30,13 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/kernels/atmm.h"
 #include "src/kernels/gemm.h"
 #include "src/kernels/kernel_variant.h"
 #include "src/kernels/microkernel.h"
@@ -195,6 +201,85 @@ TEST(KernelDiffTest, Avx2MatchesScalarWithinUlps) {
         ASSERT_TRUE(ok) << mr << "x" << nr << " element " << i << ": scalar "
                         << c_scalar.data()[i] << " avx2 " << c_avx2.data()[i];
       }
+    }
+  }
+}
+
+// AVX-512 against AVX2 bitwise: every tile over the sweep grid (full and
+// edge tiles, accumulating into a non-zero C), then GemmTiled on each
+// variant's heuristic config at SmallConfig decode, prefill and LoRA shapes,
+// packed and in-place B alike.
+TEST(KernelDiffTest, Avx512EqualsAvx2Bitwise) {
+  if (!Avx512Available()) {
+    GTEST_SKIP() << "host has no AVX-512 kernels";
+  }
+  auto expect_same = [](int64_t m, int64_t n, int64_t k, const TileConfig& config,
+                        const std::string& what) {
+    Rng rng(0xA5C2ull ^ static_cast<uint64_t>(m * 7919 + n * 31 + k));
+    Tensor a = Tensor::Random(Shape(m, k), rng, 1.0f);
+    Tensor b = Tensor::Random(Shape(k, n), rng, 1.0f);
+    const Tensor c0 = Tensor::Random(Shape(m, n), rng, 1.0f);
+    Tensor c_avx2 = c0.Clone();
+    Tensor c_avx512 = c0.Clone();
+    GemmWorkspace workspace;
+    GemmTiled(a.data(), b.data(), c_avx2.data(), m, n, k, config, workspace,
+              KernelVariant::kAvx2);
+    GemmTiled(a.data(), b.data(), c_avx512.data(), m, n, k, config, workspace,
+              KernelVariant::kAvx512);
+    ASSERT_EQ(0, std::memcmp(c_avx2.data(), c_avx512.data(),
+                             static_cast<size_t>(m * n) * sizeof(float)))
+        << what << " " << m << "x" << n << "x" << k << " " << config.ToString();
+  };
+  for (const auto& [mr, nr] : MicroKernelShapes(KernelVariant::kAvx512)) {
+    for (const DiffShape& shape : SweepShapes(mr, nr)) {
+      expect_same(shape.m, shape.n, shape.k, WrapConfig(mr, nr), "tile");
+    }
+  }
+  const DiffShape serving[] = {
+      // {m, n, k}: decode and prefill projections, MLP and LM head (n 1024 packs B)
+      {1, 128, 128}, {8, 128, 128}, {8, 128, 512}, {40, 128, 128}, {40, 128, 512},
+      {40, 128, 1024}, {392, 128, 128}, {392, 128, 512}, {392, 512, 128},
+      // LoRA shrinks and expands at ranks 8 and 16
+      {1, 8, 128}, {40, 8, 128}, {40, 128, 8}, {392, 16, 128}, {392, 128, 16},
+  };
+  for (const DiffShape& shape : serving) {
+    const TileConfig config =
+        AtmmDispatcher::HeuristicConfig(shape.m, shape.n, shape.k, KernelVariant::kAvx512);
+    ASSERT_EQ(config,
+              AtmmDispatcher::HeuristicConfig(shape.m, shape.n, shape.k, KernelVariant::kAvx2));
+    expect_same(shape.m, shape.n, shape.k, config, "serving");
+  }
+}
+
+// The vector A packer writes the scalar packer's bytes: the same layout, the
+// same zero rows under a ragged last panel (mc not a multiple of mr) and the
+// same columns past the last multiple of 8 (ragged kc), bit patterns such as
+// -0 and NaN moved as they are, and nothing past the packed panels touched.
+TEST(KernelDiffTest, VectorPackEqualsScalarPack) {
+  if (!Avx2Available()) {
+    GTEST_SKIP() << "host has no AVX2 kernels";
+  }
+  for (int mr : {4, 8, 16}) {
+    for (const auto& [mc, kc] : {std::pair<int64_t, int64_t>{2 * mr, 32},
+                                 {3 * mr + 1, 29},
+                                 {mr - 1, 7},
+                                 {1, 8},
+                                 {2 * mr - 3, 128},
+                                 {mr, 1}}) {
+      const int64_t lda = kc + 5;  // the block is part of a wider A
+      Rng rng(0x9ACCull ^ static_cast<uint64_t>(mr * 1000 + mc * 10 + kc));
+      Tensor a = Tensor::Random(Shape(mc, lda), rng, 1.0f);
+      a.data()[0] = -0.0f;
+      a.data()[1] = std::numeric_limits<float>::quiet_NaN();
+      const int64_t panels = (mc + mr - 1) / mr;
+      const size_t floats = static_cast<size_t>(panels * mr * kc) + 16;
+      std::vector<float> scalar(floats, 12345.0f);
+      std::vector<float> vector = scalar;
+      PackAPanelsScalar(a.data(), lda, mc, kc, mr, scalar.data());
+      PackAPanelsAvx2(a.data(), lda, mc, kc, mr, vector.data());
+      ASSERT_EQ(0, std::memcmp(scalar.data(), vector.data(), floats * sizeof(float)))
+          << "mr " << mr << " mc " << mc << " kc " << kc;
+      EXPECT_EQ(vector.back(), 12345.0f);
     }
   }
 }
@@ -439,6 +524,39 @@ TEST(AttentionDiffTest, Avx2MatchesScalarWithinBound) {
                 << "block " << block << " ctx " << ctx << " d_head " << d_head << " element "
                 << i << ": scalar " << scalar.data()[i] << " avx2 " << avx2.data()[i];
           }
+        }
+      }
+    }
+  }
+}
+
+// AVX-512 against AVX2 bitwise over the whole attention grid: every context
+// at every KV block size, head width and mask, as a whole prefill, as a chunk
+// after one reused block, and as every causal decode row.
+TEST(AttentionDiffTest, Avx512EqualsAvx2Bitwise) {
+  if (!Avx512Available()) {
+    GTEST_SKIP() << "host has no AVX-512 kernels";
+  }
+  for (int64_t block : kKvBlocks) {
+    for (int64_t ctx : AttentionContexts(block)) {
+      for (int64_t d_head : kAttentionHeadDims) {
+        AttentionCase c(ctx, block, 2, d_head, 0xA512ull + static_cast<uint64_t>(ctx + d_head));
+        auto expect_same = [&](int64_t begin, int64_t end, bool causal) {
+          const Tensor avx2 = c.Run(begin, end, end, causal, KernelVariant::kAvx2);
+          const Tensor avx512 = c.Run(begin, end, end, causal, KernelVariant::kAvx512);
+          ASSERT_EQ(0, std::memcmp(avx2.data(), avx512.data(),
+                                   static_cast<size_t>((end - begin) * c.ld) * sizeof(float)))
+              << "block " << block << " ctx " << ctx << " d_head " << d_head << " rows " << begin
+              << "-" << end << (causal ? " causal" : " bidirectional");
+        };
+        for (bool causal : {true, false}) {
+          expect_same(0, ctx, causal);
+          if (block < ctx) {
+            expect_same(block, ctx, causal);
+          }
+        }
+        for (int64_t p = 0; p < ctx; ++p) {
+          expect_same(p, p + 1, true);
         }
       }
     }

@@ -1,5 +1,6 @@
 // Runtime kernel dispatch: VLORA_KERNEL_VARIANT forcing, function-pointer
-// table consistency, and serial-vs-parallel bitwise identity per variant.
+// table consistency, serial-vs-parallel bitwise identity per variant, and an
+// engine generation that must not tell AVX2 and AVX-512 apart.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
+#include "src/engine/engine.h"
 #include "src/kernels/gemm.h"
 #include "src/kernels/kernel_variant.h"
 #include "src/kernels/microkernel.h"
@@ -56,20 +58,31 @@ TEST(KernelVariantTest, ParseAcceptsExactNamesOnly) {
   EXPECT_TRUE(ParseKernelVariant("avx2", &variant));
   EXPECT_EQ(variant, KernelVariant::kAvx2);
   EXPECT_FALSE(ParseKernelVariant("auto", &variant));
+  // avx512 has no spelling: auto picks it wherever the host can run it.
+  EXPECT_FALSE(ParseKernelVariant("avx512", &variant));
   EXPECT_FALSE(ParseKernelVariant("AVX2", &variant));
+  EXPECT_FALSE(ParseKernelVariant("avx512f", &variant));
   EXPECT_FALSE(ParseKernelVariant("", &variant));
   EXPECT_FALSE(ParseKernelVariant("turbo", &variant));
 }
 
 TEST(KernelVariantTest, AvailabilityIsConsistent) {
-  // Scalar is always available; AVX2 availability must match its table.
-  const auto available = AvailableKernelVariants();
-  ASSERT_FALSE(available.empty());
-  EXPECT_EQ(available.front(), KernelVariant::kScalar);
-  EXPECT_EQ(Avx2Available(), !Avx2MicroKernelTable().empty() && available.size() == 2);
-  // The detected best variant is one of the available ones.
-  const KernelVariant best = DetectBestKernelVariant();
-  EXPECT_EQ(best, Avx2Available() ? KernelVariant::kAvx2 : KernelVariant::kScalar);
+  // Scalar is always available, then each SIMD variant the host runs, in
+  // order. A SIMD variant is available only with its table compiled in, and
+  // AVX-512 only on top of AVX2, whose tiles its table shares.
+  std::vector<KernelVariant> expected{KernelVariant::kScalar};
+  if (Avx2Available()) {
+    EXPECT_FALSE(Avx2MicroKernelTable().empty());
+    expected.push_back(KernelVariant::kAvx2);
+  }
+  if (Avx512Available()) {
+    EXPECT_TRUE(Avx2Available());
+    EXPECT_FALSE(Avx512MicroKernelTable().empty());
+    expected.push_back(KernelVariant::kAvx512);
+  }
+  EXPECT_EQ(AvailableKernelVariants(), expected);
+  // Auto picks avx512, then avx2, then scalar: the last available one.
+  EXPECT_EQ(DetectBestKernelVariant(), expected.back());
 }
 
 // Forcing each variant through the env override must be reflected by the
@@ -178,8 +191,51 @@ TEST(KernelDispatchTest, LookupFallsBackToScalar) {
   } else {
     EXPECT_EQ(entry->variant, KernelVariant::kScalar);
   }
+  const MicroKernelEntry* wide = FindMicroKernel(KernelVariant::kAvx512, 8, 16);
+  ASSERT_NE(wide, nullptr);
+  EXPECT_EQ(wide->variant, MicroKernelTable(KernelVariant::kAvx512).empty()
+                               ? KernelVariant::kScalar
+                               : KernelVariant::kAvx512);
   EXPECT_TRUE(HasMicroKernel(8, 8));
   EXPECT_FALSE(HasMicroKernel(KernelVariant::kAvx2, 5, 5));
+  EXPECT_FALSE(HasMicroKernel(KernelVariant::kAvx512, 5, 5));
+}
+
+// The AVX-512 variant serves AVX2's outputs bit for bit end to end: a
+// SmallConfig generation with an unmerged adapter (base and LoRA GEMMs,
+// paged attention, the LM head) gives the same tokens and final hidden row
+// under either, so servebench serves the same outputs on both.
+TEST(KernelDispatchTest, Avx512GenerationEqualsAvx2) {
+  if (!Avx512Available()) {
+    GTEST_SKIP() << "host has no AVX-512 kernels";
+  }
+  const ModelConfig config = SmallConfig();
+  Rng rng(0xA512ull);
+  const LoraAdapter adapter =
+      LoraAdapter::Random("a", config.num_layers, config.d_model, 8, rng);
+  EngineRequest request;
+  request.id = 1;
+  for (int i = 0; i < 40; ++i) {
+    request.prompt_tokens.push_back(static_cast<int32_t>(rng.NextInt(2, config.vocab_size - 1)));
+  }
+  request.max_new_tokens = 8;
+  request.eos_token = -1;
+  request.capture_final_hidden = true;
+  auto generate = [&](const char* variant, KernelVariant expected) {
+    ScopedKernelVariantEnv env(variant);
+    EXPECT_EQ(ActiveKernelVariant(), expected);
+    InferenceEngine engine(config);
+    request.adapter_id = engine.RegisterAdapter(&adapter);
+    return engine.RunToCompletion(request);
+  };
+  const EngineResult avx2 = generate("avx2", KernelVariant::kAvx2);
+  const EngineResult avx512 = generate("auto", KernelVariant::kAvx512);
+  ASSERT_EQ(avx2.output_tokens.size(), 8u);
+  EXPECT_EQ(avx2.output_tokens, avx512.output_tokens);
+  ASSERT_EQ(avx2.final_hidden.size(), static_cast<size_t>(config.d_model));
+  ASSERT_EQ(avx512.final_hidden.size(), avx2.final_hidden.size());
+  EXPECT_EQ(0, std::memcmp(avx2.final_hidden.data(), avx512.final_hidden.data(),
+                           avx2.final_hidden.size() * sizeof(float)));
 }
 
 }  // namespace
