@@ -15,10 +15,10 @@ void Run() {
                      "ATMM fastest on average (2.7x/2.3x/3.4x vs S-LoRA/Punica/dLoRA); "
                      "comparable to S-LoRA at decode shapes");
   const std::vector<int64_t> batch_sizes = {4, 16, 64, 256, 1024};
-  AtmmDispatcher dispatcher;
-  bench::BuildAtmmTable(dispatcher, batch_sizes);
+  bench::TileTable atmm_table;
+  bench::BuildAtmmTable(atmm_table, batch_sizes);
   bench::OperatorWorkload workload;
-  auto operators = bench::MakeOperators(dispatcher);
+  auto operators = bench::MakeOperators(atmm_table);
 
   std::vector<std::string> header = {"batch tokens"};
   for (const auto& op : operators) {

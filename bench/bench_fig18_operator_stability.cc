@@ -17,10 +17,10 @@ void Run() {
   bench::PrintHeader("Fig 18 — operator stability across diverse inputs (REAL CPU kernels)",
                      "ATMM most robust; static tilings fluctuate between good and bad shapes");
   const std::vector<int64_t> batch_sizes = {4, 16, 64, 256, 1024};
-  AtmmDispatcher dispatcher;
-  bench::BuildAtmmTable(dispatcher, batch_sizes);
+  bench::TileTable atmm_table;
+  bench::BuildAtmmTable(atmm_table, batch_sizes);
   bench::OperatorWorkload workload;
-  auto operators = bench::MakeOperators(dispatcher);
+  auto operators = bench::MakeOperators(atmm_table);
 
   // For every round all four operators run the SAME input, so the competitive
   // ratio isolates operator behaviour from workload variation.

@@ -294,16 +294,6 @@ void BM_GemmTiledDown(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTiledDown)->Arg(16)->Arg(128)->Arg(1024);
 
-void BM_AtmmDispatch(benchmark::State& state) {
-  AtmmDispatcher dispatcher;
-  dispatcher.Register(ShapeKey{128, 64, 1024}, TileConfig{64, 32, 128, 8, 8});
-  for (auto _ : state) {
-    TileConfig config = dispatcher.Select(128, 64, 1024);
-    benchmark::DoNotOptimize(config);
-  }
-}
-BENCHMARK(BM_AtmmDispatch);
-
 void BM_AtmmExecute(benchmark::State& state) {
   const int64_t m = state.range(0);
   AtmmDispatcher dispatcher;

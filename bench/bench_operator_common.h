@@ -12,11 +12,11 @@
 #include <memory>
 #include <vector>
 
+#include "bench/bench_tiling_search.h"
 #include "bench/bench_util.h"
 #include "src/common/stats.h"
 #include "src/common/stopwatch.h"
 #include "src/kernels/lora_ops.h"
-#include "src/kernels/tiling_search.h"
 
 namespace vlora {
 namespace bench {
@@ -64,9 +64,9 @@ struct OperatorWorkload {
   }
 };
 
-// Builds the ATMM dispatcher's hash table for the shapes this bench uses —
-// the offline profile-based search of §4.3.2 over a reduced candidate set.
-inline void BuildAtmmTable(AtmmDispatcher& dispatcher, const std::vector<int64_t>& batch_sizes) {
+// Builds ATMM's shape table for the shapes this bench uses — the offline
+// profile-based search of §4.3.2 over a reduced candidate set.
+inline void BuildAtmmTable(TileTable& table, const std::vector<int64_t>& batch_sizes) {
   std::vector<TileConfig> candidates = {
       {16, 16, 64, 4, 4},  {32, 32, 64, 8, 8},    {64, 32, 128, 8, 8},
       {64, 64, 128, 8, 8}, {128, 64, 128, 8, 16}, {256, 64, 256, 8, 8},
@@ -75,7 +75,6 @@ inline void BuildAtmmTable(AtmmDispatcher& dispatcher, const std::vector<int64_t
   TilingSearchOptions options;
   options.candidates = candidates;
   options.repetitions = 2;
-  options.m_stride_multiplier = 1;
   for (int64_t rank : kRanks) {
     options.nk_pairs.push_back({rank, kDModel});   // down projection
     options.nk_pairs.push_back({kDModel, rank});   // up projection
@@ -83,7 +82,7 @@ inline void BuildAtmmTable(AtmmDispatcher& dispatcher, const std::vector<int64_t
   for (int64_t batch : batch_sizes) {
     options.m_min = batch;
     options.m_max = batch;
-    RunTilingSearch(options, dispatcher);
+    RunTilingSearch(options, table);
   }
 }
 
@@ -112,10 +111,12 @@ inline OperatorTiming TimeOperator(LoraBatchOperator& op, OperatorWorkload& work
   return timing;
 }
 
-inline std::vector<std::unique_ptr<LoraBatchOperator>> MakeOperators(
-    AtmmDispatcher& dispatcher) {
+// ATMM, S-LoRA, Punica and Einsum, in that order. ATMM runs each segment's
+// GEMMs with the tiles `table` records; the table must outlive the operators.
+inline std::vector<std::unique_ptr<LoraBatchOperator>> MakeOperators(const TileTable& table) {
   std::vector<std::unique_ptr<LoraBatchOperator>> ops;
-  ops.push_back(std::make_unique<AtmmLoraOperator>(&dispatcher));
+  ops.push_back(std::make_unique<StaticTileLoraOperator>(
+      "ATMM", [&table](int64_t m, int64_t n, int64_t k) { return table.Select(m, n, k); }));
   ops.push_back(MakeSloraOperator());
   ops.push_back(MakePunicaOperator());
   ops.push_back(std::make_unique<EinsumLoraOperator>());

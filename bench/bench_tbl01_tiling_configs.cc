@@ -10,11 +10,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "bench/bench_tiling_search.h"
 #include "bench/bench_util.h"
-#include "src/common/stopwatch.h"
-#include "src/kernels/atmm.h"
-#include "src/kernels/gemm.h"
-#include "src/kernels/tiling_search.h"
 
 namespace vlora {
 namespace {
@@ -26,24 +23,9 @@ struct InputShape {
   int64_t n;
 };
 
-double TimeConfigMs(const InputShape& shape, const TileConfig& config, int reps) {
-  return ProfileConfig(shape.m, shape.n, shape.k, config, reps);
-}
-
-double TimeAtmmMs(const InputShape& shape, AtmmDispatcher& dispatcher, int reps) {
-  Rng rng(0xBEEF);
-  Tensor a = Tensor::Random(Shape(shape.m, shape.k), rng, 1.0f);
-  Tensor b = Tensor::Random(Shape(shape.k, shape.n), rng, 1.0f);
-  Tensor c = Tensor::Zeros(Shape(shape.m, shape.n));
-  dispatcher.Execute(a, b, c);  // warm-up
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < reps; ++rep) {
-    c.Fill(0.0f);
-    Stopwatch timer;
-    dispatcher.Execute(a, b, c);
-    best = std::min(best, timer.ElapsedMillis());
-  }
-  return best;
+double TimeConfigMs(const InputShape& shape, const TileConfig& config, int reps,
+                    KernelVariant variant = ActiveKernelVariant()) {
+  return bench::ProfileConfig(shape.m, shape.n, shape.k, config, reps, variant);
 }
 
 void Run() {
@@ -68,26 +50,19 @@ void Run() {
 
   // Offline search over exactly these two shapes (the paper's hash-table
   // build, restricted to a pruned candidate set so the bench stays fast).
-  const TileConfig search_candidates[] = {
+  bench::TilingSearchOptions search;
+  search.candidates = {
       PunicaStaticConfig(),     SloraStaticConfig(),      TableConfig1(),
       TableConfig2(),           {128, 32, 128, 8, 8},     {128, 64, 256, 8, 16},
       {256, 32, 256, 8, 8},     {64, 32, 256, 8, 8},
   };
-  AtmmDispatcher dispatcher;
+  search.repetitions = 2;
+  bench::TileTable atmm;
   for (const InputShape& shape : inputs) {
-    double best_ms = std::numeric_limits<double>::infinity();
-    TileConfig best = AtmmDispatcher::HeuristicConfig(shape.m, shape.n, shape.k);
-    for (const TileConfig& candidate : search_candidates) {
-      if (candidate.mc > 4 * shape.m || candidate.nc > 4 * shape.n) {
-        continue;
-      }
-      const double ms = TimeConfigMs(shape, candidate, 2);
-      if (ms < best_ms) {
-        best_ms = ms;
-        best = candidate;
-      }
-    }
-    dispatcher.Register(ShapeKey{shape.m, shape.n, shape.k}, best);
+    search.nk_pairs = {{shape.n, shape.k}};
+    search.m_min = shape.m;
+    search.m_max = shape.m;
+    bench::RunTilingSearch(search, atmm);
   }
 
   AsciiTable table({"configuration", inputs[0].label, inputs[1].label});
@@ -102,7 +77,7 @@ void Run() {
   }
   std::vector<double> atmm_row;
   for (const InputShape& shape : inputs) {
-    atmm_row.push_back(TimeAtmmMs(shape, dispatcher, 3));
+    atmm_row.push_back(TimeConfigMs(shape, atmm.Select(shape.m, shape.n, shape.k), 3));
   }
   table.AddRow("ATMM (adaptive)", atmm_row, 3);
   table.Print("Table 1 reproduction (ms, best of 3)");
@@ -121,31 +96,30 @@ void Run() {
               "choice tracks the per-shape optimum.\n");
 
   // Second axis of the table (this reproduction's CPU analog of picking the
-  // kernel, not just the tile): the same shapes on every KernelVariant, each
-  // served from its own ATMM table (profiled entry when the search populated
-  // it, variant-aware heuristic otherwise). Speedups are against the scalar
-  // variant on the same shape.
+  // kernel, not just the tile): the same shapes on every KernelVariant. The
+  // active variant runs the searched tile, the others their serving rule's.
+  // Speedups are against the scalar variant on the same shape.
   if (!Avx2Available()) {
     std::printf("note: AVX2 unavailable on this host/build — scalar compute path only\n");
   }
+  auto tile_for = [&atmm](const InputShape& shape, KernelVariant variant) {
+    return variant == ActiveKernelVariant()
+               ? atmm.Select(shape.m, shape.n, shape.k)
+               : AtmmDispatcher::HeuristicConfig(shape.m, shape.n, shape.k, variant);
+  };
   AsciiTable paths({"compute path", std::string(inputs[0].label) + " ms",
                     "speedup", std::string(inputs[1].label) + " ms", "speedup"});
   std::vector<double> baseline_ms;
   for (const InputShape& shape : inputs) {
-    baseline_ms.push_back(ProfileConfig(
-        shape.m, shape.n, shape.k,
-        dispatcher.Select(shape.m, shape.n, shape.k, KernelVariant::kScalar), 2,
-        KernelVariant::kScalar));
+    baseline_ms.push_back(TimeConfigMs(shape, tile_for(shape, KernelVariant::kScalar), 2,
+                                       KernelVariant::kScalar));
   }
   for (KernelVariant variant : AvailableKernelVariants()) {
     std::vector<double> row;
     for (size_t i = 0; i < 2; ++i) {
-      const InputShape& shape = inputs[i];
       const double ms = variant == KernelVariant::kScalar
                             ? baseline_ms[i]
-                            : ProfileConfig(shape.m, shape.n, shape.k,
-                                            dispatcher.Select(shape.m, shape.n, shape.k, variant),
-                                            2, variant);
+                            : TimeConfigMs(inputs[i], tile_for(inputs[i], variant), 2, variant);
       row.push_back(ms);
       row.push_back(baseline_ms[i] / ms);
     }

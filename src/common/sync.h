@@ -298,12 +298,13 @@ class VLORA_CAPABILITY("mutex") Mutex {
 };
 
 // RAII lock; the annotated replacement for std::lock_guard / the
-// non-predicate uses of std::unique_lock. Always name the guard — a
-// `MutexLock(&mu);` temporary unlocks at the end of the full expression
-// (vlora_lint's mutexlock-temporary rule catches the mistake).
+// non-predicate uses of std::unique_lock. Always name the guard — a temporary
+// unlocks at the end of the full expression. The constructor is [[nodiscard]],
+// so under -Werror=unused-result `MutexLock{&mu};` does not build
+// (`MutexLock(&mu);` already declares an uninitialized reference).
 class VLORA_SCOPED_CAPABILITY MutexLock {
  public:
-  explicit MutexLock(Mutex* mu) VLORA_ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
+  [[nodiscard]] explicit MutexLock(Mutex* mu) VLORA_ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
   ~MutexLock() VLORA_RELEASE() { mu_->Unlock(); }
 
   MutexLock(const MutexLock&) = delete;

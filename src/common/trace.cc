@@ -187,16 +187,6 @@ void EmitEnqueued(int64_t request_id, int adapter, int replica) {
                          .request_id = request_id});
 }
 
-void EmitBatchStepBegin(int replica, int64_t batch_size) {  // vlora-lint: allow(trace-span-unclosed)
-  Tracer::Global().Emit({.kind = TraceEventKind::kBatchStepBegin,  // vlora-lint: allow(trace-span-unclosed)
-                         .replica = replica, .m = batch_size});
-}
-
-void EmitBatchStepEnd(int replica, int64_t completed_count) {
-  Tracer::Global().Emit(
-      {.kind = TraceEventKind::kBatchStepEnd, .replica = replica, .m = completed_count});
-}
-
 void EmitKernelDispatch(int64_t m, int64_t n, int64_t k, int tile_mc, int tile_nc, int tile_kc,
                         int tile_mr, int tile_nr) {
   Tracer::Global().Emit({.kind = TraceEventKind::kKernelDispatch, .replica = t_current_replica,
@@ -249,11 +239,14 @@ void EmitDecodeEnqueued(int64_t request_id, int adapter, int replica) {
 void SetCurrentReplica(int replica) { t_current_replica = replica; }
 
 BatchStepSpan::BatchStepSpan(int64_t batch_size) : replica_(t_current_replica) {
-  // The matching End lives in the destructor — this pair IS the RAII guard.
-  EmitBatchStepBegin(replica_, batch_size);  // vlora-lint: allow(trace-span-unclosed)
+  Tracer::Global().Emit(
+      {.kind = TraceEventKind::kBatchStepBegin, .replica = replica_, .m = batch_size});
 }
 
-BatchStepSpan::~BatchStepSpan() { EmitBatchStepEnd(replica_, completed_); }
+BatchStepSpan::~BatchStepSpan() {
+  Tracer::Global().Emit(
+      {.kind = TraceEventKind::kBatchStepEnd, .replica = replica_, .m = completed_});
+}
 
 // ---------------------------------------------------------------------------
 // Chrome trace_event export.
@@ -326,7 +319,7 @@ void AppendChromeEvent(const TraceEvent& event, std::string* out) {
       arg("k", std::to_string(event.k), /*quoted=*/false);
       arg("tile", event.TileString(), /*quoted=*/true);
       break;
-    case TraceEventKind::kBatchStepBegin:  // vlora-lint: allow(trace-span-unclosed)
+    case TraceEventKind::kBatchStepBegin:
       arg("batch_size", std::to_string(event.batch_size()), /*quoted=*/false);
       break;
     case TraceEventKind::kBatchStepEnd:
@@ -618,7 +611,7 @@ std::vector<RequestSpan> BuildRequestSpans(const std::vector<TraceEvent>& events
         break;
       case TraceEventKind::kRouted:
       case TraceEventKind::kDecodeRouted:
-      case TraceEventKind::kBatchStepBegin:  // vlora-lint: allow(trace-span-unclosed)
+      case TraceEventKind::kBatchStepBegin:
       case TraceEventKind::kBatchStepEnd:
       case TraceEventKind::kKernelDispatch:
       case TraceEventKind::kPrefillDone:

@@ -73,7 +73,7 @@ constexpr const char* TraceEventKindName(TraceEventKind kind) {
       return "Routed";
     case TraceEventKind::kEnqueued:
       return "Enqueued";
-    case TraceEventKind::kBatchStepBegin:  // vlora-lint: allow(trace-span-unclosed)
+    case TraceEventKind::kBatchStepBegin:
       return "BatchStepBegin";
     case TraceEventKind::kBatchStepEnd:
       return "BatchStepEnd";
@@ -223,10 +223,6 @@ class TraceSession {
 void EmitRequestAdmitted(int64_t request_id, int adapter);
 void EmitRouted(int64_t request_id, int adapter, int replica, bool affinity_hit, bool spilled);
 void EmitEnqueued(int64_t request_id, int adapter, int replica);
-// Prefer BatchStepSpan below; vlora_lint's trace-span-unclosed rule flags a
-// Begin without an End/span in the same scope.
-void EmitBatchStepBegin(int replica, int64_t batch_size);  // vlora-lint: allow(trace-span-unclosed)
-void EmitBatchStepEnd(int replica, int64_t completed_count);
 void EmitKernelDispatch(int64_t m, int64_t n, int64_t k, int tile_mc, int tile_nc, int tile_kc,
                         int tile_mr, int tile_nr);
 void EmitRetry(int64_t request_id, int adapter, int attempt);
@@ -248,8 +244,9 @@ void EmitDecodeEnqueued(int64_t request_id, int adapter, int replica);
 void SetCurrentReplica(int replica);
 
 // RAII batch-step span: Begin on construction, End (with the completed count
-// set via set_completed) on destruction — covers early returns, which is why
-// the lint rule accepts it in place of an explicit End.
+// set via set_completed) on destruction. It is the only way to emit either
+// event, so every step span the tracer records is closed, early returns
+// included.
 class BatchStepSpan {
  public:
   explicit BatchStepSpan(int64_t batch_size);

@@ -20,6 +20,7 @@
 #include "src/core/generator.h"
 #include "src/core/scheduler.h"
 #include "src/engine/engine.h"
+#include "src/lora/adapter_manager.h"
 
 namespace vlora {
 
@@ -35,9 +36,10 @@ struct ServerOptions {
   EngineOptions engine;
   Alg1Options alg1;
   int max_batch_size = 8;
-  // Device memory budget shared by adapters and (accounting-only here) the KV
-  // cache, per §5's unified memory management. Sized generously by default so
-  // small deployments never swap; shrink to exercise the swap path.
+  // Device memory budget for resident adapter weights (§5's unified memory
+  // management); the KV cache is bounded by EngineOptions::kv_num_blocks
+  // instead. Sized generously by default so small deployments never swap;
+  // shrink to exercise the swap path.
   int64_t device_pool_bytes = 64LL << 20;
 };
 

@@ -4,28 +4,14 @@
 
 namespace vlora {
 
-KvBlockManager::KvBlockManager(const ModelConfig& config, int64_t block_size, int64_t num_blocks,
-                               UnifiedMemoryPool* pool)
-    : config_(config), block_size_(block_size), num_blocks_(num_blocks), pool_(pool) {
+KvBlockManager::KvBlockManager(const ModelConfig& config, int64_t block_size, int64_t num_blocks)
+    : config_(config), block_size_(block_size), num_blocks_(num_blocks) {
   VLORA_CHECK(block_size > 0 && num_blocks > 0);
   storage_.resize(static_cast<size_t>(num_blocks * FloatsPerBlock()));
   refcounts_.assign(static_cast<size_t>(num_blocks), 0);
   free_list_.reserve(static_cast<size_t>(num_blocks));
   for (int64_t i = num_blocks - 1; i >= 0; --i) {
     free_list_.push_back(i);
-  }
-}
-
-KvBlockManager::~KvBlockManager() {
-  // Drop the cache's own references first, then return any remaining charge.
-  while (EvictOneCachedBlock()) {
-  }
-  if (pool_ != nullptr) {
-    for (int64_t id = 0; id < num_blocks_; ++id) {
-      if (refcounts_[static_cast<size_t>(id)] > 0) {
-        pool_->Release(UnifiedMemoryPool::Usage::kKvCache, BytesPerBlock());
-      }
-    }
   }
 }
 
@@ -39,13 +25,6 @@ int64_t KvBlockManager::AllocateBlock() {
   while (free_list_.empty()) {
     if (!EvictOneCachedBlock()) {
       return -1;
-    }
-  }
-  if (pool_ != nullptr) {
-    while (!pool_->Reserve(UnifiedMemoryPool::Usage::kKvCache, BytesPerBlock())) {
-      if (!EvictOneCachedBlock()) {
-        return -1;
-      }
     }
   }
   const int64_t id = free_list_.back();
@@ -69,9 +48,6 @@ void KvBlockManager::Release(int64_t block_id) {
     // that only EvictOneCachedBlock drops.
     VLORA_CHECK(!block_to_hash_.contains(block_id));
     free_list_.push_back(block_id);
-    if (pool_ != nullptr) {
-      pool_->Release(UnifiedMemoryPool::Usage::kKvCache, BytesPerBlock());
-    }
   }
 }
 
@@ -165,9 +141,6 @@ bool KvBlockManager::EvictOneCachedBlock() {
   VLORA_CHECK(refs > 0);
   if (--refs == 0) {
     free_list_.push_back(block_id);
-    if (pool_ != nullptr) {
-      pool_->Release(UnifiedMemoryPool::Usage::kKvCache, BytesPerBlock());
-    }
   }
   return true;
 }

@@ -4,8 +4,8 @@
 // `block_size` token positions; a sequence owns an ordered list of blocks.
 // Blocks are reference-counted so identical prompt prefixes (the same image
 // re-queried in multi-round VQA) share physical blocks — the CacheBlend /
-// SGLang prefix-matching reuse §5 describes. Block memory is charged to the
-// UnifiedMemoryPool shared with adapter weights.
+// SGLang prefix-matching reuse §5 describes. The block count is the KV
+// cache's whole budget: adapter weights have their own (UnifiedMemoryPool).
 //
 // Layout: one block stores K and V for all layers for its token positions,
 // per layer its K then its V:
@@ -25,16 +25,12 @@
 
 #include "src/common/status.h"
 #include "src/engine/model_config.h"
-#include "src/lora/adapter_manager.h"
 
 namespace vlora {
 
 class KvBlockManager {
  public:
-  // `pool` may be null for standalone tests; then block memory is uncharged.
-  KvBlockManager(const ModelConfig& config, int64_t block_size, int64_t num_blocks,
-                 UnifiedMemoryPool* pool = nullptr);
-  ~KvBlockManager();
+  KvBlockManager(const ModelConfig& config, int64_t block_size, int64_t num_blocks);
 
   KvBlockManager(const KvBlockManager&) = delete;
   KvBlockManager& operator=(const KvBlockManager&) = delete;
@@ -76,7 +72,7 @@ class KvBlockManager {
   // writer wins). The cache takes its own reference, so the block outlives
   // the sequence that produced it — multi-round VQA over the same image hits
   // the cache even after earlier rounds finished (§5, CacheBlend/SGLang).
-  // Cached blocks are evicted LRU when the free list or memory pool runs dry.
+  // Cached blocks are evicted LRU when the free list runs dry.
   void RegisterPrefixBlock(uint64_t chain_hash, int64_t block_id);
 
   // Drops the LRU cached block's cache reference; returns false if nothing is
@@ -92,7 +88,6 @@ class KvBlockManager {
   ModelConfig config_;
   int64_t block_size_;
   int64_t num_blocks_;
-  UnifiedMemoryPool* pool_;
   std::vector<float> storage_;
   std::vector<int> refcounts_;
   std::vector<int64_t> free_list_;

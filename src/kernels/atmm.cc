@@ -1,24 +1,8 @@
 #include "src/kernels/atmm.h"
 
-#include <algorithm>
-
 #include "src/common/trace.h"
 
 namespace vlora {
-
-void AtmmDispatcher::Register(const ShapeKey& key, const TileConfig& config) {
-  Register(key, config, ActiveKernelVariant());
-}
-
-void AtmmDispatcher::Register(const ShapeKey& key, const TileConfig& config,
-                              KernelVariant variant) {
-  VLORA_CHECK(config.Valid());
-  tables_[static_cast<size_t>(variant)][key] = config;
-}
-
-TileConfig AtmmDispatcher::HeuristicConfig(int64_t m, int64_t n, int64_t k) {
-  return HeuristicConfig(m, n, k, KernelVariant::kScalar);
-}
 
 TileConfig AtmmDispatcher::HeuristicConfig(int64_t m, int64_t n, int64_t k,
                                            KernelVariant variant) {
@@ -54,37 +38,10 @@ TileConfig AtmmDispatcher::HeuristicConfig(int64_t m, int64_t n, int64_t k,
   return config;
 }
 
-TileConfig AtmmDispatcher::Select(int64_t m, int64_t n, int64_t k) const {
-  return Select(m, n, k, ActiveKernelVariant());
-}
-
-TileConfig AtmmDispatcher::Select(int64_t m, int64_t n, int64_t k, KernelVariant variant) const {
-  const ShapeTable& table = tables_[static_cast<size_t>(variant)];
-  // Exact hit first.
-  auto it = table.find(ShapeKey{m, n, k});
-  if (it != table.end()) {
-    return it->second;
-  }
-  // Snap m to the profiling grid (round up, then down) with n/k exact: n and k
-  // come from model dimensions and adapter ranks, which are fixed per model,
-  // so only the token-count dimension varies continuously at runtime.
-  const int64_t m_up = ((m + kMStep - 1) / kMStep) * kMStep;
-  it = table.find(ShapeKey{m_up, n, k});
-  if (it != table.end()) {
-    return it->second;
-  }
-  const int64_t m_down = std::max<int64_t>(kMStep, (m / kMStep) * kMStep);
-  it = table.find(ShapeKey{m_down, n, k});
-  if (it != table.end()) {
-    return it->second;
-  }
-  return HeuristicConfig(m, n, k, variant);
-}
-
 void AtmmDispatcher::Execute(const float* a, const float* b, float* c, int64_t m, int64_t n,
                              int64_t k) {
   const KernelVariant variant = ActiveKernelVariant();
-  const TileConfig config = Select(m, n, k, variant);
+  const TileConfig config = HeuristicConfig(m, n, k, variant);
   trace::EmitKernelDispatch(m, n, k, config.mc, config.nc, config.kc, config.mr, config.nr);
   GemmTiled(a, b, c, m, n, k, config, workspace_, variant);
 }
@@ -94,18 +51,6 @@ void AtmmDispatcher::Execute(const Tensor& a, const Tensor& b, Tensor& c) {
   VLORA_CHECK(a.shape().dim(1) == b.shape().dim(0));
   VLORA_CHECK(c.shape().dim(0) == a.shape().dim(0) && c.shape().dim(1) == b.shape().dim(1));
   Execute(a.data(), b.data(), c.data(), a.shape().dim(0), b.shape().dim(1), a.shape().dim(1));
-}
-
-int64_t AtmmDispatcher::TableSize() const {
-  int64_t total = 0;
-  for (const ShapeTable& table : tables_) {
-    total += static_cast<int64_t>(table.size());
-  }
-  return total;
-}
-
-int64_t AtmmDispatcher::TableSize(KernelVariant variant) const {
-  return static_cast<int64_t>(tables_[static_cast<size_t>(variant)].size());
 }
 
 }  // namespace vlora

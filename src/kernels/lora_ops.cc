@@ -53,10 +53,8 @@ void AtmmLoraOperator::Run(const Tensor& x, const std::vector<LoraSegment>& segm
   }
 }
 
-StaticTileLoraOperator::StaticTileLoraOperator(std::string name, const TileConfig& config)
-    : name_(std::move(name)), config_(config) {
-  VLORA_CHECK(config_.Valid());
-}
+StaticTileLoraOperator::StaticTileLoraOperator(std::string name, TileFn tile)
+    : name_(std::move(name)), tile_(std::move(tile)) {}
 
 void StaticTileLoraOperator::Run(const Tensor& x, const std::vector<LoraSegment>& segments,
                                  const std::vector<AdapterWeightsView>& adapters, Tensor& y) {
@@ -71,19 +69,22 @@ void StaticTileLoraOperator::Run(const Tensor& x, const std::vector<LoraSegment>
     float* mid = EnsureFloats(intermediate_, rows * rank);
     std::memset(mid, 0, static_cast<size_t>(rows * rank) * sizeof(float));
     const float* x_seg = x.data() + segment.row_begin * d;
-    GemmTiled(x_seg, adapter.down->data(), mid, rows, rank, d, config_, workspace_);
+    GemmTiled(x_seg, adapter.down->data(), mid, rows, rank, d, tile_(rows, rank, d),
+              workspace_);
     ScaleRows(mid, rows, rank, adapter.scaling);
     float* y_seg = y.data() + segment.row_begin * d;
-    GemmTiled(mid, adapter.up->data(), y_seg, rows, d, rank, config_, workspace_);
+    GemmTiled(mid, adapter.up->data(), y_seg, rows, d, rank, tile_(rows, d, rank), workspace_);
   }
 }
 
 std::unique_ptr<StaticTileLoraOperator> MakeSloraOperator() {
-  return std::make_unique<StaticTileLoraOperator>("S-LoRA", SloraStaticConfig());
+  return std::make_unique<StaticTileLoraOperator>(
+      "S-LoRA", [](int64_t, int64_t, int64_t) { return SloraStaticConfig(); });
 }
 
 std::unique_ptr<StaticTileLoraOperator> MakePunicaOperator() {
-  return std::make_unique<StaticTileLoraOperator>("Punica", PunicaStaticConfig());
+  return std::make_unique<StaticTileLoraOperator>(
+      "Punica", [](int64_t, int64_t, int64_t) { return PunicaStaticConfig(); });
 }
 
 EinsumLoraOperator::EinsumLoraOperator() = default;

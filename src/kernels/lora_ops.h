@@ -5,24 +5,29 @@
 //   Y[s] += scaling_s * (X[s] * down_{a(s)}) * up_{a(s)}
 //
 // i.e. the bypass branch of Fig 2(a), batched over heterogeneous adapters.
-// Four implementations reproduce the systems compared in the paper:
+// Three implementations reproduce the four systems compared in the paper:
 //
-//   AtmmLoraOperator    — V-LoRA: adaptive tiling per segment shape (§4.3.1)
-//   SloraLoraOperator   — S-LoRA: segment-wise, one static tiling config
-//   PunicaLoraOperator  — Punica: segment-wise, a different static config
-//                         tuned for small decode batches (hence its Table 1 /
-//                         Fig 17 behaviour at large prefill shapes)
+//   AtmmLoraOperator    — V-LoRA serving: the engine's dispatcher tiles each
+//                         segment's GEMMs by shape (§4.3.1)
+//   StaticTileLoraOperator
+//                       — segment-wise with a per-shape tile function: S-LoRA
+//                         and Punica each return one fixed config (Punica's
+//                         is tuned for small decode batches, hence its Table
+//                         1 / Fig 17 behaviour at large prefill shapes), and
+//                         the Fig 17/18 benches' ATMM row reads its searched
+//                         table
 //   EinsumLoraOperator  — dLoRA: pads every segment to the batch maximum
 //                         (rows and rank) and runs an unblocked batched GEMM,
 //                         modelling torch.einsum's padding and per-call
 //                         overhead
 //
-// All four produce identical numerical results (tests assert this); they
-// differ only in speed, which is the paper's point.
+// All produce the same results up to float rounding (tests assert this);
+// they differ in speed, which is the paper's point.
 
 #ifndef VLORA_SRC_KERNELS_LORA_OPS_H_
 #define VLORA_SRC_KERNELS_LORA_OPS_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,12 +49,11 @@ class LoraBatchOperator {
                    const std::vector<AdapterWeightsView>& adapters, Tensor& y) = 0;
 };
 
-// V-LoRA's operator: both GEMMs of every segment run with the tiling
-// configuration the offline search recorded for that exact shape.
+// V-LoRA's serving operator: both GEMMs of every segment run through the
+// engine's dispatcher, which tiles each by its shape.
 class AtmmLoraOperator : public LoraBatchOperator {
  public:
-  // The dispatcher is shared (its hash table is built once offline); it must
-  // outlive the operator.
+  // The dispatcher is the engine's; it must outlive the operator.
   explicit AtmmLoraOperator(AtmmDispatcher* dispatcher);
 
   const std::string& name() const override { return name_; }
@@ -62,11 +66,15 @@ class AtmmLoraOperator : public LoraBatchOperator {
   std::vector<float> intermediate_;
 };
 
-// Static-tiling operator used for both the S-LoRA and Punica baselines (they
-// differ only in which fixed configuration they hard-code).
+// The tile a GEMM of shape (m x k) * (k x n) runs with.
+using TileFn = std::function<TileConfig(int64_t m, int64_t n, int64_t k)>;
+
+// Segment-wise operator whose tiles come from a function of the GEMM shape:
+// the S-LoRA and Punica baselines return their one hard-coded configuration,
+// and the Fig 17/18 benches look ATMM's searched table up.
 class StaticTileLoraOperator : public LoraBatchOperator {
  public:
-  StaticTileLoraOperator(std::string name, const TileConfig& config);
+  StaticTileLoraOperator(std::string name, TileFn tile);
 
   const std::string& name() const override { return name_; }
   void Run(const Tensor& x, const std::vector<LoraSegment>& segments,
@@ -74,7 +82,7 @@ class StaticTileLoraOperator : public LoraBatchOperator {
 
  private:
   std::string name_;
-  TileConfig config_;
+  TileFn tile_;
   GemmWorkspace workspace_;
   std::vector<float> intermediate_;
 };

@@ -10,14 +10,15 @@
 // small tiles on large inputs cause redundant memory traffic (the "frequent
 // global memory access" failure of Table 1), large tiles on skinny inputs
 // waste cache capacity and blow past matrix edges (the "low SM utilisation"
-// failure). ATMM picks the configuration per shape from a profiled hash table.
+// failure). ATMM picks the configuration per shape: serving by a size-driven
+// rule (AtmmDispatcher::HeuristicConfig), the paper benches from a profiled
+// table (bench/bench_tiling_search.h).
 
 #ifndef VLORA_SRC_KERNELS_TILE_CONFIG_H_
 #define VLORA_SRC_KERNELS_TILE_CONFIG_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace vlora {
 
@@ -65,11 +66,6 @@ inline TileConfig PunicaStaticConfig() { return TileConfig{16, 16, 64, 4, 4}; }
 inline TileConfig SloraStaticConfig() { return TileConfig{64, 32, 32, 4, 4}; }
 inline TileConfig TableConfig1() { return TileConfig{64, 32, 32, 8, 8}; }
 inline TileConfig TableConfig2() { return TileConfig{256, 128, 256, 8, 8}; }
-
-// Candidate grid explored by the offline tiling search (Alg 2). Kept modest so
-// the "offline" search finishes in seconds on the CI machine; the paper's
-// CUTLASS search takes <30 min on an A100.
-std::vector<TileConfig> DefaultCandidateConfigs();
 
 }  // namespace vlora
 

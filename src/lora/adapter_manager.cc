@@ -9,19 +9,18 @@ UnifiedMemoryPool::UnifiedMemoryPool(int64_t capacity_bytes) : capacity_(capacit
   VLORA_CHECK(capacity_bytes > 0);
 }
 
-bool UnifiedMemoryPool::Reserve(Usage usage, int64_t bytes) {
+bool UnifiedMemoryPool::Reserve(int64_t bytes) {
   VLORA_CHECK(bytes >= 0);
-  if (used() + bytes > capacity_) {
+  if (used_ + bytes > capacity_) {
     return false;
   }
-  (usage == Usage::kKvCache ? used_kv_ : used_adapter_) += bytes;
+  used_ += bytes;
   return true;
 }
 
-void UnifiedMemoryPool::Release(Usage usage, int64_t bytes) {
-  int64_t& used_field = usage == Usage::kKvCache ? used_kv_ : used_adapter_;
-  VLORA_CHECK(bytes >= 0 && bytes <= used_field);
-  used_field -= bytes;
+void UnifiedMemoryPool::Release(int64_t bytes) {
+  VLORA_CHECK(bytes >= 0 && bytes <= used_);
+  used_ -= bytes;
 }
 
 AdapterManager::AdapterManager(UnifiedMemoryPool* pool, SwapCostModel cost_model)
@@ -58,7 +57,7 @@ void AdapterManager::EvictOneLru(SwapResult& result) {
       victim = id;
     }
   }
-  pool_->Release(UnifiedMemoryPool::Usage::kAdapter, Get(victim).SizeBytesFp16());
+  pool_->Release(Get(victim).SizeBytesFp16());
   resident_last_use_.erase(victim);
   result.evicted.push_back(victim);
   ++total_evictions_;
@@ -73,7 +72,7 @@ SwapResult AdapterManager::EnsureResident(int id, double async_slack_ms) {
     return result;
   }
   const int64_t bytes = Get(id).SizeBytesFp16();
-  while (!pool_->Reserve(UnifiedMemoryPool::Usage::kAdapter, bytes)) {
+  while (!pool_->Reserve(bytes)) {
     // Device-to-host eviction of (A, B) factors is asynchronous and off the
     // critical path (the host copy already exists), so it adds no visible
     // latency here; running out of evictable adapters is a config error.

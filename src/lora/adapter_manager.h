@@ -3,9 +3,11 @@
 // V-LoRA keeps the base LMM on the GPU permanently and swaps only LoRA
 // adapters (A and B factors, ~43 MB each for Qwen-VL rank 64) between host
 // and device, asynchronously, computing ΔW on demand with ATMM instead of
-// precomputing it in host memory (§5 "LoRA adapter swap"). Adapters and the
-// KV cache draw from one UnifiedMemoryPool, mirroring S-LoRA's unified memory
-// management that V-LoRA adopts.
+// precomputing it in host memory (§5 "LoRA adapter swap"). Resident adapters
+// draw from a UnifiedMemoryPool byte budget. The paper's unified memory
+// management (adopted from S-LoRA) also charges the KV cache to it; the engine
+// here bounds its KV cache by block count instead (KvBlockManager), so the
+// pool holds adapter weights alone.
 //
 // The manager tracks which adapters are device-resident, evicts LRU on
 // pressure, and reports the swap latency each operation would cost on the
@@ -27,27 +29,22 @@
 
 namespace vlora {
 
-// A byte-budget shared by KV-cache blocks and adapter weights.
+// The device byte budget for resident adapter weights.
 class UnifiedMemoryPool {
  public:
   explicit UnifiedMemoryPool(int64_t capacity_bytes);
 
-  enum class Usage { kKvCache, kAdapter };
-
   // Attempts to reserve; returns false (without side effects) on exhaustion.
-  bool Reserve(Usage usage, int64_t bytes);
-  void Release(Usage usage, int64_t bytes);
+  bool Reserve(int64_t bytes);
+  void Release(int64_t bytes);
 
   int64_t capacity() const { return capacity_; }
-  int64_t used() const { return used_kv_ + used_adapter_; }
-  int64_t used_kv() const { return used_kv_; }
-  int64_t used_adapter() const { return used_adapter_; }
-  int64_t available() const { return capacity_ - used(); }
+  int64_t used() const { return used_; }
+  int64_t available() const { return capacity_ - used_; }
 
  private:
   int64_t capacity_;
-  int64_t used_kv_ = 0;
-  int64_t used_adapter_ = 0;
+  int64_t used_ = 0;
 };
 
 struct SwapCostModel {

@@ -13,23 +13,13 @@ constexpr int64_t kAdapterBytes = 12288;
 
 TEST(UnifiedMemoryPoolTest, ReserveAndRelease) {
   UnifiedMemoryPool pool(1000);
-  EXPECT_TRUE(pool.Reserve(UnifiedMemoryPool::Usage::kKvCache, 600));
-  EXPECT_TRUE(pool.Reserve(UnifiedMemoryPool::Usage::kAdapter, 400));
-  EXPECT_FALSE(pool.Reserve(UnifiedMemoryPool::Usage::kAdapter, 1));
+  EXPECT_TRUE(pool.Reserve(600));
+  EXPECT_TRUE(pool.Reserve(400));
+  EXPECT_FALSE(pool.Reserve(1));
   EXPECT_EQ(pool.used(), 1000);
-  EXPECT_EQ(pool.used_kv(), 600);
-  EXPECT_EQ(pool.used_adapter(), 400);
-  pool.Release(UnifiedMemoryPool::Usage::kKvCache, 600);
+  pool.Release(600);
   EXPECT_EQ(pool.available(), 600);
-  EXPECT_TRUE(pool.Reserve(UnifiedMemoryPool::Usage::kAdapter, 600));
-}
-
-TEST(UnifiedMemoryPoolTest, KvAndAdapterShareOneBudget) {
-  UnifiedMemoryPool pool(100);
-  EXPECT_TRUE(pool.Reserve(UnifiedMemoryPool::Usage::kKvCache, 100));
-  // The adapter side cannot allocate because KV took everything — the unified
-  // design the paper adopts from S-LoRA.
-  EXPECT_FALSE(pool.Reserve(UnifiedMemoryPool::Usage::kAdapter, 1));
+  EXPECT_TRUE(pool.Reserve(600));
 }
 
 TEST(SwapCostModelTest, TransferScalesWithBytes) {
@@ -58,7 +48,7 @@ TEST(AdapterManagerTest, EnsureResidentChargesPool) {
   EXPECT_FALSE(result.was_resident);
   EXPECT_GT(result.visible_ms, 0.0);
   EXPECT_TRUE(manager.IsResident(id));
-  EXPECT_EQ(pool.used_adapter(), manager.Get(id).SizeBytesFp16());
+  EXPECT_EQ(pool.used(), manager.Get(id).SizeBytesFp16());
   // Second call is a residency hit.
   const SwapResult again = manager.EnsureResident(id);
   EXPECT_TRUE(again.was_resident);

@@ -2,6 +2,7 @@
 
 #include <tuple>
 
+#include "bench/bench_tiling_search.h"
 #include "src/kernels/gemm.h"
 #include "src/kernels/tile_config.h"
 #include "src/tensor/tensor.h"
@@ -42,7 +43,7 @@ TEST(TileConfigTest, CanonicalConfigsValid) {
 }
 
 TEST(GemmTest, MicroKernelTableCoversCandidates) {
-  for (const TileConfig& config : DefaultCandidateConfigs()) {
+  for (const TileConfig& config : bench::DefaultCandidateConfigs()) {
     EXPECT_TRUE(HasMicroKernel(config.mr, config.nr)) << config.ToString();
   }
   EXPECT_FALSE(HasMicroKernel(32, 32));

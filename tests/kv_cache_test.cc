@@ -173,30 +173,5 @@ TEST(KvBlockManagerTest, SharedBlockRefcounting) {
   EXPECT_EQ(kv.LookupPrefixBlock(3), block);
 }
 
-TEST(KvBlockManagerTest, ChargesUnifiedPool) {
-  ModelConfig config = TinyConfig();
-  UnifiedMemoryPool pool(1 << 24);
-  {
-    KvBlockManager kv(config, 8, 4, &pool);
-    const int64_t block = kv.AllocateBlock();
-    EXPECT_EQ(pool.used_kv(), kv.BytesPerBlock());
-    kv.Release(block);
-    EXPECT_EQ(pool.used_kv(), 0);
-    // Destructor releases any remaining charge.
-    kv.AllocateBlock();
-    EXPECT_GT(pool.used_kv(), 0);
-  }
-  EXPECT_EQ(pool.used_kv(), 0);
-}
-
-TEST(KvBlockManagerTest, PoolExhaustionBlocksAllocation) {
-  ModelConfig config = TinyConfig();
-  KvBlockManager probe(config, 8, 1);
-  UnifiedMemoryPool pool(probe.BytesPerBlock());  // exactly one block
-  KvBlockManager kv(config, 8, 4, &pool);
-  EXPECT_GE(kv.AllocateBlock(), 0);
-  EXPECT_EQ(kv.AllocateBlock(), -1);  // pool, not free list, is the limit
-}
-
 }  // namespace
 }  // namespace vlora

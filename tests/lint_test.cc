@@ -178,131 +178,6 @@ TEST(LintRulesTest, CleanFileYieldsNoFindings) {
   EXPECT_TRUE(LintContent("src/common/clean.h", clean).empty());
 }
 
-TEST(LintRulesTest, MutexLockTemporaryFires) {
-  const std::string bad = std::string("Mutex" "Lock(&mu_);\n");
-  EXPECT_EQ(RulesAt(LintContent("src/a.cc", bad), 1),
-            std::vector<std::string>{"mutexlock-temporary"});
-
-  const std::string qualified = std::string("vlora::Mutex" "Lock(&mu_);\n");
-  EXPECT_TRUE(HasRule(LintContent("src/a.cc", qualified), "mutexlock-temporary"));
-
-  const std::string named = std::string("Mutex" "Lock lock(&mu_);\n");
-  EXPECT_FALSE(HasRule(LintContent("src/a.cc", named), "mutexlock-temporary"));
-
-  const std::string dtor = std::string("  ~Mutex" "Lock() { mu_->Unlock(); }\n");
-  EXPECT_FALSE(HasRule(LintContent("src/a.cc", dtor), "mutexlock-temporary"));
-
-  // The class's own declaration lives in sync.h, which is exempt.
-  const std::string decl = std::string("  explicit Mutex" "Lock(Mutex* mu) : mu_(mu) {}\n");
-  EXPECT_TRUE(HasRule(LintContent("src/a.cc", decl), "mutexlock-temporary"));
-  EXPECT_FALSE(HasRule(LintContent("src/common/sync.h", decl), "mutexlock-temporary"));
-
-  const std::string suppressed =
-      std::string("Mutex" "Lock(&mu_);  // vlora-lint: allow(mutexlock-temporary)\n");
-  EXPECT_FALSE(HasRule(LintContent("src/a.cc", suppressed), "mutexlock-temporary"));
-}
-
-TEST(LintRulesTest, StatusSwitchMissingCasesWithoutDefaultFires) {
-  const std::string bad = std::string("void F(Status s) {\n") +
-                          "  " "switch" " (s.code()) {\n" +
-                          "    " "case Status" "Code::kOk:\n" +
-                          "      return;\n" +
-                          "    " "case Status" "Code::kNotFound:\n" +
-                          "      return;\n" +
-                          "  }\n" +
-                          "}\n";
-  const std::vector<Finding> findings = LintContent("src/a.cc", bad);
-  EXPECT_EQ(RulesAt(findings, 2), std::vector<std::string>{"status-switch-exhaustive"});
-}
-
-TEST(LintRulesTest, StatusSwitchWithDefaultIsQuiet) {
-  const std::string good = std::string("void F(Status s) {\n") +
-                           "  " "switch" " (s.code()) {\n" +
-                           "    " "case Status" "Code::kOk:\n" +
-                           "      return;\n" +
-                           "    default:\n" +
-                           "      return;\n" +
-                           "  }\n" +
-                           "}\n";
-  EXPECT_FALSE(HasRule(LintContent("src/a.cc", good), "status-switch-exhaustive"));
-}
-
-TEST(LintRulesTest, StatusSwitchCoveringEveryEnumeratorIsQuiet) {
-  std::string good = std::string("void F(Status s) {\n") + "  " "switch" " (s.code()) {\n";
-  for (const char* name :
-       {"kOk", "kInvalidArgument", "kNotFound", "kResourceExhausted", "kFailedPrecondition",
-        "kOutOfRange", "kUnimplemented", "kInternal", "kCancelled", "kDeadlineExceeded",
-        "kUnavailable"}) {
-    good += std::string("    ") + "case Status" "Code::" + name + ":\n      break;\n";
-  }
-  good += "  }\n}\n";
-  EXPECT_FALSE(HasRule(LintContent("src/a.cc", good), "status-switch-exhaustive"));
-}
-
-TEST(LintRulesTest, NonStatusSwitchIsIgnoredAndSuppressionWorks) {
-  const std::string other = std::string("switch" " (kind) {\n") +
-                            "  case Kind::kA:\n    break;\n}\n";
-  EXPECT_FALSE(HasRule(LintContent("src/a.cc", other), "status-switch-exhaustive"));
-
-  const std::string suppressed =
-      std::string("switch" " (s.code()) {  // vlora-lint: allow(status-switch-exhaustive)\n") +
-      "  " "case Status" "Code::kOk:\n    break;\n}\n";
-  EXPECT_FALSE(HasRule(LintContent("src/a.cc", suppressed), "status-switch-exhaustive"));
-}
-
-TEST(LintRulesTest, TraceSpanUnclosedFiresOnBeginWithoutEnd) {
-  const std::string bad = std::string("void Step() {\n") +
-                          "  trace::EmitBatchStep" "Begin(0, 4);\n" +
-                          "  engine.Step();\n" +
-                          "}\n";
-  const std::vector<Finding> findings = LintContent("src/core/a.cc", bad);
-  EXPECT_EQ(RulesAt(findings, 2), std::vector<std::string>{"trace-span-unclosed"});
-}
-
-TEST(LintRulesTest, TraceSpanClosedByEndOrRaiiIsQuiet) {
-  const std::string paired = std::string("void Step() {\n") +
-                             "  trace::EmitBatchStep" "Begin(0, 4);\n" +
-                             "  engine.Step();\n" +
-                             "  trace::EmitBatchStep" "End(0, 1);\n" +
-                             "}\n";
-  EXPECT_FALSE(HasRule(LintContent("src/core/a.cc", paired), "trace-span-unclosed"));
-
-  const std::string raii = std::string("void Step() {\n") +
-                           "  trace::EmitBatchStep" "Begin(0, 4);\n" +
-                           "  trace::BatchStep" "Span span(4);\n" +
-                           "}\n";
-  EXPECT_FALSE(HasRule(LintContent("src/core/a.cc", raii), "trace-span-unclosed"));
-}
-
-TEST(LintRulesTest, TraceSpanEndInLaterScopeDoesNotCount) {
-  // The End emission lives in a different function: the Begin's own scope
-  // closes first, so the finding stands.
-  const std::string bad = std::string("void Step() {\n") +
-                          "  trace::EmitBatchStep" "Begin(0, 4);\n" +
-                          "}\n" +
-                          "void Other() {\n" +
-                          "  trace::EmitBatchStep" "End(0, 1);\n" +
-                          "}\n";
-  const std::vector<Finding> findings = LintContent("src/core/a.cc", bad);
-  EXPECT_EQ(RulesAt(findings, 2), std::vector<std::string>{"trace-span-unclosed"});
-}
-
-TEST(LintRulesTest, TraceSpanExemptionsAndSuppression) {
-  const std::string bad_line = std::string("  trace::EmitBatchStep" "Begin(0, 4);\n");
-  const std::string body = std::string("void Step() {\n") + bad_line + "}\n";
-  // Tests are exempt: they assert on Begin events without emitting End.
-  EXPECT_FALSE(HasRule(LintContent("tests/a_test.cc", body), "trace-span-unclosed"));
-  // Enum references and event-name string literals do not trigger.
-  const std::string refs = std::string("if (e.kind == TraceEventKind::kBatchStep" "Begin)\n") +
-                           "  name = \"BatchStep" "Begin\";\n";
-  EXPECT_FALSE(HasRule(LintContent("src/core/a.cc", refs), "trace-span-unclosed"));
-  const std::string suppressed =
-      std::string("void Step() {\n") +
-      "  trace::EmitBatchStep" "Begin(0, 4);  // vlora-lint: allow(trace-span-unclosed)\n" +
-      "}\n";
-  EXPECT_FALSE(HasRule(LintContent("src/core/a.cc", suppressed), "trace-span-unclosed"));
-}
-
 TEST(LintRulesTest, RawSocketFdFiresOutsideNetDirectory) {
   const std::string bad = std::string("void Connect() {\n") +
                           "  int fd = ::soc" "ket(AF_INET, SOCK_STREAM, 0);\n" +
@@ -466,14 +341,11 @@ TEST(LintRulesTest, ScopesFollowTheRepositoryRoot) {
 
 TEST(LintRulesTest, RuleNamesAreStable) {
   const std::vector<std::string> names = RuleNames();
-  EXPECT_EQ(names.size(), 14u);
+  EXPECT_EQ(names.size(), 11u);
   EXPECT_NE(std::find(names.begin(), names.end(), "vola" "tile-threading"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "raw-mutex"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "raw-atomic"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "missing-include-guard"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "mutexlock-temporary"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "status-switch-exhaustive"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "trace-span-unclosed"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "raw-socket-fd"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "raw-simd-intrinsic"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "get" "env-outside-init"), names.end());

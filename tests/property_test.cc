@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 
+#include "bench/bench_tiling_search.h"
 #include "src/baselines/policies.h"
 #include "src/cluster/cluster_server.h"
 #include "src/cluster/placement.h"
@@ -127,7 +128,7 @@ TEST_P(GemmFuzzTest, RandomShapeRandomConfig) {
   const int64_t m = rng.NextInt(1, 200);
   const int64_t n = rng.NextInt(1, 150);
   const int64_t k = rng.NextInt(1, 180);
-  std::vector<TileConfig> candidates = DefaultCandidateConfigs();
+  std::vector<TileConfig> candidates = bench::DefaultCandidateConfigs();
   const TileConfig config =
       candidates[static_cast<size_t>(rng.NextBounded(candidates.size()))];
   Tensor a = Tensor::Random(Shape(m, k), rng, 1.0f);

@@ -165,9 +165,13 @@ TEST(TraceTest, ChromeJsonExportRoundTrips) {
   trace::EmitRequestAdmitted(7, /*adapter=*/1);
   trace::EmitRouted(7, /*adapter=*/1, /*replica=*/0, /*affinity_hit=*/true, /*spilled=*/false);
   trace::EmitEnqueued(7, /*adapter=*/1, /*replica=*/0);
-  trace::EmitBatchStepBegin(/*replica=*/0, /*batch_size=*/1);
-  trace::EmitKernelDispatch(8, 64, 64, 32, 64, 64, 8, 8);
-  trace::EmitBatchStepEnd(/*replica=*/0, /*completed_count=*/1);
+  trace::SetCurrentReplica(0);  // the step span and the dispatch run on replica 0
+  {
+    trace::BatchStepSpan step(/*batch_size=*/1);
+    trace::EmitKernelDispatch(8, 64, 64, 32, 64, 64, 8, 8);
+    step.set_completed(1);
+  }
+  trace::SetCurrentReplica(-1);
   trace::EmitCompleted(7, /*adapter=*/1, /*replica=*/0, StatusCode::kOk);
   session.Stop();
   const std::vector<TraceEvent> events = session.Collect();

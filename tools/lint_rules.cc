@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <regex>
-#include <set>
 #include <sstream>
 
 namespace vlora {
@@ -21,9 +20,6 @@ const char kSleepInTest[] = "sleep-in-test";
 const char kNakedNew[] = "naked-new";
 const char kThreadDetach[] = "thread-detach";
 const char kMissingGuard[] = "missing-include-guard";
-const char kMutexLockTemporary[] = "mutexlock-temporary";
-const char kStatusSwitch[] = "status-switch-exhaustive";
-const char kTraceSpan[] = "trace-span-unclosed";
 const char kRawSocketFd[] = "raw-socket-fd";
 const char kRawSimd[] = "raw-simd-intrinsic";
 const char kGetenvOutsideInit[] = "get" "env-outside-init";
@@ -159,15 +155,6 @@ const std::regex& DetachRe() {
   return re;
 }
 
-const std::regex& MutexLockTempRe() {
-  // `MutexLock(mu);` — an unnamed temporary that unlocks again before the
-  // next statement. A named guard (`MutexLock lock(&mu);`) has an identifier
-  // between the type and the paren and does not match; `~MutexLock()` and
-  // member access are excluded by the leading character class.
-  static const std::regex re("(^|[^_A-Za-z0-9~.])Mutex" "Lock\\s*\\(");
-  return re;
-}
-
 const std::regex& RawSocketRe() {
   // A call of one of the descriptor-producing/destroying POSIX entry points.
   // Member calls (`stream.close(`, `ptr->close(`) and longer identifiers
@@ -243,38 +230,6 @@ std::string EnclosingFunctionName(const std::vector<std::string>& code_lines, si
   return "";
 }
 
-const std::regex& SwitchRe() {
-  static const std::regex re("\\bswitch" "\\s*\\(");
-  return re;
-}
-
-const std::regex& CaseStatusCodeRe() {
-  static const std::regex re("\\bcase" "\\s+(?:vlora::)?Status" "Code::(k\\w+)");
-  return re;
-}
-
-const std::regex& DefaultLabelRe() {
-  static const std::regex re("\\bdefault" "\\s*:");
-  return re;
-}
-
-// Every StatusCode enumerator; must track src/common/status.h. If status.h
-// grows a code missing from this list, the exhaustive switches there (which
-// deliberately have no default) start failing this rule — the failure message
-// names the list to update.
-const char* const kStatusCodeNames[] = {
-    "kOk",          "kInvalidArgument",   "kNotFound", "kResourceExhausted",
-    "kFailedPrecondition", "kOutOfRange", "kUnimplemented", "kInternal",
-    "kCancelled",   "kDeadlineExceeded",  "kUnavailable"};
-
-const std::regex& TraceSpanBeginRe() {
-  // A call (or declaration) of a batch-step Begin emitter. Enum references
-  // like kBatchStep... and string literals naming the event do not match —
-  // only the open paren after the identifier does.
-  static const std::regex re("BatchStep" "Begin\\s*\\(");
-  return re;
-}
-
 const std::regex& IfndefRe() {
   static const std::regex re("#\\s*ifndef" "\\s+\\w+");
   return re;
@@ -324,12 +279,6 @@ void CheckLine(const std::string& path, int line_no, const std::string& raw,
     findings->push_back({kThreadDetach, path, line_no,
                          "detached threads outlive the state they touch; keep the handle "
                          "and join it"});
-  }
-  if (!IsSyncHeader(path) && std::regex_search(code, MutexLockTempRe()) &&
-      !Suppressed(raw, kMutexLockTemporary)) {
-    findings->push_back({kMutexLockTemporary, path, line_no,
-                         "Mutex" "Lock temporary unlocks at the end of this statement and "
-                         "guards nothing; name it: Mutex" "Lock lock(&mu)"});
   }
   if (!InRepoDir(path, "src/net/") && std::regex_search(code, RawSocketRe()) &&
       !Suppressed(raw, kRawSocketFd)) {
@@ -381,153 +330,6 @@ void CheckGetenv(const std::string& path, const std::vector<std::string>& raw_li
   }
 }
 
-// Flags `switch` statements over StatusCode that neither cover every
-// enumerator nor carry a default. Operates on the comment-stripped lines so a
-// commented-out case label cannot satisfy the check. The body is found by
-// balancing parens from the switch condition and then braces; heuristic, but
-// switches in this tree are plain statements, not macro soup.
-void CheckStatusSwitches(const std::string& path, const std::vector<std::string>& raw_lines,
-                         const std::vector<std::string>& code_lines,
-                         std::vector<Finding>* findings) {
-  for (size_t i = 0; i < code_lines.size(); ++i) {
-    std::smatch m;
-    if (!std::regex_search(code_lines[i], m, SwitchRe())) {
-      continue;
-    }
-    // Walk forward from just after "switch (": first balance the condition
-    // parens, then capture the brace-balanced body.
-    size_t line = i;
-    size_t col = static_cast<size_t>(m.position(0) + m.length(0));
-    int paren_depth = 1;
-    int brace_depth = 0;
-    bool in_body = false;
-    std::string body;
-    while (line < code_lines.size()) {
-      const std::string& text = code_lines[line];
-      for (; col < text.size(); ++col) {
-        const char c = text[col];
-        if (!in_body) {
-          if (c == '(') {
-            ++paren_depth;
-          } else if (c == ')') {
-            --paren_depth;
-          } else if (c == '{' && paren_depth == 0) {
-            in_body = true;
-            brace_depth = 1;
-          }
-          continue;
-        }
-        if (c == '{') {
-          ++brace_depth;
-        } else if (c == '}') {
-          if (--brace_depth == 0) {
-            break;
-          }
-        }
-        body.push_back(c);
-      }
-      if (in_body && brace_depth == 0) {
-        break;
-      }
-      body.push_back('\n');
-      ++line;
-      col = 0;
-    }
-    std::set<std::string> covered;
-    for (std::sregex_iterator it(body.begin(), body.end(), CaseStatusCodeRe()), end;
-         it != end; ++it) {
-      covered.insert((*it)[1].str());
-    }
-    if (covered.empty()) {
-      continue;  // not a StatusCode switch
-    }
-    if (std::regex_search(body, DefaultLabelRe())) {
-      continue;
-    }
-    std::vector<std::string> missing;
-    for (const char* name : kStatusCodeNames) {
-      if (covered.count(name) == 0) {
-        missing.push_back(name);
-      }
-    }
-    if (missing.empty()) {
-      continue;  // exhaustive without default: fine, the compiler warns on new codes
-    }
-    if (Suppressed(raw_lines[i], kStatusSwitch)) {
-      continue;
-    }
-    std::string msg = "switch over Status" "Code has no default and misses ";
-    for (size_t k = 0; k < missing.size(); ++k) {
-      if (k > 0) {
-        msg += ", ";
-      }
-      msg += missing[k];
-    }
-    msg += "; add the missing cases or a default (enumerator list: tools/lint_rules.cc)";
-    findings->push_back({kStatusSwitch, path, static_cast<int>(i) + 1, msg});
-  }
-}
-
-// Flags an explicit BatchStep-Begin emission whose enclosing scope contains
-// neither a matching End emission nor an RAII span. An early return between
-// Begin and End leaks an open span and corrupts the Chrome trace's B/E
-// nesting; trace::BatchStep-Span closes on every path. Scope is approximated
-// by scanning forward from the trigger to the first unmatched '}' — calls at
-// statement level inside a function body resolve to that function. Tests are
-// exempt (they reference Begin events alone in assertions).
-void CheckTraceSpans(const std::string& path, const std::vector<std::string>& raw_lines,
-                     const std::vector<std::string>& code_lines,
-                     std::vector<Finding>* findings) {
-  if (InRepoDir(path, "tests/")) {
-    return;
-  }
-  const std::string end_token = std::string("BatchStep") + "End";
-  const std::string span_token = std::string("BatchStep") + "Span";
-  for (size_t i = 0; i < code_lines.size(); ++i) {
-    std::smatch m;
-    if (!std::regex_search(code_lines[i], m, TraceSpanBeginRe())) {
-      continue;
-    }
-    if (Suppressed(raw_lines[i], kTraceSpan)) {
-      continue;
-    }
-    bool closed = false;
-    int depth = 0;
-    size_t line = i;
-    size_t col = static_cast<size_t>(m.position(0) + m.length(0));
-    while (line < code_lines.size()) {
-      const std::string& text = code_lines[line];
-      if (text.find(end_token, col) != std::string::npos ||
-          text.find(span_token, col) != std::string::npos) {
-        closed = true;
-        break;
-      }
-      bool scope_over = false;
-      for (; col < text.size(); ++col) {
-        if (text[col] == '{') {
-          ++depth;
-        } else if (text[col] == '}' && --depth < 0) {
-          scope_over = true;
-          break;
-        }
-      }
-      if (scope_over) {
-        break;
-      }
-      ++line;
-      col = 0;
-    }
-    if (!closed) {
-      findings->push_back(
-          {kTraceSpan, path, static_cast<int>(i) + 1,
-           std::string("BatchStep") + "Begin emitted without a matching BatchStep" +
-               "End or RAII BatchStep" +
-               "Span in the enclosing scope; an early return would leak an open span — "
-               "prefer trace::BatchStep" "Span"});
-    }
-  }
-}
-
 void CheckIncludeGuard(const std::string& path, const std::vector<std::string>& raw_lines,
                        std::vector<Finding>* findings) {
   if (!IsHeader(path)) {
@@ -561,11 +363,9 @@ void CheckIncludeGuard(const std::string& path, const std::vector<std::string>& 
 }  // namespace
 
 std::vector<std::string> RuleNames() {
-  return {kRawMutex,      kRawAtomic,           kStatusNodiscard,
-          kSleepInTest,   kNakedNew,            kThreadDetach,
-          kMissingGuard,  kMutexLockTemporary,  kStatusSwitch,
-          kTraceSpan,     kRawSocketFd,         kRawSimd,
-          kGetenvOutsideInit, kVolatileThreading};
+  return {kRawMutex,     kRawAtomic,   kStatusNodiscard,   kSleepInTest,
+          kNakedNew,     kThreadDetach, kMissingGuard,     kRawSocketFd,
+          kRawSimd,      kGetenvOutsideInit, kVolatileThreading};
 }
 
 std::vector<Finding> LintContent(const std::string& path, const std::string& content) {
@@ -588,8 +388,6 @@ std::vector<Finding> LintContent(const std::string& path, const std::string& con
     CheckLine(path, static_cast<int>(i) + 1, raw_lines[i], code_lines[i], &findings);
   }
   CheckGetenv(path, raw_lines, code_lines, &findings);
-  CheckStatusSwitches(path, raw_lines, code_lines, &findings);
-  CheckTraceSpans(path, raw_lines, code_lines, &findings);
   CheckIncludeGuard(path, raw_lines, &findings);
   return findings;
 }

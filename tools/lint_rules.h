@@ -13,8 +13,9 @@
 //                         or vlora::PublishedAtomic, whose type fixes the
 //                         memory order)
 //   status-not-nodiscard  class Status / class Result declared without
-//                         [[nodiscard]] (class-level nodiscard is what makes
-//                         every ignored Status return a compile error)
+//                         [[nodiscard]] (class-level nodiscard, under the
+//                         build's -Werror=unused-result, is what makes every
+//                         ignored Status return a compile error)
 //   sleep-in-test         sleep_for / sleep_until under tests/ (poll loops
 //                         hide race conditions; use CondVar-backed waits like
 //                         ClusterServer::WaitForReadmissions)
@@ -22,18 +23,6 @@
 //   thread-detach         .detach() — detached threads outlive their state
 //   missing-include-guard header with neither an #ifndef guard nor
 //                         #pragma once in its first non-comment lines
-//   mutexlock-temporary   MutexLock constructed as an unnamed temporary
-//                         (`MutexLock(mu);`) — it unlocks at the end of the
-//                         statement, guarding nothing
-//   status-switch-exhaustive
-//                         switch over StatusCode that neither covers every
-//                         enumerator nor has a default: new codes would fall
-//                         through silently
-//   trace-span-unclosed   explicit BatchStepBegin emission with no matching
-//                         BatchStepEnd / RAII BatchStepSpan in the enclosing
-//                         scope — an early return would leak an open span and
-//                         corrupt the Chrome trace's B/E nesting (tests/
-//                         exempt; they assert on Begin events alone)
 //   raw-socket-fd         naked socket()/socketpair()/accept()/close() calls
 //                         outside src/net/ — descriptors must live in the
 //                         RAII net::Fd wrapper (src/net/fd.h) so no error
