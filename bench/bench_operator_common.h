@@ -10,6 +10,7 @@
 #define VLORA_BENCH_BENCH_OPERATOR_COMMON_H_
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "bench/bench_tiling_search.h"
@@ -62,11 +63,25 @@ struct OperatorWorkload {
     }
     return segments;
   }
+
+  // The segmentations of `rounds` rounds at `total_rows`, drawn before any
+  // of them runs, so that ATMM's table can be searched over their shapes.
+  std::vector<std::vector<LoraSegment>> DrawRounds(int64_t total_rows, int rounds) {
+    std::vector<std::vector<LoraSegment>> drawn;
+    for (int round = 0; round < rounds; ++round) {
+      drawn.push_back(RandomSegments(total_rows));
+    }
+    return drawn;
+  }
 };
 
-// Builds ATMM's shape table for the shapes this bench uses — the offline
-// profile-based search of §4.3.2 over a reduced candidate set.
-inline void BuildAtmmTable(TileTable& table, const std::vector<int64_t>& batch_sizes) {
+// Builds ATMM's shape table for the GEMMs the drawn rounds run: one per
+// segment row count, each LoRA rank and both projections — the offline
+// profile-based search of §4.3.2 over a reduced candidate set. The operator
+// runs one GEMM pair per segment, so searching the batch sizes alone would
+// leave most segments to the serving rule.
+inline void BuildAtmmTable(TileTable& table,
+                           const std::vector<std::vector<std::vector<LoraSegment>>>& rounds) {
   std::vector<TileConfig> candidates = {
       {16, 16, 64, 4, 4},  {32, 32, 64, 8, 8},    {64, 32, 128, 8, 8},
       {64, 64, 128, 8, 8}, {128, 64, 128, 8, 16}, {256, 64, 256, 8, 8},
@@ -79,9 +94,17 @@ inline void BuildAtmmTable(TileTable& table, const std::vector<int64_t>& batch_s
     options.nk_pairs.push_back({rank, kDModel});   // down projection
     options.nk_pairs.push_back({kDModel, rank});   // up projection
   }
-  for (int64_t batch : batch_sizes) {
-    options.m_min = batch;
-    options.m_max = batch;
+  std::set<int64_t> segment_rows;
+  for (const auto& batch_rounds : rounds) {
+    for (const std::vector<LoraSegment>& segments : batch_rounds) {
+      for (const LoraSegment& segment : segments) {
+        segment_rows.insert(segment.NumRows());
+      }
+    }
+  }
+  for (int64_t rows : segment_rows) {
+    options.m_min = rows;
+    options.m_max = rows;
     RunTilingSearch(options, table);
   }
 }
@@ -90,21 +113,22 @@ struct OperatorTiming {
   SampleStats per_round_ms;
 };
 
-// Times `rounds` diverse rounds of the operator at a fixed token batch size,
-// after `warmups` warm-up rounds (the paper uses 100 rounds after 10
+// Times the drawn rounds of the operator at a fixed token batch size, the
+// first `warmups` of them untimed (the paper uses 100 rounds after 10
 // warm-ups; we scale rounds with batch size to keep total time bounded).
 inline OperatorTiming TimeOperator(LoraBatchOperator& op, OperatorWorkload& workload,
-                                   int64_t batch_tokens, int rounds, int warmups) {
+                                   int64_t batch_tokens,
+                                   const std::vector<std::vector<LoraSegment>>& rounds,
+                                   int warmups) {
   OperatorTiming timing;
   Tensor x = Tensor::Random(Shape(batch_tokens, kDModel), workload.rng, 1.0f);
   Tensor y = Tensor::Zeros(Shape(batch_tokens, kDModel));
-  for (int round = 0; round < warmups + rounds; ++round) {
-    const std::vector<LoraSegment> segments = workload.RandomSegments(batch_tokens);
+  for (size_t round = 0; round < rounds.size(); ++round) {
     y.Fill(0.0f);
     Stopwatch timer;
-    op.Run(x, segments, workload.views, y);
+    op.Run(x, rounds[round], workload.views, y);
     const double ms = timer.ElapsedMillis();
-    if (round >= warmups) {
+    if (round >= static_cast<size_t>(warmups)) {
       timing.per_round_ms.Add(ms);
     }
   }

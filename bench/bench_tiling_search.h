@@ -77,11 +77,13 @@ class TileTable {
   // with n and k exact, since those come from model dimensions and adapter
   // ranks and only the token count varies at run time; else the serving rule.
   TileConfig Select(int64_t m, int64_t n, int64_t k) const {
+    ++selects_;
     const int64_t m_up = ((m + kMStep - 1) / kMStep) * kMStep;
     const int64_t m_down = std::max<int64_t>(kMStep, (m / kMStep) * kMStep);
     for (int64_t key_m : {m, m_up, m_down}) {
       auto it = tiles_.find({key_m, n, k});
       if (it != tiles_.end()) {
+        ++hits_;
         return it->second;
       }
     }
@@ -89,9 +91,15 @@ class TileTable {
   }
 
   int64_t size() const { return static_cast<int64_t>(tiles_.size()); }
+  // Share of Select calls the table answered rather than the serving rule.
+  double SuppliedShare() const {
+    return selects_ == 0 ? 0.0 : static_cast<double>(hits_) / static_cast<double>(selects_);
+  }
 
  private:
   std::map<std::tuple<int64_t, int64_t, int64_t>, TileConfig> tiles_;
+  mutable int64_t selects_ = 0;
+  mutable int64_t hits_ = 0;
 };
 
 // Times one (shape, config) pair: best-of-repetitions milliseconds after a

@@ -6,8 +6,9 @@
 # (bench-smoke), the
 # static-analysis stage (vlora_lint, Clang thread-safety build, clang-tidy),
 # then the concurrency-labelled tests (cluster, fault
-# injection, thread pool, parallel GEMM) and the kernels-labelled tests
-# (differential micro-kernel harness, ATMM dispatcher) under both
+# injection, thread pool and compute group, parallel GEMM, the engine's
+# split steps) and the kernels-labelled tests (differential micro-kernel
+# harness, ATMM dispatcher, the compute-group differential) under both
 # ThreadSanitizer and AddressSanitizer+UBSan. The ASan tree also runs the
 # e2e_process suites, so real executor SIGKILL recovery is exercised under
 # ASan; the TSan tree deliberately does not (fork + threads is unsupported
@@ -25,14 +26,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CONCURRENCY_TARGETS=(cluster_test disaggregated_test fault_injection_test thread_pool_test
-                     trace_test kernel_dispatch_test)
+                     trace_test kernel_dispatch_test compute_group_test)
 # e2e_process targets run under ASan but not TSan (fork + threads). The
 # process_cluster_test target pulls in vlora_executor via add_dependencies.
 E2E_PROCESS_TARGETS=(net_test process_cluster_test)
 # The kernels label: the differential micro-kernel harness and the ATMM
-# dispatcher tests. Run under both sanitizer trees — ASan/UBSan proves the
-# packing and the in-place B reads stay in bounds, TSan re-checks
-# GemmTiledParallel determinism.
+# dispatcher tests, plus compute_group_test (built above), whose engine
+# steps split over 1-3 threads must match bitwise under every variant. Run
+# under both sanitizer trees — ASan/UBSan proves the packing and the
+# in-place B reads stay in bounds, TSan re-checks GemmTiledParallel
+# determinism and the split steps' row and head ownership.
 KERNEL_TARGETS=(kernel_diff_test atmm_test)
 
 # Builds and the tier-1 ctest pass an explicit job count: with the Unix

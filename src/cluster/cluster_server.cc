@@ -51,9 +51,12 @@ ClusterServer::ClusterServer(const ModelConfig& config, const ClusterOptions& op
   replica_options.queue_capacity = options_.replica_queue_capacity;
   replica_options.admission = options_.admission;
   replica_options.fault = options_.fault;
+  // Every replica's engine splits long steps over an equal share of the CPUs.
+  const int compute_threads = ComputeThreadsPerReplica(options_.num_replicas);
   for (int i = 0; i < options_.num_replicas; ++i) {
     replica_options.server =
         slots_[static_cast<size_t>(i)].pool == kDecodePool ? decode_server : options_.server;
+    replica_options.server.engine.compute_threads = compute_threads;
     if (options_.backend == ReplicaBackend::kProcess) {
       replicas_.push_back(
           std::make_unique<ProcessReplica>(i, config, replica_options, options_.process));

@@ -1,5 +1,7 @@
 #include "src/cluster/replica.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <string>
@@ -281,9 +283,65 @@ ReplicaSnapshot Replica::Snapshot() {
   return snapshot;
 }
 
+namespace {
+
+// The CPUs this process may run on, ascending.
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &set)) {
+        cpus.push_back(cpu);
+      }
+    }
+  }
+  if (cpus.empty()) {
+    for (unsigned cpu = 0; cpu < std::max(1u, std::thread::hardware_concurrency()); ++cpu) {
+      cpus.push_back(static_cast<int>(cpu));
+    }
+  }
+  return cpus;
+}
+
+}  // namespace
+
+int ComputeThreadsPerReplica(int replicas) {
+  VLORA_CHECK(replicas >= 1);
+  const int allowed = static_cast<int>(AllowedCpus().size());
+  return std::clamp(allowed / replicas, 1, kMaxComputeThreads);
+}
+
+std::vector<int> HelperCpus(int index, int threads) {
+  const std::vector<int> allowed = AllowedCpus();
+  const size_t n = allowed.size();
+  std::vector<int> cpus;
+  for (int h = 1; h < threads; ++h) {
+    cpus.push_back(allowed[(static_cast<size_t>(index) * static_cast<size_t>(threads) +
+                            static_cast<size_t>(h)) % n]);
+  }
+  return cpus;
+}
+
+void KeepOffHelperCpus(int threads) {
+  if (threads <= 1) {
+    return;
+  }
+  const std::vector<int> allowed = AllowedCpus();
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (size_t p = 0; p < allowed.size(); p += static_cast<size_t>(threads)) {
+    CPU_SET(allowed[p], &set);
+  }
+  (void)sched_setaffinity(0, sizeof(set), &set);  // a failure leaves the thread where it was
+}
+
 ThreadReplica::ThreadReplica(int index, const ModelConfig& config,
                              const ReplicaOptions& options)
-    : Replica(index, ReplicaBackend::kThread, options), server_(config, options.server) {}
+    : Replica(index, ReplicaBackend::kThread, options), server_(config, options.server) {
+  server_.engine().PinComputeHelpers(HelperCpus(index, server_.engine().compute_threads()));
+}
 
 ThreadReplica::~ThreadReplica() {
   RequestStop();
@@ -306,7 +364,10 @@ void ThreadReplica::Prewarm(const std::vector<int>& adapter_ids) {
 void ThreadReplica::Start(ThreadPool* pool) {
   VLORA_CHECK(pool != nullptr);
   BeginServing();
-  pool->Post([this] { WorkerLoop(); });
+  pool->Post([this] {
+    KeepOffHelperCpus(server_.engine().compute_threads());  // the worker steps the engine
+    WorkerLoop();
+  });
 }
 
 void ThreadReplica::WorkerLoop() {

@@ -271,11 +271,27 @@ class Replica {
   RelaxedAtomic<double> heartbeat_ms_{0.0};
 };
 
+// CPUs for the replicas' compute groups (EngineOptions::compute_threads).
+// The replicas split the CPUs this process may run on (its affinity mask)
+// evenly: each engine gets ComputeThreadsPerReplica(replicas) =
+// max(1, allowed / replicas) threads, and replica `index` pins its
+// threads - 1 helpers to HelperCpus(index, threads), allowed CPUs
+// index * threads + 1 onwards, so no two replicas' helpers share a CPU. The
+// thread that steps an engine is not pinned: KeepOffHelperCpus(threads)
+// keeps it to the allowed CPUs no helper is pinned to (positions 0,
+// threads, 2 * threads, ...). A stepping thread woken onto its own helper's
+// CPU ran the helper's rows after its own, slower than one thread
+// (DESIGN.md §16).
+int ComputeThreadsPerReplica(int replicas);
+std::vector<int> HelperCpus(int index, int threads);
+void KeepOffHelperCpus(int threads);
+
 // The in-process backend: a worker loop steps a VloraServer over the
 // requests it takes from the front end, consulting an optional
 // FaultInjector each iteration (gate, kill, stall, per-request failure).
 // Once started, only the worker touches the server; it hands the server's
-// stats to the front end through Complete each iteration.
+// stats to the front end through Complete each iteration. The constructor
+// pins the engine's compute helpers to HelperCpus(index, ...).
 class ThreadReplica : public Replica {
  public:
   ThreadReplica(int index, const ModelConfig& config, const ReplicaOptions& options);

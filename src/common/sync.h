@@ -19,8 +19,8 @@
 //     including re-acquiring the same mutex — aborts with both lock names,
 //     the thread's full acquisition stack and (where glibc provides it) a
 //     backtrace of the offending acquisition.
-//   * Blocking while holding: a CondVar wait, ThreadPool::WaitIdle /
-//     ParallelFor barrier, or a blocking Replica/ClusterServer submit aborts
+//   * Blocking while holding: a CondVar wait, ThreadPool::WaitIdle, a
+//     ComputeGroup::Run join, or a blocking Replica/ClusterServer submit aborts
 //     when the thread holds any lock (other than the one it is waiting on)
 //     whose rank is above the configured threshold
 //     (lock_debug::SetMaxBlockingHeldRank, default Rank::kLogging — i.e. no
@@ -114,7 +114,7 @@ class PublishedAtomic {
 enum class Rank : int {
   kLogging = 0,          // logging g_emit_mutex; any thread may log under any lock
   kTrace = 5,            // Tracer::mutex_; cold paths of src/common/trace.h
-  kLeaf = 10,            // terminal locks that never call out (fault, channel, child)
+  kLeaf = 10,            // terminal locks that never call out (fault, channel, child, helper park)
   kPool = 20,            // ThreadPool::mutex_
   kReplicaIngress = 40,  // Replica::mutex_ (ingress queue, worker state)
   kCluster = 60,         // ClusterServer::mutex_ (routing, pending table)

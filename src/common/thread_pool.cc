@@ -70,30 +70,4 @@ void ThreadPool::WaitIdle() {
   }
 }
 
-void ThreadPool::ParallelFor(int64_t begin, int64_t end,
-                             const std::function<void(int64_t)>& fn) {
-  VLORA_CHECK(begin <= end);
-  VLORA_BLOCKING_REGION(nullptr, "ThreadPool::ParallelFor");
-  if (begin == end) {
-    return;
-  }
-  if (end - begin == 1) {
-    fn(begin);  // no dispatch overhead for a single block
-    return;
-  }
-  {
-    MutexLock lock(&mutex_);
-    VLORA_CHECK(in_flight_ == 0);  // nested / concurrent ParallelFor unsupported
-    in_flight_ = end - begin;
-    for (int64_t i = begin; i < end; ++i) {
-      tasks_.push([&fn, i] { fn(i); });
-    }
-  }
-  work_cv_.NotifyAll();
-  MutexLock lock(&mutex_);
-  while (in_flight_ != 0) {
-    done_cv_.Wait(mutex_);
-  }
-}
-
 }  // namespace vlora

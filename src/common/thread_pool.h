@@ -1,9 +1,6 @@
-// Fixed-size thread pool with a blocking parallel-for.
-//
-// The CPU analog of the GPU's streaming multiprocessors: the tiled GEMM
-// dispatches one block tile per task, so a tiling configuration that produces
-// fewer block tiles than threads under-utilises the machine — the same "low
-// SM utilisation" failure Table 1 attributes to oversized tiles.
+// Fixed-size thread pool that hosts long-running loops: the cluster posts
+// each replica's worker or reader loop on one. Parallel loops over data run
+// on a ComputeGroup (compute_group.h) instead.
 
 #ifndef VLORA_SRC_COMMON_THREAD_POOL_H_
 #define VLORA_SRC_COMMON_THREAD_POOL_H_
@@ -29,19 +26,11 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  // Runs fn(i) for every i in [begin, end), one task per index, and blocks
-  // until all complete. Tasks must not throw. Indices map to disjoint output
-  // regions in every caller, so no ordering is guaranteed or needed.
-  void ParallelFor(int64_t begin, int64_t end, const std::function<void(int64_t)>& fn)
-      VLORA_EXCLUDES(mutex_);
-
   // Enqueues one task and returns immediately. Used by the cluster layer to
-  // host long-running replica worker loops; a pool hosting posted loops must
-  // be dedicated to them (ParallelFor on the same pool would wait for the
-  // loops to finish). Tasks must not throw.
+  // host long-running replica worker loops. Tasks must not throw.
   void Post(std::function<void()> fn) VLORA_EXCLUDES(mutex_);
 
-  // Blocks until every posted / dispatched task has completed.
+  // Blocks until every posted task has completed.
   void WaitIdle() VLORA_EXCLUDES(mutex_);
 
  private:

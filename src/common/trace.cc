@@ -37,8 +37,6 @@ bool InvariantTsc() { return false; }
 int64_t ReadTsc() { return 0; }  // never called: tsc_ stays false
 #endif
 
-thread_local int t_current_replica = -1;
-
 // Doubles formatted the same way everywhere so exported JSON is stable.
 std::string FormatMs(double value) {
   char buffer[32];
@@ -169,83 +167,20 @@ std::vector<TraceEvent> TraceSession::Collect() const { return Tracer::Global().
 int64_t TraceSession::dropped_events() const { return Tracer::Global().dropped_events(); }
 
 // ---------------------------------------------------------------------------
-// Emission helpers.
+// Batch-step span.
 
-void EmitRequestAdmitted(int64_t request_id, int adapter) {
-  Tracer::Global().Emit(
-      {.kind = TraceEventKind::kRequestAdmitted, .adapter = adapter, .request_id = request_id});
-}
-
-void EmitRouted(int64_t request_id, int adapter, int replica, bool affinity_hit, bool spilled) {
-  Tracer::Global().Emit({.kind = TraceEventKind::kRouted, .replica = replica, .adapter = adapter,
-                         .request_id = request_id, .n = affinity_hit ? 1 : 0,
-                         .k = spilled ? 1 : 0});
-}
-
-void EmitEnqueued(int64_t request_id, int adapter, int replica) {
-  Tracer::Global().Emit({.kind = TraceEventKind::kEnqueued, .replica = replica, .adapter = adapter,
-                         .request_id = request_id});
-}
-
-void EmitKernelDispatch(int64_t m, int64_t n, int64_t k, int tile_mc, int tile_nc, int tile_kc,
-                        int tile_mr, int tile_nr) {
-  Tracer::Global().Emit({.kind = TraceEventKind::kKernelDispatch, .replica = t_current_replica,
-                         .m = m, .n = n, .k = k, .tile_mc = tile_mc, .tile_nc = tile_nc,
-                         .tile_kc = tile_kc, .tile_mr = tile_mr, .tile_nr = tile_nr});
-}
-
-void EmitRetry(int64_t request_id, int adapter, int attempt) {
-  Tracer::Global().Emit(
-      {.kind = TraceEventKind::kRetry, .adapter = adapter, .request_id = request_id, .m = attempt});
-}
-
-void EmitQuarantine(int replica) {
-  Tracer::Global().Emit({.kind = TraceEventKind::kQuarantine, .replica = replica});
-}
-
-void EmitReadmit(int replica) {
-  Tracer::Global().Emit({.kind = TraceEventKind::kReadmit, .replica = replica});
-}
-
-void EmitCompleted(int64_t request_id, int adapter, int replica, StatusCode status) {
-  Tracer::Global().Emit({.kind = TraceEventKind::kCompleted, .status = status, .replica = replica,
-                         .adapter = adapter, .request_id = request_id});
-}
-
-void EmitPrefillDone(int64_t request_id, int adapter, int64_t prefill_tokens,
-                     int64_t reused_tokens) {
-  Tracer::Global().Emit({.kind = TraceEventKind::kPrefillDone, .replica = t_current_replica,
-                         .adapter = adapter, .request_id = request_id, .m = prefill_tokens,
-                         .n = reused_tokens});
-}
-
-void EmitKvHandoff(int64_t request_id, int adapter, int replica, int64_t pages, int64_t floats) {
-  Tracer::Global().Emit({.kind = TraceEventKind::kKvHandoff, .replica = replica, .adapter = adapter,
-                         .request_id = request_id, .m = pages, .n = floats});
-}
-
-void EmitDecodeRouted(int64_t request_id, int adapter, int replica, bool affinity_hit,
-                      bool spilled) {
-  Tracer::Global().Emit({.kind = TraceEventKind::kDecodeRouted, .replica = replica,
-                         .adapter = adapter, .request_id = request_id, .n = affinity_hit ? 1 : 0,
-                         .k = spilled ? 1 : 0});
-}
-
-void EmitDecodeEnqueued(int64_t request_id, int adapter, int replica) {
-  Tracer::Global().Emit({.kind = TraceEventKind::kDecodeEnqueued, .replica = replica,
-                         .adapter = adapter, .request_id = request_id});
-}
-
-void SetCurrentReplica(int replica) { t_current_replica = replica; }
-
-BatchStepSpan::BatchStepSpan(int64_t batch_size) : replica_(t_current_replica) {
-  Tracer::Global().Emit(
-      {.kind = TraceEventKind::kBatchStepBegin, .replica = replica_, .m = batch_size});
+BatchStepSpan::BatchStepSpan(int64_t batch_size) : replica_(detail::t_current_replica) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit(
+        {.kind = TraceEventKind::kBatchStepBegin, .replica = replica_, .m = batch_size});
+  }
 }
 
 BatchStepSpan::~BatchStepSpan() {
-  Tracer::Global().Emit(
-      {.kind = TraceEventKind::kBatchStepEnd, .replica = replica_, .m = completed_});
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit(
+        {.kind = TraceEventKind::kBatchStepEnd, .replica = replica_, .m = completed_});
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@
 //
 // Ring semantics: each buffer holds the most recent `ring_capacity` events of
 // its thread; wraparound overwrites the oldest and counts it in
-// dropped_events(). Disabled tracing (the default) reduces Emit to a single
-// atomic load and emits nothing.
+// dropped_events(). Disabled tracing (the default) reduces each Emit* helper
+// to one inline load and a branch, and emits nothing.
 //
 // Collect() contract: exact and race-free when every emitting thread is
 // quiescent (joined, drained, or parked outside Emit) — which is how the
@@ -153,7 +153,9 @@ class Tracer {
   // enables emission. `ring_capacity` is per emitting thread, in events.
   void Start(int64_t ring_capacity) VLORA_EXCLUDES(mutex_);
   void Stop();
-  bool enabled() const { return enabled_.Load(); }
+  // One load: the Emit* helpers below test it inline, before they build an
+  // event.
+  static bool enabled() { return enabled_.Load(); }
 
   // Hot path. Records `event` stamped with the session clock (its when_ms
   // is ignored); no-op when disabled.
@@ -182,8 +184,9 @@ class Tracer {
   int64_t Ticks() const;  // the session clock: TSC or steady_clock ns
 
   // Start stores the session parameters, then publishes them through epoch_
-  // and enabled_.
-  PublishedAtomic<bool> enabled_{false};
+  // and enabled_. The tracer is a singleton, so enabled_ is static: reading
+  // it needs no call to Global().
+  static constinit inline PublishedAtomic<bool> enabled_{false};
   PublishedAtomic<uint64_t> epoch_{0};
   RelaxedAtomic<int64_t> ring_capacity_{1 << 14};
   RelaxedAtomic<bool> tsc_{false};          // ticks are TSC cycles, not ns
@@ -217,31 +220,115 @@ class TraceSession {
 };
 
 // ---------------------------------------------------------------------------
-// Emission helpers — the instrumentation vocabulary. All are no-ops while
-// tracing is disabled.
+// Emission helpers — the instrumentation vocabulary. Each tests
+// Tracer::enabled() inline, so while tracing is disabled a call costs one
+// load and a branch and builds no event.
 
-void EmitRequestAdmitted(int64_t request_id, int adapter);
-void EmitRouted(int64_t request_id, int adapter, int replica, bool affinity_hit, bool spilled);
-void EmitEnqueued(int64_t request_id, int adapter, int replica);
-void EmitKernelDispatch(int64_t m, int64_t n, int64_t k, int tile_mc, int tile_nc, int tile_kc,
-                        int tile_mr, int tile_nr);
-void EmitRetry(int64_t request_id, int adapter, int attempt);
-void EmitQuarantine(int replica);
-void EmitReadmit(int replica);
-void EmitCompleted(int64_t request_id, int adapter, int replica, StatusCode status);
+namespace detail {
+// The replica stamped on events this thread emits without one; see
+// SetCurrentReplica.
+inline thread_local int t_current_replica = -1;
+}  // namespace detail
+
+inline void EmitRequestAdmitted(int64_t request_id, int adapter) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit(
+        {.kind = TraceEventKind::kRequestAdmitted, .adapter = adapter, .request_id = request_id});
+  }
+}
+
+inline void EmitRouted(int64_t request_id, int adapter, int replica, bool affinity_hit,
+                       bool spilled) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit({.kind = TraceEventKind::kRouted, .replica = replica,
+                           .adapter = adapter, .request_id = request_id,
+                           .n = affinity_hit ? 1 : 0, .k = spilled ? 1 : 0});
+  }
+}
+
+inline void EmitEnqueued(int64_t request_id, int adapter, int replica) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit({.kind = TraceEventKind::kEnqueued, .replica = replica,
+                           .adapter = adapter, .request_id = request_id});
+  }
+}
+
+inline void EmitKernelDispatch(int64_t m, int64_t n, int64_t k, int tile_mc, int tile_nc,
+                               int tile_kc, int tile_mr, int tile_nr) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit({.kind = TraceEventKind::kKernelDispatch,
+                           .replica = detail::t_current_replica, .m = m, .n = n, .k = k,
+                           .tile_mc = tile_mc, .tile_nc = tile_nc, .tile_kc = tile_kc,
+                           .tile_mr = tile_mr, .tile_nr = tile_nr});
+  }
+}
+
+inline void EmitRetry(int64_t request_id, int adapter, int attempt) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit({.kind = TraceEventKind::kRetry, .adapter = adapter,
+                           .request_id = request_id, .m = attempt});
+  }
+}
+
+inline void EmitQuarantine(int replica) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit({.kind = TraceEventKind::kQuarantine, .replica = replica});
+  }
+}
+
+inline void EmitReadmit(int replica) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit({.kind = TraceEventKind::kReadmit, .replica = replica});
+  }
+}
+
+inline void EmitCompleted(int64_t request_id, int adapter, int replica, StatusCode status) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit({.kind = TraceEventKind::kCompleted, .status = status,
+                           .replica = replica, .adapter = adapter, .request_id = request_id});
+  }
+}
+
 // Emitted by the engine on the thread that ran the prefill chunk; the replica
 // comes from the thread-local attribution below.
-void EmitPrefillDone(int64_t request_id, int adapter, int64_t prefill_tokens,
-                     int64_t reused_tokens);
-void EmitKvHandoff(int64_t request_id, int adapter, int replica, int64_t pages, int64_t floats);
-void EmitDecodeRouted(int64_t request_id, int adapter, int replica, bool affinity_hit,
-                      bool spilled);
-void EmitDecodeEnqueued(int64_t request_id, int adapter, int replica);
+inline void EmitPrefillDone(int64_t request_id, int adapter, int64_t prefill_tokens,
+                            int64_t reused_tokens) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit({.kind = TraceEventKind::kPrefillDone,
+                           .replica = detail::t_current_replica, .adapter = adapter,
+                           .request_id = request_id, .m = prefill_tokens, .n = reused_tokens});
+  }
+}
+
+inline void EmitKvHandoff(int64_t request_id, int adapter, int replica, int64_t pages,
+                          int64_t floats) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit({.kind = TraceEventKind::kKvHandoff, .replica = replica,
+                           .adapter = adapter, .request_id = request_id, .m = pages,
+                           .n = floats});
+  }
+}
+
+inline void EmitDecodeRouted(int64_t request_id, int adapter, int replica, bool affinity_hit,
+                             bool spilled) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit({.kind = TraceEventKind::kDecodeRouted, .replica = replica,
+                           .adapter = adapter, .request_id = request_id,
+                           .n = affinity_hit ? 1 : 0, .k = spilled ? 1 : 0});
+  }
+}
+
+inline void EmitDecodeEnqueued(int64_t request_id, int adapter, int replica) {
+  if (Tracer::enabled()) {
+    Tracer::Global().Emit({.kind = TraceEventKind::kDecodeEnqueued, .replica = replica,
+                           .adapter = adapter, .request_id = request_id});
+  }
+}
 
 // Thread-local replica attribution: a replica worker declares itself once and
 // every event emitted from that thread without an explicit replica (engine
 // batch steps, kernel dispatches) is stamped with it. -1 = unattributed.
-void SetCurrentReplica(int replica);
+inline void SetCurrentReplica(int replica) { detail::t_current_replica = replica; }
 
 // RAII batch-step span: Begin on construction, End (with the completed count
 // set via set_completed) on destruction. It is the only way to emit either

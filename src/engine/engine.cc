@@ -25,20 +25,41 @@ Tensor ScratchRows(Tensor& buffer, int64_t rows, int64_t cols) {
   return buffer.RowSlice(0, rows);
 }
 
+// A step splits only when every thread gets at least this many rows: one
+// HeuristicConfig row block (mc is 64 from m = 64 up), so each thread's share
+// of a GEMM runs the tile of the whole GEMM, the one its KernelDispatch event
+// names. At the floor the split still pays: a 128-row SmallConfig merged
+// prefill step took 1.87 ms on 2 threads against 2.26 ms on one, and 392 rows
+// 8.2 against 14.8 ms (bench_ablation_parallel_tiles, 4-vCPU AVX-512 host).
+// Decode batches (at most 8 rows) and short prefills stay on one thread.
+constexpr int64_t kMinRowsPerThread = 64;
+
 }  // namespace
+
+std::vector<std::unique_ptr<InferenceEngine::Lane>> InferenceEngine::MakeLanes(
+    const EngineOptions& options) {
+  VLORA_CHECK(options.compute_threads >= 1 && options.compute_threads <= kMaxComputeThreads);
+  std::vector<std::unique_ptr<Lane>> lanes;
+  for (int w = 0; w < options.compute_threads; ++w) {
+    lanes.push_back(std::make_unique<Lane>(options.kv_num_blocks));
+  }
+  return lanes;
+}
 
 InferenceEngine::InferenceEngine(const ModelConfig& config, const EngineOptions& options)
     : config_(config),
       rng_(options.seed),
       model_(config, rng_),
       kv_(std::make_unique<KvBlockManager>(config, options.kv_block_size, options.kv_num_blocks)),
-      switcher_(&atmm_),
+      lanes_(MakeLanes(options)),
+      switcher_(&lanes_[0]->atmm),
       merge_targets_(model_.MergeTargets()),
-      lora_op_(std::make_unique<AtmmLoraOperator>(&atmm_)),
-      kv_spans_(static_cast<size_t>(options.kv_num_blocks)),
-      positions_(config.d_model, config.max_seq_len) {
+      positions_(config.d_model, config.max_seq_len),
+      group_(options.compute_threads) {
   // Attention covers num_heads * d_head columns; a remainder would stay zero.
   VLORA_CHECK(config.num_heads > 0 && config.d_model % config.num_heads == 0);
+  // The final norm runs in the last layer's last phase.
+  VLORA_CHECK(config.num_layers >= 1);
 }
 
 int InferenceEngine::RegisterAdapter(const LoraAdapter* adapter) {
@@ -356,40 +377,70 @@ const float* InferenceEngine::Forward(std::vector<Sequence*>& batch,
       }
     }
     for (TargetPlan& plan : plans) {
+      ValidateSegments(plan.segments, total_rows, static_cast<int64_t>(plan.entries.size()));
       plan.views.resize(plan.entries.size());
     }
   }
 
-  // Runs one target's bypass branches: output += Σ segment LoRA(input).
-  auto run_bypass = [&](size_t target_index, int layer, const Tensor& input, Tensor& output) {
-    TargetPlan& plan = plans[target_index];
-    if (plan.segments.empty()) {
-      return;
+  // Adds one target's bypass branches for rows [r0, r1) to output: each
+  // segment's LoRA(input), clipped to the rows.
+  auto run_bypass = [&](Lane& lane, size_t target_index, const Tensor& input, Tensor& output,
+                        int64_t r0, int64_t r1) {
+    const TargetPlan& plan = plans[target_index];
+    if (!plan.segments.empty()) {
+      lane.lora.ComputeRows(input.data(), plan.segments, plan.views, output.data(), d, r0, r1);
     }
-    const LoraTarget target = kAllLoraTargets[target_index];
-    for (size_t i = 0; i < plan.views.size(); ++i) {
-      const auto& [adapter_id, sign] = plan.entries[i];
-      plan.views[i] = adapters_[static_cast<size_t>(adapter_id)]->LayerView(target, layer);
-      plan.views[i].scaling *= sign;
-    }
-    lora_op_->Run(input, plan.segments, plan.views, output);
   };
+
+  // The step splits over `threads` threads when each gets kMinRowsPerThread
+  // rows; thread count 1 runs every phase below inline, as one chunk. Chunk
+  // c holds rows [chunk_begin(c), chunk_begin(c + 1)); an attention task is
+  // one sequence's heads in one of `head_ranges` contiguous ranges.
+  const int threads = static_cast<int>(
+      std::clamp<int64_t>(total_rows / kMinRowsPerThread, 1, group_.size()));
+  auto chunk_begin = [&](int64_t chunk) { return total_rows * chunk / threads; };
+  const int64_t head_ranges = std::min<int64_t>(threads, config_.num_heads);
+  const int64_t block = kv_->block_size();
+  const KvBlockManager& kv = *kv_;
 
   for (int layer = 0; layer < config_.num_layers; ++layer) {
     const LayerWeights& w = model_.layer(layer);
+    const bool last_layer = layer + 1 == config_.num_layers;
+    for (size_t t = 0; t < plans.size(); ++t) {
+      TargetPlan& plan = plans[t];
+      for (size_t i = 0; i < plan.views.size(); ++i) {
+        const auto& [adapter_id, sign] = plan.entries[i];
+        plan.views[i] = adapters_[static_cast<size_t>(adapter_id)]->LayerView(kAllLoraTargets[t],
+                                                                              layer);
+        plan.views[i].scaling *= sign;
+      }
+    }
 
     // --- Attention ---
-    RmsNormRows(x.data(), w.attn_norm.data(), normed.data(), total_rows, d);
-    q.Fill(0.0f);
-    k.Fill(0.0f);
-    v.Fill(0.0f);
-    atmm_.Execute(normed, w.wq, q);
-    atmm_.Execute(normed, w.wk, k);
-    atmm_.Execute(normed, w.wv, v);
-    // Bypass branches for the adapted query/value projections must land
-    // before the cache write and the attention compute.
-    run_bypass(0, layer, normed, q);  // kWq
-    run_bypass(1, layer, normed, v);  // kWv
+    // Every logical GEMM is announced once, here, with the step's rows; the
+    // threads compute their chunks unannounced.
+    for (int gemm = 0; gemm < 3; ++gemm) {
+      AtmmDispatcher::Announce(total_rows, d, d);  // Wq, Wk, Wv
+    }
+    AtmmLoraOperator::Announce(plans[0].segments, plans[0].views, d);  // kWq
+    AtmmLoraOperator::Announce(plans[1].segments, plans[1].views, d);  // kWv
+    group_.Run(threads, threads, [&](int64_t chunk, int worker) {
+      Lane& lane = *lanes_[static_cast<size_t>(worker)];
+      const int64_t r0 = chunk_begin(chunk);
+      const int64_t r1 = chunk_begin(chunk + 1);
+      const int64_t rows = r1 - r0;
+      RmsNormRows(x.data() + r0 * d, w.attn_norm.data(), normed.data() + r0 * d, rows, d);
+      for (Tensor* out : {&q, &k, &v}) {
+        std::fill_n(out->data() + r0 * d, rows * d, 0.0f);
+      }
+      lane.atmm.Compute(normed.data() + r0 * d, w.wq.data(), q.data() + r0 * d, rows, d, d);
+      lane.atmm.Compute(normed.data() + r0 * d, w.wk.data(), k.data() + r0 * d, rows, d, d);
+      lane.atmm.Compute(normed.data() + r0 * d, w.wv.data(), v.data() + r0 * d, rows, d, d);
+      // Bypass branches for the adapted query/value projections must land
+      // before the cache write and the attention compute.
+      run_bypass(lane, 0, normed, q, r0, r1);  // kWq
+      run_bypass(lane, 1, normed, v, r0, r1);  // kWv
+    });
 
     // Append this chunk's K/V to every sequence's cache, then attend.
     for (size_t s = 0; s < batch.size(); ++s) {
@@ -398,41 +449,63 @@ const float* InferenceEngine::Forward(std::vector<Sequence*>& batch,
                v.data() + row_offsets[s] * d, row_counts[s]);
     }
 
-    // Attend in place over each sequence's KV blocks, one span per block.
-    const int64_t block = kv_->block_size();
-    for (size_t s = 0; s < batch.size(); ++s) {
+    // Attend in place over each sequence's KV blocks, one span per block;
+    // heads [h0, h1) are columns [h0, h1) * d_head of q, the key panels, V
+    // and attn.
+    group_.Run(static_cast<int64_t>(batch.size()) * head_ranges, threads,
+               [&](int64_t task, int worker) {
+      const size_t s = static_cast<size_t>(task / head_ranges);
+      const int64_t range = task % head_ranges;
+      const int64_t h0 = config_.num_heads * range / head_ranges;
+      const int64_t h1 = config_.num_heads * (range + 1) / head_ranges;
+      const int64_t col = h0 * d_head;
       const Sequence& seq = *batch[s];
       const int64_t ctx = seq.computed + row_counts[s];
       const int64_t num_spans = (ctx + block - 1) / block;
+      KvSpan* spans = lanes_[static_cast<size_t>(worker)]->spans.data();
       for (int64_t b = 0; b < num_spans; ++b) {
         const int64_t block_id = seq.cache.blocks[static_cast<size_t>(b)];
-        kv_spans_[static_cast<size_t>(b)] = {kv_->KPtr(block_id, layer), kv_->VPtr(block_id, layer),
-                                             std::min(block, ctx - b * block)};
+        spans[b] = {kv.KPtr(block_id, layer) + col * block, kv.VPtr(block_id, layer) + col,
+                    std::min(block, ctx - b * block)};
       }
-      Attention({.q = q.data() + row_offsets[s] * d, .out = attn.data() + row_offsets[s] * d,
-                 .num_rows = row_counts[s], .first_pos = seq.computed, .spans = kv_spans_.data(),
-                 .num_spans = num_spans, .ld = d, .panel = block, .num_heads = config_.num_heads,
-                 .d_head = d_head});
-    }
+      Attention({.q = q.data() + row_offsets[s] * d + col,
+                 .out = attn.data() + row_offsets[s] * d + col, .num_rows = row_counts[s],
+                 .first_pos = seq.computed, .spans = spans, .num_spans = num_spans, .ld = d,
+                 .panel = block, .num_heads = static_cast<int>(h1 - h0), .d_head = d_head});
+    });
 
-    // Output projection + its bypass branches.
-    proj.Fill(0.0f);
-    atmm_.Execute(attn, w.wo, proj);
-    run_bypass(2, layer, attn, proj);  // kWo
-    x.AddInPlace(proj);
+    // Output projection + its bypass branches, then the MLP; the last layer
+    // also applies the final norm (gain applied row-wise).
+    AtmmDispatcher::Announce(total_rows, d, d);                         // Wo
+    AtmmLoraOperator::Announce(plans[2].segments, plans[2].views, d);  // kWo
+    AtmmDispatcher::Announce(total_rows, ff, d);                        // W1
+    AtmmDispatcher::Announce(total_rows, d, ff);                        // W2
+    group_.Run(threads, threads, [&](int64_t chunk, int worker) {
+      Lane& lane = *lanes_[static_cast<size_t>(worker)];
+      const int64_t r0 = chunk_begin(chunk);
+      const int64_t r1 = chunk_begin(chunk + 1);
+      const int64_t rows = r1 - r0;
+      std::fill_n(proj.data() + r0 * d, rows * d, 0.0f);
+      lane.atmm.Compute(attn.data() + r0 * d, w.wo.data(), proj.data() + r0 * d, rows, d, d);
+      run_bypass(lane, 2, attn, proj, r0, r1);  // kWo
+      x.RowSlice(r0, r1).AddInPlace(proj.RowSlice(r0, r1));
 
-    // --- MLP ---
-    RmsNormRows(x.data(), w.mlp_norm.data(), normed.data(), total_rows, d);
-    mlp_mid.Fill(0.0f);
-    atmm_.Execute(normed, w.w1, mlp_mid);
-    SiluInPlace(mlp_mid.data(), total_rows * ff);
-    mlp_out.Fill(0.0f);
-    atmm_.Execute(mlp_mid, w.w2, mlp_out);
-    x.AddInPlace(mlp_out);
+      // --- MLP ---
+      RmsNormRows(x.data() + r0 * d, w.mlp_norm.data(), normed.data() + r0 * d, rows, d);
+      std::fill_n(mlp_mid.data() + r0 * ff, rows * ff, 0.0f);
+      lane.atmm.Compute(normed.data() + r0 * d, w.w1.data(), mlp_mid.data() + r0 * ff, rows, ff,
+                        d);
+      SiluInPlace(mlp_mid.data() + r0 * ff, rows * ff);
+      std::fill_n(mlp_out.data() + r0 * d, rows * d, 0.0f);
+      lane.atmm.Compute(mlp_mid.data() + r0 * ff, w.w2.data(), mlp_out.data() + r0 * d, rows, d,
+                        ff);
+      x.RowSlice(r0, r1).AddInPlace(mlp_out.RowSlice(r0, r1));
+      if (last_layer) {
+        RmsNormRows(x.data() + r0 * d, model_.final_norm().data(), normed.data() + r0 * d, rows,
+                    d);
+      }
+    });
   }
-
-  // Final norm (gain applied row-wise).
-  RmsNormRows(x.data(), model_.final_norm().data(), normed.data(), total_rows, d);
   return normed.data();
 }
 
@@ -568,7 +641,7 @@ std::vector<EngineResult> InferenceEngine::StepImpl(const std::vector<int64_t>* 
       }
     }
     logits.Fill(0.0f);
-    atmm_.Execute(head_in, model_.lm_head(), logits);
+    atmm().Execute(head_in, model_.lm_head(), logits);
   }
 
   const float* logits_row = scratch_.logits.data();

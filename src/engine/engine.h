@@ -16,6 +16,12 @@
 // prefill-stage sequences, one token for decode-stage ones) in a single
 // fused batch. Prompt KV is reused across requests whose block-aligned prefix
 // (and adapter) match — the repeated-image path of §5.
+//
+// A step with enough rows splits over the engine's compute group: each layer
+// runs as three phases, the row-local work before attention, attention by
+// (sequence, head range), and the row-local work after it, and every thread
+// takes its own rows or heads. Outputs are bitwise those of one thread
+// (DESIGN.md §16).
 
 #ifndef VLORA_SRC_ENGINE_ENGINE_H_
 #define VLORA_SRC_ENGINE_ENGINE_H_
@@ -24,6 +30,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/compute_group.h"
 #include "src/common/infer_mode.h"
 #include "src/engine/kv_cache.h"
 #include "src/engine/kv_handle.h"
@@ -94,7 +101,14 @@ struct EngineOptions {
   int64_t kv_block_size = 16;
   int64_t kv_num_blocks = 512;
   uint64_t seed = 42;
+  // Threads a long step splits over: the stepping thread plus
+  // compute_threads - 1 helper threads the engine owns. ClusterServer
+  // derives it from the CPUs each replica has; outputs do not depend on it.
+  int compute_threads = 1;
 };
+
+// Upper bound on EngineOptions::compute_threads.
+inline constexpr int kMaxComputeThreads = 256;
 
 class InferenceEngine {
  public:
@@ -102,7 +116,12 @@ class InferenceEngine {
 
   const ModelConfig& config() const { return config_; }
   const KvBlockManager& kv() const { return *kv_; }
-  AtmmDispatcher& atmm() { return atmm_; }
+  // The stepping thread's dispatcher.
+  AtmmDispatcher& atmm() { return lanes_[0]->atmm; }
+  int compute_threads() const { return group_.size(); }
+  // Pins the compute group's helpers to CPUs (ComputeGroup::Pin); returns
+  // how many pins took.
+  int PinComputeHelpers(const std::vector<int>& cpus) { return group_.Pin(cpus); }
   // Mutable access for offline fine-tuning (LoraTrainer); the engine must be
   // idle and no adapter merged while weights are read for training.
   TransformerModel& model() { return model_; }
@@ -205,11 +224,22 @@ class InferenceEngine {
   int32_t SampleToken(const Sequence& seq, const float* logits);
   int ResolveTaskHead(const Sequence& seq, const float* hidden);
 
+  // What one compute-group thread computes with; lane w belongs to worker w,
+  // lane 0 to the stepping thread.
+  struct Lane {
+    explicit Lane(int64_t kv_blocks) : lora(&atmm), spans(static_cast<size_t>(kv_blocks)) {}
+    AtmmDispatcher atmm;
+    AtmmLoraOperator lora;
+    // Attention spans over one sequence's KV blocks; pool-sized, never grown.
+    std::vector<KvSpan> spans;
+  };
+  static std::vector<std::unique_ptr<Lane>> MakeLanes(const EngineOptions& options);
+
   ModelConfig config_;
   Rng rng_;
   TransformerModel model_;
   std::unique_ptr<KvBlockManager> kv_;
-  AtmmDispatcher atmm_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
   SwiftSwitcher switcher_;
   ModelMergeTargets merge_targets_;
   std::vector<const LoraAdapter*> adapters_;
@@ -220,9 +250,6 @@ class InferenceEngine {
   int64_t preemption_count_ = 0;
 
   std::deque<Sequence> sequences_;
-  std::unique_ptr<AtmmLoraOperator> lora_op_;
-  // Attention spans over one sequence's KV blocks; pool-sized, never grown.
-  std::vector<KvSpan> kv_spans_;
   // Position rows up to max_seq_len, filled as positions are first reached.
   PositionEmbeddingTable positions_;
   // Per-step buffers, grown to the largest step seen so that a steady-state
@@ -236,6 +263,8 @@ class InferenceEngine {
     std::vector<double> weights;
   };
   StepScratch scratch_;
+  // Last: its helpers use the lanes and buffers above and are joined first.
+  ComputeGroup group_;
 };
 
 }  // namespace vlora

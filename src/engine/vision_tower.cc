@@ -1,5 +1,6 @@
 #include "src/engine/vision_tower.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 

@@ -40,10 +40,22 @@ TileConfig AtmmDispatcher::HeuristicConfig(int64_t m, int64_t n, int64_t k,
 
 void AtmmDispatcher::Execute(const float* a, const float* b, float* c, int64_t m, int64_t n,
                              int64_t k) {
-  const KernelVariant variant = ActiveKernelVariant();
-  const TileConfig config = HeuristicConfig(m, n, k, variant);
+  Announce(m, n, k);
+  Compute(a, b, c, m, n, k);
+}
+
+void AtmmDispatcher::Announce(int64_t m, int64_t n, int64_t k) {
+  if (!trace::Tracer::enabled()) {
+    return;
+  }
+  const TileConfig config = HeuristicConfig(m, n, k, ActiveKernelVariant());
   trace::EmitKernelDispatch(m, n, k, config.mc, config.nc, config.kc, config.mr, config.nr);
-  GemmTiled(a, b, c, m, n, k, config, workspace_, variant);
+}
+
+void AtmmDispatcher::Compute(const float* a, const float* b, float* c, int64_t m, int64_t n,
+                             int64_t k) {
+  const KernelVariant variant = ActiveKernelVariant();
+  GemmTiled(a, b, c, m, n, k, HeuristicConfig(m, n, k, variant), workspace_, variant);
 }
 
 void AtmmDispatcher::Execute(const Tensor& a, const Tensor& b, Tensor& c) {

@@ -25,8 +25,8 @@ namespace vlora {
 
 // Thread-safety: a dispatcher has one owner thread and takes no lock.
 // Execute reuses one packed-panel workspace across calls, so each execution
-// thread (each replica engine, vision tower, trainer call and bench) builds
-// its own dispatcher.
+// thread (each replica engine and each of its compute-group helpers, vision
+// tower, trainer call and bench) builds its own dispatcher.
 class AtmmDispatcher {
  public:
   // Shape-driven tile for one GEMM, biased for the kernel ISA (the FMA
@@ -34,10 +34,19 @@ class AtmmDispatcher {
   // AVX2's config, for AVX2's bits).
   static TileConfig HeuristicConfig(int64_t m, int64_t n, int64_t k, KernelVariant variant);
 
-  // C += A * B with HeuristicConfig's tile, on the active kernel variant.
+  // C += A * B with HeuristicConfig's tile, on the active kernel variant:
+  // Announce, then Compute.
   void Execute(const float* a, const float* b, float* c, int64_t m, int64_t n,
                int64_t k) VLORA_HOT;
   void Execute(const Tensor& a, const Tensor& b, Tensor& c);
+
+  // The KernelDispatch event of an m x n x k GEMM. A step split over a
+  // compute group announces each logical GEMM once, with its full m, from
+  // the stepping thread, and every thread computes its rows unannounced.
+  static void Announce(int64_t m, int64_t n, int64_t k);
+  // Execute without the event. Row i of C depends only on row i of A: kc,
+  // which fixes each output's summation order, is a function of k alone.
+  void Compute(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k);
 
  private:
   GemmWorkspace workspace_;

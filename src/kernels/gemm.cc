@@ -260,7 +260,7 @@ void GemmTiled(const Tensor& a, const Tensor& b, Tensor& c, const TileConfig& co
 }
 
 void GemmTiledParallel(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-                       const TileConfig& config, GemmWorkspace& workspace, ThreadPool& pool,
+                       const TileConfig& config, GemmWorkspace& workspace, ComputeGroup& group,
                        KernelVariant variant) {
   VLORA_CHECK(config.Valid());
   const MicroKernelEntry* kernel = FindMicroKernel(variant, config.mr, config.nr);
@@ -284,7 +284,7 @@ void GemmTiledParallel(const float* a, const float* b, float* c, int64_t m, int6
       if (!in_place) {
         PackBPanels(b_block, n, kc_eff, nc_eff, config.nr, pack_b);
       }
-      pool.ParallelFor(0, num_ic_blocks, [&](int64_t block) {
+      group.Run(num_ic_blocks, group.size(), [&](int64_t block, int) {
         const int64_t ic = block * mc;
         const int64_t mc_eff = std::min(mc, m - ic);
         float* pack_a = pack_a_all + block * mc * kc;
@@ -298,8 +298,8 @@ void GemmTiledParallel(const float* a, const float* b, float* c, int64_t m, int6
 }
 
 void GemmTiledParallel(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-                       const TileConfig& config, GemmWorkspace& workspace, ThreadPool& pool) {
-  GemmTiledParallel(a, b, c, m, n, k, config, workspace, pool, ActiveKernelVariant());
+                       const TileConfig& config, GemmWorkspace& workspace, ComputeGroup& group) {
+  GemmTiledParallel(a, b, c, m, n, k, config, workspace, group, ActiveKernelVariant());
 }
 
 void GemmNaive(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k) {

@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/thread_pool.h"
+#include "src/common/compute_group.h"
 #include "src/kernels/kernel_variant.h"
 #include "src/kernels/tile_config.h"
 #include "src/tensor/tensor.h"
@@ -62,17 +62,18 @@ bool ReadsBInPlace(int64_t m, int mr, int64_t n, int nr);
 void GemmTiled(const Tensor& a, const Tensor& b, Tensor& c, const TileConfig& config,
                GemmWorkspace& workspace);
 
-// Parallel variant: the A-side block tiles of each (jc, pc) round execute as
-// one task each on the pool — the CPU analog of thread blocks scheduling onto
-// SMs. Bitwise-identical to the serial variant for every KernelVariant
-// (disjoint C tiles, same per-tile arithmetic order). A configuration whose
-// mc yields fewer block tiles than pool threads under-utilises the machine,
-// which is how the "low SM utilisation" column of Table 1 manifests here.
+// Parallel variant: the A-side block tiles of each (jc, pc) round are the
+// indices of one ComputeGroup::Run over every thread of the group — the CPU
+// analog of thread blocks scheduling onto SMs. Bitwise-identical to the
+// serial variant for every KernelVariant (disjoint C tiles, same per-tile
+// arithmetic order). A configuration whose mc yields fewer block tiles than
+// threads under-utilises the machine, which is how the "low SM utilisation"
+// column of Table 1 manifests here.
 void GemmTiledParallel(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-                       const TileConfig& config, GemmWorkspace& workspace, ThreadPool& pool,
+                       const TileConfig& config, GemmWorkspace& workspace, ComputeGroup& group,
                        KernelVariant variant);
 void GemmTiledParallel(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-                       const TileConfig& config, GemmWorkspace& workspace, ThreadPool& pool);
+                       const TileConfig& config, GemmWorkspace& workspace, ComputeGroup& group);
 
 // Unblocked triple loop, C += A * B. Used as the low-efficiency building block
 // of the dLoRA/Einsum baseline operator and as a correctness reference.

@@ -39,17 +39,37 @@ void AtmmLoraOperator::Run(const Tensor& x, const std::vector<LoraSegment>& segm
   ValidateSegments(segments, x.shape().dim(0), static_cast<int64_t>(adapters.size()));
   const int64_t d = x.shape().dim(1);
   for (const LoraSegment& segment : segments) {
+    VLORA_CHECK(adapters[static_cast<size_t>(segment.adapter_index)].d_model() == d);
+  }
+  Announce(segments, adapters, d);
+  ComputeRows(x.data(), segments, adapters, y.data(), d, 0, x.shape().dim(0));
+}
+
+void AtmmLoraOperator::Announce(const std::vector<LoraSegment>& segments,
+                                const std::vector<AdapterWeightsView>& adapters, int64_t d) {
+  for (const LoraSegment& segment : segments) {
+    const int64_t rank = adapters[static_cast<size_t>(segment.adapter_index)].rank();
+    AtmmDispatcher::Announce(segment.NumRows(), rank, d);
+    AtmmDispatcher::Announce(segment.NumRows(), d, rank);
+  }
+}
+
+void AtmmLoraOperator::ComputeRows(const float* x, const std::vector<LoraSegment>& segments,
+                                   const std::vector<AdapterWeightsView>& adapters, float* y,
+                                   int64_t d, int64_t row_begin, int64_t row_end) {
+  for (const LoraSegment& segment : segments) {
+    const int64_t begin = std::max(segment.row_begin, row_begin);
+    const int64_t rows = std::min(segment.row_end, row_end) - begin;
+    if (rows <= 0) {
+      continue;
+    }
     const AdapterWeightsView& adapter = adapters[static_cast<size_t>(segment.adapter_index)];
-    VLORA_CHECK(adapter.d_model() == d);
-    const int64_t rows = segment.NumRows();
     const int64_t rank = adapter.rank();
     float* mid = EnsureFloats(intermediate_, rows * rank);
     std::memset(mid, 0, static_cast<size_t>(rows * rank) * sizeof(float));
-    const float* x_seg = x.data() + segment.row_begin * d;
-    float* y_seg = y.data() + segment.row_begin * d;
-    dispatcher_->Execute(x_seg, adapter.down->data(), mid, rows, rank, d);
+    dispatcher_->Compute(x + begin * d, adapter.down->data(), mid, rows, rank, d);
     ScaleRows(mid, rows, rank, adapter.scaling);
-    dispatcher_->Execute(mid, adapter.up->data(), y_seg, rows, d, rank);
+    dispatcher_->Compute(mid, adapter.up->data(), y + begin * d, rows, d, rank);
   }
 }
 

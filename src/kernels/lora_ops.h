@@ -57,8 +57,21 @@ class AtmmLoraOperator : public LoraBatchOperator {
   explicit AtmmLoraOperator(AtmmDispatcher* dispatcher);
 
   const std::string& name() const override { return name_; }
+  // Announce, then ComputeRows over every row of x.
   void Run(const Tensor& x, const std::vector<LoraSegment>& segments,
            const std::vector<AdapterWeightsView>& adapters, Tensor& y) override;
+
+  // The KernelDispatch events of Run: each segment's shrink and expand, with
+  // the segment's full row count.
+  static void Announce(const std::vector<LoraSegment>& segments,
+                       const std::vector<AdapterWeightsView>& adapters, int64_t d);
+  // Run's arithmetic for rows [row_begin, row_end) of x and y (row-major,
+  // d wide) alone, unannounced: each segment is clipped to the range. A
+  // row's shrink, scale and expand read only that row, so a step split over
+  // a compute group gives every thread its own rows.
+  void ComputeRows(const float* x, const std::vector<LoraSegment>& segments,
+                   const std::vector<AdapterWeightsView>& adapters, float* y, int64_t d,
+                   int64_t row_begin, int64_t row_end);
 
  private:
   std::string name_ = "ATMM";

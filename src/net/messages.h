@@ -224,6 +224,7 @@ struct ConfigMessage {
     auto& s = m.server;
     return ModelConfigFields(io, m.model) && io.Int(s.engine.kv_block_size) &&
            io.Int(s.engine.kv_num_blocks) && io.Fixed(s.engine.seed) &&
+           io.Int(s.engine.compute_threads, 1, kMaxComputeThreads) &&
            io.Fixed(s.alg1.theta_ms) && io.Fixed(s.alg1.exec_estimate_ms) &&
            io.Fixed(s.alg1.switch_ms) && io.Fixed(s.alg1.slo_urgency_fraction) &&
            io.Int(s.max_batch_size, 1, 4096) && io.Int(s.device_pool_bytes) &&

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
+#include "src/common/compute_group.h"
 #include "src/engine/engine.h"
 #include "src/kernels/gemm.h"
 #include "src/kernels/kernel_variant.h"
@@ -153,7 +153,7 @@ TEST(KernelDispatchTest, ImplicitOverloadHonoursForcedVariant) {
 // variant: disjoint C tiles and identical per-tile arithmetic order make the
 // parallel decomposition exact, not merely close.
 TEST(KernelDispatchTest, ParallelIsBitwiseIdenticalToSerialForEveryVariant) {
-  ThreadPool pool(4);
+  ComputeGroup group(4);
   const struct {
     int64_t m;
     int64_t n;
@@ -172,7 +172,7 @@ TEST(KernelDispatchTest, ParallelIsBitwiseIdenticalToSerialForEveryVariant) {
       GemmTiled(a.data(), b.data(), c_serial.data(), shape.m, shape.n, shape.k, config,
                 ws_serial, variant);
       GemmTiledParallel(a.data(), b.data(), c_parallel.data(), shape.m, shape.n, shape.k, config,
-                        ws_parallel, pool, variant);
+                        ws_parallel, group, variant);
       EXPECT_EQ(0, std::memcmp(c_serial.data(), c_parallel.data(),
                                static_cast<size_t>(shape.m * shape.n) * sizeof(float)))
           << KernelVariantName(variant) << " " << shape.m << "x" << shape.n << "x" << shape.k;

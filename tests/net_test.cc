@@ -337,6 +337,7 @@ TEST(MessagesTest, ConfigRoundTripsModelAndTuning) {
   config.server.engine.kv_block_size = 8;
   config.server.engine.kv_num_blocks = 99;
   config.server.engine.seed = 0xC0FFEE;
+  config.server.engine.compute_threads = 3;
   config.server.alg1.theta_ms = 12.5;
   config.server.alg1.exec_estimate_ms = 3.25;
   config.server.alg1.switch_ms = 0.75;
@@ -356,6 +357,7 @@ TEST(MessagesTest, ConfigRoundTripsModelAndTuning) {
   EXPECT_EQ(decoded.server.engine.kv_block_size, 8);
   EXPECT_EQ(decoded.server.engine.kv_num_blocks, 99);
   EXPECT_EQ(decoded.server.engine.seed, 0xC0FFEEu);
+  EXPECT_EQ(decoded.server.engine.compute_threads, 3);
   EXPECT_EQ(decoded.server.alg1.theta_ms, 12.5);
   EXPECT_EQ(decoded.server.alg1.exec_estimate_ms, 3.25);
   EXPECT_EQ(decoded.server.alg1.switch_ms, 0.75);
@@ -364,6 +366,12 @@ TEST(MessagesTest, ConfigRoundTripsModelAndTuning) {
   EXPECT_EQ(decoded.server.device_pool_bytes, 12345678);
   EXPECT_EQ(decoded.queue_capacity, 17);
   EXPECT_EQ(decoded.heartbeat_period_ms, 7.5);
+
+  // An executor never builds a compute group outside [1, kMaxComputeThreads].
+  for (int threads : {0, -1, kMaxComputeThreads + 1}) {
+    config.server.engine.compute_threads = threads;
+    EXPECT_FALSE(RoundTrip(config).ok()) << threads;
+  }
 }
 
 TEST(MessagesTest, ConfigRejectsHeadSplitThatDoesNotDivideWidth) {
@@ -893,6 +901,7 @@ ConfigMessage GoldenConfig() {
   config.server.engine.kv_block_size = 8;
   config.server.engine.kv_num_blocks = 99;
   config.server.engine.seed = 0xC0FFEE;
+  config.server.engine.compute_threads = 3;
   config.server.alg1.theta_ms = 12.5;
   config.server.alg1.exec_estimate_ms = 3.25;
   config.server.alg1.switch_ms = 0.75;
@@ -947,9 +956,9 @@ TEST(GoldenFrameTest, SetupAndControlFramesKeepTheirBytes) {
   EXPECT_EQ(Hex(EncodeMessageFrame(hello)), "080000004c5601010680f104");
 
   EXPECT_EQ(Hex(EncodeMessageFrame(GoldenConfig())),
-            "560000004c56010206676f6c64656e0440088001d804800220000000000000d03f10c601eeffc0000000"
-            "000000000000000029400000000000000a40000000000000e83f9a9999999999d93f069c85e30b220000"
-            "000000001e40");
+            "570000004c56010206676f6c64656e0440088001d804800220000000000000d03f10c601eeffc0000000"
+            "00000600000000000029400000000000000a40000000000000e83f9a9999999999d93f069c85e30b2200"
+            "00000000001e40");
 
   AckMessage ack;
   ack.value = 7;

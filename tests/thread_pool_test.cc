@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <thread>
 #include <type_traits>
 
+#include "src/common/compute_group.h"
 #include "src/common/sync.h"
 #include "src/common/thread_pool.h"
 #include "src/kernels/gemm.h"
@@ -27,39 +31,40 @@ struct TsNegativeProbe {
 };
 #endif
 
-TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
+TEST(ComputeGroupTest, RunsEveryIndexExactlyOnce) {
+  ComputeGroup group(4);
+  EXPECT_EQ(group.size(), 4);
   std::vector<std::atomic<int>> hits(100);
-  pool.ParallelFor(0, 100, [&](int64_t i) { ++hits[static_cast<size_t>(i)]; });
+  group.Run(100, group.size(), [&](int64_t i, int) { ++hits[static_cast<size_t>(i)]; });
   for (const auto& hit : hits) {
     EXPECT_EQ(hit.load(), 1);
   }
 }
 
-TEST(ThreadPoolTest, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
+TEST(ComputeGroupTest, EmptyRangeIsNoop) {
+  ComputeGroup group(2);
   bool ran = false;
-  pool.ParallelFor(5, 5, [&](int64_t) { ran = true; });
+  group.Run(0, group.size(), [&](int64_t, int) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
-TEST(ThreadPoolTest, SingleIndexRunsInline) {
-  ThreadPool pool(2);
+TEST(ComputeGroupTest, SingleIndexRunsInline) {
+  ComputeGroup group(2);
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id executed;
-  pool.ParallelFor(3, 4, [&](int64_t i) {
-    EXPECT_EQ(i, 3);
+  group.Run(1, group.size(), [&](int64_t i, int worker) {
+    EXPECT_EQ(i, 0);
+    EXPECT_EQ(worker, 0);
     executed = std::this_thread::get_id();
   });
   EXPECT_EQ(executed, caller);
 }
 
-TEST(ThreadPoolTest, SequentialParallelForsReuseWorkers) {
-  ThreadPool pool(3);
+TEST(ComputeGroupTest, SequentialRunsReuseWorkers) {
+  ComputeGroup group(3);
   std::atomic<int64_t> sum{0};
   for (int round = 0; round < 20; ++round) {
-    pool.ParallelFor(0, 50, [&](int64_t i) { sum += i; });
+    group.Run(50, group.size(), [&](int64_t i, int) { sum += i; });
   }
   EXPECT_EQ(sum.load(), 20 * (49 * 50 / 2));
 }
@@ -67,6 +72,58 @@ TEST(ThreadPoolTest, SequentialParallelForsReuseWorkers) {
 TEST(ThreadPoolTest, DefaultUsesHardwareConcurrency) {
   ThreadPool pool;
   EXPECT_GE(pool.num_threads(), 1);
+}
+
+// Worker w is one thread for the whole Run, worker 0 the caller, and no more
+// than `workers` threads take part, so per-worker state needs no lock.
+TEST(ComputeGroupTest, WorkersAreDistinctThreadsWithinTheBound) {
+  ComputeGroup group(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int workers : {1, 2, 4, 9}) {
+    std::vector<std::thread::id> owner(static_cast<size_t>(group.size()));
+    std::vector<std::atomic<int>> used(static_cast<size_t>(group.size()));
+    std::atomic<bool> consistent{true};
+    group.Run(64, workers, [&](int64_t, int worker) {
+      ASSERT_GE(worker, 0);
+      ASSERT_LT(worker, std::min(workers, group.size()));
+      if (used[static_cast<size_t>(worker)]++ == 0) {
+        owner[static_cast<size_t>(worker)] = std::this_thread::get_id();
+      } else if (owner[static_cast<size_t>(worker)] != std::this_thread::get_id()) {
+        consistent = false;
+      }
+      if (worker == 0 && std::this_thread::get_id() != caller) {
+        consistent = false;
+      }
+    });
+    EXPECT_TRUE(consistent.load()) << workers;
+  }
+}
+
+// A helper that found no job for kSpinMicros parks on its condition
+// variable; the next Run must wake it, and lose no index.
+TEST(ComputeGroupTest, JoinsAfterHelpersHaveParked) {
+  ComputeGroup group(3);
+  for (int round = 0; round < 3; ++round) {
+    while (group.ParkedHelpers() < group.size() - 1) {
+      std::this_thread::yield();
+    }
+    std::vector<std::atomic<int>> hits(37);
+    group.Run(37, group.size(), [&](int64_t i, int) { ++hits[static_cast<size_t>(i)]; });
+    for (const auto& hit : hits) {
+      EXPECT_EQ(hit.load(), 1);
+    }
+  }
+}
+
+// A pin that cannot take (a CPU outside every affinity mask) leaves the
+// helper unpinned and the group working.
+TEST(ComputeGroupTest, FailedPinFallsBackToUnpinned) {
+  ComputeGroup group(2);
+  EXPECT_EQ(group.Pin({CPU_SETSIZE - 1}), 0);
+  EXPECT_EQ(group.Pin({-1}), 0);
+  std::atomic<int64_t> sum{0};
+  group.Run(10, group.size(), [&](int64_t i, int) { sum += i; });
+  EXPECT_EQ(sum.load(), 45);
 }
 
 // The atomic wrappers in src/common/sync.h: the memory order lives in the
@@ -124,7 +181,7 @@ TEST(AtomicWrapperTest, PublishOrdersThePayloadBeforeTheFlag) {
 }
 
 TEST(GemmParallelTest, BitwiseMatchesSerial) {
-  ThreadPool pool(4);
+  ComputeGroup group(4);
   Rng rng(1234);
   for (auto [m, n, k] : {std::tuple<int64_t, int64_t, int64_t>{7, 5, 9},
                          {64, 32, 128},
@@ -140,7 +197,7 @@ TEST(GemmParallelTest, BitwiseMatchesSerial) {
       GemmWorkspace ws1;
       GemmWorkspace ws2;
       GemmTiled(a, b, serial, config, ws1);
-      GemmTiledParallel(a.data(), b.data(), parallel.data(), m, n, k, config, ws2, pool);
+      GemmTiledParallel(a.data(), b.data(), parallel.data(), m, n, k, config, ws2, group);
       // Disjoint C tiles with identical per-tile arithmetic: bitwise equal.
       EXPECT_EQ(Tensor::MaxAbsDiff(serial, parallel), 0.0f)
           << m << "x" << n << "x" << k << " " << config.ToString();
@@ -149,7 +206,7 @@ TEST(GemmParallelTest, BitwiseMatchesSerial) {
 }
 
 TEST(GemmParallelTest, DeterministicAcrossRuns) {
-  ThreadPool pool(8);
+  ComputeGroup group(8);
   Rng rng(77);
   const int64_t m = 250;
   const int64_t n = 48;
@@ -159,10 +216,10 @@ TEST(GemmParallelTest, DeterministicAcrossRuns) {
   const TileConfig config{32, 32, 64, 8, 8};
   Tensor first = Tensor::Zeros(Shape(m, n));
   GemmWorkspace ws;
-  GemmTiledParallel(a.data(), b.data(), first.data(), m, n, k, config, ws, pool);
+  GemmTiledParallel(a.data(), b.data(), first.data(), m, n, k, config, ws, group);
   for (int run = 0; run < 5; ++run) {
     Tensor again = Tensor::Zeros(Shape(m, n));
-    GemmTiledParallel(a.data(), b.data(), again.data(), m, n, k, config, ws, pool);
+    GemmTiledParallel(a.data(), b.data(), again.data(), m, n, k, config, ws, group);
     EXPECT_EQ(Tensor::MaxAbsDiff(first, again), 0.0f);
   }
 }
