@@ -99,7 +99,7 @@ double PrefillStepMs(int compute_threads, int64_t rows, double gap_ms, int steps
   options.compute_threads = compute_threads;
   InferenceEngine engine(config, options);
   engine.PinComputeHelpers(HelperCpus(0, compute_threads));
-  KeepOffHelperCpus(compute_threads);
+  KeepOffHelperCpus(0, compute_threads);
   Rng rng(0x9A9);
   const LoraAdapter adapter =
       LoraAdapter::Random("video", config.num_layers, config.d_model, 8, rng);

@@ -6,7 +6,9 @@
 // fastest. The space is pruned with the paper's expert knowledge: tile
 // dimensions are powers of two bounded by the cache hierarchy, a candidate's
 // workspace is capped, block tiles may not dwarf the matrix, and the m
-// (token) dimension steps at TileTable::kMStep.
+// (token) dimension steps at TileTable::kMStep. The serving rule's own tile
+// is timed beside the candidates, never pruned, so a searched tile is never
+// one the rule beats.
 //
 // Serving does not run this: AtmmDispatcher tiles every GEMM with
 // HeuristicConfig. A table searched over the LoRA shapes a replica serves was
@@ -145,16 +147,17 @@ struct TilingSearchResult {
   int64_t configs_tried = 0;
 };
 
-// Runs the search and records each shape's winner in `table`. A shape whose
-// candidates are all pruned records the serving rule's tile.
+// Runs the search and records each shape's winner in `table`: the fastest
+// of the serving rule's tile and the unpruned candidates. `configs_tried`
+// counts candidates only.
 inline TilingSearchResult RunTilingSearch(const TilingSearchOptions& options, TileTable& table) {
   TilingSearchResult result;
   const std::vector<TileConfig> candidates =
       options.candidates.empty() ? DefaultCandidateConfigs() : options.candidates;
   for (const auto& [n, k] : options.nk_pairs) {
     for (int64_t m = options.m_min; m <= options.m_max; m += TileTable::kMStep) {
-      double best_ms = std::numeric_limits<double>::infinity();
       TileConfig best = AtmmDispatcher::HeuristicConfig(m, n, k, ActiveKernelVariant());
+      double best_ms = ProfileConfig(m, n, k, best, options.repetitions);
       for (const TileConfig& config : candidates) {
         // Block tiles that dwarf the matrix pay full packing cost for mostly
         // padded panels (the "low utilisation" regime).

@@ -324,17 +324,21 @@ std::vector<int> HelperCpus(int index, int threads) {
   return cpus;
 }
 
-void KeepOffHelperCpus(int threads) {
+void KeepOffHelperCpus(int index, int threads) {
   if (threads <= 1) {
     return;
   }
-  const std::vector<int> allowed = AllowedCpus();
+  const std::vector<int> helpers = HelperCpus(index, threads);
   cpu_set_t set;
   CPU_ZERO(&set);
-  for (size_t p = 0; p < allowed.size(); p += static_cast<size_t>(threads)) {
-    CPU_SET(allowed[p], &set);
+  for (int cpu : AllowedCpus()) {
+    if (std::find(helpers.begin(), helpers.end(), cpu) == helpers.end()) {
+      CPU_SET(cpu, &set);
+    }
   }
-  (void)sched_setaffinity(0, sizeof(set), &set);  // a failure leaves the thread where it was
+  if (CPU_COUNT(&set) > 0) {
+    (void)sched_setaffinity(0, sizeof(set), &set);  // a failure leaves the thread where it was
+  }
 }
 
 ThreadReplica::ThreadReplica(int index, const ModelConfig& config,
@@ -365,7 +369,7 @@ void ThreadReplica::Start(ThreadPool* pool) {
   VLORA_CHECK(pool != nullptr);
   BeginServing();
   pool->Post([this] {
-    KeepOffHelperCpus(server_.engine().compute_threads());  // the worker steps the engine
+    KeepOffHelperCpus(index(), server_.engine().compute_threads());  // the worker steps the engine
     WorkerLoop();
   });
 }

@@ -277,14 +277,15 @@ class Replica {
 // max(1, allowed / replicas) threads, and replica `index` pins its
 // threads - 1 helpers to HelperCpus(index, threads), allowed CPUs
 // index * threads + 1 onwards, so no two replicas' helpers share a CPU. The
-// thread that steps an engine is not pinned: KeepOffHelperCpus(threads)
-// keeps it to the allowed CPUs no helper is pinned to (positions 0,
-// threads, 2 * threads, ...). A stepping thread woken onto its own helper's
-// CPU ran the helper's rows after its own, slower than one thread
-// (DESIGN.md §16).
+// thread that steps replica `index`'s engine is not pinned:
+// KeepOffHelperCpus(index, threads) keeps it off that replica's own helper
+// CPUs and leaves it every other allowed CPU. A stepping thread woken onto
+// its own helper's CPU ran the helper's rows after its own, slower than one
+// thread; one kept to the CPUs no replica's helper uses shared them with
+// the other replica's stepping thread and the client threads (DESIGN.md §16).
 int ComputeThreadsPerReplica(int replicas);
 std::vector<int> HelperCpus(int index, int threads);
-void KeepOffHelperCpus(int threads);
+void KeepOffHelperCpus(int index, int threads);
 
 // The in-process backend: a worker loop steps a VloraServer over the
 // requests it takes from the front end, consulting an optional

@@ -16,7 +16,16 @@ namespace vlora {
 
 namespace {
 
-// The generation that tells a helper to exit.
+// A helper's slot holds the generation of the job the owner posted to it
+// last, shifted left by two, and where that job stands in the low two bits:
+// the owner posts it, then either the helper claims it (running, then done)
+// or the owner withdraws it first (cancelled). Each transition out of
+// kPosted is a compare-exchange, so exactly one of the two happens.
+enum SlotState : uint64_t { kPosted = 0, kRunning = 1, kCancelled = 2, kDone = 3 };
+
+constexpr uint64_t Slot(uint64_t generation, SlotState state) { return generation << 2 | state; }
+
+// The slot value that tells a helper to exit.
 constexpr uint64_t kStop = std::numeric_limits<uint64_t>::max();
 
 // One iteration of a spin-wait: `pause` lets the sibling hyperthread run and
@@ -30,8 +39,8 @@ inline void CpuRelax() {
 }  // namespace
 
 struct alignas(64) ComputeGroup::Helper {
-  // The generation the owner posted last: a job, or kStop.
-  PublishedAtomic<uint64_t> go{0};
+  // Slot(generation, state) of the job the owner posted last, or kStop.
+  PublishedAtomic<uint64_t> slot{0};
   Mutex mutex{Rank::kLeaf, "ComputeGroup::Helper::mutex"};
   CondVar cv;  // wakes the helper from its park
   bool parked VLORA_GUARDED_BY(mutex) = false;
@@ -51,7 +60,7 @@ ComputeGroup::ComputeGroup(int threads) {
 ComputeGroup::~ComputeGroup() {
   for (const auto& helper : helpers_) {
     MutexLock lock(&helper->mutex);
-    helper->go.Publish(kStop);
+    helper->slot.Publish(kStop);
     helper->cv.NotifyOne();
   }
   for (const auto& helper : helpers_) {
@@ -102,22 +111,31 @@ void ComputeGroup::RunJob(const Job& job, int workers) {
   job_ = job;
   next_.Store(0);
   ++generation_;
+  const uint64_t posted = Slot(generation_, kPosted);
   for (int h = 0; h < helpers; ++h) {
     Helper& helper = *helpers_[static_cast<size_t>(h)];
     // Under the helper's mutex, so a helper about to park sees the new
     // generation or is parked when the notify comes.
     MutexLock lock(&helper.mutex);
-    helper.go.Publish(generation_);
+    helper.slot.Publish(posted);
     if (helper.parked) {
       helper.cv.NotifyOne();
     }
   }
-  posted_ += static_cast<uint64_t>(helpers);
   Work(0);
-  // Yield, never spin bare: a helper still waiting for a CPU may be queued
-  // on this one.
-  while (done_.Load() != posted_) {
-    std::this_thread::yield();
+  // Every index is claimed. Withdraw the helpers that have not started, so
+  // one that is still waiting for its CPU costs the join nothing, then wait
+  // for the ones that did. Yield, never spin bare: a helper still waiting
+  // for a CPU may be queued on this one.
+  for (int h = 0; h < helpers; ++h) {
+    uint64_t expected = posted;
+    (void)helpers_[static_cast<size_t>(h)]->slot.CompareExchange(
+        expected, Slot(generation_, kCancelled));
+  }
+  for (int h = 0; h < helpers; ++h) {
+    while (helpers_[static_cast<size_t>(h)]->slot.Load() == Slot(generation_, kRunning)) {
+      std::this_thread::yield();
+    }
   }
 }
 
@@ -129,32 +147,39 @@ void ComputeGroup::Work(int worker) {
 
 void ComputeGroup::HelperLoop(Helper& helper, int worker) {
   using Clock = std::chrono::steady_clock;
-  uint64_t seen = 0;
+  uint64_t seen = 0;  // the slot value this helper acted on last
   for (;;) {
-    uint64_t go = helper.go.Load();
-    if (go == seen) {
+    uint64_t slot = helper.slot.Load();
+    if (slot == seen) {
       const Clock::time_point deadline = Clock::now() + std::chrono::microseconds(kSpinMicros);
-      for (int spins = 1; (go = helper.go.Load()) == seen; ++spins) {
+      for (int spins = 1; (slot = helper.slot.Load()) == seen; ++spins) {
         CpuRelax();
         if (spins % 64 == 0 && Clock::now() > deadline) {
           break;
         }
       }
     }
-    if (go == seen) {
+    if (slot == seen) {
       MutexLock lock(&helper.mutex);
-      while ((go = helper.go.Load()) == seen) {
+      while ((slot = helper.slot.Load()) == seen) {
         helper.parked = true;
         helper.cv.Wait(helper.mutex);
         helper.parked = false;
       }
     }
-    if (go == kStop) {
+    if (slot == kStop) {
       return;
     }
-    seen = go;
+    seen = slot;
+    const uint64_t generation = slot >> 2;
+    // Claim the job before reading it; a failed claim means the owner
+    // withdrew it (or has posted since), and the loop reloads the slot.
+    if ((slot & 3) != kPosted || !helper.slot.CompareExchange(slot, Slot(generation, kRunning))) {
+      continue;
+    }
     Work(worker);
-    done_.FetchAdd(1);
+    seen = Slot(generation, kDone);
+    helper.slot.Publish(seen);
   }
 }
 

@@ -7,13 +7,16 @@
 // than threads leaves threads idle, Table 1's "low SM utilisation".
 //
 // Wake protocol (DESIGN.md §16 has the measurements behind it). Run posts a
-// generation to each helper it needs, waking the ones that parked, runs
-// indices itself, then yields until every posted helper has reported. The
-// caller never spins bare: a helper woken by a spinning caller on a shared
-// CPU started about one scheduler tick late. A helper spins with `pause` for
-// kSpinMicros after each job, which covers the gaps inside one engine step,
-// and then parks on its condition variable. Pin binds helpers to CPUs; a
-// helper whose pin fails runs unpinned, which changes timing only.
+// generation to each helper it needs, waking the ones that parked, and runs
+// indices itself until none is left. It then withdraws every posted helper
+// that has not started, so a helper that is slow to get its CPU never holds
+// up the join, and yields until the helpers that did start have reported.
+// The caller never spins bare: a helper woken by a spinning caller on a
+// shared CPU started about one scheduler tick late. A helper spins with
+// `pause` for kSpinMicros after each job, which covers the gaps inside one
+// engine step, and then parks on its condition variable. Pin binds helpers
+// to CPUs; a helper whose pin fails runs unpinned, which changes timing
+// only.
 
 #ifndef VLORA_SRC_COMMON_COMPUTE_GROUP_H_
 #define VLORA_SRC_COMMON_COMPUTE_GROUP_H_
@@ -49,8 +52,9 @@ class ComputeGroup {
   // Runs fn(index, worker) for every index in [0, count) on at most
   // `workers` threads, worker 0 being the caller and worker w >= 1 helper w,
   // and returns once every call has returned. Which worker runs an index is
-  // unspecified: callers key per-thread state by worker and outputs by index.
-  // Owner thread only; fn must not throw or call Run.
+  // unspecified, and a helper that has not started by the time the caller
+  // runs out of indices runs none: callers key per-thread state by worker
+  // and outputs by index. Owner thread only; fn must not throw or call Run.
   template <typename Fn>
   void Run(int64_t count, int workers, Fn&& fn) {
     using Body = std::remove_reference_t<Fn>;
@@ -78,12 +82,10 @@ class ComputeGroup {
   void Work(int worker);
   void HelperLoop(Helper& helper, int worker);
 
-  // The current job; the owner writes it before posting a generation, whose
-  // publication hands it to the helpers.
+  // The current job; the owner writes it before posting a generation, and a
+  // helper reads it only once it has claimed that generation's slot.
   Job job_;
   alignas(64) RelaxedAtomic<int64_t> next_{0};  // next unclaimed index of job_
-  alignas(64) PublishedAtomic<uint64_t> done_{0};  // helper jobs finished, ever
-  uint64_t posted_ = 0;      // helper jobs posted, ever (owner only)
   uint64_t generation_ = 0;  // jobs run with helpers (owner only)
   std::vector<std::unique_ptr<Helper>> helpers_;
 };

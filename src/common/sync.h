@@ -66,9 +66,10 @@ namespace vlora {
 //
 //   RelaxedAtomic<T>    every operation is relaxed: statistics, tuning knobs
 //                       and sequence numbers that order nothing around them.
-//   PublishedAtomic<T>  Publish and FetchAdd are release, Load is acquire: a
-//                       thread that loads a value another thread published
-//                       also sees every write the publisher made before it.
+//   PublishedAtomic<T>  Publish and FetchAdd are release, Load is acquire,
+//                       CompareExchange both: a thread that loads a value
+//                       another thread published also sees every write the
+//                       publisher made before it.
 //
 // Neither converts to or from T, has operators or copies. The constructor is
 // constexpr, so a namespace-scope instance declared constinit is initialized
@@ -102,6 +103,13 @@ class PublishedAtomic {
   T Load() const { return value_.load(std::memory_order_acquire); }
   void Publish(T value) { value_.store(value, std::memory_order_release); }
   T FetchAdd(T delta) { return value_.fetch_add(delta, std::memory_order_release); }
+  // Publishes `desired` if the value equals `expected` (acquire and
+  // release) and returns true; otherwise loads the value into `expected`
+  // (acquire) and returns false.
+  bool CompareExchange(T& expected, T desired) {
+    return value_.compare_exchange_strong(expected, desired, std::memory_order_acq_rel,
+                                          std::memory_order_acquire);
+  }
 
  private:
   std::atomic<T> value_;

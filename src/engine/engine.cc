@@ -26,12 +26,17 @@ Tensor ScratchRows(Tensor& buffer, int64_t rows, int64_t cols) {
 }
 
 // A step splits only when every thread gets at least this many rows: one
-// HeuristicConfig row block (mc is 64 from m = 64 up), so each thread's share
-// of a GEMM runs the tile of the whole GEMM, the one its KernelDispatch event
-// names. At the floor the split still pays: a 128-row SmallConfig merged
-// prefill step took 1.87 ms on 2 threads against 2.26 ms on one, and 392 rows
-// 8.2 against 14.8 ms (bench_ablation_parallel_tiles, 4-vCPU AVX-512 host).
-// Decode batches (at most 8 rows) and short prefills stay on one thread.
+// HeuristicConfig row block (mc is 64 from m = 64 up). At the floor the
+// split still pays: a 128-row SmallConfig merged prefill step took 1.87 ms
+// on 2 threads against 2.26 ms on one, and 392 rows 8.2 against 14.8 ms
+// (bench_ablation_parallel_tiles, 4-vCPU AVX-512 host). Decode batches (at
+// most 8 rows) and short prefills stay on one thread.
+//
+// Each logical GEMM's KernelDispatch event carries the whole GEMM's m and
+// tile. A chunk computes with its own rows' tile, which is the same only
+// while the chunk has 64 to 1023 rows and cuts no LoRA segment: a step of
+// 1024 rows or more announces mc = 256, and a segment piece of 4 rows or
+// fewer runs mr = 4. The bits never depend on it, since kc reads k alone.
 constexpr int64_t kMinRowsPerThread = 64;
 
 }  // namespace

@@ -89,10 +89,13 @@ TEST(TilingSearchTest, PopulatesTable) {
   EXPECT_EQ(result.shapes_profiled, 6);
   EXPECT_EQ(table.size(), 6);
   EXPECT_GT(result.configs_tried, 0);
+  // Each shape records a candidate or the serving rule's tile, which is
+  // timed beside them.
   for (int64_t m : {32, 64, 96}) {
     const TileConfig selected = table.Select(m, 32, 128);
     EXPECT_TRUE(std::find(options.candidates.begin(), options.candidates.end(), selected) !=
-                options.candidates.end())
+                    options.candidates.end() ||
+                selected == AtmmDispatcher::HeuristicConfig(m, 32, 128, ActiveKernelVariant()))
         << selected.ToString();
   }
 }

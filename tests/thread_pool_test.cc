@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <sched.h>
+#include <signal.h>
+#include <time.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <numeric>
 #include <thread>
 #include <type_traits>
@@ -126,6 +130,79 @@ TEST(ComputeGroupTest, FailedPinFallsBackToUnpinned) {
   EXPECT_EQ(sum.load(), 45);
 }
 
+// Holds the thread it interrupts until g_release is set: a stand-in for a
+// helper that never gets its CPU.
+std::atomic<bool> g_frozen{false};
+std::atomic<bool> g_release{false};
+
+void FreezeHandler(int) {
+  const int saved_errno = errno;
+  g_frozen.store(true);
+  while (!g_release.load()) {
+    const timespec pause{0, 100'000};
+    nanosleep(&pause, nullptr);
+  }
+  errno = saved_errno;
+}
+
+// Two indices that each wait until both have started, so both workers take
+// one; returns the helper's thread.
+pthread_t RunOnBothWorkers(ComputeGroup& group) {
+  std::atomic<int> started{0};
+  pthread_t helper{};
+  group.Run(2, 2, [&](int64_t, int worker) {
+    ++started;
+    while (started.load() < 2) {
+      std::this_thread::yield();
+    }
+    if (worker == 1) {
+      helper = pthread_self();
+    }
+  });
+  return helper;
+}
+
+// A posted helper that has not started when the caller runs out of indices
+// is withdrawn: the join returns without it, every index having run on the
+// caller. The helper here is held in a signal handler while parked; a helper
+// pinned to a CPU that stays busy is held the same way. Once released, it
+// takes part again.
+TEST(ComputeGroupTest, JoinReturnsWithoutAHelperThatNeverStarts) {
+  g_frozen = false;
+  g_release = false;
+  ComputeGroup group(2);
+  const pthread_t helper = RunOnBothWorkers(group);
+  struct sigaction freeze = {};
+  freeze.sa_handler = FreezeHandler;
+  sigemptyset(&freeze.sa_mask);
+  struct sigaction previous = {};
+  ASSERT_EQ(sigaction(SIGUSR1, &freeze, &previous), 0);
+  while (group.ParkedHelpers() < 1) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(pthread_kill(helper, SIGUSR1), 0);
+  while (!g_frozen.load()) {
+    std::this_thread::yield();
+  }
+
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::atomic<int>> hits(16);
+    std::atomic<int> on_helper{0};
+    group.Run(16, 2, [&](int64_t i, int worker) {
+      ++hits[static_cast<size_t>(i)];
+      on_helper += worker != 0 ? 1 : 0;
+    });
+    EXPECT_EQ(on_helper.load(), 0);
+    for (const auto& hit : hits) {
+      EXPECT_EQ(hit.load(), 1);
+    }
+  }
+
+  g_release = true;
+  EXPECT_TRUE(pthread_equal(RunOnBothWorkers(group), helper));
+  ASSERT_EQ(sigaction(SIGUSR1, &previous, nullptr), 0);
+}
+
 // The atomic wrappers in src/common/sync.h: the memory order lives in the
 // type, so no conversion, assignment or copy may reach the std::atomic
 // inside, and the wrapper costs no space over it.
@@ -158,6 +235,11 @@ TEST(AtomicWrapperTest, OperationsReturnWhatStdAtomicReturns) {
   g_published_probe.Publish(4);
   EXPECT_EQ(g_published_probe.FetchAdd(2), 4);
   EXPECT_EQ(g_published_probe.Load(), 6);
+  int expected = 5;
+  EXPECT_FALSE(g_published_probe.CompareExchange(expected, 9));
+  EXPECT_EQ(expected, 6);
+  EXPECT_TRUE(g_published_probe.CompareExchange(expected, 9));
+  EXPECT_EQ(g_published_probe.Load(), 9);
 }
 
 // A writer fills a plain payload, then publishes a flag; the reader spins on
