@@ -286,7 +286,9 @@ TEST(ProcessClusterTest, StalledWorkerIsQuarantinedOnBothBackends) {
     options.num_replicas = 1;
     options.backend = backend;
     options.process.heartbeat_period_ms = 2.0;
-    options.recovery.stall_quarantine_ms = 60.0;
+    // The one replica splits the step over a compute group of every allowed
+    // CPU: ~55 ms on 4 AVX-512 CPUs, so the threshold sits well below that.
+    options.recovery.stall_quarantine_ms = 15.0;
     options.recovery.health_period_ms = 2.0;
     ClusterServer cluster(config, options);
 
@@ -295,7 +297,7 @@ TEST(ProcessClusterTest, StalledWorkerIsQuarantinedOnBothBackends) {
     request.max_new_tokens = 2;
     request.eos_token = -1;
     Rng rng(7);
-    for (int i = 0; i < 1900; ++i) {  // ~330 ms of prefill on a 4-core AVX2 host
+    for (int i = 0; i < 1900; ++i) {  // ~330 ms of prefill on one AVX2 thread
       request.prompt_tokens.push_back(static_cast<int32_t>(rng.NextInt(2, config.vocab_size - 1)));
     }
     ASSERT_TRUE(cluster.Submit(std::move(request))) << name;
